@@ -7,6 +7,7 @@
    when every output oracle held, 1 when one failed, 2 on usage errors. *)
 
 module W = Perfbench.Workloads
+module H = Perfbench.Harness
 module Metrics = Perfbench.Metrics
 
 let usage msg =
@@ -44,10 +45,10 @@ let () =
   | Some workload, Some seed, Some seconds, Some traced ->
       let cfg =
         {
-          W.seed;
+          H.seed;
           seconds;
           traced;
-          size = W.Full;
+          size = H.Full;
           tmp = ".bench_tmp";
           git = !git;
           baseline = "results/matrix/baseline.json";

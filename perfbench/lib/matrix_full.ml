@@ -27,7 +27,8 @@ let matrix_seed seed =
   if Array.mem seed validated_seeds then seed else validated_seeds.(((seed mod n) + n) mod n)
 
 type pass = {
-  generate_s : float list;  (** one sample per [Matrix.generate] call *)
+  traced : bool;
+  generate_s : float list;  (** seconds per [Matrix.generate] call, one sample per batch *)
   cells : (Matrix.cell * Plan.result * float) array;  (** cell, result, run seconds *)
   encode_s : float;
   write_s : float;
@@ -37,11 +38,22 @@ type pass = {
   checksum : int;
 }
 
-(* Generation takes ~0.1 ms, so the set-up is sampled [setups] times. *)
-let setups = 25
+(* One generation takes ~0.1 ms, near the clock's noise, so it is timed
+   in batches of [batch] calls and sampled [batches] times per pass. *)
+let batch = 20
+let batches = 5
 
 let pass ?(limit = max_int) ~seed ~git ~dir ~traced () =
-  let generate_s = List.init setups (fun _ -> snd (Timing.time (fun () -> Matrix.generate ~seed))) in
+  let generate_s =
+    List.init batches (fun _ ->
+        let (), dt =
+          Timing.time (fun () ->
+              for _ = 1 to batch do
+                ignore (Sys.opaque_identity (Matrix.generate ~seed))
+              done)
+        in
+        dt /. float_of_int batch)
+  in
   let cells = Matrix.generate ~seed in
   let cells = Array.sub cells 0 (min limit (Array.length cells)) in
   let encode_s = ref 0. and write_s = ref 0. in
@@ -71,6 +83,7 @@ let pass ?(limit = max_int) ~seed ~git ~dir ~traced () =
                 runs)))
   in
   {
+    traced;
     generate_s;
     cells = runs;
     encode_s = !encode_s;
@@ -88,15 +101,7 @@ let failed_cells p =
    same seed, and at seed 42 equal to the checked-in baseline. *)
 let fingerprint p = Jsonx.to_string (Report.to_json (Report.baseline_of_summary p.summary))
 
-let baseline_regressions ~baseline p =
-  Report.regressions ~baseline:(Report.read baseline) p.summary
-
 let cell_seconds p = Array.map (fun (_, _, dt) -> dt) p.cells
-
-(* The pass as segments: each cell's run, then manifest I/O + report. *)
-let segments p =
-  let cells = cell_seconds p in
-  Array.append cells [| p.wall_s -. Array.fold_left ( +. ) 0. cells |]
 
 (* Run seconds per axis value: [(key, seconds, cells)]. *)
 let by_axis p key_of keys =
@@ -107,16 +112,130 @@ let by_axis p key_of keys =
         (k, 0., 0) p.cells)
     keys
 
-let counter_total p name =
-  Array.fold_left
-    (fun acc (_, r, _) ->
-      acc + Option.value ~default:0 (Manifest.counter r.Plan.manifest name))
-    0 p.cells
-
-let async_sent p =
+let counter_total ?(only = fun _ -> true) p name =
   Array.fold_left
     (fun acc (cell, r, _) ->
-      if cell.Matrix.workload = Matrix.Async_w then
-        acc + Option.value ~default:0 (Manifest.counter r.Plan.manifest "net.sent")
-      else acc)
+      if only cell then acc + Option.value ~default:0 (Manifest.counter r.Plan.manifest name) else acc)
     0 p.cells
+
+(* ------------------------------------------------------------------ *)
+
+let name = "matrix-full"
+
+let net_counters =
+  [
+    "net.sent"; "net.delivered"; "net.lost"; "net.duplicated"; "net.reordered"; "net.partitioned";
+    "net.tick_drops"; "sched.pops";
+  ]
+
+let spec (cfg : Harness.config) =
+  let dir = Filename.concat cfg.tmp "matrix" in
+  Files.fresh_dir dir;
+  let limit = match cfg.size with Full -> None | Tiny -> Some 6 in
+  let seed = matrix_seed cfg.seed in
+  (* warm-up: one cell of each workload kind, untimed *)
+  Array.iter
+    (fun (c : Matrix.cell) ->
+      if c.Matrix.size = Matrix.Small && c.Matrix.fault = Matrix.Clean then
+        ignore (Plan.run_pure ~git:cfg.git c.Matrix.plan))
+    (Matrix.generate ~seed);
+  (* An untraced pass is correct if every cell passed and it matches the
+     first untraced pass (cell list checksum and wall-free summary); the
+     first one is also compared with the baseline at seed 42.  A traced
+     pass runs [Plan.run], whose summary carries counters, so only its
+     cells' verdicts are checked. *)
+  let first = ref None in
+  let iterate ~traced =
+    let p = pass ?limit ~seed ~git:cfg.git ~dir ~traced () in
+    let consistent =
+      traced
+      ||
+      match !first with
+      | Some f -> p.checksum = f.checksum && fingerprint p = fingerprint f
+      | None ->
+          first := Some p;
+          seed <> 42 || limit <> None
+          || Sys.file_exists cfg.baseline
+             && Report.regressions ~baseline:(Report.read cfg.baseline) p.summary = []
+    in
+    (p, consistent)
+  in
+  let measured (p, consistent) =
+    let cells = cell_seconds p in
+    {
+      Harness.setup_s = p.generate_s;
+      (* each cell, then manifest I/O + report *)
+      segments = Array.append cells [| p.wall_s -. Array.fold_left ( +. ) 0. cells |];
+      wall_s = p.wall_s;
+      attempted = Array.length p.cells;
+      failed = (if consistent then failed_cells p else max 1 (failed_cells p));
+    }
+  in
+  let end_to_end ~wall_s:_ iters =
+    (* each cell's fastest pass, then percentiles over cells *)
+    let per_pass = List.map (fun (p, _) -> cell_seconds p) iters in
+    let cells = Timing.samples () in
+    Array.iteri
+      (fun i _ -> Timing.add cells (Timing.fastest (List.map (fun a -> a.(i)) per_pass)))
+      (List.hd per_pass);
+    let c50 = Timing.percentile cells 50. and c90 = Timing.percentile cells 90. in
+    ( (c50.Timing.value *. 1e3, c90.Timing.value *. 1e3),
+      [
+        Printf.sprintf "note matrix seed %d%s" seed
+          (if seed = 42 then ", compared with results/matrix/baseline.json" else "");
+        Harness.pct_line name "cell_p50_ms" c50 ~scale:1e3 "ms";
+        Harness.pct_line name "cell_p90_ms" c90 ~scale:1e3 "ms";
+      ] )
+  in
+  let layers ~plain:(plain, _) ~traced:(traced, _) =
+    let axis_rows key_of keys =
+      List.concat_map
+        (fun (k, s, c) -> [ ("plan.cell_s." ^ k, s); ("plan.cells." ^ k, float_of_int c) ])
+        (by_axis plain key_of keys)
+    in
+    let counters = List.map (fun c -> (c, float_of_int (counter_total traced c))) net_counters in
+    let ratio a b = if b = 0. then 0. else a /. b in
+    let workload_rows =
+      axis_rows (fun c -> Matrix.workload_name c.Matrix.workload) Metrics.cell_workloads
+    in
+    let async_sent =
+      counter_total ~only:(fun c -> c.Matrix.workload = Matrix.Async_w) traced "net.sent"
+    in
+    (* [Plan.run] stamps each manifest with [git describe], one fork per
+       cell that [Plan.run_pure] does not make *)
+    let forks_s = Harness.git_forks_s (Array.length traced.cells) in
+    {
+      Harness.rows =
+        [ ("matrix.generate_s", Timing.median plain.generate_s) ]
+        @ workload_rows
+        @ axis_rows (fun c -> Matrix.fault_name c.Matrix.fault) Metrics.faults
+        @ counters
+        @ [
+            ("net.delivery_ratio", ratio (List.assoc "net.delivered" counters) (List.assoc "net.sent" counters));
+            ( "plan.async.ns_per_msg",
+              ratio (List.assoc "plan.cell_s.async" workload_rows *. 1e9) (float_of_int async_sent) );
+            ("obs.manifest_encode_s", plain.encode_s);
+            ("obs.manifest_write_s", plain.write_s);
+            ("obs.git_describe_s", forks_s);
+            ("cli.report_s", plain.report_s);
+          ];
+      busy_s = Array.fold_left ( +. ) 0. (cell_seconds plain) +. plain.encode_s +. plain.write_s +. plain.report_s;
+      untraced_work_s = forks_s;
+    }
+  in
+  {
+    Harness.check = "every cell passes, summary stable across passes";
+    iterate;
+    measured;
+    end_to_end;
+    layers;
+    notes =
+      [
+        "note net.* and sched.pops are the traced pass's Plan.run counters; plan.cell_s.* are \
+         untraced run_pure seconds";
+        "note obs.git_describe_s is the traced pass's git describe forks (one per cell), measured and \
+         taken out of trace_overhead_s";
+      ];
+  }
+
+let run cfg = Harness.run ~name cfg (spec cfg)

@@ -49,7 +49,10 @@ let per_layer =
           "net.partitioned"; "net.tick_drops"; "sched.pops";
         ];
       [ ("net.delivery_ratio", "ratio"); ("plan.async.ns_per_msg", "ns") ];
-      [ ("obs.manifest_encode_s", "s"); ("obs.manifest_write_s", "s"); ("cli.report_s", "s") ];
+      [
+        ("obs.manifest_encode_s", "s"); ("obs.manifest_write_s", "s"); ("obs.git_describe_s", "s");
+        ("cli.report_s", "s");
+      ];
       List.map (fun f -> ("fig." ^ f ^ "_s", "s")) figures;
       [
         ("graph.gnp_s", "s"); ("core.instance_build_s", "s"); ("core.greedy_s", "s");

@@ -1,24 +1,25 @@
 (* paper-figs: [Experiments.run_named] on fig1, fig3, table1, fig4
-   (n = 10^6, 4 bands) and fig9 (pinned scale), one domain.  Each
-   figure's report goes to a file in the scratch directory, not the
-   terminal; the digest of that report plus the figure's CSV is the
-   output oracle.  The set-up is the same five figures at the repo's
-   smoke scale (0.05), which also warms the code paths up. *)
+   (n = 10^6, 4 bands) and fig9, one domain.  fig3 and fig9 run at pinned
+   smaller scales so that one pass takes ~3 s and a run holds about ten
+   passes to take the fastest of.  Each figure's report goes to a file in
+   the scratch directory, not the terminal; the digest of that report
+   plus the figure's CSV is the output oracle.  The set-up of a pass is
+   clearing and recreating its output tree. *)
 
 module Experiments = Stratify_cli.Experiments
 module Rng = Stratify_prng.Rng
 module Gen = Stratify_graph.Gen
 open Stratify_core
 
-type shape = { fig9_scale : float; fig4_n : int; fig4_bands : int; scale : float }
+type shape = { scale : float; fig3_scale : float; fig9_scale : float; fig4_n : int; fig4_bands : int }
 
-let full = { fig9_scale = 0.3; fig4_n = 1_000_000; fig4_bands = 4; scale = 1.0 }
-let tiny = { fig9_scale = 0.05; fig4_n = 10_000; fig4_bands = 2; scale = 0.05 }
-let smoke_scale = 0.05
+let full = { scale = 1.0; fig3_scale = 0.5; fig9_scale = 0.15; fig4_n = 1_000_000; fig4_bands = 4 }
+let tiny = { scale = 0.05; fig3_scale = 0.05; fig9_scale = 0.05; fig4_n = 10_000; fig4_bands = 2 }
 
 let context shape ~seed ~csv_dir name =
   let base = { Experiments.default_context with seed; scale = shape.scale; csv_dir = Some csv_dir } in
   match name with
+  | "fig3" -> { base with scale = shape.fig3_scale }
   | "fig4" -> { base with n_override = Some shape.fig4_n; bands = shape.fig4_bands }
   | "fig9" -> { base with scale = shape.fig9_scale }
   | _ -> base
@@ -56,28 +57,53 @@ let digest ~out ~csv_dir name =
 
 type fig = { name : string; wall_s : float; digest : string; raised : bool }
 
-(* One pass over the five figures; [manifest_dir] turns the library's
-   own observability on (the traced pass). *)
-let pass ?manifest_dir ?(after = fun _ -> ()) shape ~seed ~dir () =
-  Files.fresh_dir dir;
-  let csv_dir = Filename.concat dir "csv" in
-  Sys.mkdir csv_dir 0o755;
-  List.map
-    (fun name ->
-      let ctx = { (context shape ~seed ~csv_dir name) with manifest_dir } in
-      let out = Filename.concat dir (name ^ ".out") in
-      let raised, wall_s =
-        Timing.time (fun () ->
-            match with_stdout_to out (fun () -> Experiments.run_named ctx (entry name)) with
-            | () -> false
-            | exception (Invalid_argument _ | Failure _ | Not_found) -> true)
-      in
-      after name;
-      { name; wall_s; digest = (if raised then "" else digest ~out ~csv_dir name); raised })
-    Metrics.figures
+type pass = {
+  setup_s : float;  (** clearing and recreating the output tree *)
+  pass_s : float;  (** the five figures, set-up excluded *)
+  figs : fig list;
+  counters : (string * int) list;  (** summed over the figures; traced pass only *)
+}
 
-let smoke ~seed ~dir =
-  pass { scale = smoke_scale; fig9_scale = smoke_scale; fig4_n = 10_000; fig4_bands = 1 } ~seed ~dir ()
+let counters_of_interest =
+  [ "sim.steps"; "sim.active"; "initiative.rewires"; "shard.fixup_pops"; "greedy.stable_config" ]
+
+(* One pass over the five figures; [manifest_dir] turns the library's
+   own observability on (the traced pass), and [run_named] then resets
+   the counters per figure, so they are summed after each one. *)
+let pass ?manifest_dir shape ~seed ~dir () =
+  let csv_dir = Filename.concat dir "csv" in
+  let (), setup_s =
+    Timing.time (fun () ->
+        Files.fresh_dir dir;
+        Sys.mkdir csv_dir 0o755)
+  in
+  let totals = Hashtbl.create 8 in
+  let t0 = Timing.now_ns () in
+  let figs =
+    List.map
+      (fun name ->
+        let ctx = { (context shape ~seed ~csv_dir name) with manifest_dir } in
+        let out = Filename.concat dir (name ^ ".out") in
+        let raised, wall_s =
+          Timing.time (fun () ->
+              match with_stdout_to out (fun () -> Experiments.run_named ctx (entry name)) with
+              | () -> false
+              | exception (Invalid_argument _ | Failure _ | Not_found) -> true)
+        in
+        if manifest_dir <> None then
+          List.iter
+            (fun c ->
+              let v = Stratify_obs.Counter.value (Stratify_obs.Counter.make c) in
+              Hashtbl.replace totals c (v + Option.value ~default:0 (Hashtbl.find_opt totals c)))
+            counters_of_interest;
+        { name; wall_s; digest = (if raised then "" else digest ~out ~csv_dir name); raised })
+      Metrics.figures
+  in
+  let pass_s = Timing.seconds_since t0 in
+  let counters =
+    List.map (fun c -> (c, Option.value ~default:0 (Hashtbl.find_opt totals c))) counters_of_interest
+  in
+  { setup_s; pass_s; figs; counters }
 
 (* Report + CSV digests of the full-shape pass at seed 42. *)
 let golden_seed = 42
@@ -85,14 +111,11 @@ let golden_seed = 42
 let golden =
   [
     ("fig1", "58a4a8dce5395c69027460112f7c7f59");
-    ("fig3", "9e295ed7ce4972f4f150a82d153f7e0d");
+    ("fig3", "acd7d65e555d1238dfe019aec035d406");
     ("table1", "b0612b8d707ca4e8ef8159fc9bf5d1a9");
     ("fig4", "af9318bbe8f8bf29dd586524bf4b527a");
-    ("fig9", "5b11a8a96140a0b59d162437733e6db2");
+    ("fig9", "bdda93606744a64180039f0d330b4636");
   ]
-
-let counters_of_interest =
-  [ "sim.steps"; "sim.active"; "initiative.rewires"; "shard.fixup_pops"; "greedy.stable_config" ]
 
 (* Isolated kernel replays with each figure's parameters. *)
 let kernel_replays shape ~seed ~fig9_replicas =
@@ -127,11 +150,12 @@ let kernel_replays shape ~seed ~fig9_replicas =
   in
   add "core.sim_trajectory_s" dt;
   (* fig3: one churn rate *)
+  let n3 = max 2 (int_of_float (Float.round (1000. *. shape.fig3_scale))) in
   let _, dt =
     Timing.time (fun () ->
         Churn.run rng
           {
-            Churn.n = n1;
+            Churn.n = n3;
             d = 10.;
             b = 1;
             rate = 0.01;
@@ -153,3 +177,78 @@ let kernel_replays shape ~seed ~fig9_replicas =
   let _, dt = Timing.time (fun () -> Cluster.analyze adj) in
   add "core.cluster_s" dt;
   List.rev !rows
+
+(* ------------------------------------------------------------------ *)
+
+let name = "paper-figs"
+
+let spec (cfg : Harness.config) =
+  let shape = match cfg.size with Harness.Full -> full | Tiny -> tiny in
+  let dir = Filename.concat cfg.tmp "figs" in
+  let manifest_dir = Filename.concat cfg.tmp "figs-manifests" in
+  let digests p = List.map (fun f -> (f.name, f.digest)) p.figs in
+  (* The warm-up pass, untimed, gives the reference digests: they must
+     equal the recorded ones at seed 42 and every later pass must
+     reproduce them. *)
+  let warm = pass shape ~seed:cfg.seed ~dir () in
+  let golden_ok = cfg.seed <> golden_seed || cfg.size <> Full || digests warm = golden in
+  let reference = digests warm in
+  let iterate ~traced =
+    if traced then pass ~manifest_dir shape ~seed:cfg.seed ~dir () else pass shape ~seed:cfg.seed ~dir ()
+  in
+  let measured p =
+    let figs = List.map (fun f -> f.wall_s) p.figs in
+    let bad f = f.raised || (not golden_ok) || List.assoc_opt f.name reference <> Some f.digest in
+    {
+      Harness.setup_s = [ p.setup_s ];
+      (* each figure, then what the pass spent around them *)
+      segments = Array.of_list (figs @ [ p.pass_s -. List.fold_left ( +. ) 0. figs ]);
+      wall_s = p.pass_s;
+      attempted = List.length p.figs;
+      failed = List.length (List.filter bad p.figs);
+    }
+  in
+  let fig_walls iters n = List.map (fun p -> (List.find (fun f -> f.name = n) p.figs).wall_s) iters in
+  let end_to_end ~wall_s:_ iters =
+    let ms n = 1e3 *. Timing.fastest (fig_walls iters n) in
+    ( (ms "fig3", ms "fig9"),
+      List.map (fun (n, d) -> Printf.sprintf "digest %-8s %s" n d) reference
+      @ List.map
+          (fun n ->
+            let xs = fig_walls iters n in
+            Harness.line name (n ^ "_s") (Timing.fastest xs) "s" ("fastest of " ^ Harness.spread xs))
+          Metrics.figures )
+  in
+  let layers ~plain ~traced =
+    let fig9_replicas = match cfg.size with Full -> 8 | Tiny -> 2 in
+    let kernels = kernel_replays shape ~seed:cfg.seed ~fig9_replicas in
+    (* the traced pass writes one manifest, so forks git once, per figure *)
+    let forks_s = Harness.git_forks_s (List.length traced.figs) in
+    {
+      Harness.rows =
+        List.map (fun f -> ("fig." ^ f.name ^ "_s", f.wall_s)) plain.figs
+        @ kernels
+        @ List.map (fun (c, v) -> (c, float_of_int v)) traced.counters
+        @ [ ("obs.git_describe_s", forks_s) ];
+      busy_s = List.fold_left (fun acc f -> acc +. f.wall_s) 0. plain.figs;
+      untraced_work_s = forks_s;
+    }
+  in
+  {
+    Harness.check =
+      (if cfg.seed = golden_seed then "figure digests = recorded seed-42 digests"
+       else "figure digests identical across passes");
+    iterate;
+    measured;
+    end_to_end;
+    layers;
+    notes =
+      [
+        "note graph.* and core.* seconds are isolated kernel replays with each figure's parameters, \
+         not self time inside the figures";
+        "note obs.git_describe_s is the traced pass's git describe forks (one per figure manifest), \
+         measured and taken out of trace_overhead_s";
+      ];
+  }
+
+let run cfg = Harness.run ~name cfg (spec cfg)

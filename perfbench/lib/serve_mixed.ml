@@ -252,3 +252,122 @@ let layer_replays shape ~seed ~steps ~events =
     Timing.add churn_ns (Timing.ns_between a (Timing.now_ns ()))
   done;
   (!create_s, step_rows, solve_s, churn_ns)
+
+(* ------------------------------------------------------------------ *)
+
+let name = "serve-mixed"
+
+let spec (cfg : Harness.config) =
+  let shape = match cfg.size with Full -> full | Tiny -> tiny in
+  let text = script_text shape ~seed:cfg.seed in
+  (* the oracle replay doubles as the warm-up *)
+  let ref_checksum, ref_handled = reference (Req.of_json (Jsonx.of_string text)) in
+  let iterate ~traced =
+    if traced then
+      Stratify_obs.Control.with_enabled true (fun () ->
+          Stratify_obs.Counter.reset_all ();
+          iteration text)
+    else iteration text
+  in
+  let measured it =
+    let r = it.run and n = Array.length it.script.Req.requests in
+    let ok = r.raised = 0 && r.checksum = ref_checksum && r.handled = ref_handled && r.handled = n in
+    {
+      Harness.setup_s = [ it.parse_s +. it.create_s ];
+      segments = Timing.to_array r.segments;
+      wall_s = r.wall_s;
+      attempted = n;
+      failed = (if ok then 0 else max 1 r.raised);
+    }
+  in
+  let handle k it = it.run.handle_ns.(k) in
+  let end_to_end ~wall_s iters =
+    let pct get q = Timing.combined_percentile Timing.fastest (List.map get iters) q in
+    let updates it =
+      let u = Timing.samples () in
+      Timing.append u (handle 1 it);
+      Timing.append u (handle 2 it);
+      u
+    in
+    let ticks it = it.run.tick_ns in
+    let a50 = pct (handle 0) 50. and a99 = pct (handle 0) 99. in
+    let per_iter f = List.fold_left (fun acc it -> acc + f it) 0 iters in
+    let requests = per_iter (fun it -> it.run.handled) in
+    let refused = per_iter (fun it -> Array.fold_left ( + ) 0 it.run.refused) in
+    let line = Harness.line name and pct_line = Harness.pct_line name in
+    ( (a50.Timing.value *. 1e-6, a99.Timing.value *. 1e-6),
+      [
+        line "requests_per_s" (float_of_int (requests / List.length iters) /. wall_s) "1/s" "";
+        pct_line "announce_p50_us" a50 ~scale:1e-3 "us";
+        pct_line "announce_p99_us" a99 ~scale:1e-3 "us";
+        pct_line "update_p50_us" (pct updates 50.) ~scale:1e-3 "us";
+        pct_line "update_p99_us" (pct updates 99.) ~scale:1e-3 "us";
+        pct_line "tick_p50_ms" (pct ticks 50.) ~scale:1e-6 "ms";
+        pct_line "tick_p95_ms" (pct ticks 95.) ~scale:1e-6 "ms";
+        line "refused_ratio"
+          (float_of_int refused /. float_of_int (max 1 requests))
+          "ratio"
+          (Printf.sprintf "refused=%d attempted=%d (tracker ERR answers)" refused requests);
+      ] )
+  in
+  let layers ~plain ~traced:_ =
+    let r = plain.run in
+    let steps, events = match cfg.size with Full -> (50, 2000) | Tiny -> (5, 50) in
+    let swarm_create_s, step_rows, solve_s, churn_ns = layer_replays shape ~seed:cfg.seed ~steps ~events in
+    let handle_rows =
+      List.concat
+        (List.mapi
+           (fun k kind ->
+             let s = r.handle_ns.(k) in
+             let p q = if Timing.count s = 0 then 0. else (Timing.percentile s q).Timing.value *. 1e-3 in
+             let pre = "serve.handle." ^ kind in
+             [
+               (pre ^ ".p50_us", p 50.);
+               (pre ^ ".p99_us", p 99.);
+               (pre ^ ".count", float_of_int (Timing.count s));
+               (pre ^ ".refused", float_of_int r.refused.(k));
+             ])
+           Metrics.serve_kinds)
+    in
+    let handle_s = Array.fold_left (fun acc s -> acc +. Timing.sum s) 0. r.handle_ns *. 1e-9 in
+    let tick_s = Timing.sum r.tick_ns *. 1e-9 in
+    let tick q = (Timing.percentile r.tick_ns q).Timing.value *. 1e-6 in
+    let churn q = (Timing.percentile churn_ns q).Timing.value *. 1e-3 in
+    {
+      Harness.rows =
+        [ ("serve.parse_s", plain.parse_s); ("serve.create_s", plain.create_s) ]
+        @ handle_rows
+        @ [
+            ("serve.tick.p50_ms", tick 50.);
+            ("serve.tick.p95_ms", tick 95.);
+            ("serve.tick.count", float_of_int (Timing.count r.tick_ns));
+            ("serve.handle.total_s", handle_s);
+            ("serve.tick.total_s", tick_s);
+            ("bittorrent.swarm_create_s", swarm_create_s);
+          ]
+        @ List.map
+            (fun (sid, (p : Timing.pct)) -> ("bittorrent.swarm_step." ^ sid ^ ".p50_ms", p.Timing.value *. 1e-6))
+            step_rows
+        @ [
+            ("core.oracle_solve_s", solve_s);
+            ("core.churn_event.p50_us", churn 50.);
+            ("core.churn_event.p99_us", churn 99.);
+          ];
+      busy_s = handle_s +. tick_s;
+      untraced_work_s = 0.;
+    }
+  in
+  {
+    Harness.check = "replay checksum/count = Serve.run_script";
+    iterate;
+    measured;
+    end_to_end;
+    layers;
+    notes =
+      [
+        "note bittorrent.* and core.* rows are isolated replays at the world's parameters, not self \
+         time inside the replay";
+      ];
+  }
+
+let run cfg = Harness.run ~name cfg (spec cfg)

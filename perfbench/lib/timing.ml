@@ -68,30 +68,34 @@ let median = function
       let n = Array.length a in
       if n mod 2 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
 
+let fastest = function
+  | [] -> invalid_arg "Timing.fastest: empty"
+  | l -> List.fold_left Float.min Float.infinity l
+
 (* A robust total over iterations that run the same aligned segments
    (the ticks of one script, the cells of one matrix, the figures of one
-   pass): the sum over segments of each segment's median across
+   pass): the sum over segments of [stat] of each segment's times across
    iterations.  A burst of interference from other tenants slows a few
-   segments of one iteration and the per-segment median drops it, where
-   the median of whole iterations would need the burst to miss most
-   iterations. *)
-let median_sum = function
-  | [] -> invalid_arg "Timing.median_sum: no iterations"
+   segments of one iteration and a per-segment [median] or [fastest]
+   drops it, where a statistic of whole iterations would need the burst
+   to miss most iterations. *)
+let segment_sum stat = function
+  | [] -> invalid_arg "Timing.segment_sum: no iterations"
   | first :: _ as iters ->
       let n = Array.length first in
       if List.exists (fun a -> Array.length a <> n) iters then
-        invalid_arg "Timing.median_sum: segment counts differ";
+        invalid_arg "Timing.segment_sum: segment counts differ";
       let total = ref 0. in
       for k = 0 to n - 1 do
-        total := !total +. median (List.map (fun a -> a.(k)) iters)
+        total := !total +. stat (List.map (fun a -> a.(k)) iters)
       done;
       !total
 
-(* Median over iterations of each iteration's nearest-rank percentile;
+(* [stat] over iterations of each iteration's nearest-rank percentile;
    the count is the number of samples over all iterations. *)
-let median_percentile per_iteration p =
+let combined_percentile stat per_iteration p =
   let ps = List.map (fun s -> percentile s p) per_iteration in
   {
-    value = median (List.map (fun q -> q.value) ps);
+    value = stat (List.map (fun q -> q.value) ps);
     count = List.fold_left (fun acc q -> acc + q.count) 0 ps;
   }

@@ -1,500 +1,14 @@
-(* The three workloads as runs: set-up, the timed loop, the output
-   oracle, and the metrics of an untraced or a traced run.
+(* The workloads by name.  Each run gets its own scratch directory,
+   removed when the run ends. *)
 
-   Untraced runs repeat the workload while the next iteration still fits
-   in [seconds] and report medians over iterations: [wall_s] sums each
-   segment's median (tick, cell, figure; see [Timing.median_sum]) and a
-   percentile is the median of the iterations' percentiles, or for cells
-   and figures the percentile of their medians.  Traced runs make an untraced pass, a pass
-   with the library's own observability on, a second untraced pass, and
-   isolated replays of the layers below: timed rows come from the faster
-   untraced pass, counters from the traced one, and [trace_overhead_s]
-   is the traced wall minus that untraced wall. *)
+let all =
+  [ (Serve_mixed.name, Serve_mixed.run); (Matrix_full.name, Matrix_full.run); (Paper_figs.name, Paper_figs.run) ]
 
-module Obs = Stratify_obs
-module Req = Stratify_serve.Request
-module Jsonx = Stratify_obs.Jsonx
-module Matrix = Stratify_net_plan.Matrix
+let names = List.map fst all
 
-type size = Full | Tiny
-
-type config = {
-  seed : int;
-  seconds : float;
-  traced : bool;
-  size : size;
-  tmp : string;  (** scratch directory, created and emptied by the run *)
-  git : string;  (** stamped into matrix manifests instead of forking git per cell *)
-  baseline : string;  (** the matrix baseline checked at seed 42 *)
-}
-
-let names = [ "serve-mixed"; "matrix-full"; "paper-figs" ]
-
-(* Iterate [f] at least once, then while the last iteration's duration
-   still fits in the budget.  Each iteration starts from a compacted heap,
-   so one iteration's garbage is not collected on the next one's clock. *)
-let fresh f =
-  Gc.compact ();
-  f ()
-
-let repeat ~seconds f =
-  let t0 = Timing.now_ns () in
-  let rec go acc last =
-    if acc <> [] && Timing.seconds_since t0 +. last > seconds then List.rev acc
-    else
-      let r, dt = Timing.time (fun () -> fresh f) in
-      go (r :: acc) dt
-  in
-  go [] 0.
-
-let spread xs =
-  Printf.sprintf "median of %d, min %.6f max %.6f" (List.length xs)
-    (List.fold_left Float.min Float.infinity xs)
-    (List.fold_left Float.max Float.neg_infinity xs)
-
-let line workload name value unit_ extra =
-  Printf.sprintf "metric %-12s %-24s %16.6f %-5s %s" workload name value unit_ extra
-
-let pct_line workload name (p : Timing.pct) ~scale unit_ =
-  line workload name (p.Timing.value *. scale) unit_ (Printf.sprintf "n=%d" p.Timing.count)
-
-let ratio_line workload ~attempted ~failed =
-  line workload "fail_ratio"
-    (if attempted = 0 then 1. else float_of_int failed /. float_of_int attempted)
-    "ratio"
-    (Printf.sprintf "failed=%d attempted=%d" failed attempted)
-
-let check_line what ok = Printf.sprintf "check %-40s %s" what (if ok then "ok" else "FAILED")
-
-(* ------------------------------------------------------------------ *)
-
-let serve cfg =
-  let module S = Serve_mixed in
-  let shape = match cfg.size with Full -> S.full | Tiny -> S.tiny in
-  let text = S.script_text shape ~seed:cfg.seed in
-  (* the oracle replay doubles as the warm-up *)
-  let ref_checksum, ref_handled = S.reference (Req.of_json (Jsonx.of_string text)) in
-  let ok (it : S.iteration) =
-    let r = it.S.run in
-    r.S.raised = 0 && r.S.checksum = ref_checksum && r.S.handled = ref_handled
-    && r.S.handled = Array.length it.S.script.Req.requests
-  in
-  let account iters =
-    List.fold_left
-      (fun (att, failed) (it : S.iteration) ->
-        let n = Array.length it.S.script.Req.requests in
-        (att + n, failed + if ok it then 0 else max 1 it.S.run.S.raised))
-      (0, 0) iters
-  in
-  let wall (it : S.iteration) = it.S.run.S.wall_s in
-  let setup (it : S.iteration) = it.S.parse_s +. it.S.create_s in
-  let handle k (it : S.iteration) = it.S.run.S.handle_ns.(k) in
-  let w = "serve-mixed" in
-  if not cfg.traced then begin
-    let iters = repeat ~seconds:cfg.seconds (fun () -> S.iteration text) in
-    let attempted, failed = account iters in
-    let setup_s = Timing.median (List.map setup iters) in
-    let wall_s =
-      Timing.median_sum (List.map (fun (it : S.iteration) -> Timing.to_array it.S.run.S.segments) iters)
-    in
-    let pct get q = Timing.median_percentile (List.map get iters) q in
-    let updates (it : S.iteration) =
-      let u = Timing.samples () in
-      Timing.append u (handle 1 it);
-      Timing.append u (handle 2 it);
-      u
-    in
-    let ticks (it : S.iteration) = it.S.run.S.tick_ns in
-    let a50 = pct (handle 0) 50. and a99 = pct (handle 0) 99. in
-    let requests = List.fold_left (fun acc (it : S.iteration) -> acc + it.S.run.S.handled) 0 iters in
-    let refused =
-      List.fold_left
-        (fun acc (it : S.iteration) -> acc + Array.fold_left ( + ) 0 it.S.run.S.refused)
-        0 iters
-    in
-    {
-      Metrics.correct = failed = 0;
-      attempted;
-      failed;
-      values =
-        [
-          ("setup_s", setup_s);
-          ("wall_s", wall_s);
-          ("op_p50_ms", a50.Timing.value *. 1e-6);
-          ("op_tail_ms", a99.Timing.value *. 1e-6);
-        ];
-      report =
-        [
-          check_line "replay checksum/count = Serve.run_script" (failed = 0);
-          line w "setup_s" setup_s "s" (spread (List.map setup iters));
-          line w "wall_s" wall_s "s" ("per-tick medians summed; whole replays " ^ spread (List.map wall iters));
-          line w "requests_per_s" (float_of_int (requests / List.length iters) /. wall_s) "1/s" "";
-          pct_line w "announce_p50_us" a50 ~scale:1e-3 "us";
-          pct_line w "announce_p99_us" a99 ~scale:1e-3 "us";
-          pct_line w "update_p50_us" (pct updates 50.) ~scale:1e-3 "us";
-          pct_line w "update_p99_us" (pct updates 99.) ~scale:1e-3 "us";
-          pct_line w "tick_p50_ms" (pct ticks 50.) ~scale:1e-6 "ms";
-          pct_line w "tick_p95_ms" (pct ticks 95.) ~scale:1e-6 "ms";
-          ratio_line w ~attempted ~failed;
-          line w "refused_ratio"
-            (float_of_int refused /. float_of_int (max 1 requests))
-            "ratio"
-            (Printf.sprintf "refused=%d attempted=%d (tracker ERR answers)" refused requests);
-        ];
-    }
-  end
-  else begin
-    let plain1 = fresh (fun () -> S.iteration text) in
-    let traced =
-      fresh (fun () ->
-          Obs.Control.with_enabled true (fun () ->
-              Obs.Counter.reset_all ();
-              S.iteration text))
-    in
-    let plain2 = fresh (fun () -> S.iteration text) in
-    let plain = if wall plain1 <= wall plain2 then plain1 else plain2 in
-    let r = plain.S.run in
-    let attempted, failed = account [ plain1; traced; plain2 ] in
-    let steps, events = match cfg.size with Full -> (50, 2000) | Tiny -> (5, 50) in
-    let swarm_create_s, step_rows, solve_s, churn_ns =
-      S.layer_replays shape ~seed:cfg.seed ~steps ~events
-    in
-    let busy = ref 0. in
-    let handle_rows =
-      List.concat
-        (List.mapi
-           (fun k name ->
-             let s = r.S.handle_ns.(k) in
-             busy := !busy +. Timing.sum s;
-             let p q = if Timing.count s = 0 then 0. else (Timing.percentile s q).Timing.value *. 1e-3 in
-             let pre = "serve.handle." ^ name in
-             [
-               (pre ^ ".p50_us", p 50.);
-               (pre ^ ".p99_us", p 99.);
-               (pre ^ ".count", float_of_int (Timing.count s));
-               (pre ^ ".refused", float_of_int r.S.refused.(k));
-             ])
-           Metrics.serve_kinds)
-    in
-    let handle_s = !busy in
-    busy := !busy +. Timing.sum r.S.tick_ns;
-    let tick q = (Timing.percentile r.S.tick_ns q).Timing.value *. 1e-6 in
-    let churn q = (Timing.percentile churn_ns q).Timing.value *. 1e-3 in
-    {
-      Metrics.correct = failed = 0;
-      attempted;
-      failed;
-      values =
-        [ ("serve.parse_s", plain.S.parse_s); ("serve.create_s", plain.S.create_s) ]
-        @ handle_rows
-        @ [
-            ("serve.tick.p50_ms", tick 50.);
-            ("serve.tick.p95_ms", tick 95.);
-            ("serve.tick.count", float_of_int (Timing.count r.S.tick_ns));
-            ("serve.handle.total_s", handle_s *. 1e-9);
-            ("serve.tick.total_s", Timing.sum r.S.tick_ns *. 1e-9);
-            ("bittorrent.swarm_create_s", swarm_create_s);
-          ]
-        @ List.map
-            (fun (sid, (p : Timing.pct)) ->
-              ("bittorrent.swarm_step." ^ sid ^ ".p50_ms", p.Timing.value *. 1e-6))
-            step_rows
-        @ [
-            ("core.oracle_solve_s", solve_s);
-            ("core.churn_event.p50_us", churn 50.);
-            ("core.churn_event.p99_us", churn 99.);
-            ("residual_s", r.S.wall_s -. (!busy *. 1e-9));
-            ("trace_overhead_s", wall traced -. r.S.wall_s);
-          ];
-      report =
-        [
-          check_line "replay checksum/count = Serve.run_script" (failed = 0);
-          "note bittorrent.* and core.* rows are isolated replays at the world's parameters, \
-           not self time inside the replay";
-        ];
-    }
-  end
-
-(* ------------------------------------------------------------------ *)
-
-let matrix cfg =
-  let module M = Matrix_full in
-  let dir = Filename.concat cfg.tmp "matrix" in
-  Files.fresh_dir dir;
-  let limit = match cfg.size with Full -> None | Tiny -> Some 6 in
-  let seed = M.matrix_seed cfg.seed in
-  let pass traced = M.pass ?limit ~seed ~git:cfg.git ~dir ~traced () in
-  (* warm-up: one cell of each workload kind, untimed *)
-  Array.iter
-    (fun (c : Matrix.cell) ->
-      if c.Matrix.size = Matrix.Small && c.Matrix.fault = Matrix.Clean then
-        ignore (Stratify_net_plan.Plan.run_pure ~git:cfg.git c.Matrix.plan))
-    (Matrix.generate ~seed);
-  let first = ref None in
-  (* a pass is correct if every cell passed and it matches the first
-     pass (cell list checksum and wall-free summary) *)
-  let consistent p =
-    match !first with
-    | None ->
-        first := Some p;
-        true
-    | Some f -> p.M.checksum = f.M.checksum && M.fingerprint p = M.fingerprint f
-  in
-  let account passes =
-    List.fold_left
-      (fun (att, failed) p ->
-        let bad = M.failed_cells p in
-        let bad = if consistent p then bad else max bad 1 in
-        (att + Array.length p.M.cells, failed + bad))
-      (0, 0) passes
-  in
-  let baseline_ok p =
-    if seed <> 42 || limit <> None then true
-    else Sys.file_exists cfg.baseline && M.baseline_regressions ~baseline:cfg.baseline p = []
-  in
-  let w = "matrix-full" in
-  if not cfg.traced then begin
-    let passes = repeat ~seconds:cfg.seconds (fun () -> pass false) in
-    let attempted, cells_failed = account passes in
-    let base_ok = baseline_ok (List.hd passes) in
-    let failed = if base_ok then cells_failed else cells_failed + 1 in
-    (* each cell's median over passes, then percentiles over cells *)
-    let cells = Timing.samples () in
-    let per_pass = List.map M.cell_seconds passes in
-    Array.iteri
-      (fun i _ -> Timing.add cells (Timing.median (List.map (fun a -> a.(i)) per_pass)))
-      (List.hd per_pass);
-    let c50 = Timing.percentile cells 50. and c90 = Timing.percentile cells 90. in
-    let setup_s = Timing.median (List.concat_map (fun p -> p.M.generate_s) passes) in
-    let wall_s = Timing.median_sum (List.map M.segments passes) in
-    {
-      Metrics.correct = failed = 0;
-      attempted;
-      failed;
-      values =
-        [
-          ("setup_s", setup_s);
-          ("wall_s", wall_s);
-          ("op_p50_ms", c50.Timing.value *. 1e3);
-          ("op_tail_ms", c90.Timing.value *. 1e3);
-        ];
-      report =
-        [
-          check_line "every cell passes, summary stable across passes" (cells_failed = 0);
-          check_line
-            (if seed = 42 then "no regression vs results/matrix/baseline.json"
-             else Printf.sprintf "matrix seed %d (baseline is compared at 42)" seed)
-            base_ok;
-          line w "setup_s" setup_s "s" (spread (List.concat_map (fun p -> p.M.generate_s) passes));
-          line w "wall_s" wall_s "s"
-            ("per-cell medians summed; whole passes " ^ spread (List.map (fun p -> p.M.wall_s) passes));
-          pct_line w "cell_p50_ms" c50 ~scale:1e3 "ms";
-          pct_line w "cell_p90_ms" c90 ~scale:1e3 "ms";
-          ratio_line w ~attempted ~failed;
-        ];
-    }
-  end
-  else begin
-    let plain1 = fresh (fun () -> pass false) in
-    let traced = fresh (fun () -> pass true) in
-    let plain2 = fresh (fun () -> pass false) in
-    let plain = if plain1.M.wall_s <= plain2.M.wall_s then plain1 else plain2 in
-    let attempted, failed = account [ plain1; plain2 ] in
-    let failed = failed + M.failed_cells traced + if baseline_ok plain then 0 else 1 in
-    let axis_rows key_of keys =
-      List.concat_map
-        (fun (k, s, c) -> [ ("plan.cell_s." ^ k, s); ("plan.cells." ^ k, float_of_int c) ])
-        (M.by_axis plain key_of keys)
-    in
-    let counters =
-      List.map
-        (fun c -> (c, float_of_int (M.counter_total traced c)))
-        [
-          "net.sent"; "net.delivered"; "net.lost"; "net.duplicated"; "net.reordered";
-          "net.partitioned"; "net.tick_drops"; "sched.pops";
-        ]
-    in
-    let ratio a b = if b = 0. then 0. else a /. b in
-    let workload_rows = axis_rows (fun c -> Matrix.workload_name c.Matrix.workload) Metrics.cell_workloads in
-    let cells_s = Array.fold_left ( +. ) 0. (M.cell_seconds plain) in
-    {
-      Metrics.correct = failed = 0;
-      attempted = attempted + Array.length traced.M.cells;
-      failed;
-      values =
-        [ ("matrix.generate_s", Timing.median plain.M.generate_s) ]
-        @ workload_rows
-        @ axis_rows (fun c -> Matrix.fault_name c.Matrix.fault) Metrics.faults
-        @ counters
-        @ [
-            ( "net.delivery_ratio",
-              ratio (List.assoc "net.delivered" counters) (List.assoc "net.sent" counters) );
-            ( "plan.async.ns_per_msg",
-              ratio
-                (List.assoc "plan.cell_s.async" workload_rows *. 1e9)
-                (float_of_int (M.async_sent traced)) );
-            ("obs.manifest_encode_s", plain.M.encode_s);
-            ("obs.manifest_write_s", plain.M.write_s);
-            ("cli.report_s", plain.M.report_s);
-            ( "residual_s",
-              plain.M.wall_s -. cells_s -. plain.M.encode_s -. plain.M.write_s -. plain.M.report_s );
-            ("trace_overhead_s", traced.M.wall_s -. plain.M.wall_s);
-          ];
-      report =
-        [
-          check_line "every cell passes (untraced and traced)" (failed = 0);
-          "note net.* and sched.pops are the traced pass's Plan.run counters; plan.cell_s.* are \
-           untraced run_pure seconds";
-        ];
-    }
-  end
-
-(* ------------------------------------------------------------------ *)
-
-type figs_iteration = {
-  smoke_s : float;  (** the smoke-scale pass: paper-figs' set-up *)
-  smoke : Paper_figs.fig list;
-  pass_s : float;
-  figs : Paper_figs.fig list;
-}
-
-let figs cfg =
-  let module F = Paper_figs in
-  let shape = match cfg.size with Full -> F.full | Tiny -> F.tiny in
-  let dir = Filename.concat cfg.tmp "figs" in
-  let smoke_dir = Filename.concat cfg.tmp "smoke" in
-  let iteration ?manifest_dir ?after () =
-    let smoke, smoke_s = Timing.time (fun () -> F.smoke ~seed:cfg.seed ~dir:smoke_dir) in
-    let figs, pass_s =
-      Timing.time (fun () -> F.pass ?manifest_dir ?after shape ~seed:cfg.seed ~dir ())
-    in
-    { smoke_s; smoke; pass_s; figs }
-  in
-  let digests figs = List.map (fun f -> (f.F.name, f.F.digest)) figs in
-  let reference = ref None in
-  let golden = cfg.seed = F.golden_seed && cfg.size = Full in
-  (* a figure fails if it raised, or its digest differs from the golden
-     one (seed 42) or from the first iteration's (any seed) *)
-  let failures it =
-    let expected =
-      if golden then F.golden
-      else
-        match !reference with
-        | Some d -> d
-        | None ->
-            reference := Some (digests it.figs);
-            digests it.figs
-    in
-    List.length (List.filter (fun f -> f.F.raised) it.smoke)
-    + List.length
-        (List.filter
-           (fun f -> f.F.raised || List.assoc_opt f.F.name expected <> Some f.F.digest)
-           it.figs)
-  in
-  let account iters =
-    List.fold_left
-      (fun (att, failed) it -> (att + List.length Metrics.figures, failed + failures it))
-      (0, 0) iters
-  in
-  let w = "paper-figs" in
-  let fig_wall name it = (List.find (fun f -> f.F.name = name) it.figs).F.wall_s in
-  if not cfg.traced then begin
-    let iters = repeat ~seconds:cfg.seconds (fun () -> iteration ()) in
-    let attempted, failed = account iters in
-    (* each figure's median over iterations, then percentiles over figures *)
-    let times = Timing.samples () in
-    List.iter (fun n -> Timing.add times (Timing.median (List.map (fig_wall n) iters))) Metrics.figures;
-    let p50 = Timing.percentile times 50. and p90 = Timing.percentile times 90. in
-    let setups = List.map (fun it -> it.smoke_s) iters in
-    let walls = List.map (fun it -> it.pass_s) iters in
-    let segments it =
-      let figs = List.map (fun f -> f.F.wall_s) it.figs in
-      Array.of_list ((it.pass_s -. List.fold_left ( +. ) 0. figs) :: figs)
-    in
-    let setup_s = Timing.median setups and wall_s = Timing.median_sum (List.map segments iters) in
-    {
-      Metrics.correct = failed = 0;
-      attempted;
-      failed;
-      values =
-        [
-          ("setup_s", setup_s);
-          ("wall_s", wall_s);
-          ("op_p50_ms", p50.Timing.value *. 1e3);
-          ("op_tail_ms", p90.Timing.value *. 1e3);
-        ];
-      report =
-        [
-          check_line
-            (if golden then "figure digests = recorded seed-42 digests"
-             else "figure digests identical across iterations")
-            (failed = 0);
-        ]
-        @ List.map (fun (n, d) -> Printf.sprintf "digest %-8s %s" n d) (digests (List.hd iters).figs)
-        @ [
-            line w "setup_s" setup_s "s" ("smoke pass, " ^ spread setups);
-            line w "wall_s" wall_s "s" ("per-figure medians summed; whole passes " ^ spread walls);
-          ]
-        @ List.map
-            (fun n ->
-              let xs = List.map (fig_wall n) iters in
-              line w (n ^ "_s") (Timing.median xs) "s" (spread xs))
-            Metrics.figures
-        @ [
-            pct_line w "figure_p50_ms" p50 ~scale:1e3 "ms";
-            pct_line w "figure_p90_ms" p90 ~scale:1e3 "ms";
-            ratio_line w ~attempted ~failed;
-          ];
-    }
-  end
-  else begin
-    let plain1 = fresh iteration in
-    let totals = Hashtbl.create 8 in
-    let after _ =
-      List.iter
-        (fun c ->
-          let v = Obs.Counter.value (Obs.Counter.make c) in
-          Hashtbl.replace totals c (v + Option.value ~default:0 (Hashtbl.find_opt totals c)))
-        F.counters_of_interest
-    in
-    let manifest_dir = Filename.concat cfg.tmp "figs-manifests" in
-    let traced = fresh (iteration ~manifest_dir ~after) in
-    let plain2 = fresh iteration in
-    let plain = if plain1.pass_s <= plain2.pass_s then plain1 else plain2 in
-    let attempted, failed = account [ plain1; traced; plain2 ] in
-    let fig9_replicas = match cfg.size with Full -> 8 | Tiny -> 2 in
-    let kernels = F.kernel_replays shape ~seed:cfg.seed ~fig9_replicas in
-    let figs_s = List.fold_left (fun acc f -> acc +. f.F.wall_s) 0. plain.figs in
-    {
-      Metrics.correct = failed = 0;
-      attempted;
-      failed;
-      values =
-        List.map (fun f -> ("fig." ^ f.F.name ^ "_s", f.F.wall_s)) plain.figs
-        @ kernels
-        @ List.map
-            (fun c -> (c, float_of_int (Option.value ~default:0 (Hashtbl.find_opt totals c))))
-            F.counters_of_interest
-        @ [
-            ("residual_s", plain.pass_s -. figs_s);
-            ("trace_overhead_s", traced.pass_s -. plain.pass_s);
-          ];
-      report =
-        [
-          check_line "figure digests (untraced and traced passes)" (failed = 0);
-          "note graph.* and core.* seconds are isolated kernel replays with each figure's \
-           parameters, not self time inside the figures";
-        ];
-    }
-  end
-
-let run name cfg =
-  Files.fresh_dir cfg.tmp;
-  Fun.protect
-    ~finally:(fun () -> Files.remove_tree cfg.tmp)
-    (fun () ->
-      match name with
-      | "serve-mixed" -> serve cfg
-      | "matrix-full" -> matrix cfg
-      | "paper-figs" -> figs cfg
-      | other -> invalid_arg ("unknown workload " ^ other))
+let run name (cfg : Harness.config) =
+  match List.assoc_opt name all with
+  | None -> invalid_arg ("unknown workload " ^ name)
+  | Some run ->
+      Files.fresh_dir cfg.tmp;
+      Fun.protect ~finally:(fun () -> Files.remove_tree cfg.tmp) (fun () -> run cfg)

@@ -60,9 +60,11 @@ let test_nearest_rank () =
   Alcotest.(check (float 0.)) "median of even list" 2.5 (Timing.median [ 4.; 1.; 3.; 2. ]);
   (* a burst in one iteration's second segment is dropped segment-wise *)
   Alcotest.(check (float 0.)) "sum of segment medians" 3.
-    (Timing.median_sum [ [| 1.; 2. |]; [| 1.; 9. |]; [| 1.; 2. |] ]);
+    (Timing.segment_sum Timing.median [ [| 1.; 2. |]; [| 1.; 9. |]; [| 1.; 2. |] ]);
+  Alcotest.(check (float 0.)) "sum of segment minima" 3.
+    (Timing.segment_sum Timing.fastest [ [| 1.; 2. |]; [| 1.; 9. |]; [| 3.; 2. |] ]);
   let per_iteration = [ s; five; s ] in
-  let m = Timing.median_percentile per_iteration 50. in
+  let m = Timing.combined_percentile Timing.median per_iteration 50. in
   Alcotest.(check (float 0.)) "median of per-iteration p50s" 50. m.Timing.value;
   Alcotest.(check int) "samples over all iterations" 205 m.Timing.count
 
@@ -86,10 +88,10 @@ let test_result_line () =
 let smoke workload traced () =
   let cfg =
     {
-      Workloads.seed = 3;
+      Harness.seed = 3;
       seconds = 0.;
       traced;
-      size = Workloads.Tiny;
+      size = Harness.Tiny;
       tmp = Printf.sprintf ".bench_tmp_%s_%b" workload traced;
       git = "test";
       baseline = "baseline.json";
@@ -100,7 +102,7 @@ let smoke workload traced () =
     Alcotest.failf "%s oracle failed:\n%s" workload (String.concat "\n" o.Metrics.report);
   Alcotest.(check int) "nothing failed" 0 o.Metrics.failed;
   Alcotest.(check bool) "attempted" true (o.Metrics.attempted >= 1);
-  Alcotest.(check bool) "scratch removed" false (Sys.file_exists cfg.Workloads.tmp)
+  Alcotest.(check bool) "scratch removed" false (Sys.file_exists cfg.Harness.tmp)
 
 let () =
   Alcotest.run "perfbench"
