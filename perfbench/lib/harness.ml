@@ -6,12 +6,17 @@
    rows.  [untraced] and [traced] turn a spec into a run outcome.
 
    Untraced runs repeat the workload while the next iteration still fits
-   in [seconds] and keep the fastest: [wall_s] sums each segment's fastest
-   iteration (see [Timing.segment_sum]) and [setup_s] is the fastest
-   set-up sample.  Other tenants of the host slow this process by ~1.4x
-   for stretches of a fraction of a second, and how much of a run they
-   cover varies from run to run; the fastest of several samples of a
-   segment is the segment's own cost, where a median follows the host.
+   in [seconds].  Other tenants of the host change its speed, and a slow
+   stretch can cover a whole run, where no statistic of the run's own
+   times removes it.  So each iteration is split into aligned segments
+   (the ticks of a script, the cells of a matrix, the figures of a pass),
+   each timed between two [Timing.probe]s, and the timed end-to-end
+   metrics are in reference seconds ([Timing.at_ref]): [wall_ref_s] sums
+   over segments the median over iterations of each segment's reference
+   time (see [Timing.segment_sum]).  [setup_s] is the median set-up
+   sample, each timed between two probes, in reference seconds too.  The
+   plain [wall_s] (each segment's fastest, summed) is printed beside the
+   metrics.
 
    Traced runs make an untraced pass, a traced pass and a second
    untraced pass: timed rows come from the faster untraced pass, counters
@@ -34,7 +39,10 @@ type config = {
 type measured = {
   setup_s : float list;  (** set-up samples taken in this iteration *)
   segments : float array;  (** aligned across iterations; they sum to [wall_s] *)
-  wall_s : float;
+  probes : float array;
+      (** one [Timing.probe] right before each segment and one after the
+          last: segment [i] runs between probes [i] and [i + 1] *)
+  wall_s : float;  (** plain seconds, probes excluded *)
   attempted : int;
   failed : int;  (** operations that raised or failed their output oracle *)
 }
@@ -52,7 +60,8 @@ type 'it spec = {
   iterate : traced:bool -> 'it;
   measured : 'it -> measured;
   end_to_end : wall_s:float -> 'it list -> (float * float) * string list;
-      (** [op_p50_ms], [op_tail_ms] and the workload's named metric lines *)
+      (** [op_p50_ref_ms], [op_tail_ref_ms] and the workload's named metric
+          lines; [wall_s] is [wall_ref_s] *)
   layers : plain:'it -> traced:'it -> layers;
   notes : string list;  (** printed with a traced run *)
 }
@@ -103,20 +112,32 @@ let untraced ~name ~seconds spec =
   let ms = List.map spec.measured iters in
   let attempted, failed = tally ms in
   let setups = List.concat_map (fun m -> m.setup_s) ms in
-  let setup_s = Timing.fastest setups in
+  let setup_s = Timing.median setups in
+  let ref_segments m =
+    if Array.length m.probes <> Array.length m.segments + 1 then
+      invalid_arg (name ^ ": one probe per segment boundary expected");
+    Array.mapi (fun i s -> Timing.at_ref ~probe:(Timing.bracket m.probes i) s) m.segments
+  in
+  let wall_ref_s = Timing.segment_sum Timing.median (List.map ref_segments ms) in
   let wall_s = Timing.segment_sum Timing.fastest (List.map (fun m -> m.segments) ms) in
-  let (p50, tail), lines = spec.end_to_end ~wall_s iters in
+  let probes = List.concat_map (fun m -> Array.to_list m.probes) ms in
+  let (p50, tail), lines = spec.end_to_end ~wall_s:wall_ref_s iters in
   {
     Metrics.correct = failed = 0;
     attempted;
     failed;
-    values = [ ("setup_s", setup_s); ("wall_s", wall_s); ("op_p50_ms", p50); ("op_tail_ms", tail) ];
+    values =
+      [ ("setup_s", setup_s); ("wall_ref_s", wall_ref_s); ("op_p50_ref_ms", p50); ("op_tail_ref_ms", tail) ];
     report =
       [
         check_line spec.check (failed = 0);
-        line name "setup_s" setup_s "s" ("fastest of " ^ spread setups);
+        line name "setup_s" setup_s "s" ("reference seconds, median of " ^ spread setups);
+        line name "wall_ref_s" wall_ref_s "s" "median of each segment in reference seconds, summed";
         line name "wall_s" wall_s "s"
-          ("fastest of each segment, summed; whole iterations " ^ spread (List.map (fun m -> m.wall_s) ms));
+          ("plain seconds, fastest of each segment, summed; whole iterations "
+          ^ spread (List.map (fun m -> m.wall_s) ms));
+        line name "probe_s" (Timing.median probes) "s"
+          (Printf.sprintf "host probe, reference %g; %s" Timing.probe_ref_s (spread probes));
       ]
       @ lines
       @ [

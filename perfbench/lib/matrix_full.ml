@@ -28,8 +28,9 @@ let matrix_seed seed =
 
 type pass = {
   traced : bool;
-  generate_s : float list;  (** seconds per [Matrix.generate] call, one sample per batch *)
+  generate_s : float list;  (** reference seconds per [Matrix.generate] call, one sample per batch *)
   cells : (Matrix.cell * Plan.result * float) array;  (** cell, result, run seconds *)
+  probes : float array;  (** the probe taken right before each cell, and one after the last *)
   encode_s : float;
   write_s : float;
   report_s : float;
@@ -46,8 +47,8 @@ let batches = 5
 let pass ?(limit = max_int) ~seed ~git ~dir ~traced () =
   let generate_s =
     List.init batches (fun _ ->
-        let (), dt =
-          Timing.time (fun () ->
+        let (), _, dt =
+          Timing.time_ref (fun () ->
               for _ = 1 to batch do
                 ignore (Sys.opaque_identity (Matrix.generate ~seed))
               done)
@@ -56,11 +57,18 @@ let pass ?(limit = max_int) ~seed ~git ~dir ~traced () =
   in
   let cells = Matrix.generate ~seed in
   let cells = Array.sub cells 0 (min limit (Array.length cells)) in
-  let encode_s = ref 0. and write_s = ref 0. in
+  let encode_s = ref 0. and write_s = ref 0. and probing_s = ref 0. in
+  let probes = Array.make (Array.length cells + 1) 0. in
   let t0 = Timing.now_ns () in
+  let probe i =
+    let p, dp = Timing.time Timing.probe in
+    probes.(i) <- p;
+    probing_s := !probing_s +. dp
+  in
   let runs =
-    Array.map
-      (fun (cell : Matrix.cell) ->
+    Array.mapi
+      (fun i (cell : Matrix.cell) ->
+        probe i;
         let result, dt =
           Timing.time (fun () ->
               if traced then Plan.run cell.plan else Plan.run_pure ~git cell.plan)
@@ -74,6 +82,7 @@ let pass ?(limit = max_int) ~seed ~git ~dir ~traced () =
         (cell, result, dt))
       cells
   in
+  probe (Array.length cells);
   let summary, report_s =
     Timing.time (fun () ->
         Report.make ~matrix_seed:seed ~cardinality:Matrix.cardinality
@@ -86,10 +95,11 @@ let pass ?(limit = max_int) ~seed ~git ~dir ~traced () =
     traced;
     generate_s;
     cells = runs;
+    probes;
     encode_s = !encode_s;
     write_s = !write_s;
     report_s;
-    wall_s = Timing.seconds_since t0;
+    wall_s = Timing.seconds_since t0 -. !probing_s;
     summary;
     checksum = Matrix.checksum cells;
   }
@@ -166,17 +176,23 @@ let spec (cfg : Harness.config) =
       Harness.setup_s = p.generate_s;
       (* each cell, then manifest I/O + report *)
       segments = Array.append cells [| p.wall_s -. Array.fold_left ( +. ) 0. cells |];
+      (* the manifest I/O and report tail, scaled by the last probe *)
+      probes = Array.append p.probes [| p.probes.(Array.length p.probes - 1) |];
       wall_s = p.wall_s;
       attempted = Array.length p.cells;
       failed = (if consistent then failed_cells p else max 1 (failed_cells p));
     }
   in
   let end_to_end ~wall_s:_ iters =
-    (* each cell's fastest pass, then percentiles over cells *)
-    let per_pass = List.map (fun (p, _) -> cell_seconds p) iters in
+    (* each cell's median pass in reference seconds, then percentiles over cells *)
+    let per_pass =
+      List.map
+        (fun (p, _) -> Array.mapi (fun i dt -> Timing.at_ref ~probe:(Timing.bracket p.probes i) dt) (cell_seconds p))
+        iters
+    in
     let cells = Timing.samples () in
     Array.iteri
-      (fun i _ -> Timing.add cells (Timing.fastest (List.map (fun a -> a.(i)) per_pass)))
+      (fun i _ -> Timing.add cells (Timing.median (List.map (fun a -> a.(i)) per_pass)))
       (List.hd per_pass);
     let c50 = Timing.percentile cells 50. and c90 = Timing.percentile cells 90. in
     ( (c50.Timing.value *. 1e3, c90.Timing.value *. 1e3),

@@ -9,9 +9,9 @@
 let end_to_end =
   [
     ("setup_s", "s");
-    ("wall_s", "s");
-    ("op_p50_ms", "ms");
-    ("op_tail_ms", "ms");
+    ("wall_ref_s", "s");
+    ("op_p50_ref_ms", "ms");
+    ("op_tail_ref_ms", "ms");
   ]
 
 let serve_kinds = [ "announce"; "join"; "leave"; "scrape"; "stats" ]

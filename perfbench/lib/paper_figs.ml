@@ -1,7 +1,7 @@
 (* paper-figs: [Experiments.run_named] on fig1, fig3, table1, fig4
    (n = 10^6, 4 bands) and fig9, one domain.  fig3 and fig9 run at pinned
    smaller scales so that one pass takes ~3 s and a run holds about ten
-   passes to take the fastest of.  Each figure's report goes to a file in
+   passes to take the median of.  Each figure's report goes to a file in
    the scratch directory, not the terminal; the digest of that report
    plus the figure's CSV is the output oracle.  The set-up of a pass is
    clearing and recreating its output tree. *)
@@ -55,11 +55,17 @@ let digest ~out ~csv_dir name =
   let csv = if Sys.file_exists csv then Files.read csv else "" in
   Digest.to_hex (Digest.string (report ^ "\000" ^ csv))
 
-type fig = { name : string; wall_s : float; digest : string; raised : bool }
+type fig = {
+  name : string;
+  wall_s : float;
+  probes : float * float;  (** the probes taken right before and after the figure *)
+  digest : string;
+  raised : bool;
+}
 
 type pass = {
-  setup_s : float;  (** clearing and recreating the output tree *)
-  pass_s : float;  (** the five figures, set-up excluded *)
+  setup_s : float;  (** clearing and recreating the output tree, reference seconds *)
+  pass_s : float;  (** the five figures, set-up and probes excluded *)
   figs : fig list;
   counters : (string * int) list;  (** summed over the figures; traced pass only *)
 }
@@ -72,16 +78,23 @@ let counters_of_interest =
    the counters per figure, so they are summed after each one. *)
 let pass ?manifest_dir shape ~seed ~dir () =
   let csv_dir = Filename.concat dir "csv" in
-  let (), setup_s =
-    Timing.time (fun () ->
+  let (), _, setup_s =
+    Timing.time_ref (fun () ->
         Files.fresh_dir dir;
         Sys.mkdir csv_dir 0o755)
   in
   let totals = Hashtbl.create 8 in
+  let probing_s = ref 0. in
+  let probe () =
+    let p, dp = Timing.time Timing.probe in
+    probing_s := !probing_s +. dp;
+    p
+  in
   let t0 = Timing.now_ns () in
   let figs =
     List.map
       (fun name ->
+        let before = probe () in
         let ctx = { (context shape ~seed ~csv_dir name) with manifest_dir } in
         let out = Filename.concat dir (name ^ ".out") in
         let raised, wall_s =
@@ -96,10 +109,17 @@ let pass ?manifest_dir shape ~seed ~dir () =
               let v = Stratify_obs.Counter.value (Stratify_obs.Counter.make c) in
               Hashtbl.replace totals c (v + Option.value ~default:0 (Hashtbl.find_opt totals c)))
             counters_of_interest;
-        { name; wall_s; digest = (if raised then "" else digest ~out ~csv_dir name); raised })
+        let after = probe () in
+        {
+          name;
+          wall_s;
+          probes = (before, after);
+          digest = (if raised then "" else digest ~out ~csv_dir name);
+          raised;
+        })
       Metrics.figures
   in
-  let pass_s = Timing.seconds_since t0 in
+  let pass_s = Timing.seconds_since t0 -. !probing_s in
   let counters =
     List.map (fun c -> (c, Option.value ~default:0 (Hashtbl.find_opt totals c))) counters_of_interest
   in
@@ -203,20 +223,34 @@ let spec (cfg : Harness.config) =
       Harness.setup_s = [ p.setup_s ];
       (* each figure, then what the pass spent around them *)
       segments = Array.of_list (figs @ [ p.pass_s -. List.fold_left ( +. ) 0. figs ]);
+      (* each figure between its two probes; the tail after the last figure *)
+      probes =
+        Array.of_list
+          (List.map (fun f -> fst f.probes) p.figs
+          @ List.init 2 (fun _ -> snd (List.nth p.figs (List.length p.figs - 1)).probes));
       wall_s = p.pass_s;
       attempted = List.length p.figs;
       failed = List.length (List.filter bad p.figs);
     }
   in
-  let fig_walls iters n = List.map (fun p -> (List.find (fun f -> f.name = n) p.figs).wall_s) iters in
+  (* each pass's time of figure [n], in reference seconds *)
+  let fig_walls iters n =
+    List.map
+      (fun p ->
+        let f = List.find (fun f -> f.name = n) p.figs in
+        let before, after = f.probes in
+        Timing.at_ref ~probe:(0.5 *. (before +. after)) f.wall_s)
+      iters
+  in
   let end_to_end ~wall_s:_ iters =
-    let ms n = 1e3 *. Timing.fastest (fig_walls iters n) in
+    let ms n = 1e3 *. Timing.median (fig_walls iters n) in
     ( (ms "fig3", ms "fig9"),
       List.map (fun (n, d) -> Printf.sprintf "digest %-8s %s" n d) reference
       @ List.map
           (fun n ->
             let xs = fig_walls iters n in
-            Harness.line name (n ^ "_s") (Timing.fastest xs) "s" ("fastest of " ^ Harness.spread xs))
+            Harness.line name (n ^ "_s") (Timing.median xs) "s"
+              ("reference seconds, median of " ^ Harness.spread xs))
           Metrics.figures )
   in
   let layers ~plain ~traced =

@@ -124,12 +124,15 @@ let kind_index = function
 
 type replay = {
   handle_ns : Timing.samples array;  (** per kind, [kind_index] order *)
+  handle_ref_ns : Timing.samples array;  (** the same in reference nanoseconds *)
   refused : int array;  (** "ERR ..." answers per kind *)
   mutable raised : int;  (** requests that raised [Invalid_argument] *)
   tick_ns : Timing.samples;  (** [run_to] calls that advanced the world *)
+  tick_ref_ns : Timing.samples;
   segments : Timing.samples;
-      (** seconds from one tick boundary to the next (the first from the
-          start, the last to the end): they sum to [wall_s] *)
+      (** seconds from a probe to the end of the [run_to] that advances
+          the next tick (the last to the end): they sum to [wall_s] *)
+  probes : Timing.samples;  (** the probe before each segment, and one after the last *)
   mutable wall_s : float;
   mutable checksum : int;
   mutable handled : int;
@@ -138,10 +141,13 @@ type replay = {
 let empty_replay () =
   {
     handle_ns = Array.init 5 (fun _ -> Timing.samples ());
+    handle_ref_ns = Array.init 5 (fun _ -> Timing.samples ());
     refused = Array.make 5 0;
     raised = 0;
     tick_ns = Timing.samples ();
+    tick_ref_ns = Timing.samples ();
     segments = Timing.samples ();
+    probes = Timing.samples ();
     wall_s = 0.;
     checksum = 0;
     handled = 0;
@@ -149,47 +155,70 @@ let empty_replay () =
 
 let is_refusal resp = String.length resp >= 3 && String.sub resp 0 3 = "ERR"
 
+(* The host is probed once per tick, outside the timed segments, and
+   every request and tick time is also kept in reference nanoseconds
+   against the latest probe. *)
 let replay t (script : Req.script) =
   let r = empty_replay () in
-  let t0 = Timing.now_ns () in
-  let boundary = ref t0 in
+  let start = ref 0L and probe = ref 1. in
+  let open_segment () =
+    probe := Timing.probe ();
+    Timing.add r.probes !probe;
+    start := Timing.now_ns ()
+  in
+  let close_segment until = Timing.add r.segments (Timing.ns_between !start until *. 1e-9) in
+  let add plain at_ref ns =
+    Timing.add plain ns;
+    Timing.add at_ref (Timing.at_ref ~probe:!probe ns)
+  in
+  (* the instant the next call is timed from *)
   let advance time =
     let k0 = Serve.ticks t in
     let a = Timing.now_ns () in
     Serve.run_to t time;
     let b = Timing.now_ns () in
-    if Serve.ticks t <> k0 then begin
-      Timing.add r.tick_ns (Timing.ns_between a b);
-      Timing.add r.segments (Timing.ns_between !boundary a *. 1e-9);
-      boundary := a
-    end;
-    b
+    if Serve.ticks t = k0 then b
+    else begin
+      add r.tick_ns r.tick_ref_ns (Timing.ns_between a b);
+      close_segment b;
+      open_segment ();
+      !start
+    end
   in
+  open_segment ();
   Array.iter
     (fun (q : Req.t) ->
       let b = advance q.Req.at in
       let k = kind_index q.Req.kind in
       match Serve.handle t q.Req.kind with
       | resp ->
-          Timing.add r.handle_ns.(k) (Timing.ns_between b (Timing.now_ns ()));
+          add r.handle_ns.(k) r.handle_ref_ns.(k) (Timing.ns_between b (Timing.now_ns ()));
           if is_refusal resp then r.refused.(k) <- r.refused.(k) + 1
       | exception Invalid_argument _ -> r.raised <- r.raised + 1)
     script.Req.requests;
   ignore (advance script.Req.horizon);
-  let t1 = Timing.now_ns () in
-  Timing.add r.segments (Timing.ns_between !boundary t1 *. 1e-9);
-  r.wall_s <- Timing.ns_between t0 t1 *. 1e-9;
+  close_segment (Timing.now_ns ());
+  Timing.add r.probes (Timing.probe ());
+  r.wall_s <- Timing.sum r.segments;
   r.checksum <- Serve.checksum t;
   r.handled <- Serve.requests_handled t;
   r
 
-type iteration = { parse_s : float; create_s : float; script : Req.script; run : replay }
+type iteration = {
+  parse_s : float;
+  create_s : float;
+  setup_ref_s : float;  (** parse + create in reference seconds *)
+  script : Req.script;
+  run : replay;
+}
 
 (* One iteration: parse + create (set-up), then the replay. *)
 let iteration text =
+  let before = Timing.probe () in
   let script, parse_s = Timing.time (fun () -> Req.of_json (Jsonx.of_string text)) in
   let t, create_s = Timing.time (fun () -> Serve.create { script with Req.requests = [||] }) in
-  { parse_s; create_s; script; run = replay t script }
+  let probe = Timing.bracket [| before; Timing.probe () |] 0 in
+  { parse_s; create_s; setup_ref_s = Timing.at_ref ~probe (parse_s +. create_s); script; run = replay t script }
 
 let reference (script : Req.script) =
   let t = Serve.create script in
@@ -273,23 +302,24 @@ let spec (cfg : Harness.config) =
     let r = it.run and n = Array.length it.script.Req.requests in
     let ok = r.raised = 0 && r.checksum = ref_checksum && r.handled = ref_handled && r.handled = n in
     {
-      Harness.setup_s = [ it.parse_s +. it.create_s ];
+      Harness.setup_s = [ it.setup_ref_s ];
       segments = Timing.to_array r.segments;
+      probes = Timing.to_array r.probes;
       wall_s = r.wall_s;
       attempted = n;
       failed = (if ok then 0 else max 1 r.raised);
     }
   in
-  let handle k it = it.run.handle_ns.(k) in
+  let handle k it = it.run.handle_ref_ns.(k) in
   let end_to_end ~wall_s iters =
-    let pct get q = Timing.combined_percentile Timing.fastest (List.map get iters) q in
+    let pct get q = Timing.combined_percentile Timing.median (List.map get iters) q in
     let updates it =
       let u = Timing.samples () in
       Timing.append u (handle 1 it);
       Timing.append u (handle 2 it);
       u
     in
-    let ticks it = it.run.tick_ns in
+    let ticks it = it.run.tick_ref_ns in
     let a50 = pct (handle 0) 50. and a99 = pct (handle 0) 99. in
     let per_iter f = List.fold_left (fun acc it -> acc + f it) 0 iters in
     let requests = per_iter (fun it -> it.run.handled) in

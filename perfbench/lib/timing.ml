@@ -12,6 +12,57 @@ let time f =
   let r = f () in
   (r, seconds_since t0)
 
+(* The host's speed.  The benchmark shares its machine with other
+   tenants, and the speed of a fixed piece of code changes by up to ~1.7x
+   from one stretch of time to the next; a slow stretch can cover a whole
+   run.  [probe] times a fixed kernel that belongs to the benchmark, not
+   to the program: 1000 inserts into a [Map.Make (Int)], the allocating,
+   pointer-following, branchy code the program itself is made of.  Beside
+   serve-mixed's ticks, its time tracked theirs with a slope of 1.06 (log
+   ratios across iterations, correlation 0.83), where a pointer chase
+   through a table held a slope of 0.22.  It runs three times and keeps
+   the fastest, so one interrupt or minor collection does not count as a
+   slow host. *)
+module Probe_map = Map.Make (Int)
+
+let probe_kernel () =
+  let m = ref Probe_map.empty and x = ref 12345 in
+  for _ = 1 to 1000 do
+    x := ((!x * 1103515245) + 12345) land 0x3fffffff;
+    m := Probe_map.add !x !x !m
+  done;
+  ignore (Sys.opaque_identity (Probe_map.fold (fun _ v acc -> acc + v) !m 0))
+
+let probe () =
+  let best = ref Float.infinity in
+  for _ = 1 to 3 do
+    let t0 = now_ns () in
+    probe_kernel ();
+    best := Float.min !best (ns_between t0 (now_ns ()) *. 1e-9)
+  done;
+  !best
+
+(* The probe's time on the reference host, a 2-vCPU Xeon VM at its
+   faster speed.  [at_ref ~probe x] scales a time [x] measured right
+   after a probe that took [probe] to what it would read on that host:
+   reference seconds. *)
+let probe_ref_s = 1.7e-4
+
+let at_ref ~probe x = x *. probe_ref_s /. probe
+
+(* The host's speed over segment [i], from the probes before ([i]) and
+   after ([i + 1]) it: a segment longer than a probe's interval can see
+   the host change speed half way. *)
+let bracket probes i = 0.5 *. (probes.(i) +. probes.(i + 1))
+
+(* [f ()], its time in seconds and in reference seconds, between two
+   probes. *)
+let time_ref f =
+  let before = probe () in
+  let r, dt = time f in
+  let after = probe () in
+  (r, dt, at_ref ~probe:(bracket [| before; after |] 0) dt)
+
 type samples = { mutable data : float array; mutable len : int }
 
 let samples () = { data = Array.make 256 0.; len = 0 }

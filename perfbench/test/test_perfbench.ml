@@ -63,6 +63,11 @@ let test_nearest_rank () =
     (Timing.segment_sum Timing.median [ [| 1.; 2. |]; [| 1.; 9. |]; [| 1.; 2. |] ]);
   Alcotest.(check (float 0.)) "sum of segment minima" 3.
     (Timing.segment_sum Timing.fastest [ [| 1.; 2. |]; [| 1.; 9. |]; [| 3.; 2. |] ]);
+  Alcotest.(check (float 1e-12)) "a reference-speed probe leaves a time as it is" 2.
+    (Timing.at_ref ~probe:Timing.probe_ref_s 2.);
+  Alcotest.(check (float 1e-12)) "a probe twice as slow halves it" 1.
+    (Timing.at_ref ~probe:(2. *. Timing.probe_ref_s) 2.);
+  Alcotest.(check bool) "the probe takes time" true (Timing.probe () > 0.);
   let per_iteration = [ s; five; s ] in
   let m = Timing.combined_percentile Timing.median per_iteration 50. in
   Alcotest.(check (float 0.)) "median of per-iteration p50s" 50. m.Timing.value;
@@ -70,7 +75,7 @@ let test_nearest_rank () =
 
 let test_result_line () =
   let o =
-    { Metrics.correct = true; attempted = 3; failed = 0; values = [ ("wall_s", 1.25) ]; report = [] }
+    { Metrics.correct = true; attempted = 3; failed = 0; values = [ ("wall_ref_s", 1.25) ]; report = [] }
   in
   let j = Jsonx.of_string (Metrics.result_line ~traced:false o) in
   Alcotest.(check (list string)) "keys" [ "correct"; "attempted"; "failed"; "metrics" ]
@@ -79,7 +84,7 @@ let test_result_line () =
   Alcotest.(check (list string)) "every end-to-end metric"
     (List.map fst Metrics.end_to_end) (List.map fst metrics);
   Alcotest.(check (float 0.)) "value" 1.25
-    (Jsonx.get_float (Jsonx.member "value" (List.assoc "wall_s" metrics)));
+    (Jsonx.get_float (Jsonx.member "value" (List.assoc "wall_ref_s" metrics)));
   let names = List.map fst Metrics.per_layer in
   Alcotest.(check int) "per-layer names unique" (List.length names)
     (List.length (List.sort_uniq compare names));
