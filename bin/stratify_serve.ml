@@ -24,12 +24,19 @@
          snapshot PATH     serialize the world
          quit
        Request errors (unknown swarm, peer out of range, bad syntax)
-       print "ERR ..." and the loop continues. *)
+       print "ERR ..." and the loop continues.
+
+   Usage errors (an unknown --flag, a missing flag argument) print the
+   usage line and exit 2; so does a script or snapshot that cannot be
+   read, parsed or restored, after printing
+   "stratify_serve: PATH: MESSAGE".  --help prints the usage line and
+   exits 0. *)
 
 module Engine = Stratify_des.Engine
 module Request = Stratify_serve.Request
 module Serve = Stratify_serve.Serve
 module Manifest = Stratify_obs.Run_manifest
+module Jsonx = Stratify_obs.Jsonx
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -44,11 +51,32 @@ let write_file path s =
   output_char oc '\n';
   close_out oc
 
+let usage_line =
+  "usage: stratify_serve [--out DIR] [--queue BACKEND] [--stop-at T \
+   --snapshot SNAP] [--resume SNAP] [--stdio] [SCRIPT.serve]"
+
 let usage () =
-  prerr_endline
-    "usage: stratify_serve [--out DIR] [--queue BACKEND] [--stop-at T \
-     --snapshot SNAP] [--resume SNAP] [--stdio] [SCRIPT.serve]";
+  prerr_endline usage_line;
   exit 2
+
+(* Run [f] on a file the user named; an unreadable, unwritable,
+   malformed or unrestorable file exits 2 with
+   "stratify_serve: PATH: MESSAGE" (a Sys_error message already leads
+   with the path). *)
+let with_file path f =
+  let fail msg =
+    let prefix = path ^ ": " in
+    let msg =
+      if String.starts_with ~prefix msg then
+        String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+      else msg
+    in
+    Printf.eprintf "stratify_serve: %s: %s\n" path msg;
+    exit 2
+  in
+  try f path with
+  | Sys_error msg | Jsonx.Parse_error msg | Invalid_argument msg | Failure msg -> fail msg
+  | Unix.Unix_error (err, _, arg) -> fail (arg ^ ": " ^ Unix.error_message err)
 
 let stdio_loop t =
   let finished = ref false in
@@ -127,8 +155,14 @@ let () =
     | "--stdio" :: rest ->
         stdio := true;
         parse rest
+    | ("--help" | "-h") :: _ ->
+        print_endline usage_line;
+        exit 0
     | ("--out" | "--stop-at" | "--snapshot" | "--resume") :: [] -> usage ()
     | "--queue" :: [] -> usage ()
+    | flag :: _ when String.starts_with ~prefix:"--" flag ->
+        Printf.eprintf "stratify_serve: unknown flag %s\n" flag;
+        usage ()
     | p :: rest ->
         paths := p :: !paths;
         parse rest
@@ -137,12 +171,9 @@ let () =
   let t =
     match (!resume, List.rev !paths) with
     | Some snap, [] ->
-        let ic = open_in snap in
-        let len = in_channel_length ic in
-        let s = really_input_string ic len in
-        close_in ic;
-        Serve.restore_string s
-    | None, [ script ] -> Serve.create (Request.load script)
+        with_file snap (fun path ->
+            Serve.restore_string (In_channel.with_open_bin path In_channel.input_all))
+    | None, [ script ] -> with_file script (fun path -> Serve.create (Request.load path))
     | Some _, _ :: _ ->
         prerr_endline "stratify_serve: --resume takes no script (it travels inside the snapshot)";
         exit 2
@@ -161,13 +192,13 @@ let () =
   | Some time ->
       Serve.run_to t time;
       let path = Option.get !snapshot_path in
-      write_file path (Serve.snapshot_string t);
+      with_file path (fun path -> write_file path (Serve.snapshot_string t));
       Printf.printf "%s (seed %d): stopped at %g, snapshot %s\n"
         (Serve.script t).Request.name (Serve.script t).Request.seed time path
   | None ->
       Serve.run_script t;
       let m = Serve.manifest t in
-      let written = Manifest.write ~dir:!out m in
+      let written = with_file !out (fun dir -> Manifest.write ~dir m) in
       Printf.printf
         "%s (seed %d): %d requests, %d ticks, checksum %d\n  manifest %s\n"
         (Serve.script t).Request.name (Serve.script t).Request.seed

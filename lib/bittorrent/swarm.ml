@@ -279,18 +279,20 @@ let recycle_peer t i =
   Array.iter
     (fun q -> Hashtbl.replace p.Peer.link_rates q (Rate.create ~window:t.params.rate_window))
     p.Peer.neighbors;
-  (* Other peers' links towards the newcomer are stale history; drop
-     in-flight piece progress both ways. *)
-  Hashtbl.filter_map_inplace
-    (fun (a, b) v -> if a = i || b = i then None else Some v)
-    t.link_progress;
+  (* Other peers' links towards the newcomer are stale history: drop
+     in-flight piece progress both ways and every choke reference to it.
+     Only knowledge-graph neighbours can hold either — the choker picks
+     from [neighbors], and progress is keyed by active targets — and the
+     graph is undirected, so [i]'s own neighbours are all to visit. *)
   Array.iter
-    (fun other ->
-      if other.Peer.id <> i then begin
-        other.Peer.unchoked <- List.filter (fun q -> q <> i) other.Peer.unchoked;
-        if other.Peer.optimistic = Some i then other.Peer.optimistic <- None
-      end)
-    t.peers
+    (fun q ->
+      Hashtbl.remove t.link_progress (i, q);
+      Hashtbl.remove t.link_progress (q, i);
+      let other = t.peers.(q) in
+      if List.mem i other.Peer.unchoked then
+        other.Peer.unchoked <- List.filter (fun x -> x <> i) other.Peer.unchoked;
+      if other.Peer.optimistic = Some i then other.Peer.optimistic <- None)
+    p.Peer.neighbors
 
 let link_drops t =
   match t.params.faults with None -> 0 | Some f -> Net.Tick.drops f

@@ -75,7 +75,12 @@ val recycle_peer : t -> int -> unit
     (availability updated), cleared choke/rate state, zeroed counters.
     The knowledge graph position is inherited (the newcomer bootstraps
     from the same tracker answer).  No-op consequences in bandwidth-only
-    mode beyond the state reset.  Used by the steady-churn scenario. *)
+    mode beyond the state reset.  Other peers' references to the slot
+    (unchokes, optimistic unchoke, in-flight piece progress both ways)
+    are dropped by visiting the slot's knowledge-graph neighbours only:
+    O(degree), correct because the simulation never lets choke or
+    progress state name a non-neighbour.  Used by the steady-churn
+    scenario and by lib/serve's seat/leave path. *)
 
 val interested : t -> int -> int -> bool
 (** [interested t q p]: would peer [q] want data from [p]?  Always true in

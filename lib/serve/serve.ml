@@ -37,6 +37,13 @@ type swarm_state = {
   members : int array;  (* slot -> peer id, -1 = free *)
   slot_of : (int, int) Hashtbl.t;
   mutable member_count : int;
+  (* Derived membership index (rebuilt from [members] on restore, never
+     serialized): the occupied slots in ascending order, first
+     [member_count] entries live; and per slot, the stamp of the last
+     announce that listed its occupant. *)
+  occupied : int array;
+  picked : int array;
+  mutable stamp : int;
 }
 
 type t = {
@@ -79,9 +86,10 @@ let fnv_prime = 0x01000193
 
 let fold_checksum t s =
   let cs = ref t.checksum in
-  String.iter (fun c -> cs := ((!cs lxor Char.code c) * fnv_prime) land max_int) s;
-  cs := ((!cs lxor 0x0a) * fnv_prime) land max_int;
-  t.checksum <- !cs
+  for i = 0 to String.length s - 1 do
+    cs := ((!cs lxor Char.code s.[i]) * fnv_prime) land max_int
+  done;
+  t.checksum <- ((!cs lxor 0x0a) * fnv_prime) land max_int
 
 (* ------------------------------------------------------------------ *)
 (* Directory plumbing.                                                 *)
@@ -103,14 +111,30 @@ let check_peer t peer =
     invalid_arg
       (Printf.sprintf "Serve: peer %d outside the population [0, %d)" peer n)
 
+(* Binary search over the live prefix of [occupied]: the first index
+   where [past], a predicate monotone in the index, holds (or
+   [member_count]). *)
+let first_index ss past =
+  let lo = ref 0 and hi = ref ss.member_count in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if past mid then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+let rank ss slot = first_index ss (fun i -> ss.occupied.(i) >= slot)
+
+(* The lowest free slot.  The occupied slots are distinct and sorted,
+   so [occupied.(i) >= i], with equality exactly below the first gap:
+   the first [i] with [occupied.(i) > i] (or [member_count]) is free. *)
 let free_slot ss =
-  let n = Array.length ss.members in
-  let rec go i =
-    if i >= n then None else if ss.members.(i) < 0 then Some i else go (i + 1)
-  in
-  go 0
+  if ss.member_count = Array.length ss.members then None
+  else Some (first_index ss (fun i -> ss.occupied.(i) > i))
 
 let take_slot ss peer slot =
+  let pos = rank ss slot in
+  Array.blit ss.occupied pos ss.occupied (pos + 1) (ss.member_count - pos);
+  ss.occupied.(pos) <- slot;
   ss.members.(slot) <- peer;
   Hashtbl.replace ss.slot_of peer slot;
   ss.member_count <- ss.member_count + 1;
@@ -118,25 +142,19 @@ let take_slot ss peer slot =
 
 let release_slot ss peer slot =
   Swarm.recycle_peer ss.swarm slot;
+  let pos = rank ss slot in
+  Array.blit ss.occupied (pos + 1) ss.occupied pos (ss.member_count - pos - 1);
   ss.members.(slot) <- -1;
   Hashtbl.remove ss.slot_of peer;
   ss.member_count <- ss.member_count - 1
 
-(* r-th occupied slot's occupant (r < member_count) *)
-let nth_member ss r =
-  let k = ref r and res = ref (-1) in
-  (try
-     Array.iter
-       (fun p ->
-         if p >= 0 then
-           if !k = 0 then begin
-             res := p;
-             raise Exit
-           end
-           else decr k)
-       ss.members
-   with Exit -> ());
-  !res
+(* Upload total over the occupied slots, summed in slot order. *)
+let members_uploaded ss =
+  let acc = ref 0. in
+  for i = 0 to ss.member_count - 1 do
+    acc := !acc +. (Swarm.peer ss.swarm ss.occupied.(i)).Peer.uploaded
+  done;
+  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Churn: the population evolves under the oracle, and swarm           *)
@@ -216,44 +234,58 @@ let do_announce t peer sid want =
   let ss = find_swarm t sid in
   check_peer t peer;
   ensure_online t peer;
-  let seated =
-    Hashtbl.mem ss.slot_of peer
-    ||
-    match free_slot ss with
-    | None -> false
-    | Some slot ->
-        take_slot ss peer slot;
-        true
+  let own =
+    match Hashtbl.find_opt ss.slot_of peer with
+    | Some _ as seated -> seated
+    | None -> (
+        match free_slot ss with
+        | Some slot as free ->
+            take_slot ss peer slot;
+            free
+        | None -> None)
   in
-  if not seated then Printf.sprintf "ERR announce %s full" sid
-  else begin
-    let want = max 0 (min want (ss.member_count - 1)) in
-    let picks = ref [] and npicks = ref 0 in
-    let consider q =
-      if
-        !npicks < want && q <> peer
-        && Hashtbl.mem ss.slot_of q
-        && not (List.mem q !picks)
-      then begin
-        picks := q :: !picks;
-        incr npicks
-      end
-    in
-    (* stable-configuration mates first: the tracker answer *is* the
-       paper's stratified matching, restricted to this swarm *)
-    List.iter consider (Config.mates (Churn.world_stable t.oracle) peer);
-    (* pad with uniform member draws; bounded attempts keep a
-       near-degenerate membership from spinning *)
-    let attempts = ref 0 in
-    let max_attempts = (4 * want) + 8 in
-    while !npicks < want && !attempts < max_attempts do
-      incr attempts;
-      consider (nth_member ss (Rng.int t.req_rng ss.member_count))
-    done;
-    Printf.sprintf "OK announce %s %d peers%s" sid peer
-      (String.concat ""
-         (List.map (fun q -> " " ^ string_of_int q) (List.rev !picks)))
-  end
+  match own with
+  | None -> Printf.sprintf "ERR announce %s full" sid
+  | Some own ->
+      let want = max 0 (min want (ss.member_count - 1)) in
+      let buf = Buffer.create 256 in
+      Buffer.add_string buf "OK announce ";
+      Buffer.add_string buf sid;
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (string_of_int peer);
+      Buffer.add_string buf " peers";
+      (* a slot stamped with this announce is listed already; the
+         announcer's own slot starts stamped *)
+      ss.stamp <- ss.stamp + 1;
+      let stamp = ss.stamp in
+      ss.picked.(own) <- stamp;
+      let npicks = ref 0 in
+      let pick slot =
+        if ss.picked.(slot) <> stamp then begin
+          ss.picked.(slot) <- stamp;
+          Buffer.add_char buf ' ';
+          Buffer.add_string buf (string_of_int ss.members.(slot));
+          incr npicks
+        end
+      in
+      (* stable-configuration mates first: the tracker answer *is* the
+         paper's stratified matching, restricted to this swarm *)
+      List.iter
+        (fun q ->
+          if !npicks < want then
+            match Hashtbl.find_opt ss.slot_of q with
+            | Some slot -> pick slot
+            | None -> ())
+        (Config.mates (Churn.world_stable t.oracle) peer);
+      (* pad with uniform member draws; bounded attempts keep a
+         near-degenerate membership from spinning *)
+      let attempts = ref 0 in
+      let max_attempts = (4 * want) + 8 in
+      while !npicks < want && !attempts < max_attempts do
+        incr attempts;
+        pick ss.occupied.(Rng.int t.req_rng ss.member_count)
+      done;
+      Buffer.contents buf
 
 let do_join t peer sid =
   let ss = find_swarm t sid in
@@ -279,17 +311,11 @@ let do_leave t peer sid =
 
 let do_scrape t sid =
   let ss = find_swarm t sid in
-  let uploaded = ref 0. in
-  Array.iteri
-    (fun slot p ->
-      if p >= 0 then
-        uploaded := !uploaded +. (Swarm.peer ss.swarm slot).Peer.uploaded)
-    ss.members;
   Printf.sprintf "OK scrape %s members %d complete %d drops %d uploaded %.3f"
     sid ss.member_count
     (Swarm.completed ss.swarm)
     (Swarm.link_drops ss.swarm)
-    !uploaded
+    (members_uploaded ss)
 
 let do_stats t =
   Printf.sprintf "OK stats now %g ticks %d present %d stable_edges %d handled %d"
@@ -406,6 +432,33 @@ let swarm_params (sw : Request.swarm_spec) ~faults =
 
 let er_p (w : Request.world_spec) = w.d /. float_of_int (max 1 (w.n - 1))
 
+(* A swarm's directory over its slot -> peer array, with the derived
+   membership index built from it. *)
+let swarm_state sspec swarm ~faults ~created_rng members =
+  let size = Array.length members in
+  let slot_of = Hashtbl.create 64 and occupied = Array.make size 0 in
+  let count = ref 0 in
+  Array.iteri
+    (fun slot pid ->
+      if pid >= 0 then begin
+        Hashtbl.replace slot_of pid slot;
+        occupied.(!count) <- slot;
+        incr count
+      end)
+    members;
+  {
+    sspec;
+    swarm;
+    faults;
+    created_rng;
+    members;
+    slot_of;
+    member_count = !count;
+    occupied;
+    picked = Array.make size 0;
+    stamp = 0;
+  }
+
 let create scr =
   let scr = Request.validate scr in
   let w = scr.Request.world in
@@ -424,15 +477,7 @@ let create scr =
         let created_rng = Rng.state srng in
         let faults = make_faults ~seed:scr.Request.seed ~idx sw in
         let swarm = Swarm.create srng (swarm_params sw ~faults) in
-        {
-          sspec = sw;
-          swarm;
-          faults;
-          created_rng;
-          members = Array.make sw.size (-1);
-          slot_of = Hashtbl.create 64;
-          member_count = 0;
-        })
+        swarm_state sw swarm ~faults ~created_rng (Array.make sw.size (-1)))
       w.Request.swarms
   in
   let engine = Engine.create () in
@@ -481,18 +526,12 @@ let manifest ?git t =
     List.concat_map
       (fun ss ->
         let sid = ss.sspec.Request.sid in
-        let uploaded = ref 0. in
-        Array.iteri
-          (fun slot p ->
-            if p >= 0 then
-              uploaded := !uploaded +. (Swarm.peer ss.swarm slot).Peer.uploaded)
-          ss.members;
         [
           ("serve.swarm." ^ sid ^ ".members", ss.member_count);
           ("serve.swarm." ^ sid ^ ".completed", Swarm.completed ss.swarm);
           ("serve.swarm." ^ sid ^ ".link_drops", Swarm.link_drops ss.swarm);
           ( "serve.swarm." ^ sid ^ ".uploaded_milli",
-            int_of_float (!uploaded *. 1000.) );
+            int_of_float (members_uploaded ss *. 1000.) );
         ])
       t.swarms
   in
@@ -763,7 +802,9 @@ let faults_of_json what = function
              snap_drops = Jsonx.get_int (req what "drops" fo);
            })
 
-let restore_swarm what (sw : Request.swarm_spec) sj =
+let restore_invalid fmt = Printf.ksprintf invalid_arg fmt
+
+let restore_swarm what ~n (sw : Request.swarm_spec) sj =
   let obj = Jsonx.get_obj sj in
   let sid = Jsonx.get_string (req what "sid" obj) in
   if not (String.equal sid sw.sid) then
@@ -786,16 +827,28 @@ let restore_swarm what (sw : Request.swarm_spec) sj =
   if List.length peers_j <> sw.size then
     parse_fail "%s: %d peer records, swarm has %d slots" what
       (List.length peers_j) sw.size;
+  (* Choke references and link progress must only ever name
+     knowledge-graph neighbours: the simulation never creates any other,
+     and [Swarm.recycle_peer] relies on it to visit neighbours only. *)
+  let neighbour i q = Array.mem q (Swarm.peer swarm i).Peer.neighbors in
+  let chokes_neighbour i role q =
+    if not (neighbour i q) then
+      restore_invalid "%s: slot %d's %s %d is not a knowledge-graph neighbour"
+        what i role q;
+    q
+  in
   List.iteri
     (fun i pj ->
       let po = Jsonx.get_obj pj in
       let p = Swarm.peer swarm i in
       p.Peer.unchoked <-
-        List.map Jsonx.get_int (Jsonx.get_list (req what "unchoked" po));
+        List.map
+          (fun qj -> chokes_neighbour i "unchoked peer" (Jsonx.get_int qj))
+          (Jsonx.get_list (req what "unchoked" po));
       p.Peer.optimistic <-
         (match Jsonx.get_int (req what "optimistic" po) with
         | -1 -> None
-        | q -> Some q);
+        | q -> Some (chokes_neighbour i "optimistic unchoke" q));
       p.Peer.uploaded <- Jsonx.get_float (req what "uploaded" po);
       p.Peer.downloaded <- Jsonx.get_float (req what "downloaded" po);
       p.Peer.uploaded_tft <- Jsonx.get_float (req what "uploaded_tft" po);
@@ -823,28 +876,27 @@ let restore_swarm what (sw : Request.swarm_spec) sj =
     (fun ej ->
       match Jsonx.get_list ej with
       | [ s; r; v ] ->
-          Swarm.set_link_progress swarm ~sender:(Jsonx.get_int s)
-            ~receiver:(Jsonx.get_int r) (Jsonx.get_float v)
+          let s = Jsonx.get_int s and r = Jsonx.get_int r in
+          if s < 0 || s >= sw.size || not (neighbour s r) then
+            restore_invalid
+              "%s: progress entry [%d, %d] is not a knowledge-graph neighbour pair"
+              what s r;
+          Swarm.set_link_progress swarm ~sender:s ~receiver:r (Jsonx.get_float v)
       | _ -> parse_fail "%s: progress entry must be [sender, receiver, v]" what)
     (Jsonx.get_list (req what "progress" obj));
-  let slot_of = Hashtbl.create 64 in
-  let member_count = ref 0 in
+  let ss = swarm_state sw swarm ~faults ~created_rng members in
   Array.iteri
     (fun slot pid ->
-      if pid >= 0 then begin
-        Hashtbl.replace slot_of pid slot;
-        incr member_count
-      end)
+      if pid < -1 || pid >= n then
+        restore_invalid "%s: slot %d holds peer %d, outside the population [0, %d)"
+          what slot pid n;
+      if pid >= 0 then
+        let last = Hashtbl.find ss.slot_of pid in
+        if last <> slot then
+          restore_invalid "%s: peer %d holds both slot %d and slot %d" what pid
+            slot last)
     members;
-  {
-    sspec = sw;
-    swarm;
-    faults;
-    created_rng;
-    members;
-    slot_of;
-    member_count = !member_count;
-  }
+  ss
 
 let restore j =
   let what = "Serve.restore" in
@@ -898,7 +950,9 @@ let restore j =
     parse_fail "%s: snapshot has %d swarms, script declares %d" what
       (List.length swarm_js)
       (List.length w.Request.swarms);
-  let swarms = List.map2 (restore_swarm what) w.Request.swarms swarm_js in
+  let swarms =
+    List.map2 (restore_swarm what ~n:w.Request.n) w.Request.swarms swarm_js
+  in
   (* restore_packed on the *current* default backend: any --queue choice
      replays the snapshot's canonical (time, seq) order identically *)
   let engine = Engine.restore_packed ~now queue in

@@ -90,7 +90,12 @@ val restore : Stratify_obs.Jsonx.t -> t
 (** Rebuild a world from {!snapshot} output, on the {e current} default
     queue backend — a snapshot written under one [--queue] restores
     bit-identically under any other.  Raises [Jsonx.Parse_error] on
-    shape errors and named [Invalid_argument] on semantic ones. *)
+    shape errors and named [Invalid_argument] on semantic ones, naming
+    the swarm and slot: a member outside the population or seated in
+    two slots, and an unchoke, optimistic unchoke or link-progress
+    entry that names a slot outside the knowledge-graph neighbourhood
+    (the invariant {!Stratify_bittorrent.Swarm.recycle_peer} relies
+    on). *)
 
 val restore_string : string -> t
 

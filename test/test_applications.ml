@@ -185,7 +185,21 @@ let test_piece_recycling () =
   in
   let swarm = Bt.Swarm.create rng params in
   Bt.Swarm.run swarm ~ticks:50;
+  let progress_naming_5 () =
+    let sent = ref 0 and received = ref 0 in
+    Bt.Swarm.iter_link_progress swarm (fun s r _ ->
+        if s = 5 then incr sent;
+        if r = 5 then incr received);
+    (!sent, !received)
+  in
+  let sent, received = progress_naming_5 () in
+  Alcotest.(check bool)
+    (Printf.sprintf "peer 5 has progress both ways before (%d sent, %d received)" sent received)
+    true
+    (sent > 0 && received > 0);
   Bt.Swarm.recycle_peer swarm 5;
+  Alcotest.(check (pair int int)) "no progress names the recycled peer" (0, 0)
+    (progress_naming_5 ());
   (match (Bt.Swarm.peer swarm 5).Bt.Peer.field with
   | Some f ->
       Alcotest.(check int) "emptied" 0 (Bt.Piece.count f);

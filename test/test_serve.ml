@@ -177,6 +177,186 @@ let test_backend_invariance () =
       List.iter (fun m' -> Alcotest.(check string) "backend-invariant" m m') rest
   | [] -> Alcotest.fail "no backends"
 
+(* ---- pinned answers on a membership-heavy script -------------------- *)
+
+(* Swarms that fill up under heavy seat/release traffic (20% join/leave,
+   announces wanting up to 50 peers, churn every tick): this drives the
+   slot bookkeeping — lowest free slot, padding draws over the occupied
+   slots, duplicate picks — and peer recycling far harder than the small
+   qcheck scripts.  The checksum and manifest are pinned constants, so
+   any change to a single response, slot choice or swarm state fails. *)
+let membership_script () =
+  let rng = Rng.create 0x5107 in
+  let n = 1500 and horizon = 40. and nreq = 4000 in
+  let spec sid size ~loss ~piece = { Request.sid; size; d = 12.; loss; partitions = []; piece } in
+  let specs =
+    [|
+      spec "lossy" 300 ~loss:0.1 ~piece:None;
+      spec "pieces" 120 ~loss:0.
+        ~piece:(Some { Request.pieces = 24; piece_size = 2.; init_fraction = 0.1; seeds = 2 });
+      spec "clean" 50 ~loss:0. ~piece:None;
+    |]
+  in
+  let pools =
+    Array.map
+      (fun (sw : Request.swarm_spec) ->
+        Stratify_prng.Dist.sample_without_replacement rng ~k:(sw.size * 5 / 4) ~n)
+      specs
+  in
+  let requests =
+    Array.init nreq (fun i ->
+        let at = (float_of_int i +. 0.5) *. horizon /. float_of_int nreq in
+        let s = Rng.int rng (Array.length specs) in
+        let swarm = specs.(s).Request.sid and pool = pools.(s) in
+        let peer = pool.(Rng.int rng (Array.length pool)) in
+        let kind =
+          match Rng.int rng 100 with
+          | r when r < 10 -> Request.Join { peer; swarm }
+          | r when r < 20 -> Request.Leave { peer; swarm }
+          | r when r < 90 -> Request.Announce { peer; swarm; want = 1 + Rng.int rng 50 }
+          | r when r < 95 -> Request.Scrape { swarm }
+          | _ -> Request.Stats
+        in
+        { Request.at; kind })
+  in
+  {
+    Request.name = "membership-heavy";
+    seed = 77;
+    world =
+      { Request.n; d = 6.; b = 2; churn_rate = 1.0; bands = 2; swarms = Array.to_list specs };
+    requests;
+    horizon;
+  }
+
+let pinned_checksum = 696264673798283490
+
+let pinned_manifest =
+  {|{
+  "schema_version": 1,
+  "kind": "serve",
+  "name": "membership-heavy",
+  "seed": 77,
+  "scale": 1.0,
+  "jobs": 1,
+  "git": "test",
+  "cores": 1,
+  "phases": [],
+  "counters": {
+    "checksum.serve_responses": 696264673798283490,
+    "serve.announces": 2828,
+    "serve.arrivals": 20,
+    "serve.departures": 20,
+    "serve.joins": 362,
+    "serve.leaves": 372,
+    "serve.oracle.present": 1500,
+    "serve.oracle.stable_edges": 1311,
+    "serve.reconnects": 0,
+    "serve.requests": 4000,
+    "serve.scrapes": 211,
+    "serve.stats": 227,
+    "serve.ticks": 40,
+    "serve.swarm.lossy.members": 299,
+    "serve.swarm.lossy.completed": 300,
+    "serve.swarm.lossy.link_drops": 3158,
+    "serve.swarm.lossy.uploaded_milli": 21643590424,
+    "serve.swarm.pieces.members": 117,
+    "serve.swarm.pieces.completed": 98,
+    "serve.swarm.pieces.link_drops": 0,
+    "serve.swarm.pieces.uploaded_milli": 736412939,
+    "serve.swarm.clean.members": 50,
+    "serve.swarm.clean.completed": 50,
+    "serve.swarm.clean.link_drops": 0,
+    "serve.swarm.clean.uploaded_milli": 1201865662
+  },
+  "histograms": {},
+  "metrics": {
+    "horizon": 40.0,
+    "now": 40.0
+  }
+}
+|}
+
+let test_membership_pinned () =
+  let t = Serve.create (membership_script ()) in
+  Serve.run_script t;
+  (* [cores] is the host's, not the run's *)
+  let m = Manifest.to_string { (Serve.manifest ~git:"test" t) with Manifest.cores = 1 } in
+  Alcotest.(check int) "response checksum" pinned_checksum (Serve.checksum t);
+  Alcotest.(check string) "manifest" pinned_manifest m
+
+(* ---- restore checks the membership and neighbour invariants --------- *)
+
+(* Peers 0-4 join at t=0.5 and take slots 0-4 of swarm "s0"; slots 5-7
+   stay free. *)
+let small_world () =
+  let swarm =
+    {
+      Request.sid = "s0";
+      size = 8;
+      d = 4.;
+      loss = 0.;
+      partitions = [];
+      piece = Some { Request.pieces = 16; piece_size = 2.; init_fraction = 0.3; seeds = 1 };
+    }
+  in
+  let t =
+    Serve.create
+      {
+        Request.name = "restore-checks";
+        seed = 5;
+        world = { Request.n = 20; d = 4.; b = 2; churn_rate = 0.; bands = 1; swarms = [ swarm ] };
+        requests =
+          Array.init 5 (fun peer -> { Request.at = 0.5; kind = Request.Join { peer; swarm = "s0" } });
+        horizon = 10.;
+      }
+  in
+  Serve.run_to t 6.;
+  Jsonx.of_string (Serve.snapshot_string t)
+
+let rec edit path f j =
+  match (path, j) with
+  | [], _ -> f j
+  | `Field name :: rest, Jsonx.Obj kv ->
+      Jsonx.Obj (List.map (fun (k, v) -> if k = name then (k, edit rest f v) else (k, v)) kv)
+  | `Nth i :: rest, Jsonx.List l -> Jsonx.List (List.mapi (fun k v -> if k = i then edit rest f v else v) l)
+  | _ -> Alcotest.fail "snapshot shape changed"
+
+let swarm0 rest = `Field "swarms" :: `Nth 0 :: rest
+let set_to v _ = v
+
+let expect_restore_error what fragments snap =
+  match Serve.restore_string (Jsonx.to_string ~indent:false snap) with
+  | _ -> Alcotest.failf "%s: corrupt snapshot restored" what
+  | exception (Invalid_argument msg | Jsonx.Parse_error msg) ->
+      List.iter
+        (fun fragment ->
+          if not (Helpers.contains msg fragment) then
+            Alcotest.failf "%s: error %S lacks %S" what msg fragment)
+        ("swarm[s0]" :: fragments)
+
+let test_restore_invariants () =
+  let snap = small_world () in
+  ignore (Serve.restore_string (Jsonx.to_string ~indent:false snap));
+  expect_restore_error "member out of range" [ "slot 6"; "peer 20" ]
+    (edit (swarm0 [ `Field "members"; `Nth 6 ]) (set_to (Jsonx.Int 20)) snap);
+  expect_restore_error "member seated twice" [ "peer 0"; "slot 0"; "slot 5" ]
+    (edit (swarm0 [ `Field "members"; `Nth 5 ]) (set_to (Jsonx.Int 0)) snap);
+  (* no peer is its own knowledge-graph neighbour *)
+  expect_restore_error "unchoked non-neighbour" [ "slot 2" ]
+    (edit
+       (swarm0 [ `Field "peers"; `Nth 2; `Field "unchoked" ])
+       (set_to (Jsonx.List [ Jsonx.Int 2 ]))
+       snap);
+  expect_restore_error "optimistic non-neighbour" [ "slot 3" ]
+    (edit (swarm0 [ `Field "peers"; `Nth 3; `Field "optimistic" ]) (set_to (Jsonx.Int 3)) snap);
+  expect_restore_error "progress non-neighbour" [ "[1, 1]" ]
+    (edit
+       (swarm0 [ `Field "progress" ])
+       (fun j ->
+         Jsonx.List
+           (Jsonx.List [ Jsonx.Int 1; Jsonx.Int 1; Jsonx.Float 0.5 ] :: Jsonx.get_list j))
+       snap)
+
 (* ---- script JSON ---------------------------------------------------- *)
 
 let script_roundtrip_law (seed, _) =
@@ -280,6 +460,10 @@ let suite =
     Alcotest.test_case "serve: double-run equality" `Quick test_double_run;
     Alcotest.test_case "serve: manifest backend-invariant" `Quick
       test_backend_invariance;
+    Alcotest.test_case "serve: membership-heavy answers pinned" `Quick
+      test_membership_pinned;
+    Alcotest.test_case "serve: restore rejects broken invariants" `Quick
+      test_restore_invariants;
     Alcotest.test_case "serve: unknown JSON keys rejected" `Quick
       test_unknown_keys;
     Alcotest.test_case "serve: validation errors are named" `Quick
