@@ -1447,9 +1447,11 @@ let bench_matrix () =
        lives here: best non-heap packed backend vs. the same workload
        built the seed way (one closure per message via Net.send on the
        binary heap — rebuilt inline as the closure-heap baseline).
-   (c) async — the propose/accept/commit dynamics under loss, the
-       closure-event (legacy-path) workload; small queue population, so
-       backends are expected to tie rather than win.
+   (c) async — the propose/accept/commit dynamics under loss: packed
+       message kinds sent through Net's RNG-drawing fault pipeline
+       ([Net.send_code]), with one exponential clock event per peer; a
+       small queue population, so backends are expected to tie rather
+       than win.
 
    Every backend pops the identical (time, seq) order, so all three
    workloads also serve as end-to-end invariance checks: per-backend
@@ -1655,7 +1657,7 @@ let bench_des () =
           baseline on swarm-md (need >= 2x)"
          (name best_backend) swarm_speedup);
 
-  (* (c) async dynamics under loss (closure events, small population) *)
+  (* (c) async dynamics under loss (packed messages, small population) *)
   let async_run backend =
     let rng = Rng.create 7 in
     let graph = Gen.gnd rng ~n:400 ~d:12. in

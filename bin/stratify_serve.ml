@@ -24,7 +24,8 @@
          snapshot PATH     serialize the world
          quit
        Request errors (unknown swarm, peer out of range, bad syntax)
-       print "ERR ..." and the loop continues.
+       and a snapshot PATH that cannot be written print "ERR ..." and
+       the loop continues.
 
    Usage errors (an unknown --flag, a missing flag argument) print the
    usage line and exit 2; so does a script or snapshot that cannot be
@@ -59,10 +60,12 @@ let usage () =
   prerr_endline usage_line;
   exit 2
 
-(* Run [f] on a file the user named; an unreadable, unwritable,
-   malformed or unrestorable file exits 2 with
-   "stratify_serve: PATH: MESSAGE" (a Sys_error message already leads
-   with the path). *)
+(* Run [f] on a file the user named.  An unreadable, unwritable,
+   malformed or unrestorable file raises [File_error (path, message)],
+   the message without the path a Sys_error message already leads
+   with. *)
+exception File_error of string * string
+
 let with_file path f =
   let fail msg =
     let prefix = path ^ ": " in
@@ -71,12 +74,19 @@ let with_file path f =
         String.sub msg (String.length prefix) (String.length msg - String.length prefix)
       else msg
     in
-    Printf.eprintf "stratify_serve: %s: %s\n" path msg;
-    exit 2
+    raise (File_error (path, msg))
   in
   try f path with
   | Sys_error msg | Jsonx.Parse_error msg | Invalid_argument msg | Failure msg -> fail msg
   | Unix.Unix_error (err, _, arg) -> fail (arg ^ ": " ^ Unix.error_message err)
+
+(* Command-line files: a file error exits 2 with
+   "stratify_serve: PATH: MESSAGE". *)
+let with_arg_file path f =
+  try with_file path f
+  with File_error (path, msg) ->
+    Printf.eprintf "stratify_serve: %s: %s\n" path msg;
+    exit 2
 
 let stdio_loop t =
   let finished = ref false in
@@ -104,9 +114,11 @@ let stdio_loop t =
                        Printf.printf "OK tick now %g\n%!" (Serve.now t)
                    | _ -> Printf.printf "ERR tick: bad count %S\n%!" k)
                | _ -> Printf.printf "ERR tick: usage: tick [K]\n%!")
-           | [ "snapshot"; path ] ->
-               write_file path (Serve.snapshot_string t);
-               Printf.printf "OK snapshot %s\n%!" path
+           | [ "snapshot"; path ] -> (
+               match with_file path (fun path -> write_file path (Serve.snapshot_string t)) with
+               | () -> Printf.printf "OK snapshot %s\n%!" path
+               | exception File_error (path, msg) ->
+                   Printf.printf "ERR snapshot: %s: %s\n%!" path msg)
            | _ -> (
                try Printf.printf "%s\n%!" (Serve.handle t (Request.of_line line))
                with Invalid_argument msg -> Printf.printf "ERR %s\n%!" msg))
@@ -171,9 +183,9 @@ let () =
   let t =
     match (!resume, List.rev !paths) with
     | Some snap, [] ->
-        with_file snap (fun path ->
+        with_arg_file snap (fun path ->
             Serve.restore_string (In_channel.with_open_bin path In_channel.input_all))
-    | None, [ script ] -> with_file script (fun path -> Serve.create (Request.load path))
+    | None, [ script ] -> with_arg_file script (fun path -> Serve.create (Request.load path))
     | Some _, _ :: _ ->
         prerr_endline "stratify_serve: --resume takes no script (it travels inside the snapshot)";
         exit 2
@@ -192,13 +204,13 @@ let () =
   | Some time ->
       Serve.run_to t time;
       let path = Option.get !snapshot_path in
-      with_file path (fun path -> write_file path (Serve.snapshot_string t));
+      with_arg_file path (fun path -> write_file path (Serve.snapshot_string t));
       Printf.printf "%s (seed %d): stopped at %g, snapshot %s\n"
         (Serve.script t).Request.name (Serve.script t).Request.seed time path
   | None ->
       Serve.run_script t;
       let m = Serve.manifest t in
-      let written = with_file !out (fun dir -> Manifest.write ~dir m) in
+      let written = with_arg_file !out (fun dir -> Manifest.write ~dir m) in
       Printf.printf
         "%s (seed %d): %d requests, %d ticks, checksum %d\n  manifest %s\n"
         (Serve.script t).Request.name (Serve.script t).Request.seed

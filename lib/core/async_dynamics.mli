@@ -58,7 +58,15 @@ val create :
     [params.latency] and [params.loss] are ignored, and [?backend] is
     rejected — choose the backend when building the network's engine)
     and the dynamics runs on that network's engine — this is how the
-    scenario harness injects faults. *)
+    scenario harness injects faults.
+
+    Protocol messages are packed event codes ({!Stratify_net.Net.send_code}),
+    so [create] installs its own handler with
+    {!Stratify_des.Engine.set_packed_handler}, replacing any handler the
+    engine had: do not share the engine with another packed-event
+    workload.  Closure events (e.g. a partition schedule) coexist.
+    Raises [Invalid_argument] when the instance has more peers than
+    packed codes can address ([Net.Packed.max_id + 1]). *)
 
 val net : t -> Stratify_net.Net.t
 (** The network carrying this instance's messages (the private one if

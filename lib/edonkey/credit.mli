@@ -16,18 +16,23 @@
 
 type t
 
-val create : int -> t
-(** Zeroed pairwise ledgers for [n] peers. *)
+val create : int array array -> t
+(** [create rows]: zeroed ledgers over a symmetric neighbour graph, where
+    [rows.(s)] lists [s]'s neighbours in ascending order.  Every ledger
+    entry is an edge: peer [s]'s [k]-th neighbour is [rows.(s).(k)].
+    Raises [Invalid_argument] when a row is unsorted, names a peer
+    outside [[0, n)], or is not mirrored by the neighbour's own row. *)
 
-val record_transfer : t -> from_:int -> to_:int -> float -> unit
-(** Credit a transfer of the given volume. *)
+val record_transfer : t -> from_:int -> k:int -> float -> unit
+(** [from_] sent the given volume to its [k]-th neighbour.  Raises
+    [Invalid_argument] on a negative volume. *)
 
-val uploaded_to : t -> judge:int -> client:int -> float
-(** Volume [client] has sent to [judge]. *)
+val uploaded_to : t -> judge:int -> k:int -> float
+(** Volume [judge]'s [k]-th neighbour has sent to [judge]. *)
 
-val downloaded_from : t -> judge:int -> client:int -> float
-(** Volume [client] has received from [judge]. *)
+val downloaded_from : t -> judge:int -> k:int -> float
+(** Volume [judge]'s [k]-th neighbour has received from [judge]. *)
 
-val modifier : t -> judge:int -> client:int -> float
-(** The eMule credit modifier of [client] in [judge]'s queue, in
-    [1, 10]. *)
+val modifier : t -> judge:int -> k:int -> float
+(** The eMule credit modifier of [judge]'s [k]-th neighbour in [judge]'s
+    queue, in [1, 10]. *)

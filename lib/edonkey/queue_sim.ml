@@ -18,7 +18,10 @@ type t = {
   neighbors : int array array;
   credit : Credit.t;
   waiting : float array array;  (* waiting.(server) aligned with neighbors.(server) *)
-  serving : int list array;
+  serving : int array array;
+      (* serving.(server): the row indices served this tick, best first;
+         min(slots, degree) long, meaningful once a tick has run *)
+  scores : float array;  (* scratch: the current server's queue scores *)
   uploaded : float array;
   downloaded : float array;
   mutable tick : int;
@@ -32,12 +35,14 @@ let create rng params =
   let neighbors =
     Array.init n (fun v -> Array.of_list (Undirected.sorted_neighbors graph v))
   in
+  let max_degree = Array.fold_left (fun m row -> max m (Array.length row)) 0 neighbors in
   {
     params;
     neighbors;
-    credit = Credit.create n;
+    credit = Credit.create neighbors;
     waiting = Array.map (fun row -> Array.make (Array.length row) 0.) neighbors;
-    serving = Array.make n [];
+    serving = Array.map (fun row -> Array.make (min params.slots (Array.length row)) 0) neighbors;
+    scores = Array.make max_degree 0.;
     uploaded = Array.make n 0.;
     downloaded = Array.make n 0.;
     tick = 0;
@@ -59,45 +64,48 @@ let step t =
     | None -> true
     | Some f -> Net.Tick.passes f ~tick:t.tick ~src:server ~dst:client
   in
+  let scores = t.scores in
   (* Each server picks its top-scoring waiting clients. *)
   for server = 0 to n - 1 do
     let row = t.neighbors.(server) in
     let count = Array.length row in
-    if count > 0 then begin
-      let scored =
-        Array.init count (fun k ->
-            let client = row.(k) in
-            let score =
-              (1. +. t.waiting.(server).(k))
-              *. Credit.modifier t.credit ~judge:server ~client
-            in
-            (score, k))
-      in
-      Array.sort (fun (s1, k1) (s2, k2) ->
-          let c = compare s2 s1 in
-          if c <> 0 then c else compare k1 k2)
-        scored;
-      let slots = min t.params.slots count in
-      let served = Array.to_list (Array.map snd (Array.sub scored 0 slots)) in
-      t.serving.(server) <- served;
+    let waiting = t.waiting.(server) in
+    let top = t.serving.(server) in
+    let slots = Array.length top in
+    (* Insertion into the [slots]-long [top], ordered by score descending
+       then index ascending: a later index displaces only a strictly
+       lower score, so [top] is exactly the prefix of a full sort. *)
+    let filled = ref 0 in
+    for k = 0 to count - 1 do
+      let score = (1. +. waiting.(k)) *. Credit.modifier t.credit ~judge:server ~k in
+      scores.(k) <- score;
+      if !filled < slots || score > scores.(top.(slots - 1)) then begin
+        let j = ref (if !filled < slots then !filled else slots - 1) in
+        while !j > 0 && scores.(top.(!j - 1)) < score do
+          top.(!j) <- top.(!j - 1);
+          decr j
+        done;
+        top.(!j) <- k;
+        if !filled < slots then incr filled
+      end
+    done;
+    if slots > 0 then begin
       let share = t.params.uploads.(server) /. float_of_int slots in
-      List.iter
-        (fun k ->
-          let client = row.(k) in
-          if link_up server client then begin
-            t.uploaded.(server) <- t.uploaded.(server) +. share;
-            t.downloaded.(client) <- t.downloaded.(client) +. share;
-            Credit.record_transfer t.credit ~from_:server ~to_:client share
-          end;
-          (* Served clients drop to the back of the queue. *)
-          t.waiting.(server).(k) <- 0.)
-        served;
-      (* Everyone else ages. *)
-      let served_set = Hashtbl.create 8 in
-      List.iter (fun k -> Hashtbl.replace served_set k ()) served;
+      for j = 0 to slots - 1 do
+        let k = top.(j) in
+        let client = row.(k) in
+        if link_up server client then begin
+          t.uploaded.(server) <- t.uploaded.(server) +. share;
+          t.downloaded.(client) <- t.downloaded.(client) +. share;
+          Credit.record_transfer t.credit ~from_:server ~k share
+        end
+      done;
+      (* Everyone ages; served clients drop to the back of the queue. *)
       for k = 0 to count - 1 do
-        if not (Hashtbl.mem served_set k) then
-          t.waiting.(server).(k) <- t.waiting.(server).(k) +. 1.
+        waiting.(k) <- waiting.(k) +. 1.
+      done;
+      for j = 0 to slots - 1 do
+        waiting.(top.(j)) <- 0.
       done
     end
   done;
@@ -122,7 +130,9 @@ let share_ratios t =
   Array.init (size t) (fun p ->
       if t.uploaded.(p) <= 0. then 0. else t.downloaded.(p) /. t.uploaded.(p))
 
-let served_now t server = List.map (fun k -> t.neighbors.(server).(k)) t.serving.(server)
+let served_now t server =
+  if t.tick = 0 then []
+  else Array.to_list (Array.map (fun k -> t.neighbors.(server).(k)) t.serving.(server))
 
 let stratification_correlation t =
   let pairs = ref [] in

@@ -173,63 +173,6 @@ let draw_latency t =
   | Jitter { base; spread } -> if spread <= 0. then base else Dist.uniform t.rng ~lo:base ~hi:(base +. spread)
   | Log_normal { mu; sigma } -> Dist.lognormal t.rng ~mu ~sigma
 
-(* One delivery attempt: latency draw, optional reordering delay, schedule.
-   A scheduled message always runs, so [delivered] is counted here rather
-   than in a wrapper closure at fire time — the hot fault-free path then
-   hands [handler] to the engine untouched, keeping Net.send within its
-   dispatch-overhead budget (see bench.net). *)
-let deliver t handler =
-  let delay = draw_latency t in
-  let delay =
-    if t.faults.reorder > 0. && Rng.bernoulli t.rng t.faults.reorder then begin
-      t.reordered <- t.reordered + 1;
-      Counter.incr c_reordered;
-      delay +. Rng.float t.rng t.faults.reorder_spread
-    end
-    else delay
-  in
-  t.delivered <- t.delivered + 1;
-  Counter.incr c_delivered;
-  Engine.schedule t.engine ~delay handler
-
-let[@inline never] send_slow t ~src ~dst handler =
-  if not (reachable t ~src ~dst) then begin
-    t.partitioned <- t.partitioned + 1;
-    Counter.incr c_partitioned
-  end
-  else if drop_by_loss t ~src ~dst then begin
-    t.lost <- t.lost + 1;
-    Counter.incr c_lost
-  end
-  else begin
-    deliver t handler;
-    if t.faults.duplicate > 0. && Rng.bernoulli t.rng t.faults.duplicate then begin
-      t.duplicated <- t.duplicated + 1;
-      Counter.incr c_duplicated;
-      deliver t handler
-    end
-  end
-
-let[@inline always] send t ~src ~dst handler =
-  t.sent <- t.sent + 1;
-  Counter.incr c_sent;
-  if t.fast && t.groups == None then begin
-    t.delivered <- t.delivered + 1;
-    Counter.incr c_delivered;
-    Engine.schedule t.engine ~delay:t.fast_latency handler
-  end
-  else send_slow t ~src ~dst handler
-
-let sent t = t.sent
-let delivered t = t.delivered
-let lost t = t.lost
-let partitioned t = t.partitioned
-let dropped t = t.lost + t.partitioned
-let duplicated t = t.duplicated
-let reordered t = t.reordered
-
-(* ------------------------------------------------------------------ *)
-
 module Packed = struct
   let kind_bits = 6
   let id_bits = 28
@@ -253,6 +196,76 @@ module Packed = struct
   let[@inline] src code = (code lsr kind_bits) land max_id
   let[@inline] dst code = code lsr (kind_bits + id_bits)
 end
+
+(* A message is either a packed code (>= 0) or, when [code] is -1, the
+   closure [handler]; [send_code] passes this never-called placeholder. *)
+let no_handler : Engine.t -> unit = fun _ -> ()
+
+let[@inline] schedule t ~delay code handler =
+  if code >= 0 then Engine.schedule_packed t.engine ~delay code
+  else Engine.schedule t.engine ~delay handler
+
+(* One delivery attempt: latency draw, optional reordering delay, schedule.
+   A scheduled message always runs, so [delivered] is counted here rather
+   than in a wrapper closure at fire time — the hot fault-free path then
+   hands the message to the engine untouched, keeping Net.send within its
+   dispatch-overhead budget (see bench.net). *)
+let deliver t code handler =
+  let delay = draw_latency t in
+  let delay =
+    if t.faults.reorder > 0. && Rng.bernoulli t.rng t.faults.reorder then begin
+      t.reordered <- t.reordered + 1;
+      Counter.incr c_reordered;
+      delay +. Rng.float t.rng t.faults.reorder_spread
+    end
+    else delay
+  in
+  t.delivered <- t.delivered + 1;
+  Counter.incr c_delivered;
+  schedule t ~delay code handler
+
+let[@inline never] send_slow t ~src ~dst code handler =
+  if not (reachable t ~src ~dst) then begin
+    t.partitioned <- t.partitioned + 1;
+    Counter.incr c_partitioned
+  end
+  else if drop_by_loss t ~src ~dst then begin
+    t.lost <- t.lost + 1;
+    Counter.incr c_lost
+  end
+  else begin
+    deliver t code handler;
+    if t.faults.duplicate > 0. && Rng.bernoulli t.rng t.faults.duplicate then begin
+      t.duplicated <- t.duplicated + 1;
+      Counter.incr c_duplicated;
+      deliver t code handler
+    end
+  end
+
+let[@inline always] route t ~src ~dst code handler =
+  t.sent <- t.sent + 1;
+  Counter.incr c_sent;
+  if t.fast && t.groups == None then begin
+    t.delivered <- t.delivered + 1;
+    Counter.incr c_delivered;
+    schedule t ~delay:t.fast_latency code handler
+  end
+  else send_slow t ~src ~dst code handler
+
+let[@inline always] send t ~src ~dst handler = route t ~src ~dst (-1) handler
+
+let[@inline always] send_code t ~src ~dst ~kind =
+  route t ~src ~dst (Packed.pack ~kind ~src ~dst) no_handler
+
+let sent t = t.sent
+let delivered t = t.delivered
+let lost t = t.lost
+let partitioned t = t.partitioned
+let dropped t = t.lost + t.partitioned
+let duplicated t = t.duplicated
+let reordered t = t.reordered
+
+(* ------------------------------------------------------------------ *)
 
 (* Counter-mode uniforms for the packed path: a native-int splitmix-style
    finalizer (no Int64 — Int64 values box, and this runs per message).

@@ -97,6 +97,16 @@ val send : t -> src:int -> dst:int -> (Stratify_des.Engine.t -> unit) -> unit
 (** Route one message: apply the fault pipeline above, then (unless
     dropped) schedule the handler at delivery time. *)
 
+val send_code : t -> src:int -> dst:int -> kind:int -> unit
+(** {!send} for a defunctionalized message: the same pipeline, drawing
+    the same values from the network's RNG in the same order, but each
+    delivery schedules the code [Packed.pack ~kind ~src ~dst] (handled
+    by the engine's packed handler) instead of a closure.  A closure
+    protocol ported message for message onto [send_code] keeps every
+    draw and every [(time, seq)] event, so its results are unchanged;
+    contrast {!send_packed}, whose counter-mode draws differ.  [src],
+    [dst] and [kind] must fit {!Packed} (unchecked). *)
+
 (** {2 Defunctionalized sends}
 
     The high-throughput path for message-level workloads (tens of
@@ -113,7 +123,7 @@ val send : t -> src:int -> dst:int -> (Stratify_des.Engine.t -> unit) -> unit
 
     Two deliberate semantic differences from {!send} (the packed path
     is a separate traffic class, not a re-encoding of the closure
-    path): draws come from the counter-mode hash, so packed and closure
+    path; {!send_code} is the re-encoding): draws come from the counter-mode hash, so packed and closure
     sends over the same network do not consume each other's RNG stream;
     and a [Burst] (Gilbert–Elliott) loss model collapses to its
     {!stationary_loss} rate — per-link chain state would reintroduce
@@ -125,6 +135,9 @@ module Packed : sig
 
   val id_bits : int
   (** 28: src/dst ids 0..268_435_455. *)
+
+  val max_id : int
+  (** The largest src/dst id, [2^id_bits - 1]. *)
 
   val pack : kind:int -> src:int -> dst:int -> int
   (** Bit-pack without bounds checks (the hot path); out-of-range

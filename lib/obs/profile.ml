@@ -47,23 +47,32 @@ let row_of name =
       order := name :: !order;
       r
 
-type snap = { wall : float; minor : float; promoted : float; major : float }
+type snap = { wall : float; mutable minor : float; promoted : float; major : float }
 
 (* Shared sentinel handed out while profiling is off; [stop] recognises
    it physically, so a start/stop pair straddling an enable toggle never
    records a garbage interval. *)
 let disabled_snap = { wall = 0.; minor = 0.; promoted = 0.; major = 0. }
 
+(* Minor words come from [Gc.minor_words], exact for the calling domain:
+   on OCaml 5.1 the minor count of [Gc.counters] misses most words and
+   jumps by up to a minor heap's worth when a collection falls inside
+   the interval, so a kernel's row depended on where earlier code left
+   the minor heap.  [start] reads it last and [stop] first, so neither
+   probe's own allocation is counted. *)
 let start () =
   if not (enabled ()) then disabled_snap
   else begin
-    let minor, promoted, major = Gc.counters () in
-    { wall = Unix.gettimeofday (); minor; promoted; major }
+    let _, promoted, major = Gc.counters () in
+    let snap = { wall = Unix.gettimeofday (); minor = 0.; promoted; major } in
+    snap.minor <- Gc.minor_words ();
+    snap
   end
 
 let stop name ?(ops = 0) snap =
   if enabled () && snap != disabled_snap then begin
-    let minor, promoted, major = Gc.counters () in
+    let minor = Gc.minor_words () in
+    let _, promoted, major = Gc.counters () in
     let wall = Unix.gettimeofday () -. snap.wall in
     Mutex.lock mu;
     let r = row_of name in

@@ -2,8 +2,10 @@
 
     Each [start]/[stop] pair (or [with_]) folds one interval into the
     named kernel's aggregate: total wall seconds, entry count, a
-    caller-supplied operation count, and the [Gc.counters] deltas
-    (minor, major, promoted words) over the interval.  The allocation
+    caller-supplied operation count, and the GC deltas over the
+    interval: minor words from [Gc.minor_words] (exact for the calling
+    domain, excluding the probes' own allocation), major and promoted
+    words from [Gc.counters].  The allocation
     deltas are what the zero-alloc discipline (DESIGN.md §13) is
     checked against: a steady-state kernel's minor-words-per-op must
     stay at (essentially) zero.

@@ -69,27 +69,32 @@ let test_random_regular_baseline_degrees () =
 (* eDonkey credits                                                     *)
 
 let test_credit_modifier_bounds_and_growth () =
-  let c = Ed.Credit.create 4 in
+  (* A star: peer 0's neighbours are 1, 2, 3, so client 1 is its 0th. *)
+  let c = Ed.Credit.create [| [| 1; 2; 3 |]; [| 0 |]; [| 0 |]; [| 0 |] |] in
   (* Unknown client: neutral modifier 1 (sqrt(2) > 1 but ratio rule is
      inf; min(inf, sqrt 2) = 1.41 -> clamped to >= 1; eMule gives sqrt
      rule for new clients). *)
-  Helpers.check_close ~eps:1e-9 "fresh client" (sqrt 2.) (Ed.Credit.modifier c ~judge:0 ~client:1);
-  Ed.Credit.record_transfer c ~from_:1 ~to_:0 98.;
+  Helpers.check_close ~eps:1e-9 "fresh client" (sqrt 2.) (Ed.Credit.modifier c ~judge:0 ~k:0);
+  Ed.Credit.record_transfer c ~from_:1 ~k:0 98.;
   (* U=98, D=0: by_volume = sqrt(100) = 10. *)
-  Helpers.check_close "generous client" 10. (Ed.Credit.modifier c ~judge:0 ~client:1);
-  Ed.Credit.record_transfer c ~from_:0 ~to_:1 980.;
+  Helpers.check_close "generous client" 10. (Ed.Credit.modifier c ~judge:0 ~k:0);
+  Ed.Credit.record_transfer c ~from_:0 ~k:0 980.;
   (* D=980: ratio rule 2*98/980 = 0.2 -> clamped to 1. *)
-  Helpers.check_close "drained credit" 1. (Ed.Credit.modifier c ~judge:0 ~client:1);
+  Helpers.check_close "drained credit" 1. (Ed.Credit.modifier c ~judge:0 ~k:0);
   Alcotest.check_raises "negative volume"
     (Invalid_argument "Credit.record_transfer: negative volume") (fun () ->
-      Ed.Credit.record_transfer c ~from_:0 ~to_:1 (-1.))
+      Ed.Credit.record_transfer c ~from_:0 ~k:0 (-1.));
+  Alcotest.check_raises "asymmetric rows"
+    (Invalid_argument "Credit.create: neighbour rows must be sorted, in range and symmetric")
+    (fun () -> ignore (Ed.Credit.create [| [| 1 |]; [||] |]))
 
 let test_credit_directionality () =
-  let c = Ed.Credit.create 3 in
-  Ed.Credit.record_transfer c ~from_:2 ~to_:1 50.;
-  Helpers.check_close "uploaded_to" 50. (Ed.Credit.uploaded_to c ~judge:1 ~client:2);
-  Helpers.check_close "not reversed" 0. (Ed.Credit.uploaded_to c ~judge:2 ~client:1);
-  Helpers.check_close "downloaded_from" 50. (Ed.Credit.downloaded_from c ~judge:2 ~client:1)
+  (* Triangle: 1 is peer 2's neighbour 1, and 2 is peer 1's neighbour 1. *)
+  let c = Ed.Credit.create [| [| 1; 2 |]; [| 0; 2 |]; [| 0; 1 |] |] in
+  Ed.Credit.record_transfer c ~from_:2 ~k:1 50.;
+  Helpers.check_close "uploaded_to" 50. (Ed.Credit.uploaded_to c ~judge:1 ~k:1);
+  Helpers.check_close "not reversed" 0. (Ed.Credit.uploaded_to c ~judge:2 ~k:1);
+  Helpers.check_close "downloaded_from" 50. (Ed.Credit.downloaded_from c ~judge:2 ~k:1)
 
 (* ------------------------------------------------------------------ *)
 (* eDonkey queue simulator                                             *)
@@ -102,6 +107,43 @@ let edonkey_sim ?(n = 100) ?(ticks = 600) () =
   Ed.Queue_sim.reset_counters sim;
   Ed.Queue_sim.run sim ~ticks:(ticks / 2);
   sim
+
+(* Pinned outputs with and without tick faults: the credit ledger and
+   the top-slot selection must reproduce every float bit for bit. *)
+let check_queue_pinned what faults ~mean_wait ~strat ~downloaded ~drops =
+  let rng = Rng.create 7 in
+  let n = 100 in
+  let uploads = Profile.rank_bandwidths Saroiu.profile ~n in
+  let sim = Ed.Queue_sim.create rng { (Ed.Queue_sim.default_params ~uploads) with faults } in
+  Ed.Queue_sim.run sim ~ticks:150;
+  Ed.Queue_sim.reset_counters sim;
+  Ed.Queue_sim.run sim ~ticks:150;
+  let total = ref 0. in
+  for i = 0 to n - 1 do
+    total := !total +. Ed.Queue_sim.downloaded sim i
+  done;
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int64) (what ^ ": mean wait") (bits mean_wait) (bits (Ed.Queue_sim.mean_wait sim));
+  Alcotest.(check int64) (what ^ ": stratification") (bits strat)
+    (bits (Ed.Queue_sim.stratification_correlation sim));
+  Alcotest.(check int64) (what ^ ": downloaded") (bits downloaded) (bits !total);
+  Alcotest.(check int) (what ^ ": link drops") drops (Ed.Queue_sim.link_drops sim)
+
+let test_queue_pinned () =
+  check_queue_pinned "fault-free" None ~mean_wait:0x1.7fbd54a38c5edp+1
+    ~strat:(-0x1.39282885c9fd3p-3) ~downloaded:0x1.3a1209f437ec9p+25 ~drops:0;
+  let groups = Array.init 100 (fun p -> if p < 30 then 0 else 1) in
+  let faults =
+    Stratify_net.Net.Tick.create ~seed:9 ~loss:0.2
+      ~schedule:
+        [
+          { Stratify_net.Net.Tick.at_tick = 40; groups = Some groups };
+          { at_tick = 90; groups = None };
+        ]
+      ()
+  in
+  check_queue_pinned "tick faults" (Some faults) ~mean_wait:0x1.85aa0f1ad2f23p+1
+    ~strat:(-0x1.2d43f4ca83832p-3) ~downloaded:0x1.fcf6908b2a00ep+24 ~drops:32488
 
 let test_queue_conservation () =
   let sim = edonkey_sim () in
@@ -254,6 +296,7 @@ let suite =
       test_queue_weaker_stratification_than_tft;
     Alcotest.test_case "queue determinism" `Slow test_queue_determinism;
     Alcotest.test_case "queue validation" `Quick test_queue_validation;
+    Alcotest.test_case "queue outputs pinned" `Quick test_queue_pinned;
     Alcotest.test_case "peer recycling" `Quick test_piece_recycling;
     Alcotest.test_case "steady churn lifecycle" `Slow test_steady_churn_runs;
   ]

@@ -5,6 +5,7 @@ module Rng = Stratify_prng.Rng
 module Gen = Stratify_graph.Gen
 module Pqueue = Stratify_des.Pqueue
 module Engine = Stratify_des.Engine
+module Net = Stratify_net.Net
 module Series = Stratify_stats.Series
 open Stratify_core
 
@@ -207,6 +208,79 @@ let test_async_guards () =
     (fun () ->
       ignore (Async_dynamics.create inst rng { Async_dynamics.latency = 0.1; initiative_rate = 1.; loss = 1. }))
 
+(* Outputs pinned under three network setups.  They hold only while the
+   protocol makes every RNG draw and schedules every (time, seq) event
+   exactly as before, so any change to the message encoding or the
+   network pipeline that shifts one shows up here. *)
+let pinned_world seed =
+  let rng = Rng.create seed in
+  let n = 120 in
+  let graph = Gen.gnd rng ~n ~d:10. in
+  let b = Array.init n (fun _ -> 1 + Rng.int rng 3) in
+  let inst = Instance.create ~graph ~b () in
+  (rng, n, inst, Greedy.stable_config inst)
+
+let config_checksum c =
+  let h = ref 0x811c9dc5 in
+  Config.iter_pairs
+    (fun p q -> h := ((!h * 16777619) lxor ((p lsl 20) lxor q)) land ((1 lsl 50) - 1))
+    c;
+  !h
+
+let check_pinned what a ~stable ~sent ~lost ~incons ~disorder_bits ~checksum =
+  Async_dynamics.run a ~horizon:40.;
+  check_drains (what ^ ": drains") a;
+  let config = Async_dynamics.mutual_config a in
+  Alcotest.(check int) (what ^ ": messages sent") sent (Async_dynamics.messages_sent a);
+  Alcotest.(check int) (what ^ ": messages lost") lost (Async_dynamics.messages_lost a);
+  Alcotest.(check int) (what ^ ": inconsistency") incons (Async_dynamics.inconsistency_count a);
+  Alcotest.(check int64) (what ^ ": disorder bits") disorder_bits
+    (Int64.bits_of_float (Disorder.disorder config ~stable));
+  Alcotest.(check int) (what ^ ": mutual config checksum") checksum (config_checksum config)
+
+let test_async_pinned_ideal () =
+  let rng, _, inst, stable = pinned_world 21 in
+  let a =
+    Async_dynamics.create inst rng { Async_dynamics.latency = 0.1; initiative_rate = 1.; loss = 0. }
+  in
+  check_pinned "constant latency" a ~stable ~sent:12056 ~lost:0 ~incons:0
+    ~disorder_bits:4584371115665182616L ~checksum:812289203269769
+
+let test_async_pinned_iid_loss () =
+  let rng, _, inst, stable = pinned_world 22 in
+  let a =
+    Async_dynamics.create inst rng
+      { Async_dynamics.latency = 0.1; initiative_rate = 1.; loss = 0.15 }
+  in
+  check_pinned "15% i.i.d. loss" a ~stable ~sent:11667 ~lost:1740 ~incons:2
+    ~disorder_bits:4594652148924976017L ~checksum:634503561331536
+
+let test_async_pinned_faulty_net () =
+  let rng, n, inst, stable = pinned_world 23 in
+  let net =
+    Net.create rng
+      {
+        Net.latency = Net.Jitter { base = 0.05; spread = 0.2 };
+        loss = Net.Burst { p_gb = 0.05; p_bg = 0.3; loss_good = 0.01; loss_bad = 0.5 };
+        duplicate = 0.05;
+        reorder = 0.1;
+        reorder_spread = 0.3;
+      }
+  in
+  let groups = Array.init n (fun p -> p mod 2) in
+  Net.set_partition_schedule net
+    [ { Net.at = 5.; groups = Some groups }; { Net.at = 12.; groups = None } ];
+  let a =
+    Async_dynamics.create ~net inst rng
+      { Async_dynamics.latency = 0.; initiative_rate = 1.; loss = 0. }
+  in
+  check_pinned "burst loss, jitter, duplication, reordering, partition" a ~stable ~sent:11442
+    ~lost:1291 ~incons:3 ~disorder_bits:4586449080047648908L ~checksum:117011343766971;
+  Alcotest.(check (list int))
+    "delivered, lost, partitioned, duplicated, reordered"
+    [ 10644; 750; 541; 493; 1075 ]
+    [ Net.delivered net; Net.lost net; Net.partitioned net; Net.duplicated net; Net.reordered net ]
+
 let suite =
   [
     Alcotest.test_case "pqueue ordering" `Quick test_pqueue_ordering;
@@ -226,4 +300,7 @@ let suite =
     Alcotest.test_case "async: survives message loss" `Slow test_async_message_loss;
     Alcotest.test_case "async: deterministic per seed" `Slow test_async_determinism;
     Alcotest.test_case "async: guards" `Quick test_async_guards;
+    Alcotest.test_case "async: pinned outputs, constant latency" `Quick test_async_pinned_ideal;
+    Alcotest.test_case "async: pinned outputs, i.i.d. loss" `Quick test_async_pinned_iid_loss;
+    Alcotest.test_case "async: pinned outputs, faulty net" `Quick test_async_pinned_faulty_net;
   ]

@@ -243,6 +243,34 @@ let test_capture_snapshots_probes () =
         (List.exists (fun p -> p.Obs.Run_manifest.phase = "phase-a") m.Obs.Run_manifest.phases);
       Alcotest.(check int) "schema version" Obs.Run_manifest.schema_version m.Obs.Run_manifest.schema_version)
 
+(* A profiled interval counts exactly the minor words allocated inside
+   it, whatever the minor heap held before and whether or not a
+   collection falls inside. *)
+let test_profile_counts_minor_words () =
+  Obs.Profile.reset ();
+  Obs.Profile.set_enabled true;
+  let sink = ref [||] in
+  let window blocks =
+    let snap = Obs.Profile.start () in
+    for _ = 1 to blocks do
+      sink := Sys.opaque_identity (Array.make 9 0)
+    done;
+    Obs.Profile.stop "test.window" snap
+  in
+  (* 10 words a block (header + 9 fields); the second window spans
+     several minor collections. *)
+  window 100;
+  window 200_000;
+  Obs.Profile.set_enabled false;
+  let row = List.find (fun r -> r.Obs.Profile.kernel = "test.window") (Obs.Profile.snapshot ()) in
+  Obs.Profile.reset ();
+  Alcotest.(check int) "two windows" 2 row.Obs.Profile.count;
+  let expected = 10. *. 200_100. in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words %.0f within 16 of %.0f" row.Obs.Profile.minor_words expected)
+    true
+    (Float.abs (row.Obs.Profile.minor_words -. expected) <= 16.)
+
 let suite =
   [
     Alcotest.test_case "counters are monotone" `Quick test_counter_monotone;
@@ -257,4 +285,5 @@ let suite =
     Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
     Alcotest.test_case "manifest round-trip" `Quick test_manifest_roundtrip;
     Alcotest.test_case "capture snapshots live probes" `Quick test_capture_snapshots_probes;
+    Alcotest.test_case "profile counts minor words exactly" `Quick test_profile_counts_minor_words;
   ]

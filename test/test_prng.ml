@@ -276,6 +276,77 @@ let test_xoshiro_jump_disjoint () =
   done;
   Alcotest.(check int) "no collisions" 0 !collisions
 
+(* Pinned vectors: the published xoshiro256++ outputs for state
+   (1, 2, 3, 4), the state after one [jump] from it, and the first four
+   draws of [Rng.create 42] through each front-end conversion.  Any
+   change to the state layout or the draw paths must reproduce them. *)
+let test_xoshiro_reference () =
+  let g = Xoshiro256.of_state [| 1L; 2L; 3L; 4L |] in
+  List.iter
+    (fun e -> Alcotest.(check int64) "xoshiro256++ output" e (Xoshiro256.next g))
+    [ 41943041L; 58720359L; 3588806011781223L; 3591011842654386L ];
+  let g = Xoshiro256.of_state [| 1L; 2L; 3L; 4L |] in
+  Xoshiro256.jump g;
+  Alcotest.(check (array int64))
+    "state after one jump"
+    [| -8324317625228856367L; 8079205330032121950L; 7289065458748526725L; -8969279818415701936L |]
+    (Xoshiro256.state g)
+
+let test_rng_pinned_stream () =
+  let r = Rng.create 42 in
+  let u = Rng.unit_float r in
+  let i = Rng.int r 1000 in
+  let b = Rng.bits30 r in
+  let w = Rng.int64 r in
+  Alcotest.(check int64) "unit_float bits" (Int64.bits_of_float 0x1.692f85e78bb15p-1)
+    (Int64.bits_of_float u);
+  Alcotest.(check int) "int 1000" 599 i;
+  Alcotest.(check int) "bits30" 404669198 b;
+  Alcotest.(check int64) "int64" 3904583925562820495L w
+
+let test_state_round_trip () =
+  let a = Rng.create 31 in
+  for _ = 1 to 17 do
+    ignore (Rng.int64 a)
+  done;
+  let words = Rng.state a in
+  let b = Rng.of_state words in
+  let c = Rng.create 1 in
+  Rng.set_state c words;
+  let d = Rng.copy a in
+  Alcotest.(check (array int64)) "state of a rebuilt source" words (Rng.state b);
+  (* Neither rebuild may alias the caller's array. *)
+  Array.fill words 0 4 7L;
+  for _ = 1 to 64 do
+    let x = Rng.int64 a in
+    Alcotest.(check int64) "of_state replays" x (Rng.int64 b);
+    Alcotest.(check int64) "set_state replays" x (Rng.int64 c);
+    Alcotest.(check int64) "copy replays" x (Rng.int64 d)
+  done;
+  Alcotest.check_raises "zero state"
+    (Invalid_argument "Xoshiro256: the all-zero state is invalid") (fun () ->
+      Rng.set_state c [| 0L; 0L; 0L; 0L |])
+
+(* The state is a byte buffer read and written in place, so a draw
+   allocates at most the boxed int64 a non-inlined [Xoshiro256.next]
+   returns (3 words; 0 once inlined in a release build) plus, for
+   [unit_float], its boxed float result (2 words). *)
+let test_draws_allocation_bound () =
+  let r = Rng.create 5 in
+  let draws = 100_000 in
+  let per_draw f =
+    let before = Gc.minor_words () in
+    for _ = 1 to draws do
+      f ()
+    done;
+    (Gc.minor_words () -. before) /. float_of_int draws
+  in
+  let sink = ref 0 and fsink = ref 0. in
+  let bits = per_draw (fun () -> sink := !sink lxor Rng.bits30 r) in
+  let unit = per_draw (fun () -> fsink := Rng.unit_float r) in
+  Alcotest.(check bool) (Printf.sprintf "bits30 %.2f words/draw <= 3" bits) true (bits <= 3.);
+  Alcotest.(check bool) (Printf.sprintf "unit_float %.2f words/draw <= 5" unit) true (unit <= 5.)
+
 let suite =
   [
     Alcotest.test_case "splitmix64 reference vectors" `Quick test_splitmix_reference;
@@ -304,4 +375,8 @@ let suite =
     Alcotest.test_case "alias method frequencies" `Slow test_alias_method;
     Alcotest.test_case "alias method invalid input" `Quick test_alias_invalid;
     Alcotest.test_case "xoshiro jump gives disjoint streams" `Quick test_xoshiro_jump_disjoint;
+    Alcotest.test_case "xoshiro256++ reference vector and jump" `Quick test_xoshiro_reference;
+    Alcotest.test_case "pinned stream from seed 42" `Quick test_rng_pinned_stream;
+    Alcotest.test_case "state round trip mid-stream" `Quick test_state_round_trip;
+    Alcotest.test_case "draws stay within the allocation bound" `Quick test_draws_allocation_bound;
   ]
