@@ -63,7 +63,7 @@ let validate_context ctx =
       invalid_arg (Printf.sprintf "Experiments: band-overlap must be >= 0 (got %d)" o)
   | _ -> ()
 
-let scaled ctx full = max 1 (int_of_float (Float.round (float_of_int full *. ctx.scale)))
+let scaled ctx full = Int.max 1 (int_of_float (Float.round (float_of_int full *. ctx.scale)))
 
 let maybe_csv ctx name series =
   match ctx.csv_dir with
@@ -73,16 +73,26 @@ let maybe_csv ctx name series =
 let maybe_csv_table ctx name t =
   match ctx.csv_dir with Some dir -> Output.write_csv ~dir ~name t | None -> ()
 
-(* Order-sensitive 50-bit FNV hash of the collaboration set — the same
-   machine-independent checksum as the bench manifests.  fig1 records
-   one per trajectory so CI can assert the reached fixed point is
-   scheduler-invariant (Theorem 1's uniqueness, checked end to end). *)
+(* One step of the order-sensitive 50-bit FNV hash behind every
+   checksum counter: machine-independent, and small enough to survive a
+   JSON manifest exactly. *)
+let fnv_seed = 0x811c9dc5
+let fnv h word = ((h * 16777619) lxor word) land ((1 lsl 50) - 1)
+
+(* The collaboration set, hashed as the bench manifests do.  fig1
+   records one per trajectory so CI can assert the reached fixed point
+   is scheduler-invariant (Theorem 1's uniqueness, checked end to end). *)
 let config_checksum c =
-  let h = ref 0x811c9dc5 in
-  Config.iter_pairs
-    (fun p q -> h := ((!h * 16777619) lxor ((p lsl 20) lxor q)) land ((1 lsl 50) - 1))
-    c;
+  let h = ref fnv_seed in
+  Config.iter_pairs (fun p q -> h := fnv !h ((p lsl 20) lxor q)) c;
   !h
+
+(* A float's IEEE bits, as two 32-bit words, so the hash sees every bit. *)
+let fnv_float h v =
+  let bits = Int64.bits_of_float v in
+  fnv
+    (fnv h (Int64.to_int (Int64.logand bits 0xFFFF_FFFFL)))
+    (Int64.to_int (Int64.shift_right_logical bits 32))
 
 (* ------------------------------------------------------------------ *)
 
@@ -176,6 +186,13 @@ let fig3 ctx =
         traj)
       rates
   in
+  (* Every plotted point's bits, in plot order: CI pins the trajectories
+     themselves, not just the steps that produced them. *)
+  Stratify_obs.Counter.add
+    (Stratify_obs.Counter.make "checksum.fig3_series")
+    (List.fold_left
+       (fun h s -> Array.fold_left (fun h (x, y) -> fnv_float (fnv_float h x) y) h s.Series.points)
+       fnv_seed series);
   Output.plot ~x_label:"initiatives per peer" ~y_label:"disorder" series;
   Output.note "paper: plateau roughly proportional to the churn rate";
   maybe_csv ctx "fig3" series
@@ -189,17 +206,13 @@ let print_components adj =
       (String.concat ", " (List.map (fun v -> string_of_int (v + 1)) members))
   done
 
-(* Same 50-bit FNV discipline as [config_checksum], over an adjacency's
-   (p, q) pairs with p < q — fig4 records one so CI can assert the
-   collaboration graph is band-count-invariant. *)
+(* The same hash over an adjacency's (p, q) pairs with p < q — fig4
+   records one so CI can assert the collaboration graph is
+   band-count-invariant. *)
 let adjacency_checksum adj =
-  let h = ref 0x811c9dc5 in
+  let h = ref fnv_seed in
   Array.iteri
-    (fun p row ->
-      Array.iter
-        (fun q ->
-          if p < q then h := ((!h * 16777619) lxor ((p lsl 20) lxor q)) land ((1 lsl 50) - 1))
-        row)
+    (fun p row -> Array.iter (fun q -> if p < q then h := fnv !h ((p lsl 20) lxor q)) row)
     adj;
   !h
 
@@ -261,7 +274,7 @@ let table1 ctx =
     let n_const =
       match ctx.n_override with
       | None -> 2520
-      | Some n -> max (b0 + 1) (n - (n mod (b0 + 1)))
+      | Some n -> Int.max (b0 + 1) (n - (n mod (b0 + 1)))
     in
     let adj =
       Cluster.collaboration_graph ~jobs:ctx.jobs ~bands:ctx.bands ?overlap:ctx.band_overlap
@@ -275,7 +288,7 @@ let table1 ctx =
     let n_normal =
       match ctx.n_override with
       | Some n -> n
-      | None -> scaled ctx (max 10_000 (int_of_float (25. *. paper_normal_size.(idx))))
+      | None -> scaled ctx (Int.max 10_000 (int_of_float (25. *. paper_normal_size.(idx))))
     in
     let replicates = if b0 <= 5 then 7 else if b0 = 6 then 3 else 2 in
     let runs =
@@ -413,7 +426,7 @@ let fig8 ctx =
   let n = scaled ctx 5000 in
   let p = 0.005 /. ctx.scale in
   let p = Float.min p 0.9 in
-  let pick frac = min (n - 1) (int_of_float (frac *. float_of_int n)) in
+  let pick frac = Int.min (n - 1) (int_of_float (frac *. float_of_int n)) in
   let peers = [| pick 0.04; pick 0.5; pick 0.96 |] in
   let rows = One_matching.mate_distributions ~n ~p ~peers in
   let series =
@@ -446,7 +459,7 @@ let smooth_series ~window s =
   let n = Array.length pts in
   let out =
     Array.init n (fun i ->
-        let lo = max 0 (i - window) and hi = min (n - 1) (i + window) in
+        let lo = Int.max 0 (i - window) and hi = Int.min (n - 1) (i + window) in
         let acc = ref 0. in
         for k = lo to hi do
           acc := !acc +. snd pts.(k)
@@ -460,8 +473,8 @@ let fig9 ctx =
   let n = scaled ctx 5000 in
   let p = Float.min 0.9 (0.01 /. ctx.scale) in
   let b0 = 2 in
-  let peer = min (n - 1) (int_of_float (0.6 *. float_of_int n)) in
-  let runs = max 50 (scaled ctx 400) in
+  let peer = Int.min (n - 1) (int_of_float (0.6 *. float_of_int n)) in
+  let runs = Int.max 50 (scaled ctx 400) in
   let rng = Rng.create ctx.seed in
   (* The paper's "several weeks" of realizations: one replica = one
      G(n,p) stable 2-matching.  Each replica runs on its own substream
@@ -478,6 +491,9 @@ let fig9 ctx =
   Array.iter
     (List.iteri (fun c j -> counts.(c).(j) <- counts.(c).(j) + 1))
     mates_per_run;
+  Stratify_obs.Counter.add
+    (Stratify_obs.Counter.make "checksum.fig9_counts")
+    (Array.fold_left (Array.fold_left fnv) fnv_seed counts);
   let estimated = B_matching.choice_distributions ~n ~p ~b0 ~peer in
   let offset_series label weights =
     Series.make label
@@ -491,7 +507,7 @@ let fig9 ctx =
   let est_series c =
     offset_series (Printf.sprintf "choice %d estimated" (c + 1)) (Discrete.to_array estimated.(c))
   in
-  let window = max 1 (n / 200) in
+  let window = Int.max 1 (n / 200) in
   let series =
     List.concat_map
       (fun c -> [ smooth_series ~window (sim_series c); smooth_series ~window (est_series c) ])
@@ -586,7 +602,7 @@ let slots_ablation ctx =
   List.iter
     (fun b0 ->
       let a =
-        Nash.symmetric_profile_analysis ~n:(min n 400) ~d:20. ~profile:Saroiu.profile
+        Nash.symmetric_profile_analysis ~n:(Int.min n 400) ~d:20. ~profile:Saroiu.profile
           ~population_b0:b0 ~candidates:[| 1; 2; 3; 4; 5 |] ()
       in
       let defectors =
@@ -622,7 +638,7 @@ let swarm_validation ctx =
            (model.Share_ratio.upload_per_slot.(i), sim_ratios.(i))))
   in
   let model_series = { (Share_ratio.to_series model) with Series.label = "analytic model" } in
-  let window = max 1 (n / 40) in
+  let window = Int.max 1 (n / 40) in
   Output.plot ~logx:true ~x_label:"bandwidth per slot (kbps)" ~y_label:"D/U"
     [ smooth_series ~window sim_series; model_series ];
   let gap = Series.area_between (smooth_series ~window sim_series) model_series in
@@ -685,7 +701,7 @@ let scaling ctx =
              exercise; identical to greedy for every band count).  The
              grid spans several n, so clamp the band count to each. *)
           let stable =
-            Shard.stable_config ~bands:(min ctx.bands n) ?overlap:ctx.band_overlap inst
+            Shard.stable_config ~bands:(Int.min ctx.bands n) ?overlap:ctx.band_overlap inst
           in
           let sim = Sim.create ~scheduler:ctx.scheduler inst rng in
           match Sim.run_until_stable sim ~stable ~max_units:4000 with
@@ -781,7 +797,7 @@ let latency ctx =
           incr count)
         (config_mates p)
     done;
-    !total /. float_of_int (max 1 !count)
+    !total /. float_of_int (Int.max 1 !count)
   in
   let ranked_mates p = Config.mates ranked p in
   let sym_mates p = General_matching.State.mates sym p in
@@ -808,7 +824,7 @@ let latency ctx =
   let ranking_u = Utility.of_function (fun _ q -> score q) in
   let cycles alpha =
     let blended = Utility.blend ranking_u (Utility.symmetric_distance dist) ~alpha in
-    let small_n = min n 40 in
+    let small_n = Int.min n 40 in
     let small_acc =
       Array.init small_n (fun p ->
           Array.of_list
@@ -944,7 +960,7 @@ let streaming_experiment ctx =
   let b = Normal_b.rounded_normal rng ~n ~mean:8. ~sigma:0.5 in
   add "stratified (global ranking)" (Cluster.collaboration_graph ~b ());
   (* Latency-based: symmetric utility on random positions. *)
-  let small = min n 600 in
+  let small = Int.min n 600 in
   let positions = Stratify_graph.Spatial.random_positions rng ~n:small in
   let acceptance =
     Stratify_graph.Undirected.adjacency_arrays

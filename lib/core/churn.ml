@@ -151,20 +151,22 @@ let insert_peer rng w v ~p =
   restabilize w;
   config_note w v
 
-let random_member rng mask value =
-  let count = Array.fold_left (fun acc x -> if x = value then acc + 1 else acc) 0 mask in
-  if count = 0 then None
+(* Typed [bool] so each test is an integer compare, not [caml_equal]:
+   random-poll initiatives call this on every step. *)
+let random_member rng (mask : bool array) (value : bool) =
+  let count = ref 0 in
+  for i = 0 to Array.length mask - 1 do
+    if mask.(i) = value then incr count
+  done;
+  if !count = 0 then None
   else begin
-    let target = Rng.int rng count in
-    let idx = ref (-1) and seen = ref 0 in
-    Array.iteri
-      (fun i x ->
-        if x = value then begin
-          if !seen = target then idx := i;
-          incr seen
-        end)
-      mask;
-    Some !idx
+    (* stop at the match with [left] = 0 matches still to skip *)
+    let left = ref (Rng.int rng !count) and i = ref 0 in
+    while !left > 0 || mask.(!i) <> value do
+      if mask.(!i) = value then decr left;
+      incr i
+    done;
+    Some !i
   end
 
 let churn_event rng w ~p =
@@ -208,13 +210,13 @@ let run rng params =
   let { n; d; b; rate; units; samples_per_unit; strategy; scheduler } = params in
   let er_p = if n > 1 then d /. float_of_int (n - 1) else 0. in
   let w = make_world ~scheduler rng ~n ~d ~b in
-  let stride = max 1 (n / samples_per_unit) in
+  let stride = Int.max 1 (n / samples_per_unit) in
   let total_steps = units * n in
   let sample () = Disorder.distance_on ~present:w.present w.config w.stable in
   let points = ref [ (0., sample ()) ] in
   let steps = ref 0 in
   while !steps < total_steps do
-    let burst = min stride (total_steps - !steps) in
+    let burst = Int.min stride (total_steps - !steps) in
     for _ = 1 to burst do
       if Rng.bernoulli rng rate then churn_event rng w ~p:er_p;
       initiative_step rng w strategy
@@ -232,13 +234,13 @@ let removal_trajectory ?(scheduler = Scheduler.Random_poll) rng ~n ~d ~b ~remove
   w.config <- Config.copy w.stable;
   Scheduler.clear w.sched;
   remove_peer w remove;
-  let stride = max 1 (n / samples_per_unit) in
+  let stride = Int.max 1 (n / samples_per_unit) in
   let total_steps = units * n in
   let sample () = Disorder.distance_on ~present:w.present w.config w.stable in
   let points = ref [ (0., sample ()) ] in
   let steps = ref 0 in
   while !steps < total_steps do
-    let burst = min stride (total_steps - !steps) in
+    let burst = Int.min stride (total_steps - !steps) in
     for _ = 1 to burst do
       initiative_step rng w Initiative.Best_mate
     done;

@@ -112,6 +112,13 @@ val initiative_step : Stratify_prng.Rng.t -> world -> Initiative.strategy -> uni
 (** One initiative on the evolving configuration — by a uniformly random
     present peer ([Random_poll]) or the next dirty peer ([Worklist]). *)
 
+val random_member : Stratify_prng.Rng.t -> bool array -> bool -> int option
+(** [random_member rng mask value] draws an index [i] with
+    [mask.(i) = value] uniformly: one [Rng.int] over the number of such
+    indices, then the index of that rank in increasing order.  [None],
+    with no draw, when no index matches.  The churn loops pick present
+    peers ([true]) and absent ones ([false]) with it. *)
+
 val world_instance : world -> Instance.t
 val world_config : world -> Config.t
 val world_stable : world -> Config.t

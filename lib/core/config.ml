@@ -343,10 +343,7 @@ let signature t =
   done;
   Buffer.contents buf
 
-let to_adjacency t =
-  Array.init (Array.length t.deg) (fun p ->
-      let base = t.off.(p) in
-      Array.init t.deg.(p) (fun i -> t.data.(base + i)))
+let to_adjacency t = Array.init (Array.length t.deg) (fun p -> Array.sub t.data t.off.(p) t.deg.(p))
 
 (* Bulk adoption of a band-local configuration: local peer [lp] becomes
    global peer [shift + lp].  The caller (Shard.stable_config) guarantees

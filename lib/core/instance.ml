@@ -211,14 +211,23 @@ let build ~ranking ~raw_adj ~b =
     off.(r + 1) <- off.(r) + Array.length raw_adj.(Ranking.peer_at ranking r)
   done;
   let data = Array.make off.(n) 0 in
+  let identity = Ranking.is_identity ranking in
   for r = 0 to n - 1 do
     let row = raw_adj.(Ranking.peer_at ranking r) in
     let base = off.(r) in
     let len = Array.length row in
-    for i = 0 to len - 1 do
-      data.(base + i) <- Ranking.rank ranking row.(i)
+    if identity then Array.blit row 0 data base len
+    else
+      for i = 0 to len - 1 do
+        data.(base + i) <- Ranking.rank ranking row.(i)
+      done;
+    (* Generated rows usually arrive sorted: sort only when a scan finds
+       an inversion. *)
+    let sorted = ref true in
+    for i = base + 1 to base + len - 1 do
+      if data.(i - 1) > data.(i) then sorted := false
     done;
-    if len > 1 then begin
+    if not !sorted then begin
       let seg = Array.sub data base len in
       Array.sort Int.compare seg;
       Array.blit seg 0 data base len
@@ -241,14 +250,14 @@ let of_adjacency ?ranking ~adj ~b () =
   let n = Array.length adj in
   let ranking = match ranking with Some r -> r | None -> Ranking.identity n in
   check_b ~n b;
-  Array.iteri
-    (fun u row ->
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= n then invalid_arg "Instance.of_adjacency: vertex out of range";
-          if v = u then invalid_arg "Instance.of_adjacency: self-loop")
-        row)
-    adj;
+  for u = 0 to n - 1 do
+    let row = adj.(u) in
+    for i = 0 to Array.length row - 1 do
+      let v = row.(i) in
+      if v < 0 || v >= n then invalid_arg "Instance.of_adjacency: vertex out of range";
+      if v = u then invalid_arg "Instance.of_adjacency: self-loop"
+    done
+  done;
   build ~ranking ~raw_adj:adj ~b
 
 let complete ?ranking ~n ~b () =

@@ -3,11 +3,13 @@ let of_adjacency adj =
   if n = 0 then 0.
   else begin
     let total = ref 0 in
-    Array.iteri
-      (fun peer mates ->
-        let worst = Array.fold_left (fun acc q -> max acc (abs (q - peer))) 0 mates in
-        total := !total + worst)
-      adj;
+    for peer = 0 to n - 1 do
+      let mates = adj.(peer) and worst = ref 0 in
+      for i = 0 to Array.length mates - 1 do
+        worst := Int.max !worst (abs (mates.(i) - peer))
+      done;
+      total := !total + !worst
+    done;
     float_of_int !total /. float_of_int n
   end
 
@@ -17,7 +19,7 @@ let closed_form b0 =
     let k = b0 + 1 in
     let total = ref 0 in
     for i = 1 to k do
-      total := !total + max (i - 1) (k - i)
+      total := !total + Int.max (i - 1) (k - i)
     done;
     float_of_int !total /. float_of_int k
   end

@@ -141,7 +141,7 @@ let snap_ranges ~n ~bands cuts =
    their peer's own rank.  Pad by one full cluster (bmax + 1) so a
    remainder cluster cut by a band edge still fits in the extension. *)
 let default_overlap inst =
-  let bmax = Array.fold_left max 0 (Instance.raw_slots inst) in
+  let bmax = Array.fold_left Int.max 0 (Instance.raw_slots inst) in
   (((3 * bmax) + 3) / 4) + bmax + 1
 
 (* The sub-instance induced by ranks [lo, hi), relabelled to local

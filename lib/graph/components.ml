@@ -1,24 +1,24 @@
 type t = { component : int array; sizes : int array; count : int }
 
+(* Component ids in first-seen vertex order; roots are vertices, so an
+   [int array] indexed by root maps them. *)
 let of_union_find n uf =
   let component = Array.make n (-1) in
-  let remap = Hashtbl.create 16 in
+  let id_of_root = Array.make n (-1) in
   let next = ref 0 in
   for v = 0 to n - 1 do
     let root = Union_find.find uf v in
-    let id =
-      match Hashtbl.find_opt remap root with
-      | Some id -> id
-      | None ->
-          let id = !next in
-          incr next;
-          Hashtbl.add remap root id;
-          id
-    in
-    component.(v) <- id
+    if id_of_root.(root) < 0 then begin
+      id_of_root.(root) <- !next;
+      incr next
+    end;
+    component.(v) <- id_of_root.(root)
   done;
   let sizes = Array.make !next 0 in
-  Array.iter (fun id -> sizes.(id) <- sizes.(id) + 1) component;
+  for v = 0 to n - 1 do
+    let id = component.(v) in
+    sizes.(id) <- sizes.(id) + 1
+  done;
   { component; sizes; count = !next }
 
 let of_graph g =
@@ -30,10 +30,15 @@ let of_graph g =
 let of_adjacency adj =
   let n = Array.length adj in
   let uf = Union_find.create n in
-  Array.iteri (fun u ws -> Array.iter (fun v -> ignore (Union_find.union uf u v)) ws) adj;
+  for u = 0 to n - 1 do
+    let ws = adj.(u) in
+    for i = 0 to Array.length ws - 1 do
+      ignore (Union_find.union uf u ws.(i))
+    done
+  done;
   of_union_find n uf
 
-let largest_size t = Array.fold_left max 0 t.sizes
+let largest_size t = Array.fold_left Int.max 0 t.sizes
 
 let mean_size t =
   if t.count = 0 then 0.

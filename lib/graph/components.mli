@@ -1,7 +1,9 @@
 (** Connected components. *)
 
 type t = {
-  component : int array;  (** component id of each vertex, in [0, count). *)
+  component : int array;
+      (** component id of each vertex, in [0, count), numbered in order of
+          each component's smallest vertex *)
   sizes : int array;  (** size of each component, indexed by id. *)
   count : int;  (** number of components. *)
 }

@@ -34,6 +34,13 @@ let star n =
   done;
   g
 
+(* The number of candidates a geometric jump passes over before landing,
+   as a float: [floor (log (1 - r) / log (1 - p))].  Callers compare it
+   with the candidates left before converting, since for tiny [p] it can
+   exceed [max_int], where [int_of_float] is undefined (0 on amd64, which
+   would turn every candidate into an edge). *)
+let[@inline] draw_gap rng ~log_q = floor (log1p (-.Rng.unit_float rng) /. log_q)
+
 (* Iterate the edges of G(n,p) in O(n + m) expected time: walk the linearised
    upper-triangular edge index with geometric jumps (Batagelj & Brandes,
    2005). *)
@@ -50,18 +57,22 @@ let iter_gnp_edges rng ~n ~p f =
     else begin
       let log_q = log1p (-.p) in
       let u = ref 0 and v = ref 0 in
-      (* (u, v) with v > u; start just before the first candidate. *)
+      (* (u, v) with v > u; start just before the first candidate, with
+         [left] candidates after it.  A gap that reaches [left] ends the
+         walk. *)
+      let left = ref (n * (n - 1) / 2) in
       let continue = ref (n >= 2) in
       while !continue do
-        let r = Rng.unit_float rng in
-        let skip = 1 + int_of_float (floor (log1p (-.r) /. log_q)) in
-        let j = ref (!v + skip) in
-        while !j >= n && !continue do
-          incr u;
-          j := !u + 1 + (!j - n);
-          if !u >= n - 1 then continue := false
-        done;
-        if !continue then begin
+        let gap = draw_gap rng ~log_q in
+        if gap >= float_of_int !left then continue := false
+        else begin
+          let skip = 1 + int_of_float gap in
+          left := !left - skip;
+          let j = ref (!v + skip) in
+          while !j >= n do
+            incr u;
+            j := !u + 1 + (!j - n)
+          done;
           v := !j;
           f !u !v
         end
@@ -81,26 +92,40 @@ let gnd rng ~n ~d =
     gnp rng ~n ~p
 
 let gnp_adjacency rng ~n ~p =
-  (* Two passes over the generated edge list: count degrees, then fill. *)
-  let edges = ref [] in
-  let deg = Array.make n 0 in
+  (* The walk emits edges in increasing (u, v) lexicographic order, so the
+     stream is kept as its [v] endpoints alone, in a flat array sized for
+     the expected edge count (grown by doubling past it), with [fwd.(u)]
+     edges (u, v > u) and [back.(v)] edges (u < v, v) per vertex.  A
+     second pass fills the rows: [u]'s row gets [v] and [v]'s row gets
+     [u], both in increasing order, so no row needs a sort. *)
+  let expected = p *. float_of_int n *. float_of_int (n - 1) /. 2. in
+  let stream = ref (Array.make (16 + int_of_float (expected +. (4. *. sqrt expected))) 0) in
+  let m = ref 0 in
+  let fwd = Array.make n 0 and back = Array.make n 0 in
   iter_gnp_edges rng ~n ~p (fun u v ->
-      edges := (u, v) :: !edges;
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1);
-  let adj = Array.init n (fun v -> Array.make deg.(v) 0) in
+      if !m = Array.length !stream then begin
+        let grown = Array.make (2 * !m) 0 in
+        Array.blit !stream 0 grown 0 !m;
+        stream := grown
+      end;
+      !stream.(!m) <- v;
+      incr m;
+      fwd.(u) <- fwd.(u) + 1;
+      back.(v) <- back.(v) + 1);
+  let stream = !stream in
+  let adj = Array.init n (fun v -> Array.make (back.(v) + fwd.(v)) 0) in
   let fill = Array.make n 0 in
-  (* The skip generator emits edges in increasing (u,v) lexicographic order,
-     and [edges] reversed restores that order, so each adjacency row ends up
-     sorted without an extra sort for the [u] endpoints; [v] endpoints arrive
-     in increasing [u] order too, which is also sorted. *)
-  List.iter
-    (fun (u, v) ->
+  let k = ref 0 in
+  for u = 0 to n - 1 do
+    for _ = 1 to fwd.(u) do
+      let v = stream.(!k) in
+      incr k;
       adj.(u).(fill.(u)) <- v;
       fill.(u) <- fill.(u) + 1;
       adj.(v).(fill.(v)) <- u;
-      fill.(v) <- fill.(v) + 1)
-    (List.rev !edges);
+      fill.(v) <- fill.(v) + 1
+    done
+  done;
   adj
 
 (* Geometric skipping over candidate endpoints, same trick as gnp.  The
@@ -117,11 +142,12 @@ let iter_fresh_edges rng ~n ~v ~p ~present f =
     let w = ref (-1) in
     let continue = ref true in
     while !continue do
-      let r = Rng.unit_float rng in
-      let skip = 1 + int_of_float (floor (log1p (-.r) /. log_q)) in
-      w := !w + skip;
-      if !w >= n then continue := false
-      else if !w <> v && present !w then f !w
+      let gap = draw_gap rng ~log_q in
+      if gap >= float_of_int (n - 1 - !w) then continue := false
+      else begin
+        w := !w + 1 + int_of_float gap;
+        if !w <> v && present !w then f !w
+      end
     done
   end
 

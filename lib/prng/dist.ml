@@ -90,8 +90,8 @@ end
 let zipf rng ~n ~s = Zipf.draw (Zipf.create ~n ~s) rng
 
 let rounded_positive_normal rng ~mean ~sigma =
-  if sigma <= 0. then max 1 (int_of_float (Float.round mean))
-  else max 1 (int_of_float (Float.round (normal rng ~mu:mean ~sigma)))
+  if sigma <= 0. then Int.max 1 (int_of_float (Float.round mean))
+  else Int.max 1 (int_of_float (Float.round (normal rng ~mu:mean ~sigma)))
 
 let shuffle rng a =
   for i = Array.length a - 1 downto 1 do

@@ -160,27 +160,6 @@ let members_uploaded ss =
 (* Churn: the population evolves under the oracle, and swarm           *)
 (* membership follows — a departed peer silently leaves every swarm.   *)
 
-let random_member rng mask value =
-  let count = ref 0 in
-  Array.iter (fun v -> if v = value then incr count) mask;
-  if !count = 0 then None
-  else begin
-    let target = Rng.int rng !count in
-    let seen = ref 0 and res = ref (-1) in
-    (try
-       Array.iteri
-         (fun i v ->
-           if v = value then
-             if !seen = target then begin
-               res := i;
-               raise Exit
-             end
-             else incr seen)
-         mask
-     with Exit -> ());
-    Some !res
-  end
-
 let depart t v =
   Churn.remove_peer t.oracle v;
   t.present_count <- t.present_count - 1;
@@ -204,15 +183,15 @@ let churn_once t =
   let remove_first = Rng.bool t.churn_rng in
   let removal_ok = t.present_count > 2 in
   if remove_first && removal_ok then (
-    match random_member t.churn_rng mask true with
+    match Churn.random_member t.churn_rng mask true with
     | Some v -> depart t v
     | None -> ())
   else
-    match random_member t.churn_rng mask false with
+    match Churn.random_member t.churn_rng mask false with
     | Some v -> arrive t v
     | None -> (
         if removal_ok then
-          match random_member t.churn_rng mask true with
+          match Churn.random_member t.churn_rng mask true with
           | Some v -> depart t v
           | None -> ())
 

@@ -341,6 +341,46 @@ let test_churn_keeps_population () =
       Alcotest.(check bool) "bounded" true (y >= 0. && y < 1.5))
     traj.Series.points
 
+(* Reference pick, generic over the mask's element type: fold to count,
+   one draw, then a full scan for the chosen match. *)
+let reference_member rng mask value =
+  let count = Array.fold_left (fun acc x -> if x = value then acc + 1 else acc) 0 mask in
+  if count = 0 then None
+  else begin
+    let target = Rng.int rng count in
+    let idx = ref (-1) and seen = ref 0 in
+    Array.iteri
+      (fun i x ->
+        if x = value then begin
+          if !seen = target then idx := i;
+          incr seen
+        end)
+      mask;
+    Some !idx
+  end
+
+let test_random_member_reference () =
+  let gen = Rng.create 11 in
+  for trial = 0 to 199 do
+    let n = Rng.int gen 40 in
+    let density = Rng.unit_float gen in
+    let mask = Array.init n (fun _ -> Rng.unit_float gen < density) in
+    List.iter
+      (fun value ->
+        let a = Rng.create trial and b = Rng.create trial in
+        for _ = 1 to 5 do
+          Alcotest.(check (option int))
+            "same pick" (reference_member a mask value) (Churn.random_member b mask value)
+        done;
+        Alcotest.(check int) "same number of draws" (Rng.bits30 a) (Rng.bits30 b))
+      [ true; false ]
+  done;
+  let rng = Rng.create 3 in
+  let before = Rng.copy rng in
+  Alcotest.(check (option int)) "all-false mask" None
+    (Churn.random_member rng (Array.make 10 false) true);
+  Alcotest.(check int) "no draw without a match" (Rng.bits30 before) (Rng.bits30 rng)
+
 let suite =
   [
     Alcotest.test_case "perform drops worst mates" `Quick test_perform_drops_worst;
@@ -367,4 +407,5 @@ let suite =
     Alcotest.test_case "disorder grows with churn rate (Fig 3)" `Slow
       test_churn_disorder_grows_with_rate;
     Alcotest.test_case "long churn run stays consistent" `Slow test_churn_keeps_population;
+    Alcotest.test_case "random_member = generic pick" `Quick test_random_member_reference;
   ]

@@ -73,8 +73,60 @@ let test_csv_export () =
   Alcotest.(check bool) "has header" true (String.length header > 0);
   Sys.remove path
 
+(* Run [f] with stdout sent to [path]. *)
+let with_stdout_to path f =
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
+    f
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Digest of a figure's report, minus its "wrote <path>" notes, plus its
+   CSV: everything the figure outputs, byte for byte. *)
+let output_digest name =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) ("stratify_digest_" ^ name) in
+  let out = dir ^ ".out" in
+  (match E.find name with
+  | Some run -> with_stdout_to out (fun () -> run { tiny with E.csv_dir = Some dir })
+  | None -> Alcotest.failf "%s missing" name);
+  let wrote l = String.length l >= 10 && String.sub l 0 10 = "  . wrote " in
+  let report =
+    String.split_on_char '\n' (read_file out)
+    |> List.filter (fun l -> not (wrote l))
+    |> String.concat "\n"
+  in
+  let csv_path = Filename.concat dir (name ^ ".csv") in
+  let csv = read_file csv_path in
+  Sys.remove out;
+  Sys.remove csv_path;
+  Digest.to_hex (Digest.string (report ^ "\000" ^ csv))
+
+(* fig3, fig9 and table1 outputs at seed 7, scale 0.05: a rewrite of
+   their drivers must leave every byte in place. *)
+let pinned_digests =
+  [
+    ("fig3", "df866fd2bc79926d68bdf2a87084a3f5");
+    ("fig9", "83aa68c62d62d982ce676ea45385c170");
+    ("table1", "80547dfe973542ae3404f5f3a6663363");
+  ]
+
+let digest_cases =
+  List.map
+    (fun (name, expected) ->
+      Alcotest.test_case (Printf.sprintf "experiment %s output pinned" name) `Slow (fun () ->
+          Alcotest.(check string) (name ^ " report + csv digest") expected (output_digest name)))
+    pinned_digests
+
 let suite =
   Alcotest.test_case "registry lookup" `Quick test_registry_lookup
   :: Alcotest.test_case "context validation" `Quick test_context_validation
   :: Alcotest.test_case "csv export" `Quick test_csv_export
-  :: experiment_cases
+  :: (experiment_cases @ digest_cases)

@@ -321,4 +321,87 @@ let spatial_suite =
     Alcotest.test_case "watts-strogatz guards" `Quick test_watts_strogatz_guards;
   ]
 
-let suite = suite @ spatial_suite
+(* Reference G(n,p) walk that converts every gap to an int: valid for
+   every p whose gaps fit one. *)
+let reference_gnp_edges rng ~n ~p =
+  let edges = ref [] in
+  let log_q = log1p (-.p) in
+  let u = ref 0 and v = ref 0 in
+  let continue = ref (n >= 2) in
+  while !continue do
+    let r = Rng.unit_float rng in
+    let skip = 1 + int_of_float (floor (log1p (-.r) /. log_q)) in
+    let j = ref (!v + skip) in
+    while !j >= n && !continue do
+      incr u;
+      j := !u + 1 + (!j - n);
+      if !u >= n - 1 then continue := false
+    done;
+    if !continue then begin
+      v := !j;
+      edges := (!u, !v) :: !edges
+    end
+  done;
+  List.rev !edges
+
+let test_gnp_draws_unchanged () =
+  List.iter
+    (fun (seed, n, p) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      let expected = reference_gnp_edges a ~n ~p in
+      let got = ref [] in
+      let g = Gen.gnp b ~n ~p in
+      U.iter_edges (fun u v -> got := (Int.min u v, Int.max u v) :: !got) g;
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "edges n=%d p=%g" n p)
+        (List.sort compare expected) (List.sort compare !got);
+      Alcotest.(check int) "same number of draws" (Rng.bits30 a) (Rng.bits30 b))
+    [ (1, 0, 0.3); (2, 1, 0.3); (3, 2, 0.5); (4, 50, 0.05); (5, 200, 0.01); (6, 300, 1e-6);
+      (7, 40, 0.97) ]
+
+(* A gap too large for an int must end the walk, not convert (to 0 on
+   amd64) and turn every candidate into an edge. *)
+let test_gnp_tiny_p () =
+  let rng = Rng.create 1 in
+  let adj = Gen.gnp_adjacency rng ~n:200 ~p:1e-30 in
+  Alcotest.(check int) "gnp_adjacency: no edges" 0
+    (Array.fold_left (fun acc row -> acc + Array.length row) 0 adj);
+  Alcotest.(check int) "gnp: no edges" 0 (U.edge_count (Gen.gnp rng ~n:200 ~p:1e-30));
+  Alcotest.(check int) "fresh arrival: no edges" 0
+    (Gen.attach_fresh_vertex rng (U.create 200) ~v:3 ~p:1e-30 ~present:(fun _ -> true))
+
+(* Ids are handed out in order of each component's smallest vertex. *)
+let test_components_first_seen () =
+  let adj = [| [| 6 |]; [||]; [| 5 |]; [||]; [| 5 |]; [| 2; 4 |]; [| 0 |] |] in
+  let c = Components.of_adjacency adj in
+  Alcotest.(check (array int)) "ids" [| 0; 1; 2; 3; 2; 2; 0 |] c.Components.component;
+  Alcotest.(check (array int)) "sizes" [| 2; 1; 3; 1 |] c.Components.sizes;
+  let rng = Rng.create 9 in
+  for _ = 1 to 50 do
+    let n = 1 + Rng.int rng 60 in
+    let g = Gen.gnp rng ~n ~p:(1.5 /. float_of_int n) in
+    let c = Components.of_graph g in
+    let next = ref 0 in
+    Array.iteri
+      (fun v id ->
+        if id = !next then incr next
+        else Alcotest.(check bool) "id already seen" true (id < !next);
+        List.iter
+          (fun w ->
+            Alcotest.(check int) "neighbours share an id" id c.Components.component.(w))
+          (U.neighbors g v))
+      c.Components.component;
+    Alcotest.(check int) "count" !next c.Components.count;
+    Array.iteri
+      (fun id size ->
+        Alcotest.(check int) "size" (List.length (Components.members c id)) size)
+      c.Components.sizes
+  done
+
+let suite =
+  suite @ spatial_suite
+  @ [
+      Alcotest.test_case "G(n,p) draws match the reference walk" `Quick test_gnp_draws_unchanged;
+      Alcotest.test_case "G(n,p) with tiny p has no edges" `Quick test_gnp_tiny_p;
+      Alcotest.test_case "component ids in first-seen order" `Quick test_components_first_seen;
+    ]

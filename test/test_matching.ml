@@ -859,6 +859,31 @@ let prop_odd_parties_invariant =
           let reference = members first in
           List.for_all (fun perm -> members perm = reference) rest)
 
+(* Unsorted rows, under the identity and a shuffled ranking: every
+   acceptance list must be the relabelled row, sorted, and the input
+   rows must stay as they were. *)
+let test_of_adjacency_reference () =
+  let rng = Rng.create 17 in
+  for _ = 1 to 50 do
+    let n = 2 + Rng.int rng 30 in
+    let adj = U.adjacency_arrays (Gen.gnp rng ~n ~p:0.3) in
+    Array.iter (Dist.shuffle rng) adj;
+    let before = Array.map Array.copy adj in
+    let scores = Array.init n float_of_int in
+    Dist.shuffle rng scores;
+    List.iter
+      (fun ranking ->
+        let inst = Instance.of_adjacency ~ranking ~adj ~b:(Array.make n 1) () in
+        for r = 0 to n - 1 do
+          let expected = Array.map (Ranking.rank ranking) adj.(Ranking.peer_at ranking r) in
+          Array.sort compare expected;
+          Alcotest.(check (array int)) "sorted, relabelled row" expected
+            (Instance.acceptable inst r)
+        done)
+      [ Ranking.identity n; Ranking.of_scores scores ];
+    Alcotest.(check (array (array int))) "input untouched" before adj
+  done
+
 let suite =
   [
     Alcotest.test_case "ranking from scores" `Quick test_ranking_of_scores;
@@ -910,4 +935,6 @@ let suite =
     prop_stable_partition_always_exists;
     prop_odd_party_criterion;
     prop_odd_parties_invariant;
+    Alcotest.test_case "of_adjacency = sorted relabelled rows" `Quick
+      test_of_adjacency_reference;
   ]

@@ -451,6 +451,26 @@ let test_net_errors () =
   (* pre-validation: nothing may have been enqueued by the failed call *)
   Alcotest.(check int) "no partial schedule" 0 (Engine.pending (Net.engine net))
 
+(* An oracle degree so small that G(n,p)'s first gap overflows an int
+   must still give the empty acceptance graph, as d = 0 does. *)
+let test_tiny_oracle_degree () =
+  let stable_pairs d =
+    let script =
+      Request.of_json
+        (Jsonx.of_string
+           (Printf.sprintf
+              {|{"name": "tiny-d", "horizon": 1.0, "requests": [],
+                 "world": {"n": 300, "d": %s, "b": 2, "swarms": [{"sid": "s", "size": 2}]}}|}
+              d))
+    in
+    let stable = Stratify_core.Churn.world_stable (Serve.oracle (Serve.create script)) in
+    let count = ref 0 in
+    Stratify_core.Config.iter_pairs (fun _ _ -> incr count) stable;
+    !count
+  in
+  Alcotest.(check int) "d = 0" 0 (stable_pairs "0.0");
+  Alcotest.(check int) "d = 1e-30" 0 (stable_pairs "1e-30")
+
 let suite =
   [
     Helpers.qtest ~count:12 "serve: stop/resume == uninterrupted (all backends)"
@@ -474,4 +494,6 @@ let suite =
       test_engine_errors;
     Alcotest.test_case "net: partition scripting error paths" `Quick
       test_net_errors;
+    Alcotest.test_case "serve: tiny oracle degree builds no edges" `Quick
+      test_tiny_oracle_degree;
   ]

@@ -138,6 +138,60 @@ let test_phase_invalid () =
   Alcotest.check_raises "replicates" (Invalid_argument "Phase.measure: need replicates > 0")
     (fun () -> ignore (Phase.measure rng ~n:10 ~mean_b:2. ~sigma:0.1 ~replicates:0))
 
+(* Sizes of random collaboration graphs (normal budgets fuse clusters
+   of many sizes) against a comparison sort, largest first. *)
+let test_cluster_sizes_sorted () =
+  let rng = Rng.create 21 in
+  for _ = 1 to 30 do
+    let n = 1 + Rng.int rng 400 in
+    let adj =
+      Cluster.collaboration_graph ~b:(Normal_b.rounded_normal rng ~n ~mean:3. ~sigma:1.) ()
+    in
+    let a = Cluster.analyze adj in
+    let expected = Array.copy (Stratify_graph.Components.of_adjacency adj).sizes in
+    Array.sort (fun x y -> compare y x) expected;
+    Alcotest.(check (array int)) "descending sizes" expected a.Cluster.component_sizes;
+    Alcotest.(check int) "largest" expected.(0) a.Cluster.largest
+  done
+
+(* Reference block check, by list comparison. *)
+let reference_blocks ~n ~b0 adj =
+  Array.length adj = n
+  && List.for_all
+       (fun peer ->
+         Array.to_list adj.(peer)
+         = List.filter (fun q -> q <> peer) (Cluster.predicted_block ~n ~b0 ~peer))
+       (List.init n Fun.id)
+
+let test_block_structure_rejects () =
+  let blocks n = Cluster.collaboration_graph ~b:(Array.make n 2) () in
+  let with_row adj peer row =
+    let adj = Array.copy adj in
+    adj.(peer) <- row;
+    adj
+  in
+  let adj = blocks 9 in
+  let check what expected ~n adj =
+    Alcotest.(check bool) what expected (Cluster.matches_block_structure ~n ~b0:2 adj);
+    Alcotest.(check bool) (what ^ " (reference)") expected (reference_blocks ~n ~b0:2 adj)
+  in
+  check "the blocks" true ~n:9 adj;
+  check "row too long" false ~n:9 (with_row adj 4 [| 3; 5; 6 |]);
+  check "row too short" false ~n:9 (with_row adj 4 [| 3 |]);
+  check "wrong mate" false ~n:9 (with_row adj 4 [| 3; 6 |]);
+  check "mates out of order" false ~n:9 (with_row adj 4 [| 5; 3 |]);
+  check "wrong population" false ~n:10 adj;
+  (* A last block cut short where n leaves room for a full one. *)
+  let short = with_row (with_row (with_row adj 6 [| 7 |]) 7 [| 6 |]) 8 [||] in
+  check "short last block" false ~n:9 short;
+  (* The truncated remainder n = 8 predicts is accepted, a full one is not. *)
+  check "truncated remainder" true ~n:8 (blocks 8);
+  check "no remainder truncation" false ~n:8 (with_row (blocks 8) 7 [| 6; 8 |]);
+  Alcotest.(check bool) "b0 = 0: empty rows" true
+    (Cluster.matches_block_structure ~n:3 ~b0:0 [| [||]; [||]; [||] |]);
+  Alcotest.(check bool) "b0 = 0: any mate" false
+    (Cluster.matches_block_structure ~n:3 ~b0:0 [| [| 1 |]; [| 0 |]; [||] |])
+
 let suite =
   [
     Alcotest.test_case "MMO closed form (Table 1)" `Quick test_mmo_closed_form_table1;
@@ -156,4 +210,6 @@ let suite =
       test_phase_sigma_zero_matches_constant;
     Alcotest.test_case "phase transition (Fig 6)" `Slow test_phase_transition_explodes;
     Alcotest.test_case "phase validation" `Quick test_phase_invalid;
+    Alcotest.test_case "cluster sizes sorted largest first" `Quick test_cluster_sizes_sorted;
+    Alcotest.test_case "block check rejects near misses" `Quick test_block_structure_rejects;
   ]
