@@ -1439,7 +1439,10 @@ let bench_matrix () =
        (picked by event code), so the steady state touches only
        recycled slot arrays and backend pools: the measured window must
        allocate (essentially) nothing on the minor heap, extending the
-       DESIGN.md §13 zero-alloc discipline to the event layer.
+       DESIGN.md §13 zero-alloc discipline to the event layer.  A second
+       window re-arms the same population with one constant delay, so
+       every schedule takes the engine's in-order lane, under the same
+       gate.
    (b) swarm-md — the message-level BitTorrent swarm (Swarm.Des): every
        transfer fans out into packed piece messages through the full
        Net fault pipeline with burst-batched draws.  This is the
@@ -1544,6 +1547,41 @@ let bench_des () =
     let _, (ev, dt, _, _) = (b, List.assoc b cascade_runs) in
     float_of_int ev /. dt
   in
+
+  (* (a') the in-order lane: the cascade's population re-armed with one
+     constant delay, so after warm-up every schedule takes the engine's
+     lane (DESIGN.md §14) and never reaches the backend.  Its window
+     must stay off the minor heap like the cascade's. *)
+  let lane backend =
+    let eng = Eng.create ~backend () in
+    let fired = ref 0 in
+    Eng.set_packed_handler eng (fun eng code ->
+        incr fired;
+        Eng.schedule_packed eng ~delay:0.5 code);
+    for i = 0 to cascade_pending - 1 do
+      Eng.schedule_packed eng ~delay:(0.5 +. (float_of_int i *. 6.1e-5)) i
+    done;
+    Eng.run_until eng ~time:20.;
+    let f0 = !fired in
+    let m0 = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    Eng.run_until eng ~time:60.;
+    let dt = Unix.gettimeofday () -. t0 in
+    (!fired - f0, dt, Gc.minor_words () -. m0)
+  in
+  List.iter
+    (fun b ->
+      let ev, dt, minor = lane b in
+      Printf.printf "  lane    %-8s %9d events in %6.3f s  (%10.0f events/s, %.0f minor words)\n%!"
+        (name b) ev dt
+        (float_of_int ev /. dt)
+        minor;
+      if minor > 512. then
+        failwith
+          (Printf.sprintf "bench.des: %s lane allocated %.0f minor words over %d events \
+                           (expected ~0)"
+             (name b) minor ev))
+    backends;
 
   (* (b) swarm-md: message-level swarm through the full fault pipeline.
      chunk 0.0625 puts ~5.8M piece messages through 40 ticks with ~1.2M

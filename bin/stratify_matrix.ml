@@ -24,11 +24,15 @@
    --queue selects the DES event-queue backend for every cell run
    (heap | calendar | ladder).  Backends pop in the same total
    (time, seq) order, so cell manifests are byte-identical across
-   backends — the CI spot check re-runs one shard per backend and
-   diffs the manifest trees.
+   backends — CI re-runs every shard under each backend and diffs the
+   manifest trees.
 
    Exit status: 0 all selected cells passed and no baseline regression;
-   1 otherwise; 2 usage error. *)
+   1 otherwise; 2 usage error or bad input.  Bad input — a malformed
+   flag value, a summary or baseline that cannot be read or parsed, an
+   output that cannot be written — prints
+   "stratify_matrix: FLAG-OR-PATH: MESSAGE", never an uncaught
+   exception. *)
 
 module Engine = Stratify_des.Engine
 module Matrix = Stratify_net_plan.Matrix
@@ -36,6 +40,17 @@ module Plan = Stratify_net_plan.Plan
 module Report = Stratify_cli.Matrix_report
 module Manifest = Stratify_obs.Run_manifest
 module Exec = Stratify_exec.Exec
+module Arg_file = Stratify_cli.Arg_file
+
+let fail what msg = Arg_file.fail ~binary:"stratify_matrix" what msg
+let with_arg_file path f = Arg_file.with_arg_file ~binary:"stratify_matrix" path f
+
+let int_flag ?(positive = false) flag v =
+  match int_of_string_opt v with
+  | Some n when n >= 1 || not positive -> n
+  | _ ->
+      let what = if positive then "a positive integer" else "an integer" in
+      fail flag (Printf.sprintf "expected %s, got %S" what v)
 
 let usage () =
   prerr_endline
@@ -96,7 +111,7 @@ let parse_args () =
         o.list_only <- true;
         go rest
     | "--seed" :: v :: rest ->
-        o.seed <- int_of_string v;
+        o.seed <- int_flag "--seed" v;
         go rest
     | "--filter" :: v :: rest ->
         o.filter <- Some v;
@@ -105,7 +120,7 @@ let parse_args () =
         o.shard <- Some (parse_shard v);
         go rest
     | "--jobs" :: v :: rest ->
-        o.jobs <- int_of_string v;
+        o.jobs <- int_flag ~positive:true "--jobs" v;
         go rest
     | "--queue" :: v :: rest -> (
         match Engine.backend_of_string v with
@@ -149,32 +164,35 @@ let select o =
   let cells = match o.filter with None -> cells | Some sub -> Matrix.filter cells ~substring:sub in
   match o.shard with None -> cells | Some (k, m) -> Matrix.shard cells ~index:k ~of_:m
 
+(* The --baseline summary, read before any cell runs so a bad file fails
+   fast.  A missing file is not an error: every cell counts as new. *)
+let load_baseline o =
+  match o.baseline with
+  | None -> None
+  | Some path ->
+      if Sys.file_exists path then Some (with_arg_file path Report.read)
+      else begin
+        Printf.printf "baseline %s not found — treating every cell as new\n" path;
+        None
+      end
+
 (* Render/compare/write the side outputs shared by run and merge modes;
    returns the number of baseline regressions. *)
-let finish o summary =
-  (match o.summary with Some path -> Report.write path summary | None -> ());
-  (match o.write_baseline with
-  | Some path -> Report.write path (Report.baseline_of_summary summary)
+let finish o ~baseline summary =
+  (match o.summary with
+  | Some path -> with_arg_file path (fun path -> Report.write path summary)
   | None -> ());
-  let baseline =
-    match o.baseline with
-    | None -> None
-    | Some path ->
-        if Sys.file_exists path then Some (Report.read path)
-        else begin
-          Printf.printf "baseline %s not found — treating every cell as new\n" path;
-          None
-        end
-  in
+  (match o.write_baseline with
+  | Some path ->
+      with_arg_file path (fun path -> Report.write path (Report.baseline_of_summary summary))
+  | None -> ());
   (match o.report with
   | Some path ->
       let md = Report.render_markdown ?baseline summary in
       if path = "-" then print_string md
-      else begin
-        let oc = open_out_bin path in
-        output_string oc md;
-        close_out oc
-      end
+      else
+        with_arg_file path (fun path ->
+            Out_channel.with_open_bin path (fun oc -> output_string oc md))
   | None -> ());
   match baseline with
   | None -> 0
@@ -185,14 +203,16 @@ let finish o summary =
 
 let () =
   let o = parse_args () in
+  let baseline = if o.list_only then None else load_baseline o in
   if o.merge_mode then begin
     match o.positional with
     | out :: (_ :: _ as shards) ->
-        let merged = Report.merge (List.map Report.read shards) in
-        Report.write out merged;
+        let summaries = List.map (fun shard -> with_arg_file shard Report.read) shards in
+        let merged = try Report.merge summaries with Invalid_argument msg -> fail "--merge" msg in
+        with_arg_file out (fun out -> Report.write out merged);
         Printf.printf "merged %d shard(s): %d cells -> %s\n" (List.length shards)
           (List.length merged.Report.cells) out;
-        let regressions = finish o merged in
+        let regressions = finish o ~baseline merged in
         let failed =
           List.length (List.filter (fun c -> not c.Report.passed) merged.Report.cells)
         in
@@ -229,7 +249,7 @@ let () =
         Array.to_list
           (Array.map
              (fun (cell, result, wall_ms) ->
-               ignore (Manifest.write ~dir:o.out result.Plan.manifest);
+               ignore (with_arg_file o.out (fun dir -> Manifest.write ~dir result.Plan.manifest));
                Report.cell_of_run ~cell ~result ~wall_ms)
              results)
       in
@@ -250,6 +270,6 @@ let () =
         (List.length summary.Report.cells)
         (Unix.gettimeofday () -. t0)
         o.out;
-      let regressions = finish o summary in
+      let regressions = finish o ~baseline summary in
       if failed <> [] || regressions > 0 then exit 1
   end

@@ -11,11 +11,20 @@
    CI job pins with a double-run diff.  --queue selects the DES
    event-queue backend (heap | calendar | ladder); every backend pops in
    the same total (time, seq) order, so manifests are byte-identical
-   across backends — CI spot-checks exactly that. *)
+   across backends — CI spot-checks exactly that.
+
+   Bad input — an unknown or incomplete flag, a plan that cannot be
+   read, parsed or validated, an unwritable --out — prints
+   "stratify_plan: FLAG-OR-PATH: MESSAGE" and exits 2, never an
+   uncaught exception. *)
 
 module Engine = Stratify_des.Engine
 module Plan = Stratify_net_plan.Plan
 module Manifest = Stratify_obs.Run_manifest
+module Arg_file = Stratify_cli.Arg_file
+
+let fail what msg = Arg_file.fail ~binary:"stratify_plan" what msg
+let with_arg_file path f = Arg_file.with_arg_file ~binary:"stratify_plan" path f
 
 let () =
   let out = ref "results/manifests/plans" in
@@ -25,21 +34,15 @@ let () =
     | "--out" :: dir :: rest ->
         out := dir;
         parse rest
-    | "--out" :: [] ->
-        prerr_endline "stratify_plan: --out needs a directory";
-        exit 2
     | "--queue" :: name :: rest -> (
         match Engine.backend_of_string name with
         | Some b ->
             Engine.set_default_backend b;
             parse rest
         | None ->
-            Printf.eprintf "stratify_plan: unknown queue backend %S (heap | calendar | ladder)\n"
-              name;
-            exit 2)
-    | "--queue" :: [] ->
-        prerr_endline "stratify_plan: --queue needs a backend (heap | calendar | ladder)";
-        exit 2
+            fail "--queue" (Printf.sprintf "unknown backend %S (heap | calendar | ladder)" name))
+    | [ ("--out" | "--queue") as flag ] -> fail flag "missing argument"
+    | flag :: _ when String.starts_with ~prefix:"--" flag -> fail flag "unknown flag"
     | p :: rest ->
         paths := p :: !paths;
         parse rest
@@ -53,8 +56,11 @@ let () =
   let failed = ref 0 in
   List.iter
     (fun path ->
-      let plan = Plan.load path in
-      let result = Plan.run plan in
+      let plan, result =
+        with_arg_file path (fun path ->
+            let plan = Plan.load path in
+            (plan, Plan.run plan))
+      in
       Printf.printf "%s (%s, seed %d): %s\n" plan.Plan.name path plan.Plan.seed
         (if result.Plan.passed then "PASS" else "FAIL");
       List.iter
@@ -63,7 +69,7 @@ let () =
             (if c.Plan.ok then "ok  " else "FAIL")
             c.Plan.label c.Plan.detail)
         result.Plan.checks;
-      let written = Manifest.write ~dir:!out result.Plan.manifest in
+      let written = with_arg_file !out (fun dir -> Manifest.write ~dir result.Plan.manifest) in
       Printf.printf "  manifest %s\n" written;
       if not result.Plan.passed then incr failed)
     paths;

@@ -37,7 +37,7 @@ module Engine = Stratify_des.Engine
 module Request = Stratify_serve.Request
 module Serve = Stratify_serve.Serve
 module Manifest = Stratify_obs.Run_manifest
-module Jsonx = Stratify_obs.Jsonx
+module Arg_file = Stratify_cli.Arg_file
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -60,33 +60,7 @@ let usage () =
   prerr_endline usage_line;
   exit 2
 
-(* Run [f] on a file the user named.  An unreadable, unwritable,
-   malformed or unrestorable file raises [File_error (path, message)],
-   the message without the path a Sys_error message already leads
-   with. *)
-exception File_error of string * string
-
-let with_file path f =
-  let fail msg =
-    let prefix = path ^ ": " in
-    let msg =
-      if String.starts_with ~prefix msg then
-        String.sub msg (String.length prefix) (String.length msg - String.length prefix)
-      else msg
-    in
-    raise (File_error (path, msg))
-  in
-  try f path with
-  | Sys_error msg | Jsonx.Parse_error msg | Invalid_argument msg | Failure msg -> fail msg
-  | Unix.Unix_error (err, _, arg) -> fail (arg ^ ": " ^ Unix.error_message err)
-
-(* Command-line files: a file error exits 2 with
-   "stratify_serve: PATH: MESSAGE". *)
-let with_arg_file path f =
-  try with_file path f
-  with File_error (path, msg) ->
-    Printf.eprintf "stratify_serve: %s: %s\n" path msg;
-    exit 2
+let with_arg_file path f = Arg_file.with_arg_file ~binary:"stratify_serve" path f
 
 let stdio_loop t =
   let finished = ref false in
@@ -115,9 +89,11 @@ let stdio_loop t =
                    | _ -> Printf.printf "ERR tick: bad count %S\n%!" k)
                | _ -> Printf.printf "ERR tick: usage: tick [K]\n%!")
            | [ "snapshot"; path ] -> (
-               match with_file path (fun path -> write_file path (Serve.snapshot_string t)) with
+               match
+                 Arg_file.with_file path (fun path -> write_file path (Serve.snapshot_string t))
+               with
                | () -> Printf.printf "OK snapshot %s\n%!" path
-               | exception File_error (path, msg) ->
+               | exception Arg_file.File_error (path, msg) ->
                    Printf.printf "ERR snapshot: %s: %s\n%!" path msg)
            | _ -> (
                try Printf.printf "%s\n%!" (Serve.handle t (Request.of_line line))

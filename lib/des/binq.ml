@@ -1,11 +1,17 @@
 (* Binary min-heap over (time, seq) keys carrying int slot values — the
    baseline event-queue backend of the engine (`--queue heap`).
 
-   Unlike {!Pqueue} this is a structure-of-arrays heap: keys live in a
-   float array and an int array, values are plain ints, so sifting is
-   pure scalar loads/stores/swaps and never allocates.  The key is read
-   from [times.(slot)] at [add] time (see the note in {!Binq} about why
-   the float is passed through an array rather than as an argument). *)
+   A structure-of-arrays heap: keys live in a float array and an int
+   array, values are plain ints, so sifting is pure scalar loads and
+   stores and never allocates.  The key is read from [times.(slot)] at
+   [add] time (see the note in {!Binq} about why the float is passed
+   through an array rather than as an argument).
+
+   Both sifts move a hole rather than swapping: the travelling entry's
+   key is held in locals, each level moves one entry into the hole with
+   three stores, and the entry is written once where the hole stops.
+   Every index the loops touch is below [len], hence within the arrays,
+   so the accesses are unchecked (as in [Config] and [Blocking]). *)
 
 type t = {
   mutable kt : float array;  (* key: event time *)
@@ -30,64 +36,80 @@ let grow t =
     t.kv <- kv
   end
 
-(* key at [i] orders strictly before key at [j] *)
-let[@inline] before t i j =
-  t.kt.(i) < t.kt.(j) || (t.kt.(i) = t.kt.(j) && t.ks.(i) < t.ks.(j))
-
-let[@inline] swap t i j =
-  let ft = t.kt.(i) in
-  t.kt.(i) <- t.kt.(j);
-  t.kt.(j) <- ft;
-  let s = t.ks.(i) in
-  t.ks.(i) <- t.ks.(j);
-  t.ks.(j) <- s;
-  let v = t.kv.(i) in
-  t.kv.(i) <- t.kv.(j);
-  t.kv.(j) <- v
-
 let add t times ~seq ~slot =
   grow t;
-  let i = t.len in
-  t.kt.(i) <- times.(slot);
-  t.ks.(i) <- seq;
-  t.kv.(i) <- slot;
+  let kt = t.kt and ks = t.ks and kv = t.kv in
+  let time = times.(slot) in
+  (* the hole starts at the new leaf [len] < capacity and only rises *)
+  let i = ref t.len in
   t.len <- t.len + 1;
-  let i = ref i in
-  while
-    !i > 0
-    &&
-    let parent = (!i - 1) / 2 in
-    before t !i parent
-  do
-    let parent = (!i - 1) / 2 in
-    swap t !i parent;
-    i := parent
-  done
+  let rising = ref true in
+  while !rising && !i > 0 do
+    let p = (!i - 1) lsr 1 in
+    let pt = Array.unsafe_get kt p in
+    if time < pt || (time = pt && seq < Array.unsafe_get ks p) then begin
+      Array.unsafe_set kt !i pt;
+      Array.unsafe_set ks !i (Array.unsafe_get ks p);
+      Array.unsafe_set kv !i (Array.unsafe_get kv p);
+      i := p
+    end
+    else rising := false
+  done;
+  Array.unsafe_set kt !i time;
+  Array.unsafe_set ks !i seq;
+  Array.unsafe_set kv !i slot
+
+(* Remove the root of a non-empty heap and return its slot: the last
+   entry fills the hole the root leaves, sifted down from the top. *)
+let remove_root t =
+  let kt = t.kt and ks = t.ks and kv = t.kv in
+  let root = Array.unsafe_get kv 0 in
+  let n = t.len - 1 in
+  t.len <- n;
+  if n > 0 then begin
+    let time = Array.unsafe_get kt n
+    and seq = Array.unsafe_get ks n
+    and slot = Array.unsafe_get kv n in
+    let i = ref 0 in
+    let sinking = ref true in
+    while !sinking do
+      let l = (2 * !i) + 1 in
+      if l >= n then sinking := false
+      else begin
+        (* [c]: the lesser child; both children are below [n] *)
+        let r = l + 1 in
+        let c =
+          if r < n then begin
+            let tl = Array.unsafe_get kt l and tr = Array.unsafe_get kt r in
+            if tr < tl || (tr = tl && Array.unsafe_get ks r < Array.unsafe_get ks l) then r
+            else l
+          end
+          else l
+        in
+        let ct = Array.unsafe_get kt c in
+        if ct < time || (ct = time && Array.unsafe_get ks c < seq) then begin
+          Array.unsafe_set kt !i ct;
+          Array.unsafe_set ks !i (Array.unsafe_get ks c);
+          Array.unsafe_set kv !i (Array.unsafe_get kv c);
+          i := c
+        end
+        else sinking := false
+      end
+    done;
+    Array.unsafe_set kt !i time;
+    Array.unsafe_set ks !i seq;
+    Array.unsafe_set kv !i slot
+  end;
+  root
 
 let pop_min t ~max_time =
-  if t.len = 0 || t.kt.(0) > max_time then -1
+  if t.len = 0 || t.kt.(0) > max_time then -1 else remove_root t
+
+let pop_before t times ~slot ~seq =
+  if t.len = 0 then -1
   else begin
-    let slot = t.kv.(0) in
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.kt.(0) <- t.kt.(t.len);
-      t.ks.(0) <- t.ks.(t.len);
-      t.kv.(0) <- t.kv.(t.len);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.len && before t l !smallest then smallest := l;
-        if r < t.len && before t r !smallest then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          swap t !i !smallest;
-          i := !smallest
-        end
-      done
-    end;
-    slot
+    let bt = times.(slot) and t0 = t.kt.(0) in
+    if t0 < bt || (t0 = bt && t.ks.(0) < seq) then remove_root t else -1
   end
 
 let clear t =

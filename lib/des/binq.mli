@@ -32,5 +32,13 @@ val pop_min : t -> max_time:float -> int
     (nothing is removed in that case).  Pass [infinity] for an
     unconditional pop. *)
 
+val pop_before : t -> float array -> slot:int -> seq:int -> int
+(** The bounded pop: remove and return the least-key slot if its key
+    orders strictly before [(times.(slot), seq)]; [-1] when the queue is
+    empty or its minimum does not (nothing is removed in that case).
+    The engine calls it with the head of its in-order lane as the
+    bound, so each pop searches the backend once.  The bound's time is
+    read from an array for the same boxing reason as in {!add}. *)
+
 val clear : t -> unit
 (** Empty the queue and release backing storage. *)

@@ -213,24 +213,32 @@ let find_min t =
   end;
   !best
 
+(* Unlink the minimum entry [e] found by [find_min] and return its slot. *)
+let remove_min t e =
+  let b = bucket_of t t.pt.(e) in
+  (* the minimum is necessarily its bucket's head *)
+  t.head.(b) <- t.pn.(e);
+  t.g.last <- t.pt.(e);
+  let slot = t.pv.(e) in
+  t.pn.(e) <- t.free;
+  t.free <- e;
+  t.size <- t.size - 1;
+  if t.size < (t.mask + 1) / 2 && t.mask + 1 > initial_buckets then rebuild t (bits t - 1);
+  slot
+
 let pop_min t ~max_time =
   if t.size = 0 then -1
   else begin
     let e = find_min t in
-    if t.pt.(e) > max_time then -1
-    else begin
-      let b = bucket_of t t.pt.(e) in
-      (* the minimum is necessarily its bucket's head *)
-      t.head.(b) <- t.pn.(e);
-      t.g.last <- t.pt.(e);
-      let slot = t.pv.(e) in
-      t.pn.(e) <- t.free;
-      t.free <- e;
-      t.size <- t.size - 1;
-      if t.size < (t.mask + 1) / 2 && t.mask + 1 > initial_buckets then
-        rebuild t (bits t - 1);
-      slot
-    end
+    if t.pt.(e) > max_time then -1 else remove_min t e
+  end
+
+let pop_before t times ~slot ~seq =
+  if t.size = 0 then -1
+  else begin
+    let e = find_min t in
+    let bt = times.(slot) and et = t.pt.(e) in
+    if et < bt || (et = bt && t.ps.(e) < seq) then remove_min t e else -1
   end
 
 let clear t =

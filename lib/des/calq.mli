@@ -35,5 +35,10 @@ val pop_min : t -> max_time:float -> int
     [-1] when empty or the minimum lies beyond [max_time] (nothing is
     removed or otherwise committed in that case). *)
 
+val pop_before : t -> float array -> slot:int -> seq:int -> int
+(** The bounded pop, as {!Binq.pop_before}: remove and return the
+    least-key slot only if its key orders strictly before
+    [(times.(slot), seq)]; [-1] otherwise. *)
+
 val clear : t -> unit
 (** Empty the queue and release backing storage. *)

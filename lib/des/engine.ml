@@ -17,10 +17,24 @@
    float field in the main mixed record would box on every store), and
    float comparisons stay on locally loaded values.
 
+   In front of the backend sits an in-order lane: a FIFO ring of slots
+   for relative schedules that share one constant delay.  With the clock
+   monotone and [seq] increasing, events scheduled at [now + L] arrive
+   already sorted by (time, seq), so they need no heap insert and no
+   sift.  A relative schedule joins the lane when its delay equals the
+   lane's delay and its time is not before the lane tail's; an empty
+   lane adopts a delay once two consecutive relative schedules share it
+   (a lone random delay, such as a re-armed clock's, never claims it).
+   Everything else — random delays, absolute schedules, restored queues
+   — goes to the backend.  [pop_due] takes the lesser of the lane head
+   and the backend minimum under (time, seq), through the backend's
+   bounded pop, so the pop order is exactly the backend-only order
+   (DESIGN.md §14).
+
    Closure events still allocate their closure (by nature) but release
    it eagerly: the slot's [sf] cell is reset to a shared null function
    the moment the event fires, so fired callbacks never linger in the
-   pool — the same leak class fixed in [Pqueue.pop]. *)
+   pool. *)
 
 type backend = Heap | Calendar | Ladder
 
@@ -42,8 +56,13 @@ let default_backend () = Atomic.get default
 
 type queue = Qh of Binq.t | Qc of Calq.t | Ql of Ladq.t
 
-(* All-float record: an unboxed mutable cell for the simulated clock. *)
-type clock = { mutable now_ : float }
+(* All-float record: unboxed mutable cells for the simulated clock and
+   the lane's claim state. *)
+type clock = {
+  mutable now_ : float;
+  mutable lane_delay : float;  (* the delay lane entries share; nan until claimed *)
+  mutable last_delay : float;  (* the previous relative schedule's delay *)
+}
 
 type t = {
   mutable queue : queue;
@@ -59,6 +78,11 @@ type t = {
   mutable free : int;
   mutable next_seq : int;
   mutable npending : int;
+  (* the in-order lane: a ring of (slot, seq), capacity a power of two *)
+  mutable lslot : int array;
+  mutable lseq : int array;
+  mutable lhead : int;
+  mutable llen : int;
   mutable packed : t -> int -> unit;
   (* profile row names, precomputed so instrumentation never builds strings *)
   drain_kernel : string;
@@ -87,7 +111,7 @@ let create ?backend () =
   let name = backend_name backend in
   {
     queue;
-    clock = { now_ = 0. };
+    clock = { now_ = 0.; lane_delay = nan; last_delay = nan };
     st = [||];
     sc = [||];
     sf = [||];
@@ -95,6 +119,10 @@ let create ?backend () =
     free = -1;
     next_seq = 0;
     npending = 0;
+    lslot = Array.make 16 0;
+    lseq = Array.make 16 0;
+    lhead = 0;
+    llen = 0;
     packed = no_packed_handler;
     drain_kernel = "des.drain." ^ name;
     run_kernel = "des.run_until." ^ name;
@@ -132,14 +160,61 @@ let[@inline] alloc_slot t =
   t.free <- t.sn.(s);
   s
 
-let[@inline] enqueue t s =
+let[@inline] next_seq t =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   t.npending <- t.npending + 1;
+  seq
+
+let[@inline] backend_add t s seq =
   match t.queue with
   | Qh q -> Binq.add q t.st ~seq ~slot:s
   | Qc q -> Calq.add q t.st ~seq ~slot:s
   | Ql q -> Ladq.add q t.st ~seq ~slot:s
+
+(* An absolute schedule: always the backend. *)
+let[@inline] enqueue t s = backend_add t s (next_seq t)
+
+let grow_lane t =
+  let cap = Array.length t.lslot in
+  let lslot = Array.make (2 * cap) 0 and lseq = Array.make (2 * cap) 0 in
+  for i = 0 to t.llen - 1 do
+    let j = (t.lhead + i) land (cap - 1) in
+    lslot.(i) <- t.lslot.(j);
+    lseq.(i) <- t.lseq.(j)
+  done;
+  t.lslot <- lslot;
+  t.lseq <- lseq;
+  t.lhead <- 0
+
+let lane_push t s seq =
+  if t.llen = Array.length t.lslot then grow_lane t;
+  let i = (t.lhead + t.llen) land (Array.length t.lslot - 1) in
+  t.lslot.(i) <- s;
+  t.lseq.(i) <- seq;
+  t.llen <- t.llen + 1
+
+(* A relative schedule of slot [s], its time already in [st]: the lane
+   if [delay] is the lane's (or, on an empty lane, repeats the previous
+   relative delay) and the time keeps the lane sorted, else the
+   backend.  [delay] is the caller's own argument, already boxed, so
+   passing it on allocates nothing. *)
+let enqueue_after t s delay =
+  let seq = next_seq t in
+  let c = t.clock in
+  let lane =
+    if t.llen > 0 then
+      delay = c.lane_delay
+      && t.st.(s) >= t.st.(t.lslot.((t.lhead + t.llen - 1) land (Array.length t.lslot - 1)))
+    else if delay = c.lane_delay then true
+    else if delay = c.last_delay then begin
+      c.lane_delay <- delay;
+      true
+    end
+    else false
+  in
+  c.last_delay <- delay;
+  if lane then lane_push t s seq else backend_add t s seq
 
 let schedule_at t ~time f =
   if time < t.clock.now_ then
@@ -159,7 +234,7 @@ let schedule t ~delay f =
   t.st.(s) <- t.clock.now_ +. delay;
   t.sc.(s) <- -1;
   t.sf.(s) <- f;
-  enqueue t s
+  enqueue_after t s delay
 
 let schedule_packed_at t ~time code =
   if code < 0 then invalid_arg "Engine.schedule_packed_at: negative event code";
@@ -179,13 +254,38 @@ let schedule_packed t ~delay code =
   let s = alloc_slot t in
   t.st.(s) <- t.clock.now_ +. delay;
   t.sc.(s) <- code;
-  enqueue t s
+  enqueue_after t s delay
 
-let[@inline] pop_due t max_time =
+let[@inline] backend_pop t max_time =
   match t.queue with
   | Qh q -> Binq.pop_min q ~max_time
   | Qc q -> Calq.pop_min q ~max_time
   | Ql q -> Ladq.pop_min q ~max_time
+
+(* The least pending slot with time [<= max_time], or -1.  When the lane
+   head is due, the backend gives up its minimum only if that orders
+   before the head — one search per pop — and otherwise the head goes. *)
+let[@inline] pop_due t max_time =
+  if t.llen = 0 then backend_pop t max_time
+  else begin
+    let h = t.lslot.(t.lhead) in
+    if t.st.(h) > max_time then backend_pop t max_time
+    else begin
+      let seq = t.lseq.(t.lhead) in
+      let s =
+        match t.queue with
+        | Qh q -> Binq.pop_before q t.st ~slot:h ~seq
+        | Qc q -> Calq.pop_before q t.st ~slot:h ~seq
+        | Ql q -> Ladq.pop_before q t.st ~slot:h ~seq
+      in
+      if s >= 0 then s
+      else begin
+        t.lhead <- (t.lhead + 1) land (Array.length t.lslot - 1);
+        t.llen <- t.llen - 1;
+        h
+      end
+    end
+  end
 
 (* Fire slot [s]: advance the clock, release the slot (the callback cell
    is nulled so the pool never pins a fired closure), then dispatch. *)
@@ -235,7 +335,8 @@ let run_until t ~time =
    relative order among the dumped events is preserved, and events
    scheduled later always get larger seqs in both the original and the
    restored engine.  The dump is therefore non-destructive, and its
-   output is backend-independent. *)
+   output is backend-independent.  The rebuilt queue is all backend:
+   draining empties the lane, and absolute schedules never join it. *)
 let dump_packed t =
   let n = t.npending in
   let times = Array.make n 0.

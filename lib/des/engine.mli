@@ -9,6 +9,11 @@
     a binary heap, a calendar queue, or a ladder queue.  All three pop
     in the identical total (time, seq) order, so the backend choice
     never changes simulation results — only events/sec (DESIGN.md §14).
+    In front of the backend, relative schedules that repeat one constant
+    delay (a constant-latency network's messages) wait in an in-order
+    FIFO lane instead of the queue; pops merge the lane with the backend
+    under the same (time, seq) order, so the lane changes no result
+    either.
 
     Two payload flavours share the queue: classic closure callbacks,
     and defunctionalized "packed" events — a non-negative int code

@@ -335,19 +335,28 @@ let rec ensure_bottom t =
   end
   else false
 
+(* Unlink Bottom's head [e], the minimum, and return its slot. *)
+let remove_min t e =
+  t.bottom <- t.pn.(e);
+  let slot = t.pv.(e) in
+  t.pn.(e) <- t.free;
+  t.free <- e;
+  t.size <- t.size - 1;
+  slot
+
 let pop_min t ~max_time =
   if not (ensure_bottom t) then -1
   else begin
     let e = t.bottom in
-    if t.pt.(e) > max_time then -1
-    else begin
-      t.bottom <- t.pn.(e);
-      let slot = t.pv.(e) in
-      t.pn.(e) <- t.free;
-      t.free <- e;
-      t.size <- t.size - 1;
-      slot
-    end
+    if t.pt.(e) > max_time then -1 else remove_min t e
+  end
+
+let pop_before t times ~slot ~seq =
+  if not (ensure_bottom t) then -1
+  else begin
+    let e = t.bottom in
+    let bt = times.(slot) and et = t.pt.(e) in
+    if et < bt || (et = bt && t.ps.(e) < seq) then remove_min t e else -1
   end
 
 let clear t =

@@ -34,6 +34,84 @@ let stationary_loss = function
 
 type partition_event = { at : float; groups : int array option }
 
+module Packed = struct
+  let kind_bits = 6
+  let id_bits = 28
+  let max_kind = (1 lsl kind_bits) - 1
+  let max_id = (1 lsl id_bits) - 1
+
+  (* kind in the low bits so handler dispatch is one [land] *)
+  let[@inline] pack ~kind ~src ~dst =
+    (((dst lsl id_bits) lor src) lsl kind_bits) lor kind
+
+  let pack_checked ~kind ~src ~dst =
+    if kind < 0 || kind > max_kind then
+      invalid_arg (Printf.sprintf "Net.Packed.pack: kind %d outside [0, %d]" kind max_kind);
+    if src < 0 || src > max_id then
+      invalid_arg (Printf.sprintf "Net.Packed.pack: src %d outside [0, %d]" src max_id);
+    if dst < 0 || dst > max_id then
+      invalid_arg (Printf.sprintf "Net.Packed.pack: dst %d outside [0, %d]" dst max_id);
+    pack ~kind ~src ~dst
+
+  let[@inline] kind code = code land max_kind
+  let[@inline] src code = (code lsr kind_bits) land max_id
+  let[@inline] dst code = code lsr (kind_bits + id_bits)
+end
+
+(* Gilbert–Elliott link states: open addressing from the link key
+   [(src lsl Packed.id_bits) lor dst] to one byte of chain state
+   (0 Good, 1 Bad).  A link starts Good the first time it carries a
+   message.  Keys are non-negative, so -1 marks an empty cell; the
+   table doubles past half load and never deletes.  A lookup allocates
+   nothing and hashes no polymorphic value: it runs on every lossy send. *)
+module Links = struct
+  type t = {
+    mutable keys : int array; (* capacity a power of two *)
+    mutable bad : Bytes.t; (* cell -> '\001' when the link is Bad *)
+    mutable shift : int; (* Sys.int_size - log2 capacity *)
+    mutable count : int;
+  }
+
+  let create () =
+    { keys = Array.make 64 (-1); bad = Bytes.make 64 '\000'; shift = Sys.int_size - 6; count = 0 }
+
+  (* Multiplicative hashing: the product's top bits pick the home cell. *)
+  let[@inline] home t key = (key * 0x2545F4914F6CDD1D) lsr t.shift
+
+  let rec probe keys key i =
+    let k = keys.(i) in
+    if k = key || k = -1 then i else probe keys key ((i + 1) land (Array.length keys - 1))
+
+  let grow t =
+    let keys = t.keys and bad = t.bad in
+    let cap = 2 * Array.length keys in
+    t.keys <- Array.make cap (-1);
+    t.bad <- Bytes.make cap '\000';
+    t.shift <- t.shift - 1;
+    Array.iteri
+      (fun i key ->
+        if key >= 0 then begin
+          let j = probe t.keys key (home t key) in
+          t.keys.(j) <- key;
+          Bytes.set t.bad j (Bytes.get bad i)
+        end)
+      keys
+
+  (* The cell holding [key], claimed (Good) on first sight. *)
+  let rec cell t key =
+    let i = probe t.keys key (home t key) in
+    if t.keys.(i) = key then i
+    else if 2 * (t.count + 1) > Array.length t.keys then begin
+      grow t;
+      cell t key
+    end
+    else begin
+      t.keys.(i) <- key;
+      t.count <- t.count + 1;
+      i
+    end
+end
+
 (* Counters are global (per-process) like every other stratify.obs probe;
    scenario runs reset them per plan. *)
 let c_sent = Counter.make "net.sent"
@@ -53,7 +131,7 @@ type t = {
      must stay within the bench.net dispatch-overhead budget. *)
   fast : bool;
   fast_latency : float;
-  burst_bad : (int * int, bool ref) Hashtbl.t;  (* Gilbert–Elliott link states *)
+  links : Links.t;  (* Gilbert–Elliott link states *)
   (* Packed-path fault state: one RNG advance per [burst_begin] seeds a
      native-int counter-mode base; each [send_packed] then hashes
      (base, message index, lane) for its draws instead of advancing the
@@ -113,7 +191,7 @@ let create ?engine rng faults =
     faults;
     fast;
     fast_latency;
-    burst_bad = Hashtbl.create 64;
+    links = Links.create ();
     packed_loss = stationary_loss faults.loss;
     burst_base = 0;
     burst_idx = 0;
@@ -155,16 +233,18 @@ let drop_by_loss t ~src ~dst =
   | No_loss -> false
   | Iid p -> p > 0. && Rng.bernoulli t.rng p
   | Burst { p_gb; p_bg; loss_good; loss_bad } ->
-      let state =
-        match Hashtbl.find_opt t.burst_bad (src, dst) with
-        | Some s -> s
-        | None ->
-            let s = ref false in
-            Hashtbl.replace t.burst_bad (src, dst) s;
-            s
+      if (src lor dst) land lnot Packed.max_id <> 0 then
+        invalid_arg
+          (Printf.sprintf "Net.send: burst loss needs ids in [0, %d], got src %d dst %d"
+             Packed.max_id src dst);
+      let cell = Links.cell t.links ((src lsl Packed.id_bits) lor dst) in
+      (* [cell] indexes the table, so the byte accesses are in range *)
+      let bad =
+        if Bytes.unsafe_get t.links.bad cell <> '\000' then not (Rng.bernoulli t.rng p_bg)
+        else Rng.bernoulli t.rng p_gb
       in
-      (state := if !state then not (Rng.bernoulli t.rng p_bg) else Rng.bernoulli t.rng p_gb);
-      let p = if !state then loss_bad else loss_good in
+      Bytes.unsafe_set t.links.bad cell (if bad then '\001' else '\000');
+      let p = if bad then loss_bad else loss_good in
       p > 0. && Rng.bernoulli t.rng p
 
 let draw_latency t =
@@ -172,30 +252,6 @@ let draw_latency t =
   | Constant l -> l
   | Jitter { base; spread } -> if spread <= 0. then base else Dist.uniform t.rng ~lo:base ~hi:(base +. spread)
   | Log_normal { mu; sigma } -> Dist.lognormal t.rng ~mu ~sigma
-
-module Packed = struct
-  let kind_bits = 6
-  let id_bits = 28
-  let max_kind = (1 lsl kind_bits) - 1
-  let max_id = (1 lsl id_bits) - 1
-
-  (* kind in the low bits so handler dispatch is one [land] *)
-  let[@inline] pack ~kind ~src ~dst =
-    (((dst lsl id_bits) lor src) lsl kind_bits) lor kind
-
-  let pack_checked ~kind ~src ~dst =
-    if kind < 0 || kind > max_kind then
-      invalid_arg (Printf.sprintf "Net.Packed.pack: kind %d outside [0, %d]" kind max_kind);
-    if src < 0 || src > max_id then
-      invalid_arg (Printf.sprintf "Net.Packed.pack: src %d outside [0, %d]" src max_id);
-    if dst < 0 || dst > max_id then
-      invalid_arg (Printf.sprintf "Net.Packed.pack: dst %d outside [0, %d]" dst max_id);
-    pack ~kind ~src ~dst
-
-  let[@inline] kind code = code land max_kind
-  let[@inline] src code = (code lsr kind_bits) land max_id
-  let[@inline] dst code = code lsr (kind_bits + id_bits)
-end
 
 (* A message is either a packed code (>= 0) or, when [code] is -1, the
    closure [handler]; [send_code] passes this never-called placeholder. *)

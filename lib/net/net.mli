@@ -95,7 +95,10 @@ val reachable : t -> src:int -> dst:int -> bool
 
 val send : t -> src:int -> dst:int -> (Stratify_des.Engine.t -> unit) -> unit
 (** Route one message: apply the fault pipeline above, then (unless
-    dropped) schedule the handler at delivery time. *)
+    dropped) schedule the handler at delivery time.  Under [Burst] loss
+    the link state is keyed by both ids packed into one int, so [src]
+    and [dst] must lie in [0, Packed.max_id]; others raise
+    [Invalid_argument]. *)
 
 val send_code : t -> src:int -> dst:int -> kind:int -> unit
 (** {!send} for a defunctionalized message: the same pipeline, drawing

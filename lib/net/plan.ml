@@ -234,6 +234,9 @@ let validate t =
       | Scheduler_fixed_point -> async_only "\"scheduler_fixed_point\""
       | Converged_by { deadline; _ } ->
           async_only "\"converged_by\"";
+          if not (deadline >= 0.) then
+            invalid_arg
+              (Printf.sprintf "plan %s: converged_by deadline %g must be >= 0" t.name deadline);
           (match t.workload with
           | Async { horizon; _ } when deadline > horizon ->
               invalid_arg

@@ -1,61 +1,12 @@
-(* Tests for the discrete-event substrate and the asynchronous
+(* Tests for the discrete-event engine and the asynchronous
    message-passing initiative protocol. *)
 
 module Rng = Stratify_prng.Rng
 module Gen = Stratify_graph.Gen
-module Pqueue = Stratify_des.Pqueue
 module Engine = Stratify_des.Engine
 module Net = Stratify_net.Net
 module Series = Stratify_stats.Series
 open Stratify_core
-
-(* ------------------------------------------------------------------ *)
-(* Pqueue                                                              *)
-
-let test_pqueue_ordering () =
-  let q = Pqueue.create () in
-  Alcotest.(check bool) "empty" true (Pqueue.is_empty q);
-  List.iter (fun (pr, v) -> Pqueue.push q ~priority:pr v) [ (3., "c"); (1., "a"); (2., "b") ];
-  Alcotest.(check int) "size" 3 (Pqueue.size q);
-  Alcotest.(check (option (pair (float 0.) string))) "peek" (Some (1., "a")) (Pqueue.peek q);
-  Alcotest.(check (option (pair (float 0.) string))) "pop a" (Some (1., "a")) (Pqueue.pop q);
-  Alcotest.(check (option (pair (float 0.) string))) "pop b" (Some (2., "b")) (Pqueue.pop q);
-  Alcotest.(check (option (pair (float 0.) string))) "pop c" (Some (3., "c")) (Pqueue.pop q);
-  Alcotest.(check bool) "drained" true (Pqueue.pop q = None)
-
-let test_pqueue_stable_ties () =
-  let q = Pqueue.create () in
-  List.iter (fun v -> Pqueue.push q ~priority:7. v) [ 1; 2; 3; 4 ];
-  let order = List.init 4 (fun _ -> match Pqueue.pop q with Some (_, v) -> v | None -> -1) in
-  Alcotest.(check (list int)) "insertion order on ties" [ 1; 2; 3; 4 ] order
-
-let test_pqueue_random_heap_property () =
-  let rng = Helpers.rng () in
-  let q = Pqueue.create () in
-  let reference = ref [] in
-  for _ = 1 to 2000 do
-    let pr = Rng.unit_float rng in
-    Pqueue.push q ~priority:pr ();
-    reference := pr :: !reference
-  done;
-  let sorted = List.sort compare !reference in
-  List.iter
-    (fun expected ->
-      match Pqueue.pop q with
-      | Some (pr, ()) -> Helpers.check_close "heap order" expected pr
-      | None -> Alcotest.fail "queue exhausted early")
-    sorted;
-  Alcotest.(check bool) "empty at end" true (Pqueue.is_empty q)
-
-let test_pqueue_interleaved () =
-  let q = Pqueue.create () in
-  Pqueue.push q ~priority:5. 5;
-  Pqueue.push q ~priority:1. 1;
-  Alcotest.(check (option (pair (float 0.) int))) "pop 1" (Some (1., 1)) (Pqueue.pop q);
-  Pqueue.push q ~priority:0.5 0;
-  Alcotest.(check (option (pair (float 0.) int))) "pop 0" (Some (0.5, 0)) (Pqueue.pop q);
-  Pqueue.clear q;
-  Alcotest.(check bool) "cleared" true (Pqueue.is_empty q)
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
@@ -283,10 +234,6 @@ let test_async_pinned_faulty_net () =
 
 let suite =
   [
-    Alcotest.test_case "pqueue ordering" `Quick test_pqueue_ordering;
-    Alcotest.test_case "pqueue stable ties" `Quick test_pqueue_stable_ties;
-    Alcotest.test_case "pqueue heap property (random)" `Quick test_pqueue_random_heap_property;
-    Alcotest.test_case "pqueue interleaved" `Quick test_pqueue_interleaved;
     Alcotest.test_case "engine clock and order" `Quick test_engine_clock_and_order;
     Alcotest.test_case "engine cascading events" `Quick test_engine_cascading_events;
     Alcotest.test_case "engine runaway guard" `Quick test_engine_runaway_guard;

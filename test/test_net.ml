@@ -72,6 +72,64 @@ let test_burst_loss_stationary () =
     true
     (Float.abs (rate -. 0.1875) <= 0.03)
 
+(* The Gilbert–Elliott link table, draw for draw against the
+   [(int * int)]-keyed [Hashtbl] model it replaced (copied here as the
+   oracle): 2.5·10⁴ [send_code]s over 2500 links whose ids reach
+   [Packed.max_id] must lose the same messages and leave the RNG at the
+   same position. *)
+let test_burst_links_match_hashtbl () =
+  let p_gb = 0.05 and p_bg = 0.25 and loss_good = 0.01 and loss_bad = 0.5 in
+  let net_rng = Rng.create 2024 in
+  let net =
+    Net.create ~engine:(Engine.create ()) net_rng
+      (with_loss 0.05 (Net.Burst { p_gb; p_bg; loss_good; loss_bad }))
+  in
+  let model_rng = Rng.create 2024 in
+  let states : (int * int, bool ref) Hashtbl.t = Hashtbl.create 64 in
+  let model_drop ~src ~dst =
+    let state =
+      match Hashtbl.find_opt states (src, dst) with
+      | Some s -> s
+      | None ->
+          let s = ref false in
+          Hashtbl.replace states (src, dst) s;
+          s
+    in
+    (state := if !state then not (Rng.bernoulli model_rng p_bg) else Rng.bernoulli model_rng p_gb);
+    let p = if !state then loss_bad else loss_good in
+    p > 0. && Rng.bernoulli model_rng p
+  in
+  let pick = Rng.create 7 in
+  let max_id = Net.Packed.max_id in
+  let links =
+    Array.init 2500 (fun i ->
+        match i with
+        | 0 -> (0, 0)
+        | 1 -> (max_id, max_id)
+        | 2 -> (0, max_id)
+        | 3 -> (max_id, 0)
+        | _ when i < 1000 -> (Rng.int pick 64, Rng.int pick 64)
+        | _ -> (Rng.int pick (max_id + 1), Rng.int pick (max_id + 1)))
+  in
+  let mismatches = ref 0 in
+  for _ = 1 to 25_000 do
+    let src, dst = links.(Rng.int pick (Array.length links)) in
+    let lost = Net.lost net in
+    Net.send_code net ~src ~dst ~kind:1;
+    if Net.lost net - lost = 1 <> model_drop ~src ~dst then incr mismatches
+  done;
+  Alcotest.(check int) "same loss verdict on every send" 0 !mismatches;
+  Alcotest.(check bool)
+    "messages were both lost and delivered" true
+    (Net.lost net > 1000 && Net.delivered net > 1000);
+  Alcotest.(check int64) "RNG at the same position" (Rng.int64 model_rng) (Rng.int64 net_rng);
+  Alcotest.(check bool)
+    "an id beyond Packed.max_id is refused" true
+    (try
+       Net.send net ~src:(max_id + 1) ~dst:0 (fun _ -> ());
+       false
+     with Invalid_argument msg -> Helpers.contains msg "burst loss")
+
 let test_duplication () =
   let net =
     Net.create (Helpers.rng ())
@@ -403,6 +461,23 @@ let test_plan_parse_errors () =
     {|{"name": "x", "workload": {"kind": "async", "n": 10},
        "assertions": [{"kind": "stratification_within", "tolerance": 0.1}]}|}
 
+let test_plan_negative_deadline () =
+  (* a deadline before t = 0 used to pass validation and die inside the
+     engine as "run_until: time -1 is in the past" *)
+  match
+    Plan.of_json
+      (Obs.Jsonx.of_string
+         {|{"name": "early", "workload": {"kind": "async", "n": 10},
+            "assertions": [{"kind": "converged_by", "deadline": -1.0, "disorder_below": 0.1}]}|})
+  with
+  | exception Invalid_argument msg ->
+      List.iter
+        (fun fragment ->
+          if not (Helpers.contains msg fragment) then
+            Alcotest.failf "error %S does not mention %S" msg fragment)
+        [ "plan early"; "converged_by"; "-1" ]
+  | _ -> Alcotest.fail "a negative converged_by deadline was accepted"
+
 let test_plan_dispatch_errors () =
   (* A plan built directly (bypassing validate) with an assertion its
      runner cannot evaluate must fail with a structured error naming the
@@ -487,6 +562,8 @@ let suite =
     Alcotest.test_case "ideal delivery" `Quick test_ideal_delivery;
     test_iid_loss_rate;
     Alcotest.test_case "burst loss stationary rate" `Quick test_burst_loss_stationary;
+    Alcotest.test_case "burst link states match the Hashtbl model" `Quick
+      test_burst_links_match_hashtbl;
     Alcotest.test_case "duplication" `Quick test_duplication;
     Alcotest.test_case "reordering" `Quick test_reordering;
     Alcotest.test_case "partition and heal" `Quick test_partition_and_heal;
@@ -503,6 +580,7 @@ let suite =
     Alcotest.test_case "async budget-exhausted outcome" `Quick test_async_budget_outcome;
     Alcotest.test_case "plan JSON round-trip" `Quick test_plan_roundtrip;
     Alcotest.test_case "plan rejects ill-formed input" `Quick test_plan_parse_errors;
+    Alcotest.test_case "plan rejects a negative deadline" `Quick test_plan_negative_deadline;
     Alcotest.test_case "plan runner dispatch errors" `Quick test_plan_dispatch_errors;
     Alcotest.test_case "plan run deterministic" `Slow test_plan_run_deterministic;
   ]
