@@ -36,7 +36,8 @@
      BENCH_NET_OUT=path  where to write the network-dispatch run manifest
                          (default BENCH_net.json — also a checked-in
                          baseline; the bench itself fails if fault-free
-                         Net.send exceeds 1.15x the direct dispatch)
+                         Net.send exceeds 1.15x the direct
+                         Engine.schedule_packed dispatch)
      BENCH_SHARD_OUT=path where to write the sharded-matching run manifest
                          (default BENCH_shard.json — also a checked-in
                          baseline; the bench asserts band-count
@@ -48,21 +49,18 @@
                          and the metrics of the async-dense slice)
      BENCH_DES_OUT=path  where to write the event-engine run manifest
                          (default BENCH_des.json — also a checked-in
-                         baseline; races the heap / calendar / ladder
-                         queue backends on a packed-event cascade, the
-                         message-level swarm (swarm-md) and the async
-                         dynamics under loss.  The bench hard-fails if
-                         any backend disagrees on a delivery checksum,
-                         if the cascade allocates on the minor heap in
-                         steady state, or if the best non-heap backend
-                         is not >= 2x the binary heap on swarm-md).
+                         baseline; times the engine on a packed-event
+                         cascade, the message-level swarm (swarm-md)
+                         and the async dynamics under loss.  The bench
+                         hard-fails if the cascade or the in-order lane
+                         allocates on the minor heap in steady state,
+                         or if swarm-md allocates more than 3.0 minor
+                         words per event).
      BENCH_SERVE_OUT=path where to write the service-layer run manifest
                          (default BENCH_serve.json — also a checked-in
-                         baseline; replays a mixed tracker script once
-                         per queue backend, stop/resumes it across
-                         backends, and times the announce hot path.
-                         The bench hard-fails if any backend's response
-                         checksum or serve manifest differs, or if a
+                         baseline; replays a mixed tracker script,
+                         stop/resumes it, and times the announce hot
+                         path.  The bench hard-fails if a
                          snapshot/restore run diverges from the
                          uninterrupted one). *)
 
@@ -103,7 +101,6 @@ let regenerate () =
       bands = 1;
       band_overlap = None;
       profile_phases = false;
-      queue = Stratify_des.Engine.Heap;
     }
   in
   Printf.printf "Regenerating all tables and figures (scale %g, jobs %d)\n%!" scale jobs;
@@ -1120,7 +1117,8 @@ let bench_sched () =
 (* Part 6: stratify.net dispatch overhead                              *)
 
 let bench_net () =
-  print_endline "\n================ Network layer (fault-free Net.send vs Engine.schedule) ================";
+  print_endline
+    "\n================ Network layer (fault-free Net.send vs Engine.schedule_packed) ================";
   let module Obs = Stratify_obs in
   let module Net = Stratify_net.Net in
   let module Engine = Stratify_des.Engine in
@@ -1129,21 +1127,23 @@ let bench_net () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  (* Every Async_dynamics message now crosses Net.send; the fault-free
-     configuration must stay within 1.15x of the direct Engine.schedule
-     path it replaced, or the refactor has a hot-path cost.  Both legs
-     run the identical event cascade: each delivery schedules the next
-     message until the budget is spent. *)
+  (* Every Async_dynamics message crosses Net.send; the fault-free
+     configuration must stay within 1.15x of scheduling the same packed
+     code straight on the engine, or the network layer has a hot-path
+     cost.  Both legs run the identical event cascade: each delivery
+     schedules the next message until the budget is spent. *)
   let events = 1_000_000 in
   let run_engine () =
     let e = Engine.create () in
     let count = ref 0 in
-    let rec send () =
+    let send () =
       if !count < events then begin
         incr count;
-        Engine.schedule e ~delay:0.05 (fun _ -> send ())
+        let src = !count land 63 and dst = (!count + 1) land 63 in
+        Engine.schedule_packed e ~delay:0.05 (Net.Packed.pack ~kind:0 ~src ~dst)
       end
     in
+    Engine.set_packed_handler e (fun _ _ -> send ());
     send ();
     ignore (Engine.drain e);
     !count
@@ -1151,12 +1151,14 @@ let bench_net () =
   let run_net () =
     let net = Net.create (Rng.create 42) (Net.ideal ~latency:0.05 ()) in
     let count = ref 0 in
-    let rec send () =
+    let send () =
       if !count < events then begin
         incr count;
-        Net.send net ~src:(!count land 63) ~dst:((!count + 1) land 63) (fun _ -> send ())
+        let src = !count land 63 and dst = (!count + 1) land 63 in
+        Net.send net ~src ~dst (Net.Packed.pack ~kind:0 ~src ~dst)
       end
     in
+    Net.set_handler net (fun _ _ -> send ());
     send ();
     ignore (Engine.drain (Net.engine net));
     !count
@@ -1179,8 +1181,8 @@ let bench_net () =
   let rate_net = float_of_int events /. dt_net in
   let overhead = dt_net /. dt_engine in
   Printf.printf "  dispatch cascade (%d events, best of 3):\n" events;
-  Printf.printf "    direct Engine.schedule: %10.2f Mevents/s\n" (rate_engine /. 1e6);
-  Printf.printf "    fault-free Net.send:    %10.2f Mevents/s  (%.3fx overhead)\n%!"
+  Printf.printf "    direct Engine.schedule_packed: %10.2f Mevents/s\n" (rate_engine /. 1e6);
+  Printf.printf "    fault-free Net.send:           %10.2f Mevents/s  (%.3fx overhead)\n%!"
     (rate_net /. 1e6) overhead;
   if overhead > 1.15 then
     failwith
@@ -1193,7 +1195,8 @@ let bench_net () =
 
   (* Determinism checksum: a faulty pipeline (loss + duplication +
      reordering + a partition window) must deliver the exact same message
-     sequence on every platform.  Hash the delivery order of message ids. *)
+     sequence on every platform.  Hash the delivery order of message ids:
+     packed trigger [k] (kind 0) sends message [k] (kind 1). *)
   let trace_events = 50_000 in
   let net =
     Net.create (Rng.create 7)
@@ -1212,12 +1215,15 @@ let bench_net () =
     ];
   let e = Net.engine net in
   let h = ref 0x811c9dc5 in
+  Net.set_handler net (fun _ code ->
+      let k = Net.Packed.src code in
+      if Net.Packed.kind code = 0 then
+        Net.send net ~src:(k land 63) ~dst:((k * 7) land 63)
+          (Net.Packed.pack ~kind:1 ~src:k ~dst:0)
+      else h := ((!h * 16777619) lxor k) land ((1 lsl 50) - 1));
   for k = 0 to trace_events - 1 do
-    Engine.schedule_at e
-      ~time:(float_of_int k *. 0.01)
-      (fun _ ->
-        Net.send net ~src:(k land 63) ~dst:((k * 7) land 63) (fun _ ->
-            h := ((!h * 16777619) lxor k) land ((1 lsl 50) - 1)))
+    Engine.schedule_packed_at e ~time:(float_of_int k *. 0.01)
+      (Net.Packed.pack ~kind:0 ~src:k ~dst:0)
   done;
   ignore (Engine.drain e);
   let cs_trace = !h in
@@ -1429,364 +1435,285 @@ let bench_matrix () =
   Printf.printf "  wrote %s\n" out
 
 (* ------------------------------------------------------------------ *)
-(* Part 9: event engine — queue backends under three DES workloads     *)
+(* Part 9: event engine under three DES workloads                      *)
 
-(* bench.des: the gate behind `--queue`.  Three workloads, each run
-   once per backend (heap / calendar / ladder):
+(* The message-level swarm driver of bench.des's swarm-md workload: the
+   tick simulator runs as a self-rescheduling packed event inside the
+   network's engine, and every applied transfer fans out into
+   [amount / chunk] (at least one) piece messages routed through
+   [Net.send_packed] — latency, loss, reordering and duplication apply
+   per message, with all of a tick's fault draws batched behind one RNG
+   advance ([Net.burst_begin]).  The §6 stratification claims must
+   ultimately be observed from message-level traffic (Legout et al.),
+   which makes events/sec the binding constraint on reproduction scale. *)
+module Swarm_md = struct
+  module Engine = Stratify_des.Engine
+  module Net = Stratify_net.Net
+
+  let kind_tick = 0
+  let kind_piece = 1
+
+  (* one tick per simulated second *)
+  let tick_interval = 1.0
+
+  type t = {
+    net : Net.t;
+    tick_code : int;
+    mutable ticks_left : int;
+    mutable pieces_sent : int;
+    mutable pieces_delivered : int;
+    mutable checksum : int;
+  }
+
+  let create swarm ~net ~chunk =
+    let d =
+      {
+        net;
+        tick_code = Net.Packed.pack_checked ~kind:kind_tick ~src:0 ~dst:0;
+        ticks_left = 0;
+        pieces_sent = 0;
+        pieces_delivered = 0;
+        checksum = 0x811C9DC5;
+      }
+    in
+    Bt.Swarm.set_on_transfer swarm (fun sender receiver amount ->
+        let msgs =
+          let m = int_of_float (amount /. chunk) in
+          if m < 1 then 1 else m
+        in
+        d.pieces_sent <- d.pieces_sent + msgs;
+        for _ = 1 to msgs do
+          Net.send_packed d.net ~src:sender ~dst:receiver ~kind:kind_piece
+        done);
+    Net.set_handler net (fun eng code ->
+        if Net.Packed.kind code = kind_piece then begin
+          d.pieces_delivered <- d.pieces_delivered + 1;
+          (* FNV-style fold of the delivery order *)
+          d.checksum <- (d.checksum lxor code) * 0x01000193 land max_int
+        end
+        else begin
+          Net.burst_begin d.net;
+          Bt.Swarm.step swarm;
+          d.ticks_left <- d.ticks_left - 1;
+          if d.ticks_left > 0 then Engine.schedule_packed eng ~delay:tick_interval d.tick_code
+        end);
+    d
+
+  (* [ticks] swarm ticks one simulated second apart, plus every piece
+     message they emit (deliveries may trail the last tick; the drain
+     runs to empty). *)
+  let run d ~ticks =
+    d.ticks_left <- ticks;
+    let eng = Net.engine d.net in
+    Engine.schedule_packed eng ~delay:0. d.tick_code;
+    ignore (Engine.drain ~max_events:max_int eng)
+end
+
+(* bench.des: the event engine — one binary heap behind the in-order
+   lane — under three workloads:
 
    (a) cascade — a self-rescheduling packed-event population, the pure
        queue-ops workload.  Delays are compile-time float constants
        (picked by event code), so the steady state touches only
-       recycled slot arrays and backend pools: the measured window must
-       allocate (essentially) nothing on the minor heap, extending the
-       DESIGN.md §13 zero-alloc discipline to the event layer.  A second
-       window re-arms the same population with one constant delay, so
-       every schedule takes the engine's in-order lane, under the same
-       gate.
-   (b) swarm-md — the message-level BitTorrent swarm (Swarm.Des): every
-       transfer fans out into packed piece messages through the full
-       Net fault pipeline with burst-batched draws.  This is the
-       workload the reproduction actually scales by, so the >= 2x gate
-       lives here: best non-heap packed backend vs. the same workload
-       built the seed way (one closure per message via Net.send on the
-       binary heap — rebuilt inline as the closure-heap baseline).
+       recycled slot arrays and the heap's arrays: the measured window
+       must allocate (essentially) nothing on the minor heap, extending
+       the DESIGN.md §13 zero-alloc discipline to the event layer.  A
+       second window re-arms the same population with one constant
+       delay, so every schedule takes the engine's in-order lane, under
+       the same gate.
+   (b) swarm-md — the message-level BitTorrent swarm ([Swarm_md]):
+       every transfer fans out into packed piece messages through the
+       full Net fault pipeline with burst-batched draws.  This is the
+       workload the reproduction actually scales by, so its gate lives
+       here: the run fails if it allocates more than
+       [swarm_words_per_event] minor words per event, the bound that
+       catches a return to per-message allocation (the closure-per-
+       message design it replaced read ~10.7 words/event, the packed
+       path ~2.3).  Its events/sec ride the ratchet as an absolute row.
    (c) async — the propose/accept/commit dynamics under loss: packed
        message kinds sent through Net's RNG-drawing fault pipeline
-       ([Net.send_code]), with one exponential clock event per peer; a
-       small queue population, so backends are expected to tie rather
-       than win.
+       ([Net.send]), with one exponential clock event per peer.
 
-   Every backend pops the identical (time, seq) order, so all three
-   workloads also serve as end-to-end invariance checks: per-backend
-   delivery checksums must agree exactly (hard failure, plus pinned
-   checksum counters for CI). *)
+   The delivery checksums of all three are pinned counters, so CI
+   catches any change in pop order. *)
 let bench_des () =
-  print_endline "\n================ Event engine (heap vs calendar vs ladder) ================";
+  print_endline "\n================ Event engine (binary heap + in-order lane) ================";
   let module Obs = Stratify_obs in
   let module Eng = Stratify_des.Engine in
   let module Net = Stratify_net.Net in
-  let backends = Eng.backends in
-  let name = Eng.backend_name in
-  let assert_same what = function
-    | [] -> ()
-    | (b0, v0) :: rest ->
-        List.iter
-          (fun (b, v) ->
-            if v <> v0 then
-              failwith
-                (Printf.sprintf "bench.des: %s disagrees across backends (%s %d vs %s %d)" what
-                   (name b) v (name b0) v0))
-          rest
-  in
 
   (* (a) packed cascade *)
   let cascade_pending = 30_000 in
-  let cascade backend =
-    let eng = Eng.create ~backend () in
-    let fired = ref 0 in
-    let cs = ref 0x811C9DC5 in
-    Eng.set_packed_handler eng (fun eng code ->
-        incr fired;
-        cs := (!cs lxor code) * 0x01000193 land max_int;
-        let c = ((code * 0x343FD) + 0x269EC3) land 0x3FFF_FFFF in
-        (* Each branch passes a distinct compile-time constant, so the
-           fresh delay never crosses a function boundary as a computed
-           float — the non-flambda boxing trap (DESIGN.md §14). *)
-        match c land 7 with
-        | 0 -> Eng.schedule_packed eng ~delay:0.0711 c
-        | 1 -> Eng.schedule_packed eng ~delay:0.1337 c
-        | 2 -> Eng.schedule_packed eng ~delay:0.2917 c
-        | 3 -> Eng.schedule_packed eng ~delay:0.4139 c
-        | 4 -> Eng.schedule_packed eng ~delay:0.5923 c
-        | 5 -> Eng.schedule_packed eng ~delay:0.7351 c
-        | 6 -> Eng.schedule_packed eng ~delay:0.9743 c
-        | _ -> Eng.schedule_packed eng ~delay:1.1329 c);
-    (* Each seed gets a distinct start time.  This matters: children of
-       a shared pop time land on exactly equal floats (clock +. constant
-       computed identically), so a population seeded on a handful of
-       times never diversifies — it collapses onto a few dozen
-       exactly-equal time values, which degenerates any bucket-based
-       queue into equal-key chain scans.  Distinct seeds keep the
-       pending-time population continuous, which is what the real
-       schedules look like (Net draws a fresh latency per message). *)
-    for i = 0 to cascade_pending - 1 do
-      let c = (i * 0x9E3779B) land 0x3FFF_FFFF in
-      Eng.schedule_packed eng ~delay:(0.5 +. (float_of_int i *. 6.1e-5)) c
-    done;
-    (* Warm-up grows the slot pool and settles the calendar size; the
-       population is constant afterwards, so the measured window leaves
-       every pool untouched by the allocator. *)
-    Eng.run_until eng ~time:20.;
-    let f0 = !fired in
-    let m0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    Eng.run_until eng ~time:120.;
-    let dt = Unix.gettimeofday () -. t0 in
-    let minor = Gc.minor_words () -. m0 in
-    (!fired - f0, dt, minor, !cs)
-  in
-  let cascade_runs = List.map (fun b -> (b, cascade b)) backends in
-  let cascade_zero_alloc = ref true in
-  List.iter
-    (fun (b, (ev, dt, minor, _)) ->
-      Printf.printf "  cascade %-8s %9d events in %6.3f s  (%10.0f events/s, %.0f minor words)\n%!"
-        (name b) ev dt
-        (float_of_int ev /. dt)
-        minor;
-      if minor > 512. then begin
-        cascade_zero_alloc := false;
-        failwith
-          (Printf.sprintf "bench.des: %s cascade allocated %.0f minor words over %d events \
-                           (expected ~0)"
-             (name b) minor ev)
-      end)
-    cascade_runs;
-  assert_same "cascade event count" (List.map (fun (b, (ev, _, _, _)) -> (b, ev)) cascade_runs);
-  assert_same "cascade checksum" (List.map (fun (b, (_, _, _, cs)) -> (b, cs)) cascade_runs);
-  let cascade_rate b =
-    let _, (ev, dt, _, _) = (b, List.assoc b cascade_runs) in
-    float_of_int ev /. dt
-  in
+  let eng = Eng.create () in
+  let fired = ref 0 in
+  let cs = ref 0x811C9DC5 in
+  Eng.set_packed_handler eng (fun eng code ->
+      incr fired;
+      cs := (!cs lxor code) * 0x01000193 land max_int;
+      let c = ((code * 0x343FD) + 0x269EC3) land 0x3FFF_FFFF in
+      (* Each branch passes a distinct compile-time constant, so the
+         fresh delay never crosses a function boundary as a computed
+         float — the non-flambda boxing trap (DESIGN.md §14). *)
+      match c land 7 with
+      | 0 -> Eng.schedule_packed eng ~delay:0.0711 c
+      | 1 -> Eng.schedule_packed eng ~delay:0.1337 c
+      | 2 -> Eng.schedule_packed eng ~delay:0.2917 c
+      | 3 -> Eng.schedule_packed eng ~delay:0.4139 c
+      | 4 -> Eng.schedule_packed eng ~delay:0.5923 c
+      | 5 -> Eng.schedule_packed eng ~delay:0.7351 c
+      | 6 -> Eng.schedule_packed eng ~delay:0.9743 c
+      | _ -> Eng.schedule_packed eng ~delay:1.1329 c);
+  (* Each seed gets a distinct start time, so the pending-time
+     population stays continuous, which is what the real schedules look
+     like (Net draws a fresh latency per message): children of a shared
+     pop time land on exactly equal floats, and a population seeded on
+     a handful of times collapses onto a few dozen exactly-equal time
+     values. *)
+  for i = 0 to cascade_pending - 1 do
+    let c = (i * 0x9E3779B) land 0x3FFF_FFFF in
+    Eng.schedule_packed eng ~delay:(0.5 +. (float_of_int i *. 6.1e-5)) c
+  done;
+  (* Warm-up grows the slot pool and the heap; the population is
+     constant afterwards, so the measured window leaves every array
+     untouched by the allocator. *)
+  Eng.run_until eng ~time:20.;
+  let f0 = !fired in
+  let m0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  Eng.run_until eng ~time:120.;
+  let cascade_dt = Unix.gettimeofday () -. t0 in
+  let cascade_minor = Gc.minor_words () -. m0 in
+  let cascade_fired = !fired - f0 and cascade_cs = !cs in
+  let cascade_rate = float_of_int cascade_fired /. cascade_dt in
+  Printf.printf "  cascade  %9d events in %6.3f s  (%10.0f events/s, %.0f minor words)\n%!"
+    cascade_fired cascade_dt cascade_rate cascade_minor;
+  if cascade_minor > 512. then
+    failwith
+      (Printf.sprintf "bench.des: cascade allocated %.0f minor words over %d events (expected ~0)"
+         cascade_minor cascade_fired);
 
   (* (a') the in-order lane: the cascade's population re-armed with one
      constant delay, so after warm-up every schedule takes the engine's
-     lane (DESIGN.md §14) and never reaches the backend.  Its window
-     must stay off the minor heap like the cascade's. *)
-  let lane backend =
-    let eng = Eng.create ~backend () in
-    let fired = ref 0 in
-    Eng.set_packed_handler eng (fun eng code ->
-        incr fired;
-        Eng.schedule_packed eng ~delay:0.5 code);
-    for i = 0 to cascade_pending - 1 do
-      Eng.schedule_packed eng ~delay:(0.5 +. (float_of_int i *. 6.1e-5)) i
-    done;
-    Eng.run_until eng ~time:20.;
-    let f0 = !fired in
-    let m0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    Eng.run_until eng ~time:60.;
-    let dt = Unix.gettimeofday () -. t0 in
-    (!fired - f0, dt, Gc.minor_words () -. m0)
-  in
-  List.iter
-    (fun b ->
-      let ev, dt, minor = lane b in
-      Printf.printf "  lane    %-8s %9d events in %6.3f s  (%10.0f events/s, %.0f minor words)\n%!"
-        (name b) ev dt
-        (float_of_int ev /. dt)
-        minor;
-      if minor > 512. then
-        failwith
-          (Printf.sprintf "bench.des: %s lane allocated %.0f minor words over %d events \
-                           (expected ~0)"
-             (name b) minor ev))
-    backends;
+     lane (DESIGN.md §14) and never reaches the heap.  Its window must
+     stay off the minor heap like the cascade's. *)
+  let eng = Eng.create () in
+  let fired = ref 0 in
+  Eng.set_packed_handler eng (fun eng code ->
+      incr fired;
+      Eng.schedule_packed eng ~delay:0.5 code);
+  for i = 0 to cascade_pending - 1 do
+    Eng.schedule_packed eng ~delay:(0.5 +. (float_of_int i *. 6.1e-5)) i
+  done;
+  Eng.run_until eng ~time:20.;
+  let f0 = !fired in
+  let m0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  Eng.run_until eng ~time:60.;
+  let dt = Unix.gettimeofday () -. t0 in
+  let minor = Gc.minor_words () -. m0 and ev = !fired - f0 in
+  Printf.printf "  lane     %9d events in %6.3f s  (%10.0f events/s, %.0f minor words)\n%!" ev dt
+    (float_of_int ev /. dt)
+    minor;
+  if minor > 512. then
+    failwith
+      (Printf.sprintf "bench.des: lane allocated %.0f minor words over %d events (expected ~0)"
+         minor ev);
 
   (* (b) swarm-md: message-level swarm through the full fault pipeline.
-     chunk 0.0625 puts ~5.8M piece messages through 40 ticks with ~1.2M
-     in flight at steady state — the scale ROADMAP items 2/4 need, and
-     the scale at which the seed engine's per-message closures turn into
-     GC load. *)
+     chunk 0.0625 puts ~7.7M piece messages through 40 ticks with ~1.2M
+     in flight at steady state.  The run starts from a compacted heap:
+     the des section runs after the shard/matrix parts, whose n = 10^6
+     solves leave hundreds of MB of garbage. *)
   let swarm_ticks = 40 in
-  let swarm_chunk = 0.0625 in
-  let swarm_n = 300 in
-  let swarm_faults =
-    {
-      Net.latency = Net.Jitter { base = 2.0; spread = 8.0 };
-      loss = Net.Iid 0.05;
-      duplicate = 0.01;
-      reorder = 0.1;
-      reorder_spread = 1.0;
-    }
+  let swarm_words_per_event = 3.0 in
+  let swarm =
+    let uploads = Array.init 300 (fun i -> 20. +. (10. *. float_of_int (i mod 5))) in
+    Bt.Swarm.create (Rng.create 4242) (Bt.Swarm.default_params ~uploads)
   in
-  let swarm_parts backend =
-    let rng = Rng.create 4242 in
-    let uploads =
-      Array.init swarm_n (fun i -> 20. +. (10. *. float_of_int (i mod 5)))
-    in
-    let swarm = Bt.Swarm.create rng (Bt.Swarm.default_params ~uploads) in
-    let net = Net.create ~engine:(Eng.create ~backend ()) (Rng.create 993) swarm_faults in
-    (swarm, net)
+  let net =
+    Net.create (Rng.create 993)
+      {
+        Net.latency = Net.Jitter { base = 2.0; spread = 8.0 };
+        loss = Net.Iid 0.05;
+        duplicate = 0.01;
+        reorder = 0.1;
+        reorder_spread = 1.0;
+      }
   in
-  (* Each timed variant starts from a compacted heap.  The des section
-     runs after the shard/matrix parts, whose n = 10^6 solves leave
-     hundreds of MB of garbage: whichever variant runs first pays the
-     major-GC work of tracing and sweeping it, and whichever runs last
-     inherits a clean heap — a run-order artifact that once compressed
-     the measured speedup below its real value. *)
-  let swarm_run backend =
-    let swarm, net = swarm_parts backend in
-    let d = Bt.Swarm.Des.create swarm ~net ~chunk:swarm_chunk in
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    Bt.Swarm.Des.run d ~ticks:swarm_ticks;
-    let dt = Unix.gettimeofday () -. t0 in
-    let events = Bt.Swarm.Des.pieces_delivered d + swarm_ticks in
-    (events, dt, Bt.Swarm.Des.pieces_sent d, Bt.Swarm.Des.checksum d)
-  in
-  (* The ">= 2x" denominator: the same workload built the way the seed
-     engine worked — one freshly allocated closure per piece message
-     through [Net.send]'s per-message fault draws, on the binary heap.
-     At ~1.2M messages in flight the live closures are tens of MB of
-     heap the GC must repeatedly trace, which is exactly the cost the
-     packed path deletes; its traffic class differs from the packed one
-     (independent draws), so it contributes a rate, not a checksum. *)
-  let swarm_closure_baseline () =
-    let swarm, net = swarm_parts Eng.Heap in
-    let eng = Net.engine net in
-    let delivered = ref 0 in
-    Bt.Swarm.set_on_transfer swarm (fun sender receiver amount ->
-        let msgs =
-          let m = int_of_float (amount /. swarm_chunk) in
-          if m < 1 then 1 else m
-        in
-        for _ = 1 to msgs do
-          Net.send net ~src:sender ~dst:receiver (fun _ -> incr delivered)
-        done);
-    let ticks_left = ref swarm_ticks in
-    let rec tick _eng =
-      Bt.Swarm.step swarm;
-      decr ticks_left;
-      if !ticks_left > 0 then Eng.schedule eng ~delay:1.0 tick
-    in
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    Eng.schedule eng ~delay:0. tick;
-    ignore (Eng.drain ~max_events:max_int eng);
-    let dt = Unix.gettimeofday () -. t0 in
-    (!delivered + swarm_ticks, dt)
-  in
-  let swarm_runs = List.map (fun b -> (b, swarm_run b)) backends in
-  List.iter
-    (fun (b, (ev, dt, sent, _)) ->
-      Printf.printf
-        "  swarm-md %-8s %9d events in %6.3f s  (%10.0f events/s, %d pieces sent)\n%!" (name b)
-        ev dt
-        (float_of_int ev /. dt)
-        sent)
-    swarm_runs;
-  assert_same "swarm-md pieces sent" (List.map (fun (b, (_, _, s, _)) -> (b, s)) swarm_runs);
-  assert_same "swarm-md event count" (List.map (fun (b, (ev, _, _, _)) -> (b, ev)) swarm_runs);
-  assert_same "swarm-md checksum" (List.map (fun (b, (_, _, _, cs)) -> (b, cs)) swarm_runs);
-  let swarm_rate b =
-    let ev, dt, _, _ = List.assoc b swarm_runs in
-    float_of_int ev /. dt
-  in
-  let closure_events, closure_dt = swarm_closure_baseline () in
-  let closure_rate = float_of_int closure_events /. closure_dt in
-  Printf.printf "  swarm-md closure-heap baseline %9d events in %6.3f s  (%10.0f events/s)\n%!"
-    closure_events closure_dt closure_rate;
-  let best_backend, best_rate =
-    List.fold_left
-      (fun (bb, br) b ->
-        let r = swarm_rate b in
-        if r > br then (b, r) else (bb, br))
-      (Eng.Calendar, swarm_rate Eng.Calendar)
-      [ Eng.Ladder ]
-  in
-  let swarm_speedup = best_rate /. closure_rate in
-  Printf.printf "  swarm-md speedup: %.2fx (packed %s vs closure-heap baseline; gate: >= 2x)\n%!"
-    swarm_speedup (name best_backend);
-  if swarm_speedup < 2.0 then
+  let d = Swarm_md.create swarm ~net ~chunk:0.0625 in
+  Gc.compact ();
+  let m0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  Swarm_md.run d ~ticks:swarm_ticks;
+  let swarm_dt = Unix.gettimeofday () -. t0 in
+  let swarm_minor = Gc.minor_words () -. m0 in
+  let swarm_events = d.Swarm_md.pieces_delivered + swarm_ticks in
+  let swarm_rate = float_of_int swarm_events /. swarm_dt in
+  let swarm_wpe = swarm_minor /. float_of_int swarm_events in
+  Printf.printf
+    "  swarm-md %9d events in %6.3f s  (%10.0f events/s, %d pieces sent, %.3f minor words/event)\n%!"
+    swarm_events swarm_dt swarm_rate d.Swarm_md.pieces_sent swarm_wpe;
+  if swarm_wpe > swarm_words_per_event then
     failwith
       (Printf.sprintf
-         "bench.des: best non-heap backend (%s, packed) is only %.2fx the closure-heap \
-          baseline on swarm-md (need >= 2x)"
-         (name best_backend) swarm_speedup);
+         "bench.des: swarm-md allocated %.3f minor words per event (%.0f over %d events; bound \
+          %.1f) — per-message allocation is back on the packed path"
+         swarm_wpe swarm_minor swarm_events swarm_words_per_event);
 
   (* (c) async dynamics under loss (packed messages, small population) *)
-  let async_run backend =
-    let rng = Rng.create 7 in
-    let graph = Gen.gnd rng ~n:400 ~d:12. in
-    let inst = Instance.create ~graph ~b:(Array.make 400 3) () in
-    let arng = Rng.create 11 in
-    let dyn =
-      Async_dynamics.create ~backend inst arng
-        { Async_dynamics.latency = 0.4; initiative_rate = 1.; loss = 0.05 }
-    in
-    let t0 = Unix.gettimeofday () in
-    Async_dynamics.run dyn ~horizon:40.;
-    let outcome = Async_dynamics.quiesce dyn in
-    let dt = Unix.gettimeofday () -. t0 in
-    if outcome <> Async_dynamics.Drained then failwith "bench.des: async failed to quiesce";
-    let sent = Async_dynamics.messages_sent dyn in
-    let cs = fnv_pairs (fun f -> Config.iter_pairs f (Async_dynamics.mutual_config dyn)) in
-    let inconsistent = Async_dynamics.inconsistency_count dyn in
-    (sent, dt, cs, inconsistent)
+  let rng = Rng.create 7 in
+  let graph = Gen.gnd rng ~n:400 ~d:12. in
+  let inst = Instance.create ~graph ~b:(Array.make 400 3) () in
+  let dyn =
+    Async_dynamics.create inst (Rng.create 11)
+      { Async_dynamics.latency = 0.4; initiative_rate = 1.; loss = 0.05 }
   in
-  let async_runs = List.map (fun b -> (b, async_run b)) backends in
-  List.iter
-    (fun (b, (sent, dt, _, _)) ->
-      Printf.printf "  async    %-8s %9d messages in %6.3f s  (%10.0f messages/s)\n%!" (name b)
-        sent dt
-        (float_of_int sent /. dt))
-    async_runs;
-  assert_same "async messages" (List.map (fun (b, (s, _, _, _)) -> (b, s)) async_runs);
-  assert_same "async config checksum" (List.map (fun (b, (_, _, cs, _)) -> (b, cs)) async_runs);
-  assert_same "async inconsistency"
-    (List.map (fun (b, (_, _, _, i)) -> (b, i)) async_runs);
-  let async_rate b =
-    let s, dt, _, _ = List.assoc b async_runs in
-    float_of_int s /. dt
-  in
+  let t0 = Unix.gettimeofday () in
+  Async_dynamics.run dyn ~horizon:40.;
+  let outcome = Async_dynamics.quiesce dyn in
+  let async_dt = Unix.gettimeofday () -. t0 in
+  if outcome <> Async_dynamics.Drained then failwith "bench.des: async failed to quiesce";
+  let async_sent = Async_dynamics.messages_sent dyn in
+  let async_cs = fnv_pairs (fun f -> Config.iter_pairs f (Async_dynamics.mutual_config dyn)) in
+  let async_rate = float_of_int async_sent /. async_dt in
+  Printf.printf "  async    %9d messages in %6.3f s  (%10.0f messages/s)\n%!" async_sent async_dt
+    async_rate;
 
   (* Publish.  Checksums are pinned exactly; rate/* ride the
-     max-slowdown gate; speedup/* (same-run ratios, noise-cancelling)
-     ride the tighter dimensionless band; and the per-backend cascade
-     rows enter the profile section via Profile.record, putting the
-     event layer under the same zero-alloc ratchet as the matching
-     kernels. *)
+     max-slowdown gate; and the cascade and swarm-md rows enter the
+     profile section via Profile.record, putting the event layer under
+     the same ratchet as the matching kernels (the cascade's row also
+     under the zero-alloc one). *)
   Obs.Profile.reset ();
   Obs.Profile.set_enabled true;
-  List.iter
-    (fun (b, (ev, dt, minor, _)) ->
-      Obs.Profile.record
-        ("des.cascade." ^ name b)
-        ~ops:ev ~minor_words:minor ~wall_s:dt ())
-    cascade_runs;
-  List.iter
-    (fun (b, (ev, dt, _, _)) ->
-      Obs.Profile.record ("des.swarm_md." ^ name b) ~ops:ev ~wall_s:dt ())
-    swarm_runs;
+  Obs.Profile.record "des.cascade.heap" ~ops:cascade_fired ~minor_words:cascade_minor
+    ~wall_s:cascade_dt ();
+  Obs.Profile.record "des.swarm_md.heap" ~ops:swarm_events ~wall_s:swarm_dt ();
   Obs.Profile.set_enabled false;
-  let cascade_fired, _, _, cascade_cs = List.assoc Eng.Heap cascade_runs in
-  let swarm_events, _, swarm_sent, swarm_cs = List.assoc Eng.Heap swarm_runs in
-  let async_sent, _, async_cs, _ = List.assoc Eng.Heap async_runs in
   Obs.Counter.reset_all ();
   Obs.Histogram.reset_all ();
   Obs.Span.reset ();
   Obs.Control.set_enabled true;
   Obs.Counter.add (Obs.Counter.make "checksum.des_cascade") cascade_cs;
   Obs.Counter.add (Obs.Counter.make "checksum.des_cascade_fired") cascade_fired;
-  Obs.Counter.add
-    (Obs.Counter.make "checksum.des_cascade_zero_alloc")
-    (if !cascade_zero_alloc then 1 else 0);
-  Obs.Counter.add (Obs.Counter.make "checksum.des_swarm") swarm_cs;
+  (* the window failed the run above unless it stayed allocation-free *)
+  Obs.Counter.add (Obs.Counter.make "checksum.des_cascade_zero_alloc") 1;
+  Obs.Counter.add (Obs.Counter.make "checksum.des_swarm") d.Swarm_md.checksum;
   Obs.Counter.add (Obs.Counter.make "checksum.des_swarm_events") swarm_events;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_swarm_sent") swarm_sent;
+  Obs.Counter.add (Obs.Counter.make "checksum.des_swarm_sent") d.Swarm_md.pieces_sent;
   Obs.Counter.add (Obs.Counter.make "checksum.des_async_config") async_cs;
   Obs.Counter.add (Obs.Counter.make "checksum.des_async_sent") async_sent;
   Obs.Control.set_enabled false;
-  let per_backend prefix rate =
-    List.map (fun b -> (prefix ^ name b, rate b)) backends
-  in
   let manifest =
     Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_des" ~seed:42 ~scale:1.0 ~jobs:1
       ~metrics:
-        (per_backend "rate/des_cascade_" cascade_rate
-        @ per_backend "rate/des_swarm_md_" swarm_rate
-        @ per_backend "rate/des_async_" async_rate
-        @ [
-            ("rate/des_swarm_md_closure_baseline", closure_rate);
-            ("speedup/des_swarm_md", swarm_speedup);
-            ( "speedup/des_cascade",
-              List.fold_left (fun acc b -> Float.max acc (cascade_rate b)) 0.
-                [ Eng.Calendar; Eng.Ladder ]
-              /. cascade_rate Eng.Heap );
-            ("des/cascade_pending", float_of_int cascade_pending);
-            ("des/swarm_ticks", float_of_int swarm_ticks);
-          ])
+        [
+          ("rate/des_cascade_heap", cascade_rate);
+          ("rate/des_swarm_md_heap", swarm_rate);
+          ("rate/des_async_heap", async_rate);
+          ("des/cascade_pending", float_of_int cascade_pending);
+          ("des/swarm_ticks", float_of_int swarm_ticks);
+        ]
       ()
   in
   Obs.Profile.reset ();
@@ -1801,15 +1728,12 @@ let bench_des () =
 (* ------------------------------------------------------------------ *)
 (* Part 10: the service layer (lib/serve).
 
-   Three stages, mirroring bench_des's invariance-then-speed shape:
+   Three stages:
    (a) a mixed tracker script — two swarms (one partitioned-and-healed
        under loss, one in piece mode) over a churning population —
-       replayed once per queue backend.  The response checksum and the
-       entire kind:"serve" manifest must agree byte for byte (hard
-       failure): the end-to-end form of the (time, seq) invariance
-       bench_des pins at the engine layer.
-   (b) the same script stopped mid-run, snapshotted, restored on a
-       *different* backend and run out: the manifest must equal the
+       replayed once; its response checksum is a pinned counter.
+   (b) the same script stopped mid-run, snapshotted, restored into a
+       fresh engine and run out: the manifest must equal the
        uninterrupted run's (hard failure) — the serve-suite CI
        contract, checked from inside one process.
    (c) the announce hot path: a larger population serving a sustained
@@ -1820,15 +1744,8 @@ let bench_des () =
 let bench_serve () =
   print_endline "\n================ Service layer (replay equality + announce path) ================";
   let module Obs = Stratify_obs in
-  let module Eng = Stratify_des.Engine in
   let module Serve = Stratify_serve.Serve in
   let module Req = Stratify_serve.Request in
-  let with_backend b f =
-    let saved = Eng.default_backend () in
-    Eng.set_default_backend b;
-    Fun.protect ~finally:(fun () -> Eng.set_default_backend saved) f
-  in
-  let name = Eng.backend_name in
 
   (* (a) + (b): the mixed script. *)
   let script =
@@ -1890,53 +1807,29 @@ let bench_serve () =
         horizon = 36.0;
       }
   in
-  let replay backend =
-    with_backend backend (fun () ->
-        let t = Serve.create script in
-        Serve.run_script t;
-        ( Serve.checksum t,
-          Serve.requests_handled t,
-          Obs.Run_manifest.to_string (Serve.manifest ~git:"bench" t) ))
+  let script_cs, script_requests, uninterrupted =
+    let t = Serve.create script in
+    Serve.run_script t;
+    ( Serve.checksum t,
+      Serve.requests_handled t,
+      Obs.Run_manifest.to_string (Serve.manifest ~git:"bench" t) )
   in
-  let runs = List.map (fun b -> (b, replay b)) Eng.backends in
-  (match runs with
-  | [] -> ()
-  | (b0, (cs0, rq0, m0)) :: rest ->
-      List.iter
-        (fun (b, (cs, rq, m)) ->
-          if cs <> cs0 || rq <> rq0 then
-            failwith
-              (Printf.sprintf
-                 "bench.serve: %s checksum/requests (%d, %d) disagree with %s (%d, %d)" (name b)
-                 cs rq (name b0) cs0 rq0);
-          if not (String.equal m m0) then
-            failwith
-              (Printf.sprintf "bench.serve: %s serve manifest differs from %s" (name b) (name b0)))
-        rest);
-  List.iter
-    (fun (b, (cs, rq, _)) ->
-      Printf.printf "  replay %-8s checksum %d  (%d requests handled)\n%!" (name b) cs rq)
-    runs;
-  let script_cs, script_requests, uninterrupted = List.assoc Eng.Heap runs in
+  Printf.printf "  replay checksum %d  (%d requests handled)\n%!" script_cs script_requests;
 
-  (* (b) stop at t=17 on the heap, restore on the ladder, run out. *)
+  (* (b) stop at t=17, restore into a fresh engine, run out. *)
   let snap =
-    with_backend Eng.Heap (fun () ->
-        let t = Serve.create script in
-        Serve.run_to t 17.0;
-        Serve.snapshot_string t)
+    let t = Serve.create script in
+    Serve.run_to t 17.0;
+    Serve.snapshot_string t
   in
   let resumed =
-    with_backend Eng.Ladder (fun () ->
-        let t = Serve.restore_string snap in
-        Serve.run_script t;
-        Obs.Run_manifest.to_string (Serve.manifest ~git:"bench" t))
+    let t = Serve.restore_string snap in
+    Serve.run_script t;
+    Obs.Run_manifest.to_string (Serve.manifest ~git:"bench" t)
   in
   if not (String.equal resumed uninterrupted) then
-    failwith
-      "bench.serve: stop-at-17 / resume (heap -> ladder) manifest differs from the uninterrupted \
-       run";
-  Printf.printf "  stop/resume heap->ladder: manifest identical (%d bytes, snapshot %d bytes)\n%!"
+    failwith "bench.serve: stop-at-17 / resume manifest differs from the uninterrupted run";
+  Printf.printf "  stop/resume: manifest identical (%d bytes, snapshot %d bytes)\n%!"
     (String.length resumed) (String.length snap);
 
   (* (c) announce hot path: cycle announces over a 600-slot swarm in a
@@ -1974,21 +1867,20 @@ let bench_serve () =
   let announces = 20_000 in
   let lat = Array.make announces 0. in
   let announce_rate, hot_cs =
-    with_backend Eng.Heap (fun () ->
-        let t = Serve.create hot_script in
-        (* warm-up: build the world and let the first ticks settle *)
-        Serve.run_to t 2.0;
-        let t0 = Unix.gettimeofday () in
-        for i = 0 to announces - 1 do
-          let peer = i mod 600 in
-          let a = Unix.gettimeofday () in
-          ignore (Serve.handle t (Req.Announce { peer; swarm = "hot"; want = 8 }));
-          let b = Unix.gettimeofday () in
-          lat.(i) <- (b -. a) *. 1e9;
-          if i mod 2000 = 1999 then Serve.run_to t (Serve.now t +. 1.0)
-        done;
-        let dt = Unix.gettimeofday () -. t0 in
-        (float_of_int announces /. dt, Serve.checksum t))
+    let t = Serve.create hot_script in
+    (* warm-up: build the world and let the first ticks settle *)
+    Serve.run_to t 2.0;
+    let t0 = Unix.gettimeofday () in
+    for i = 0 to announces - 1 do
+      let peer = i mod 600 in
+      let a = Unix.gettimeofday () in
+      ignore (Serve.handle t (Req.Announce { peer; swarm = "hot"; want = 8 }));
+      let b = Unix.gettimeofday () in
+      lat.(i) <- (b -. a) *. 1e9;
+      if i mod 2000 = 1999 then Serve.run_to t (Serve.now t +. 1.0)
+    done;
+    let dt = Unix.gettimeofday () -. t0 in
+    (float_of_int announces /. dt, Serve.checksum t)
   in
   Array.sort compare lat;
   let pct p =

@@ -71,11 +71,11 @@ let check_bench ~max_slowdown baseline candidate =
               base_rate
         | Some rate -> ok "metric %s: %.2f vs baseline %.2f" name rate base_rate;
       (* "speedup/..." metrics are dimensionless ratios of two rates
-         measured in the same run (e.g. calendar-queue events/sec over
-         binary-heap events/sec in bench.des), so machine noise largely
-         cancels and they get a much tighter band than raw rates: the
-         candidate may not fall below baseline/1.25.  Like rates, they
-         only ratchet up by regenerating the baseline. *)
+         measured in the same run (e.g. the matching core's sweep rate
+         over its pre-rewrite replica's in bench.core), so machine noise
+         largely cancels and they get a much tighter band than raw
+         rates: the candidate may not fall below baseline/1.25.  Like
+         rates, they only ratchet up by regenerating the baseline. *)
       let speedup_tolerance = 1.25 in
       if String.length name >= 8 && String.sub name 0 8 = "speedup/" then
         match M.metric candidate name with

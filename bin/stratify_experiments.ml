@@ -94,26 +94,8 @@ let profile_phases_arg =
   in
   Arg.(value & flag & info [ "profile-phases" ] ~doc)
 
-let queue_arg =
-  let doc =
-    "DES event-queue backend for every engine the run creates: 'heap' (binary heap, the \
-     default), 'calendar' (O(1) amortized calendar queue, best for near-uniform latency \
-     spreads) or 'ladder' (ladder queue, robust to skewed/bursty schedules).  All backends pop \
-     events in the same total (time, seq) order, so every output — reports, CSVs, manifests — \
-     is byte-identical across backends; only events/sec changes (measured by bench.des)."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           (List.map
-              (fun b -> (Stratify_des.Engine.backend_name b, b))
-              Stratify_des.Engine.backends))
-        Stratify_des.Engine.Heap
-    & info [ "queue" ] ~docv:"BACKEND" ~doc)
-
 let context seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-    profile_phases queue =
+    profile_phases =
   let ctx =
     {
       E.seed;
@@ -126,7 +108,6 @@ let context seed scale csv_dir jobs manifest_dir n_override scheduler bands band
       bands;
       band_overlap;
       profile_phases;
-      queue;
     }
   in
   (* Same checks (and messages) as the library entry point. *)
@@ -135,10 +116,10 @@ let context seed scale csv_dir jobs manifest_dir n_override scheduler bands band
   | exception Invalid_argument msg -> `Error (false, msg)
 
 let run_experiment entry seed scale csv_dir jobs manifest_dir n_override scheduler bands
-    band_overlap profile_phases queue =
+    band_overlap profile_phases =
   match
     context seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-      profile_phases queue
+      profile_phases
   with
   | `Error _ as e -> e
   | `Ok ctx ->
@@ -152,15 +133,15 @@ let experiment_cmd ((name, description, _) as entry) =
     Term.(
       ret
         (const (run_experiment entry) $ seed_arg $ scale_arg $ csv_arg $ jobs_arg $ manifest_arg
-       $ n_arg $ scheduler_arg $ bands_arg $ band_overlap_arg $ profile_phases_arg $ queue_arg))
+       $ n_arg $ scheduler_arg $ bands_arg $ band_overlap_arg $ profile_phases_arg))
 
 let all_cmd =
   let doc = "Run every experiment in sequence." in
   let run seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-      profile_phases queue =
+      profile_phases =
     match
       context seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-        profile_phases queue
+        profile_phases
     with
     | `Error _ as e -> e
     | `Ok ctx ->
@@ -171,7 +152,7 @@ let all_cmd =
     Term.(
       ret
         (const run $ seed_arg $ scale_arg $ csv_arg $ jobs_arg $ manifest_arg $ n_arg
-       $ scheduler_arg $ bands_arg $ band_overlap_arg $ profile_phases_arg $ queue_arg))
+       $ scheduler_arg $ bands_arg $ band_overlap_arg $ profile_phases_arg))
 
 let list_cmd =
   let doc = "List available experiments." in

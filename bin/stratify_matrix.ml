@@ -2,7 +2,7 @@
 
    Usage:
      stratify_matrix [--seed N] [--filter SUB] [--shard K/M] [--jobs J]
-                     [--queue BACKEND] [--out DIR] [--summary FILE]
+                     [--out DIR] [--summary FILE]
                      [--baseline FILE] [--report FILE] [--write-baseline FILE]
      stratify_matrix --list [--seed N] [--filter SUB] [--shard K/M]
      stratify_matrix --merge OUT.json SHARD.json [SHARD.json ...]
@@ -21,12 +21,6 @@
    combines shard summaries (same matrix seed required) into one, for the
    CI aggregation step.
 
-   --queue selects the DES event-queue backend for every cell run
-   (heap | calendar | ladder).  Backends pop in the same total
-   (time, seq) order, so cell manifests are byte-identical across
-   backends — CI re-runs every shard under each backend and diffs the
-   manifest trees.
-
    Exit status: 0 all selected cells passed and no baseline regression;
    1 otherwise; 2 usage error or bad input.  Bad input — a malformed
    flag value, a summary or baseline that cannot be read or parsed, an
@@ -34,7 +28,6 @@
    "stratify_matrix: FLAG-OR-PATH: MESSAGE", never an uncaught
    exception. *)
 
-module Engine = Stratify_des.Engine
 module Matrix = Stratify_net_plan.Matrix
 module Plan = Stratify_net_plan.Plan
 module Report = Stratify_cli.Matrix_report
@@ -55,7 +48,7 @@ let int_flag ?(positive = false) flag v =
 let usage () =
   prerr_endline
     "usage: stratify_matrix [--seed N] [--filter SUB] [--shard K/M] [--jobs J]\n\
-    \                       [--queue BACKEND] [--out DIR] [--summary FILE]\n\
+    \                       [--out DIR] [--summary FILE]\n\
     \                       [--baseline FILE] [--report FILE] [--write-baseline FILE]\n\
     \       stratify_matrix --list [--seed N] [--filter SUB] [--shard K/M]\n\
     \       stratify_matrix --merge OUT.json SHARD.json [SHARD.json ...] [flags]";
@@ -122,15 +115,6 @@ let parse_args () =
     | "--jobs" :: v :: rest ->
         o.jobs <- int_flag ~positive:true "--jobs" v;
         go rest
-    | "--queue" :: v :: rest -> (
-        match Engine.backend_of_string v with
-        | Some b ->
-            Engine.set_default_backend b;
-            go rest
-        | None ->
-            Printf.eprintf "stratify_matrix: unknown queue backend %S (heap | calendar | ladder)\n"
-              v;
-            exit 2)
     | "--out" :: v :: rest ->
         o.out <- v;
         go rest
@@ -150,7 +134,7 @@ let parse_args () =
         o.merge_mode <- true;
         go rest
     | flag :: _ when String.length flag >= 2 && String.sub flag 0 2 = "--" ->
-        Printf.eprintf "stratify_matrix: unknown or incomplete flag %s\n" flag;
+        Printf.eprintf "stratify_matrix: %s: unknown or incomplete flag\n" flag;
         usage ()
     | p :: rest ->
         o.positional <- o.positional @ [ p ];

@@ -1,24 +1,20 @@
 (* Run declarative fault-injection scenarios (see lib/net/plan.mli).
 
    Usage:
-     stratify_plan [--out DIR] [--queue BACKEND] PLAN.plan [PLAN.plan ...]
+     stratify_plan [--out DIR] PLAN.plan [PLAN.plan ...]
 
    Each plan is executed, its assertion checks printed, and its run
    manifest written to DIR (default results/manifests/plans) as
    <name>-<seed>.json.  Exit status 0 iff every assertion of every plan
    held.  Manifests are deterministic: two same-seed invocations of the
    same binary produce byte-identical files, which the matrix-aggregate
-   CI job pins with a double-run diff.  --queue selects the DES
-   event-queue backend (heap | calendar | ladder); every backend pops in
-   the same total (time, seq) order, so manifests are byte-identical
-   across backends — CI spot-checks exactly that.
+   CI job pins with a double-run diff.
 
    Bad input — an unknown or incomplete flag, a plan that cannot be
    read, parsed or validated, an unwritable --out — prints
    "stratify_plan: FLAG-OR-PATH: MESSAGE" and exits 2, never an
    uncaught exception. *)
 
-module Engine = Stratify_des.Engine
 module Plan = Stratify_net_plan.Plan
 module Manifest = Stratify_obs.Run_manifest
 module Arg_file = Stratify_cli.Arg_file
@@ -34,14 +30,7 @@ let () =
     | "--out" :: dir :: rest ->
         out := dir;
         parse rest
-    | "--queue" :: name :: rest -> (
-        match Engine.backend_of_string name with
-        | Some b ->
-            Engine.set_default_backend b;
-            parse rest
-        | None ->
-            fail "--queue" (Printf.sprintf "unknown backend %S (heap | calendar | ladder)" name))
-    | [ ("--out" | "--queue") as flag ] -> fail flag "missing argument"
+    | [ "--out" ] -> fail "--out" "missing argument"
     | flag :: _ when String.starts_with ~prefix:"--" flag -> fail flag "unknown flag"
     | p :: rest ->
         paths := p :: !paths;
@@ -50,7 +39,7 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let paths = List.rev !paths in
   if paths = [] then begin
-    prerr_endline "usage: stratify_plan [--out DIR] [--queue BACKEND] PLAN.plan [PLAN.plan ...]";
+    prerr_endline "usage: stratify_plan [--out DIR] PLAN.plan [PLAN.plan ...]";
     exit 2
   end;
   let failed = ref 0 in

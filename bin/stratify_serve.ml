@@ -1,18 +1,17 @@
 (* The request-driven service frontend (see lib/serve/serve.mli).
 
    Script mode:
-     stratify_serve [--out DIR] [--queue BACKEND] SCRIPT.serve
+     stratify_serve [--out DIR] SCRIPT.serve
        run the script to its horizon and write the kind:"serve" run
        manifest to DIR (default results/manifests/serve) as
        <name>-<seed>.json.
      stratify_serve --stop-at T --snapshot SNAP.json SCRIPT.serve
        run to simulated time T, serialize the complete world to
        SNAP.json and exit without a manifest.
-     stratify_serve --resume SNAP.json [--out DIR] [--queue BACKEND]
+     stratify_serve --resume SNAP.json [--out DIR]
        restore the world (the script travels inside the snapshot) and
        run on to the horizon; the manifest is byte-identical to the
-       uninterrupted run's — for any --queue on either side, which the
-       serve-suite CI job pins.
+       uninterrupted run's, which the serve-suite CI job pins.
 
    Stdio mode:
      stratify_serve --stdio SCRIPT.serve
@@ -33,7 +32,6 @@
    "stratify_serve: PATH: MESSAGE".  --help prints the usage line and
    exits 0. *)
 
-module Engine = Stratify_des.Engine
 module Request = Stratify_serve.Request
 module Serve = Stratify_serve.Serve
 module Manifest = Stratify_obs.Run_manifest
@@ -53,7 +51,7 @@ let write_file path s =
   close_out oc
 
 let usage_line =
-  "usage: stratify_serve [--out DIR] [--queue BACKEND] [--stop-at T \
+  "usage: stratify_serve [--out DIR] [--stop-at T \
    --snapshot SNAP] [--resume SNAP] [--stdio] [SCRIPT.serve]"
 
 let usage () =
@@ -116,19 +114,9 @@ let () =
     | "--out" :: dir :: rest ->
         out := dir;
         parse rest
-    | "--queue" :: name :: rest -> (
-        match Engine.backend_of_string name with
-        | Some b ->
-            Engine.set_default_backend b;
-            parse rest
-        | None ->
-            Printf.eprintf
-              "stratify_serve: unknown queue backend %S (heap | calendar | ladder)\n"
-              name;
-            exit 2)
     | "--stop-at" :: time :: rest -> (
         match float_of_string_opt time with
-        | Some x when x > 0. ->
+        | Some x when x > 0. && Float.is_finite x ->
             stop_at := Some x;
             parse rest
         | _ ->
@@ -147,9 +135,8 @@ let () =
         print_endline usage_line;
         exit 0
     | ("--out" | "--stop-at" | "--snapshot" | "--resume") :: [] -> usage ()
-    | "--queue" :: [] -> usage ()
     | flag :: _ when String.starts_with ~prefix:"--" flag ->
-        Printf.eprintf "stratify_serve: unknown flag %s\n" flag;
+        Printf.eprintf "stratify_serve: %s: unknown flag\n" flag;
         usage ()
     | p :: rest ->
         paths := p :: !paths;

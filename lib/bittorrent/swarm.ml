@@ -304,85 +304,3 @@ let completed t =
       | None -> acc + 1
       | Some f -> if Piece.is_complete f then acc + 1 else acc)
     0 t.peers
-
-(* ------------------------------------------------------------------ *)
-
-(* Message-level DES driver: runs the tick simulator inside the event
-   engine and turns every applied transfer into a burst of
-   defunctionalized piece messages routed through [Net.send_packed].
-   This is the swarm-md workload of bench.des — the §6 stratification
-   claims must ultimately be observed from message-level traffic
-   (Legout et al.), which makes events/sec the binding constraint on
-   reproduction scale.  Each tick does one [Net.burst_begin] (a single
-   RNG advance batching all of the tick's fault draws) and every piece
-   message flows through the engine's packed path without allocating. *)
-module Des = struct
-  module Engine = Stratify_des.Engine
-
-  let kind_tick = 0
-  let kind_piece = 1
-
-  type driver = {
-    swarm : t;
-    net : Net.t;
-    tick_code : int;
-    mutable ticks_left : int;
-    mutable pieces_sent : int;
-    mutable pieces_delivered : int;
-    mutable checksum : int;
-  }
-
-  (* tick cadence and message granularity are compile-time constants of
-     the driver: one tick per simulated second, one message per
-     [chunk] data units of an applied transfer *)
-  let tick_interval = 1.0
-
-  let create swarm ~net ~chunk =
-    if chunk <= 0. then invalid_arg "Swarm.Des.create: chunk must be positive";
-    let d =
-      {
-        swarm;
-        net;
-        tick_code = Net.Packed.pack_checked ~kind:kind_tick ~src:0 ~dst:0;
-        ticks_left = 0;
-        pieces_sent = 0;
-        pieces_delivered = 0;
-        checksum = 0x811C9DC5;
-      }
-    in
-    set_on_transfer swarm (fun sender receiver amount ->
-        let msgs =
-          let m = int_of_float (amount /. chunk) in
-          if m < 1 then 1 else m
-        in
-        d.pieces_sent <- d.pieces_sent + msgs;
-        for _ = 1 to msgs do
-          Net.send_packed d.net ~src:sender ~dst:receiver ~kind:kind_piece
-        done);
-    Engine.set_packed_handler (Net.engine net) (fun eng code ->
-        if Net.Packed.kind code = kind_piece then begin
-          d.pieces_delivered <- d.pieces_delivered + 1;
-          (* FNV-style fold of the delivery order: identical across
-             `--queue` backends iff the pop sequences are identical *)
-          d.checksum <- (d.checksum lxor code) * 0x01000193 land max_int
-        end
-        else begin
-          Net.burst_begin d.net;
-          step d.swarm;
-          d.ticks_left <- d.ticks_left - 1;
-          if d.ticks_left > 0 then
-            Engine.schedule_packed eng ~delay:tick_interval d.tick_code
-        end);
-    d
-
-  let run d ~ticks =
-    if ticks <= 0 then invalid_arg "Swarm.Des.run: ticks must be positive";
-    d.ticks_left <- ticks;
-    let eng = Net.engine d.net in
-    Engine.schedule_packed eng ~delay:0. d.tick_code;
-    ignore (Engine.drain ~max_events:max_int eng)
-
-  let pieces_sent d = d.pieces_sent
-  let pieces_delivered d = d.pieces_delivered
-  let checksum d = d.checksum
-end

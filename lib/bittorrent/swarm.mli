@@ -112,40 +112,5 @@ val clear_link_progress : t -> unit
 val set_on_transfer : t -> (int -> int -> float -> unit) -> unit
 (** Observation hook fired on every applied transfer, after download-cap
     scaling: [f sender receiver amount].  Defaults to a no-op (plain
-    tick runs are byte-identical with or without it); {!Des} uses it to
-    emit message-level piece traffic. *)
-
-(** Message-level DES driver: the tick simulator runs as a
-    self-rescheduling packed event inside a DES engine, and every
-    applied transfer fans out into defunctionalized piece messages
-    ([amount / chunk], at least one) routed through
-    [Net.send_packed] — latency, loss, reordering and duplication apply
-    per message, with all of a tick's fault draws batched behind one
-    RNG advance ([Net.burst_begin]).  The engine's `--queue` backend
-    choice never changes {!checksum} (pop order is the total
-    (time, seq) order for every backend); it only changes events/sec —
-    measured by bench.des on this very workload. *)
-module Des : sig
-  type driver
-
-  val create : t -> net:Stratify_net.Net.t -> chunk:float -> driver
-  (** Wire a swarm to a network: installs the packed-event handler on
-      the network's engine and the {!set_on_transfer} hook on the
-      swarm.  [chunk] is the data units per piece message.  Raises
-      [Invalid_argument] when [chunk <= 0]. *)
-
-  val run : driver -> ticks:int -> unit
-  (** Schedule the first tick and drain the engine: [ticks] swarm ticks
-      one simulated second apart, plus every piece message they emit
-      (deliveries may trail the last tick; the drain runs to empty). *)
-
-  val pieces_sent : driver -> int
-
-  val pieces_delivered : driver -> int
-  (** Piece messages that survived the fault pipeline (duplicates
-      count). *)
-
-  val checksum : driver -> int
-  (** FNV-style fold of the piece-delivery order — byte-identical
-      across `--queue` backends. *)
-end
+    tick runs are byte-identical with or without it); bench.des's
+    swarm-md workload uses it to emit message-level piece traffic. *)

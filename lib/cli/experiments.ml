@@ -21,7 +21,6 @@ type context = {
   bands : int;
   band_overlap : int option;
   profile_phases : bool;
-  queue : Stratify_des.Engine.backend;
 }
 
 let default_context =
@@ -36,7 +35,6 @@ let default_context =
     bands = 1;
     band_overlap = None;
     profile_phases = false;
-    queue = Stratify_des.Engine.Heap;
   }
 
 (* Contexts also arrive from library callers (the bench harness builds
@@ -1262,13 +1260,6 @@ module Obs = Stratify_obs
 
 let run_named ctx (name, _desc, f) =
   validate_context ctx;
-  (* Install the selected event-queue backend as the process default so
-     that engines created anywhere below (Net.create without ?engine,
-     Async_dynamics' private net, scenario harnesses) pick it up.  Every
-     backend pops in the same total (time, seq) order, so all outputs —
-     reports, CSVs, manifests — are byte-identical across `--queue`
-     values; only events/sec changes. *)
-  Stratify_des.Engine.set_default_backend ctx.queue;
   match ctx.manifest_dir with
   | None -> f ctx
   | Some dir ->

@@ -19,7 +19,6 @@ type context = {
   bands : int;
   band_overlap : int option;
   profile_phases : bool;
-  queue : Stratify_des.Engine.backend;
 }
 (** [jobs] is the worker-domain count handed to {!Stratify_exec.Exec} by
     the Monte-Carlo-heavy experiments (fig1, table1, fig6, fig9, scaling).
@@ -65,18 +64,7 @@ type context = {
     "shard.stitch", "shard.fixup") record wall time, entry/op counts and
     GC allocation deltas, written as the manifest's [profile] section.
     Purely additive: the section is omitted when off, so default
-    manifests stay byte-identical.
-
-    [queue] (default [Heap]) selects the DES event-queue backend
-    ({!Stratify_des.Engine.backend}) installed as the process default by
-    {!run_named} before the experiment runs — binary heap, calendar
-    queue, or ladder queue.  Every backend pops in the same total
-    (time, seq) order, so all outputs (reports, CSVs, manifests) are
-    byte-identical across `--queue` values; only events/sec changes.
-    The matrix-suite CI job spot-checks this byte identity; bench.des
-    measures the throughput difference.  Deliberately {e not} recorded
-    in manifests — like [jobs], it is an execution knob, not a scenario
-    parameter. *)
+    manifests stay byte-identical. *)
 
 val default_context : context
 (** seed 42, scale 1.0, no CSV, [jobs = 1], no manifests, random-poll

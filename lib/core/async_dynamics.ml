@@ -78,7 +78,7 @@ let probe = 5
 let reply_listed = 6
 let reply_unlisted = 7
 
-let send t ~src ~dst kind = Net.send_code t.net ~src ~dst ~kind
+let send t ~src ~dst kind = Net.send t.net ~src ~dst (Net.Packed.pack ~kind ~src ~dst)
 
 (* p makes room for a new mate, notifying the evicted peer. *)
 let make_room t p =
@@ -145,31 +145,27 @@ let dispatch t code =
       if listed t dst src then remove t dst src
   | k -> invalid_arg (Printf.sprintf "Async_dynamics: unknown message kind %d" k)
 
-let create ?backend ?net instance rng params =
+let create ?net instance rng params =
   if params.latency < 0. then invalid_arg "Async_dynamics: negative latency";
   if params.initiative_rate <= 0. then invalid_arg "Async_dynamics: rate must be positive";
-  if params.loss < 0. || params.loss >= 1. then
+  if not (Float.is_finite params.initiative_rate) then
+    invalid_arg "Async_dynamics: rate must be finite";
+  if not (params.loss >= 0. && params.loss < 1.) then
     invalid_arg "Async_dynamics: loss must be in [0,1)";
   let n = Instance.n instance in
   if n > Net.Packed.max_id + 1 then
     invalid_arg
       (Printf.sprintf "Async_dynamics: %d peers exceed the packed message id space (%d)" n
          (Net.Packed.max_id + 1));
-  (match (backend, net) with
-  | Some _, Some _ ->
-      invalid_arg "Async_dynamics: ?backend applies to the internally built net; pass one or the other"
-  | _ -> ());
   let net =
     match net with
     | Some net -> net
     | None ->
         (* Legacy fault model: constant latency, optional i.i.d. loss.
            [Iid 0.] and [Constant] draw nothing, so this network is
-           draw-for-draw identical to the old direct-[Engine.schedule]
-           path and preserves goldens bit-for-bit.  The queue backend
-           changes pop mechanics only, never pop order, so it too is
-           draw-for-draw invisible (`--queue` invariance). *)
-        Net.create ~engine:(Engine.create ?backend ()) rng
+           draw-for-draw identical to scheduling straight on the engine
+           and preserves goldens bit-for-bit. *)
+        Net.create rng
           {
             latency = Net.Constant params.latency;
             loss = (if params.loss > 0. then Net.Iid params.loss else Net.No_loss);
@@ -179,7 +175,7 @@ let create ?backend ?net instance rng params =
           }
   in
   let t = { instance; params; rng; net; mates = Array.make n []; live = true } in
-  Engine.set_packed_handler (Net.engine net) (fun _ code -> dispatch t code);
+  Net.set_handler net (fun _ code -> dispatch t code);
   for p = 0 to n - 1 do
     arm_clock t p
   done;

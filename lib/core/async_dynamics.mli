@@ -35,7 +35,6 @@ type outcome =
 type t
 
 val create :
-  ?backend:Stratify_des.Engine.backend ->
   ?net:Stratify_net.Net.t ->
   Instance.t ->
   Stratify_prng.Rng.t ->
@@ -47,26 +46,22 @@ val create :
 
     Without [?net], messages cross a private fault-free-by-default
     network built from [params]: constant [latency], i.i.d. [loss] — the
-    legacy fault model, bit-identical to the historical
-    direct-[Engine.schedule] path.  [?backend] selects the event-queue
-    backend of that private network's engine (default:
-    {!Stratify_des.Engine.default_backend}); every backend pops in the
-    same total [(time, seq)] order, so results are backend-invariant —
-    only events/sec changes (bench.des measures this workload).  With
-    [?net], all messages route through the given network (its
-    latency/loss/duplication/reordering/partition faults apply;
-    [params.latency] and [params.loss] are ignored, and [?backend] is
-    rejected — choose the backend when building the network's engine)
-    and the dynamics runs on that network's engine — this is how the
-    scenario harness injects faults.
+    legacy fault model, bit-identical to scheduling each message straight
+    on the engine.  With [?net], all messages route through the given
+    network (its latency/loss/duplication/reordering/partition faults
+    apply; [params.latency] and [params.loss] are ignored) and the
+    dynamics runs on that network's engine — this is how the scenario
+    harness injects faults.
 
-    Protocol messages are packed event codes ({!Stratify_net.Net.send_code}),
-    so [create] installs its own handler with
-    {!Stratify_des.Engine.set_packed_handler}, replacing any handler the
-    engine had: do not share the engine with another packed-event
-    workload.  Closure events (e.g. a partition schedule) coexist.
-    Raises [Invalid_argument] when the instance has more peers than
-    packed codes can address ([Net.Packed.max_id + 1]). *)
+    Protocol messages are packed event codes sent with
+    {!Stratify_net.Net.send}, so [create] installs its own handler with
+    {!Stratify_net.Net.set_handler}, replacing any handler the network
+    had: do not share the network with another packed-event workload.
+    The network's partition schedule keeps working.  Raises
+    [Invalid_argument] on a negative latency, a non-positive or
+    non-finite initiative rate, a loss outside [0, 1), or when the
+    instance has more peers than packed codes can address
+    ([Net.Packed.max_id + 1]). *)
 
 val net : t -> Stratify_net.Net.t
 (** The network carrying this instance's messages (the private one if

@@ -1,5 +1,5 @@
 (* Binary min-heap over (time, seq) keys carrying int slot values — the
-   baseline event-queue backend of the engine (`--queue heap`).
+   engine's event queue.
 
    A structure-of-arrays heap: keys live in a float array and an int
    array, values are plain ints, so sifting is pure scalar loads and
@@ -111,9 +111,3 @@ let pop_before t times ~slot ~seq =
     let bt = times.(slot) and t0 = t.kt.(0) in
     if t0 < bt || (t0 = bt && t.ks.(0) < seq) then remove_root t else -1
   end
-
-let clear t =
-  t.len <- 0;
-  t.kt <- [||];
-  t.ks <- [||];
-  t.kv <- [||]

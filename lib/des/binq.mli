@@ -1,13 +1,10 @@
 (** Structure-of-arrays binary min-heap on (time, seq) keys — the
-    baseline event-queue backend ([--queue heap]).
+    engine's event queue.
 
-    All three backends ({!Binq}, {!Calq}, {!Ladq}) share this contract:
-    entries are int [slot] values ordered by the total key
+    Entries are int [slot] values ordered by the total key
     [(times.(slot), seq)], where [seq] is the engine's monotonically
-    increasing insertion sequence.  Because the key order is total, any
-    correct min-extracting implementation pops slots in the identical
-    order, which is the whole determinism argument for `--queue`
-    invariance (DESIGN.md §14).
+    increasing insertion sequence.  The key order is total, so the pop
+    order is a function of the inserts alone (DESIGN.md §14).
 
     The event time is read from [times.(slot)] rather than passed as a
     [float] argument: without flambda a freshly computed float crossing
@@ -37,8 +34,5 @@ val pop_before : t -> float array -> slot:int -> seq:int -> int
     orders strictly before [(times.(slot), seq)]; [-1] when the queue is
     empty or its minimum does not (nothing is removed in that case).
     The engine calls it with the head of its in-order lane as the
-    bound, so each pop searches the backend once.  The bound's time is
+    bound, so each pop searches the heap once.  The bound's time is
     read from an array for the same boxing reason as in {!add}. *)
-
-val clear : t -> unit
-(** Empty the queue and release backing storage. *)

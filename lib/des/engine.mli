@@ -5,78 +5,43 @@
     This is the substrate of the asynchronous message-passing dynamics
     (the paper's peers act "anytime", not in rounds).
 
-    The queue itself is pluggable ({!backend}, the [--queue] flag):
-    a binary heap, a calendar queue, or a ladder queue.  All three pop
-    in the identical total (time, seq) order, so the backend choice
-    never changes simulation results — only events/sec (DESIGN.md §14).
-    In front of the backend, relative schedules that repeat one constant
-    delay (a constant-latency network's messages) wait in an in-order
-    FIFO lane instead of the queue; pops merge the lane with the backend
-    under the same (time, seq) order, so the lane changes no result
-    either.
-
-    Two payload flavours share the queue: classic closure callbacks,
-    and defunctionalized "packed" events — a non-negative int code
+    An event is a defunctionalized "packed" code — a non-negative int
     (typically bit-packed src/dst/kind, see [Net.Packed]) dispatched
-    through a per-engine handler.  Packed events make the steady-state
-    scheduling path allocation-free: no closure, no heap entry, just
-    scalars in recycled slot arrays. *)
+    through a per-engine handler — so the steady-state scheduling path
+    is allocation-free: no closure, no heap block, just scalars in
+    recycled slot arrays.  A binary heap pops events in the total
+    (time, seq) order.  In front of it, relative schedules that repeat
+    one constant delay (a constant-latency network's messages) wait in
+    an in-order FIFO lane instead; pops merge the lane with the heap
+    under the same order, so the lane changes no result (DESIGN.md §14).
+
+    Every time, delay and clock handed to the engine must be finite:
+    [nan] and [±inf] raise [Invalid_argument] naming the function and
+    the value. *)
 
 type t
 
-(** {1 Queue backends} *)
-
-type backend =
-  | Heap  (** binary heap — the robust general-purpose baseline *)
-  | Calendar  (** calendar queue — O(1) amortized for near-uniform gaps *)
-  | Ladder  (** ladder queue — robust to skewed / bursty schedules *)
-
-val backends : backend list
-(** All backends, in flag order: heap, calendar, ladder. *)
-
-val backend_name : backend -> string
-(** ["heap"], ["calendar"] or ["ladder"] — the [--queue] spelling. *)
-
-val backend_of_string : string -> backend option
-
-val set_default_backend : backend -> unit
-(** Process-wide default for {!create} — how the [--queue] flag reaches
-    engines created deep inside [Net] / [Async_dynamics] / [Plan]
-    without threading a parameter through every constructor.  Initially
-    {!Heap}. *)
-
-val default_backend : unit -> backend
-
-(** {1 Engine} *)
-
-val create : ?backend:backend -> unit -> t
-(** [backend] defaults to {!default_backend}. *)
-
-val backend : t -> backend
+val create : unit -> t
 
 val now : t -> float
 (** Current simulated time. *)
 
-val schedule : t -> delay:float -> (t -> unit) -> unit
-(** Run a callback [delay] time units from now ([delay ≥ 0]).  Raises
-    [Invalid_argument] naming the offending delay otherwise — jittered
-    latency draws that go negative fail loudly, not silently. *)
-
-val schedule_at : t -> time:float -> (t -> unit) -> unit
-(** Absolute-time variant; [time] must not be in the past.  Raises
-    [Invalid_argument] naming the offending time and the current clock. *)
-
 val schedule_packed : t -> delay:float -> int -> unit
-(** Like {!schedule} for a defunctionalized event: [code ≥ 0] is stored
-    instead of a closure and dispatched through the handler installed
-    with {!set_packed_handler}.  Allocation-free in steady state. *)
+(** Fire [code ≥ 0] through the handler installed with
+    {!set_packed_handler}, [delay] time units from now.  Raises
+    [Invalid_argument] naming the offending value on a negative code, a
+    negative delay (jittered latency draws that go negative fail
+    loudly, not silently) or a non-finite event time.  Allocation-free
+    in steady state. *)
 
 val schedule_packed_at : t -> time:float -> int -> unit
-(** Absolute-time variant of {!schedule_packed}. *)
+(** Absolute-time variant of {!schedule_packed}; [time] must be finite
+    and not in the past.  Raises [Invalid_argument] naming the
+    offending time and the current clock. *)
 
 val set_packed_handler : t -> (t -> int -> unit) -> unit
-(** Install the dispatcher for packed event codes.  Firing a packed
-    event with no handler installed raises [Invalid_argument]. *)
+(** Install the dispatcher for event codes.  Firing an event with no
+    handler installed raises [Invalid_argument]. *)
 
 val pending : t -> int
 
@@ -85,22 +50,20 @@ val step : t -> bool
 
 val run_until : t -> time:float -> unit
 (** Process events with timestamp [≤ time], then advance the clock to
-    [time]. *)
+    [time] (finite, not in the past). *)
 
 val dump_packed : t -> (float * int) array
-(** The pending queue as pure data, in the canonical pop order (the total
-    (time, seq) order every backend agrees on) — the serializable form
-    used by deterministic snapshot/restore.  Non-destructive: the queue
-    is intact (and equivalent) afterwards.  Raises [Invalid_argument]
-    when a closure event is pending — only packed events are data. *)
+(** The pending queue as pure data, in the canonical (time, seq) pop
+    order — the serializable form used by deterministic
+    snapshot/restore.  Non-destructive: the queue is intact (and
+    equivalent) afterwards. *)
 
-val restore_packed : ?backend:backend -> now:float -> (float * int) array -> t
+val restore_packed : now:float -> (float * int) array -> t
 (** A fresh engine whose clock reads [now] and whose queue pops exactly
     the given [(time, code)] entries in array order (entries must be in
-    canonical order, i.e. straight from {!dump_packed} — times before
-    [now] raise [Invalid_argument]).  Because the dump order is the
-    backend-invariant total order, a snapshot taken under one [backend]
-    restores bit-identically under any other. *)
+    canonical order, i.e. straight from {!dump_packed}).  A negative or
+    non-finite clock, and entry times that are non-finite or before
+    [now], raise [Invalid_argument]. *)
 
 val drain : ?max_events:int -> t -> bool
 (** Process everything left (events may schedule more).  Returns [false]

@@ -56,6 +56,10 @@ module Packed = struct
   let[@inline] kind code = code land max_kind
   let[@inline] src code = (code lsr kind_bits) land max_id
   let[@inline] dst code = code lsr (kind_bits + id_bits)
+
+  (* The kind of the network's own split/heal events: [src] indexes the
+     groups table.  No protocol handler ever sees it. *)
+  let partition_kind = max_kind
 end
 
 (* Gilbert–Elliott link states: open addressing from the link key
@@ -127,8 +131,8 @@ type t = {
   faults : faults;
   (* Fault-free configurations take a precomputed branch in [send] that
      skips the whole pipeline (no RNG draws either way, so the two paths
-     are trace-identical) — the refactor of Async_dynamics onto Net.send
-     must stay within the bench.net dispatch-overhead budget. *)
+     are trace-identical), keeping Net.send within the bench.net
+     dispatch-overhead budget. *)
   fast : bool;
   fast_latency : float;
   links : Links.t;  (* Gilbert–Elliott link states *)
@@ -143,6 +147,10 @@ type t = {
   mutable burst_base : int;
   mutable burst_idx : int;
   mutable groups : int array option;
+  mutable splits : int array option array;
+      (* the groups of every scheduled split/heal event, indexed by the
+         event code's [src] *)
+  mutable handler : Engine.t -> int -> unit;  (* the protocol's, from [set_handler] *)
   mutable sent : int;
   mutable delivered : int;
   mutable lost : int;
@@ -151,17 +159,29 @@ type t = {
   mutable reordered : int;
 }
 
+(* [nan] and [inf] pass every [x < 0.] test, so each field is checked
+   finite first: a non-finite delay would reorder the engine. *)
+let check_finite what x =
+  if not (Float.is_finite x) then
+    invalid_arg (Printf.sprintf "Net.create: %s must be finite, got %g" what x)
+
 let check_prob what p =
-  if p < 0. || p >= 1. then
+  if not (p >= 0. && p < 1.) then
     invalid_arg (Printf.sprintf "Net.create: %s must be in [0, 1), got %g" what p)
 
 let validate f =
   (match f.latency with
-  | Constant l -> if l < 0. then invalid_arg (Printf.sprintf "Net.create: negative latency %g" l)
+  | Constant l ->
+      check_finite "latency" l;
+      if l < 0. then invalid_arg (Printf.sprintf "Net.create: negative latency %g" l)
   | Jitter { base; spread } ->
+      check_finite "latency base" base;
+      check_finite "jitter spread" spread;
       if base < 0. then invalid_arg (Printf.sprintf "Net.create: negative latency base %g" base);
       if spread < 0. then invalid_arg (Printf.sprintf "Net.create: negative jitter spread %g" spread)
-  | Log_normal { sigma; _ } ->
+  | Log_normal { mu; sigma } ->
+      check_finite "log-normal mu" mu;
+      check_finite "log-normal sigma" sigma;
       if sigma < 0. then invalid_arg (Printf.sprintf "Net.create: negative sigma %g" sigma));
   (match f.loss with
   | No_loss -> ()
@@ -173,8 +193,12 @@ let validate f =
       check_prob "loss_bad" loss_bad);
   check_prob "duplicate" f.duplicate;
   check_prob "reorder" f.reorder;
+  check_finite "reorder_spread" f.reorder_spread;
   if f.reorder_spread < 0. then
     invalid_arg (Printf.sprintf "Net.create: negative reorder_spread %g" f.reorder_spread)
+
+let no_handler (_ : Engine.t) (_ : int) =
+  invalid_arg "Net: message delivered but no handler is installed (see Net.set_handler)"
 
 let create ?engine rng faults =
   validate faults;
@@ -196,6 +220,8 @@ let create ?engine rng faults =
     burst_base = 0;
     burst_idx = 0;
     groups = None;
+    splits = [||];
+    handler = no_handler;
     sent = 0;
     delivered = 0;
     lost = 0;
@@ -207,6 +233,22 @@ let create ?engine rng faults =
 let engine t = t.engine
 let faults t = t.faults
 
+(* Install the engine's handler: the protocol's own until a split/heal
+   event is scheduled, then a wrapper that applies split/heal events and
+   passes every other code on — so a network without a partition
+   schedule pays no per-event kind test. *)
+let install t =
+  let f = t.handler in
+  Engine.set_packed_handler t.engine
+    (if Array.length t.splits = 0 then f
+     else fun e code ->
+       if Packed.kind code = Packed.partition_kind then t.groups <- t.splits.(Packed.src code)
+       else f e code)
+
+let set_handler t f =
+  t.handler <- f;
+  install t
+
 let set_partition_schedule t events =
   (* Validate the whole schedule before touching the engine, with an
      error naming the partition script rather than the engine internals
@@ -215,15 +257,25 @@ let set_partition_schedule t events =
   let now = Engine.now t.engine in
   List.iter
     (fun ev ->
+      if not (Float.is_finite ev.at) then
+        invalid_arg
+          (Printf.sprintf "Net.set_partition_schedule: partition event at %g is not finite"
+             ev.at);
       if ev.at < now then
         invalid_arg
           (Printf.sprintf
              "Net.set_partition_schedule: partition event at %g is in the past (engine now %g)"
              ev.at now))
     events;
-  List.iter
-    (fun ev -> Engine.schedule_at t.engine ~time:ev.at (fun _ -> t.groups <- ev.groups))
-    events
+  let first = Array.length t.splits in
+  let groups = List.map (fun (ev : partition_event) -> ev.groups) events in
+  t.splits <- Array.append t.splits (Array.of_list groups);
+  List.iteri
+    (fun i ev ->
+      Engine.schedule_packed_at t.engine ~time:ev.at
+        (Packed.pack_checked ~kind:Packed.partition_kind ~src:(first + i) ~dst:0))
+    events;
+  if events <> [] then install t
 
 let reachable t ~src ~dst =
   match t.groups with None -> true | Some g -> g.(src) = g.(dst)
@@ -253,20 +305,12 @@ let draw_latency t =
   | Jitter { base; spread } -> if spread <= 0. then base else Dist.uniform t.rng ~lo:base ~hi:(base +. spread)
   | Log_normal { mu; sigma } -> Dist.lognormal t.rng ~mu ~sigma
 
-(* A message is either a packed code (>= 0) or, when [code] is -1, the
-   closure [handler]; [send_code] passes this never-called placeholder. *)
-let no_handler : Engine.t -> unit = fun _ -> ()
-
-let[@inline] schedule t ~delay code handler =
-  if code >= 0 then Engine.schedule_packed t.engine ~delay code
-  else Engine.schedule t.engine ~delay handler
-
 (* One delivery attempt: latency draw, optional reordering delay, schedule.
    A scheduled message always runs, so [delivered] is counted here rather
-   than in a wrapper closure at fire time — the hot fault-free path then
-   hands the message to the engine untouched, keeping Net.send within its
-   dispatch-overhead budget (see bench.net). *)
-let deliver t code handler =
+   than at fire time — the hot fault-free path then hands the code to the
+   engine untouched, keeping Net.send within its dispatch-overhead budget
+   (see bench.net). *)
+let deliver t code =
   let delay = draw_latency t in
   let delay =
     if t.faults.reorder > 0. && Rng.bernoulli t.rng t.faults.reorder then begin
@@ -278,9 +322,9 @@ let deliver t code handler =
   in
   t.delivered <- t.delivered + 1;
   Counter.incr c_delivered;
-  schedule t ~delay code handler
+  Engine.schedule_packed t.engine ~delay code
 
-let[@inline never] send_slow t ~src ~dst code handler =
+let[@inline never] send_slow t ~src ~dst code =
   if not (reachable t ~src ~dst) then begin
     t.partitioned <- t.partitioned + 1;
     Counter.incr c_partitioned
@@ -290,28 +334,23 @@ let[@inline never] send_slow t ~src ~dst code handler =
     Counter.incr c_lost
   end
   else begin
-    deliver t code handler;
+    deliver t code;
     if t.faults.duplicate > 0. && Rng.bernoulli t.rng t.faults.duplicate then begin
       t.duplicated <- t.duplicated + 1;
       Counter.incr c_duplicated;
-      deliver t code handler
+      deliver t code
     end
   end
 
-let[@inline always] route t ~src ~dst code handler =
+let[@inline always] send t ~src ~dst code =
   t.sent <- t.sent + 1;
   Counter.incr c_sent;
   if t.fast && t.groups == None then begin
     t.delivered <- t.delivered + 1;
     Counter.incr c_delivered;
-    schedule t ~delay:t.fast_latency code handler
+    Engine.schedule_packed t.engine ~delay:t.fast_latency code
   end
-  else send_slow t ~src ~dst code handler
-
-let[@inline always] send t ~src ~dst handler = route t ~src ~dst (-1) handler
-
-let[@inline always] send_code t ~src ~dst ~kind =
-  route t ~src ~dst (Packed.pack ~kind ~src ~dst) no_handler
+  else send_slow t ~src ~dst code
 
 let sent t = t.sent
 let delivered t = t.delivered

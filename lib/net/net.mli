@@ -3,7 +3,7 @@
 
     The asynchronous dynamics and the scenario harness route every
     peer-to-peer message through a {!t} instead of calling
-    {!Stratify_des.Engine.schedule} directly.  A network applies, in a
+    {!Stratify_des.Engine.schedule_packed} directly.  A network applies, in a
     {e fixed, documented order}, the faults of its {!faults} record:
 
     + {b partition} — if a partition schedule currently separates [src]
@@ -27,7 +27,7 @@
     not depend on [--jobs] or scheduling.
 
     The fault-free configuration ({!ideal}) is draw-for-draw identical
-    to the pre-[stratify.net] direct-[Engine.schedule] path: [No_loss]
+    to scheduling each message straight on the engine: [No_loss]
     and [Iid 0.] draw nothing, [Constant] latency draws nothing, and
     zero [duplicate]/[reorder] probabilities draw nothing, so existing
     goldens are preserved bit-for-bit. *)
@@ -77,46 +77,53 @@ type t
 
 val create : ?engine:Stratify_des.Engine.t -> Stratify_prng.Rng.t -> faults -> t
 (** Build a network over a fresh engine (or [engine]).  Raises
-    [Invalid_argument] on out-of-range fault parameters (negative
-    latencies or spreads, probabilities outside [0, 1)). *)
+    [Invalid_argument] naming the field and the value on out-of-range
+    fault parameters: non-finite latencies, spreads or log-normal
+    parameters, negative latencies or spreads, and probabilities outside
+    [0, 1) (or [nan]). *)
 
 val engine : t -> Stratify_des.Engine.t
 val faults : t -> faults
 
+val set_handler : t -> (Stratify_des.Engine.t -> int -> unit) -> unit
+(** Install the protocol's handler for the codes delivered by {!send}
+    and {!send_packed}, replacing any handler the engine had.  Once the
+    network has a partition schedule, the engine's handler applies the
+    network's own split/heal events (see {!set_partition_schedule})
+    itself and passes every other code to [f]; until then it is [f].
+    A network's engine must get its handler here, not through
+    {!Stratify_des.Engine.set_packed_handler}. *)
+
 val set_partition_schedule : t -> partition_event list -> unit
 (** Schedule split/heal events on the network's engine (events fire as
-    simulated time passes them).  An event dated before the engine's
-    current clock raises [Invalid_argument] naming the offending
-    partition time — the whole schedule is validated before anything is
-    enqueued. *)
+    simulated time passes them).  Each is a packed event of the kind
+    {!Packed} reserves, scheduled in list order, so it takes its
+    [(time, seq)] place among the other events; the engine's handler
+    (see {!set_handler}) applies it.  An event dated before the engine's
+    current clock, or at a non-finite time, raises [Invalid_argument]
+    naming the offending partition time — the whole schedule is
+    validated before anything is enqueued. *)
 
 val reachable : t -> src:int -> dst:int -> bool
 (** Whether a message sent now would cross the current partition. *)
 
-val send : t -> src:int -> dst:int -> (Stratify_des.Engine.t -> unit) -> unit
-(** Route one message: apply the fault pipeline above, then (unless
-    dropped) schedule the handler at delivery time.  Under [Burst] loss
-    the link state is keyed by both ids packed into one int, so [src]
-    and [dst] must lie in [0, Packed.max_id]; others raise
-    [Invalid_argument]. *)
+val send : t -> src:int -> dst:int -> int -> unit
+(** Route one message from [src] to [dst]: apply the fault pipeline
+    above, drawing from the network's RNG, then (unless dropped)
+    schedule the caller's payload [code] at each delivery time, for the
+    handler installed with {!set_handler}.  The code is opaque to the
+    network: typically [Packed.pack ~kind ~src ~dst], but any
+    non-negative int whose {!Packed.kind} is not the reserved one.
+    Under [Burst] loss the link state is keyed by both ids packed into
+    one int, so [src] and [dst] must lie in [0, Packed.max_id]; others
+    raise [Invalid_argument]. *)
 
-val send_code : t -> src:int -> dst:int -> kind:int -> unit
-(** {!send} for a defunctionalized message: the same pipeline, drawing
-    the same values from the network's RNG in the same order, but each
-    delivery schedules the code [Packed.pack ~kind ~src ~dst] (handled
-    by the engine's packed handler) instead of a closure.  A closure
-    protocol ported message for message onto [send_code] keeps every
-    draw and every [(time, seq)] event, so its results are unchanged;
-    contrast {!send_packed}, whose counter-mode draws differ.  [src],
-    [dst] and [kind] must fit {!Packed} (unchecked). *)
-
-(** {2 Defunctionalized sends}
+(** {2 Counter-mode sends}
 
     The high-throughput path for message-level workloads (tens of
-    millions of events): instead of a closure, a message is an int code
-    bit-packing [(kind, src, dst)], delivered through the engine's
-    packed-event handler ({!Stratify_des.Engine.set_packed_handler}).
-    Fault draws are {e burst-batched}: {!burst_begin} advances the
+    millions of events): a message is an int code bit-packing
+    [(kind, src, dst)], delivered through the handler installed with
+    {!set_handler}.  Fault draws are {e burst-batched}: {!burst_begin} advances the
     network's RNG once and derives a counter-mode base; every
     {!send_packed} until the next [burst_begin] hashes
     [(base, message index, draw lane)] for its loss / latency / reorder
@@ -124,17 +131,20 @@ val send_code : t -> src:int -> dst:int -> kind:int -> unit
     message, and verdicts independent of send order within a burst —
     the same discipline as {!Tick}.
 
-    Two deliberate semantic differences from {!send} (the packed path
-    is a separate traffic class, not a re-encoding of the closure
-    path; {!send_code} is the re-encoding): draws come from the counter-mode hash, so packed and closure
-    sends over the same network do not consume each other's RNG stream;
-    and a [Burst] (Gilbert–Elliott) loss model collapses to its
-    {!stationary_loss} rate — per-link chain state would reintroduce
-    per-message lookups and allocation. *)
+    Two deliberate semantic differences from {!send} (a separate
+    traffic class, not a re-encoding of it): draws come from the
+    counter-mode hash, so {!send_packed} and {!send} over the same
+    network do not consume each other's RNG stream; and a [Burst]
+    (Gilbert–Elliott) loss model collapses to its {!stationary_loss}
+    rate — per-link chain state would reintroduce per-message lookups
+    and allocation. *)
 
 module Packed : sig
   val kind_bits : int
-  (** 6: kinds 0..63. *)
+  (** 6: kinds 0..63.  On a network's engine, kind 63 is reserved: it
+      carries the network's own split/heal events
+      ({!set_partition_schedule}), which {!set_handler}'s dispatch
+      applies before any protocol sees them.  Protocols use 0..62. *)
 
   val id_bits : int
   (** 28: src/dst ids 0..268_435_455. *)
@@ -164,10 +174,10 @@ val burst_begin : t -> unit
     burst) before a batch of {!send_packed} calls. *)
 
 val send_packed : t -> src:int -> dst:int -> kind:int -> unit
-(** Route one defunctionalized message: same fault pipeline and
-    counters as {!send} (with the packed-path differences above), then
-    schedule [Packed.pack ~kind ~src ~dst] at delivery time.
-    Allocation-free in steady state. *)
+(** Route one message: same fault pipeline and counters as {!send}
+    (with the counter-mode differences above), then schedule
+    [Packed.pack ~kind ~src ~dst] at delivery time.  Allocation-free in
+    steady state. *)
 
 (** {2 Telemetry} — plain fields, plus the ["net.*"] observability
     counters ([net.sent], [net.delivered], [net.lost],

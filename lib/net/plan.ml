@@ -213,7 +213,12 @@ let validate t =
   (match t.workload with
   | Async { n; horizon; initiative_rate; backend; _ } ->
       if n < 2 then invalid_arg (Printf.sprintf "plan %s: need n >= 2" t.name);
+      if not (Float.is_finite horizon) then
+        invalid_arg (Printf.sprintf "plan %s: horizon must be finite, got %g" t.name horizon);
       if horizon <= 0. then invalid_arg (Printf.sprintf "plan %s: horizon must be positive" t.name);
+      if not (Float.is_finite initiative_rate) then
+        invalid_arg
+          (Printf.sprintf "plan %s: initiative_rate must be finite, got %g" t.name initiative_rate);
       if initiative_rate <= 0. then
         invalid_arg (Printf.sprintf "plan %s: initiative_rate must be positive" t.name);
       (match backend with

@@ -51,6 +51,8 @@ let validate script =
   if w.churn_rate < 0. || w.churn_rate > 1. then
     invalid "serve script: churn_rate must be in [0, 1], got %g" w.churn_rate;
   if w.bands < 1 then invalid "serve script: bands must be >= 1 (got %d)" w.bands;
+  if not (Float.is_finite script.horizon) then
+    invalid "serve script %S: horizon must be finite (got %g)" script.name script.horizon;
   if script.horizon <= 0. then invalid "serve script: horizon must be positive (got %g)" script.horizon;
   let seen = Hashtbl.create 8 in
   List.iter

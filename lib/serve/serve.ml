@@ -692,9 +692,7 @@ let snapshot t =
       ("kind", Jsonx.String "serve-snapshot");
       ("script", Request.to_json t.scr);
       ("now", Jsonx.Float (Engine.now t.engine));
-      (* deliberately no backend field: a snapshot is backend-neutral —
-         the queue entries are the canonical (time, seq) order that
-         every backend pops identically *)
+      (* the queue entries in the canonical (time, seq) order *)
       ("ticks", Jsonx.Int t.ticks);
       ( "tallies",
         Jsonx.Obj
@@ -932,8 +930,7 @@ let restore j =
   let swarms =
     List.map2 (restore_swarm what ~n:w.Request.n) w.Request.swarms swarm_js
   in
-  (* restore_packed on the *current* default backend: any --queue choice
-     replays the snapshot's canonical (time, seq) order identically *)
+  (* restore_packed replays the snapshot's canonical (time, seq) order *)
   let engine = Engine.restore_packed ~now queue in
   let t =
     {

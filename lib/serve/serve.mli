@@ -18,15 +18,14 @@
 
     Every run is a pure function of its {!Request.script}: all
     randomness flows from the script seed through named substreams, the
-    engine pops the backend-invariant total (time, seq) order, and
-    responses fold into a checksum.  {!snapshot} serializes the {e
+    engine pops the total (time, seq) order, and responses fold into a
+    checksum.  {!snapshot} serializes the {e
     complete} world — RNG streams, DES queue contents, matching config,
     swarm piece/rate state, net fault state — such that
     {!restore}d service replays bit-for-bit: stopping at tick [T] and
-    resuming produces the same {!manifest} as the uninterrupted run,
-    for every [--queue] backend (the snapshot stores the canonical
-    queue order, which all backends share).  DESIGN.md §15 gives the
-    argument. *)
+    resuming produces the same {!manifest} as the uninterrupted run
+    (the snapshot stores the queue in its canonical (time, seq) order).
+    DESIGN.md §15 gives the argument. *)
 
 type t
 
@@ -76,20 +75,15 @@ val manifest : ?git:string -> t -> Stratify_obs.Run_manifest.t
     (no global counters, no wall-clock, no phases): request and churn
     totals, the response checksum, per-swarm membership / completion /
     fault-drop / upload aggregates, and oracle occupancy.  Byte-identical
-    across runs, [--queue] backends and stop/resume boundaries. *)
+    across runs and stop/resume boundaries. *)
 
 val snapshot : t -> Stratify_obs.Jsonx.t
-(** Serialize the complete world state.  Raises [Invalid_argument]
-    (via [Engine.dump_packed]) if a closure event is pending — the
-    serve loop schedules only packed events, so this cannot happen
-    unless a caller smuggled one in. *)
+(** Serialize the complete world state. *)
 
 val snapshot_string : t -> string
 
 val restore : Stratify_obs.Jsonx.t -> t
-(** Rebuild a world from {!snapshot} output, on the {e current} default
-    queue backend — a snapshot written under one [--queue] restores
-    bit-identically under any other.  Raises [Jsonx.Parse_error] on
+(** Rebuild a world from {!snapshot} output.  Raises [Jsonx.Parse_error] on
     shape errors and named [Invalid_argument] on semantic ones, naming
     the swarm and slot: a member outside the population or seated in
     two slots, and an unchoke, optimistic unchoke or link-progress

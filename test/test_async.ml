@@ -14,9 +14,11 @@ open Stratify_core
 let test_engine_clock_and_order () =
   let e = Engine.create () in
   let log = ref [] in
-  Engine.schedule e ~delay:2. (fun e -> log := ("b", Engine.now e) :: !log);
-  Engine.schedule e ~delay:1. (fun e -> log := ("a", Engine.now e) :: !log);
-  Engine.schedule e ~delay:3. (fun e -> log := ("c", Engine.now e) :: !log);
+  let name = [| "a"; "b"; "c" |] in
+  Engine.set_packed_handler e (fun e code -> log := (name.(code), Engine.now e) :: !log);
+  Engine.schedule_packed e ~delay:2. 1;
+  Engine.schedule_packed e ~delay:1. 0;
+  Engine.schedule_packed e ~delay:3. 2;
   Engine.run_until e ~time:2.5;
   Alcotest.(check (list (pair string (float 1e-9)))) "two fired" [ ("a", 1.); ("b", 2.) ]
     (List.rev !log);
@@ -28,30 +30,30 @@ let test_engine_clock_and_order () =
 let test_engine_cascading_events () =
   let e = Engine.create () in
   let count = ref 0 in
-  let rec tick depth engine =
-    incr count;
-    if depth > 0 then Engine.schedule engine ~delay:1. (tick (depth - 1))
-  in
-  Engine.schedule e ~delay:0. (tick 9);
+  (* code = the number of events still to follow *)
+  Engine.set_packed_handler e (fun engine depth ->
+      incr count;
+      if depth > 0 then Engine.schedule_packed engine ~delay:1. (depth - 1));
+  Engine.schedule_packed e ~delay:0. 9;
   Alcotest.(check bool) "drained" true (Engine.drain e);
   Alcotest.(check int) "chain length" 10 !count;
   Helpers.check_close "time advanced" 9. (Engine.now e)
 
 let test_engine_runaway_guard () =
   let e = Engine.create () in
-  let rec forever engine = Engine.schedule engine ~delay:1. forever in
-  Engine.schedule e ~delay:0. forever;
+  Engine.set_packed_handler e (fun engine code -> Engine.schedule_packed engine ~delay:1. code);
+  Engine.schedule_packed e ~delay:0. 0;
   Alcotest.(check bool) "budget stops it" false (Engine.drain ~max_events:1000 e)
 
 let test_engine_guards () =
   let e = Engine.create () in
   Alcotest.check_raises "negative delay"
-    (Invalid_argument "Engine.schedule: negative delay -1")
-    (fun () -> Engine.schedule e ~delay:(-1.) (fun _ -> ()));
+    (Invalid_argument "Engine.schedule_packed: negative delay -1")
+    (fun () -> Engine.schedule_packed e ~delay:(-1.) 0);
   Engine.run_until e ~time:5.;
   Alcotest.check_raises "past"
-    (Invalid_argument "Engine.schedule_at: time 1 is in the past (now 5)")
-    (fun () -> Engine.schedule_at e ~time:1. (fun _ -> ()))
+    (Invalid_argument "Engine.schedule_packed_at: time 1 is in the past (now 5)")
+    (fun () -> Engine.schedule_packed_at e ~time:1. 0)
 
 (* ------------------------------------------------------------------ *)
 (* Async dynamics                                                      *)
@@ -155,9 +157,20 @@ let test_async_guards () =
   Alcotest.check_raises "bad rate" (Invalid_argument "Async_dynamics: rate must be positive")
     (fun () ->
       ignore (Async_dynamics.create inst rng { Async_dynamics.latency = 0.1; initiative_rate = 0.; loss = 0. }));
-  Alcotest.check_raises "bad loss" (Invalid_argument "Async_dynamics: loss must be in [0,1)")
+  (* an infinite rate re-arms every clock at delay 0: run_until never ends *)
+  Alcotest.check_raises "infinite rate" (Invalid_argument "Async_dynamics: rate must be finite")
     (fun () ->
-      ignore (Async_dynamics.create inst rng { Async_dynamics.latency = 0.1; initiative_rate = 1.; loss = 1. }))
+      ignore
+        (Async_dynamics.create inst rng
+           { Async_dynamics.latency = 0.1; initiative_rate = infinity; loss = 0. }));
+  List.iter
+    (fun loss ->
+      Alcotest.check_raises "bad loss" (Invalid_argument "Async_dynamics: loss must be in [0,1)")
+        (fun () ->
+          ignore
+            (Async_dynamics.create inst rng
+               { Async_dynamics.latency = 0.1; initiative_rate = 1.; loss })))
+    [ 1.; nan ]
 
 (* Outputs pinned under three network setups.  They hold only while the
    protocol makes every RNG draw and schedules every (time, seq) event

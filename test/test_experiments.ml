@@ -17,7 +17,6 @@ let tiny =
     bands = 1;
     band_overlap = None;
     profile_phases = false;
-    queue = Stratify_des.Engine.Heap;
   }
 
 let experiment_cases =

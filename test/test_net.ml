@@ -15,14 +15,24 @@ let ideal_faults latency =
 let with_loss latency loss =
   { Net.latency = Net.Constant latency; loss; duplicate = 0.; reorder = 0.; reorder_spread = 0. }
 
+(* A network whose handler ignores every delivery. *)
+let sink_net rng faults =
+  let net = Net.create rng faults in
+  Net.set_handler net (fun _ _ -> ());
+  net
+
+(* Message [k] from [src] to [dst]: the kind carries [k]. *)
+let msg ~src ~dst k = Net.Packed.pack ~kind:k ~src ~dst
+
 (* ------------------------------------------------------------------ *)
 (* Delivery pipeline                                                   *)
 
 let test_ideal_delivery () =
   let net = Net.create (Helpers.rng ()) (ideal_faults 0.5) in
   let log = ref [] in
+  Net.set_handler net (fun e code -> log := (Net.Packed.kind code, Engine.now e) :: !log);
   for k = 0 to 4 do
-    Net.send net ~src:0 ~dst:1 (fun e -> log := (k, Engine.now e) :: !log)
+    Net.send net ~src:0 ~dst:1 (msg ~src:0 ~dst:1 k)
   done;
   Alcotest.(check bool) "drains" true (Engine.drain (Net.engine net));
   Alcotest.(check (list (pair int (float 1e-9))))
@@ -45,9 +55,9 @@ let test_iid_loss_rate =
     (fun (seed, p10) ->
       let p = float_of_int p10 /. 10. in
       let sends = 3000 in
-      let net = Net.create (Rng.create seed) (with_loss 0.1 (Net.Iid p)) in
+      let net = sink_net (Rng.create seed) (with_loss 0.1 (Net.Iid p)) in
       for _ = 1 to sends do
-        Net.send net ~src:0 ~dst:1 (fun _ -> ())
+        Net.send net ~src:0 ~dst:1 0
       done;
       ignore (Engine.drain (Net.engine net));
       let rate = float_of_int (Net.lost net) /. float_of_int sends in
@@ -58,10 +68,10 @@ let test_iid_loss_rate =
 let test_burst_loss_stationary () =
   let model = Net.Burst { p_gb = 0.1; p_bg = 0.3; loss_good = 0.05; loss_bad = 0.6 } in
   Helpers.check_close "stationary formula" 0.1875 (Net.stationary_loss model);
-  let net = Net.create (Helpers.rng ()) (with_loss 0.1 model) in
+  let net = sink_net (Helpers.rng ()) (with_loss 0.1 model) in
   let sends = 20_000 in
   for _ = 1 to sends do
-    Net.send net ~src:0 ~dst:1 (fun _ -> ())
+    Net.send net ~src:0 ~dst:1 0
   done;
   ignore (Engine.drain (Net.engine net));
   let rate = float_of_int (Net.lost net) /. float_of_int sends in
@@ -74,7 +84,7 @@ let test_burst_loss_stationary () =
 
 (* The Gilbert–Elliott link table, draw for draw against the
    [(int * int)]-keyed [Hashtbl] model it replaced (copied here as the
-   oracle): 2.5·10⁴ [send_code]s over 2500 links whose ids reach
+   oracle): 2.5·10⁴ sends over 2500 links whose ids reach
    [Packed.max_id] must lose the same messages and leave the RNG at the
    same position. *)
 let test_burst_links_match_hashtbl () =
@@ -115,7 +125,7 @@ let test_burst_links_match_hashtbl () =
   for _ = 1 to 25_000 do
     let src, dst = links.(Rng.int pick (Array.length links)) in
     let lost = Net.lost net in
-    Net.send_code net ~src ~dst ~kind:1;
+    Net.send net ~src ~dst (msg ~src ~dst 1);
     if Net.lost net - lost = 1 <> model_drop ~src ~dst then incr mismatches
   done;
   Alcotest.(check int) "same loss verdict on every send" 0 !mismatches;
@@ -126,18 +136,15 @@ let test_burst_links_match_hashtbl () =
   Alcotest.(check bool)
     "an id beyond Packed.max_id is refused" true
     (try
-       Net.send net ~src:(max_id + 1) ~dst:0 (fun _ -> ());
+       Net.send net ~src:(max_id + 1) ~dst:0 0;
        false
      with Invalid_argument msg -> Helpers.contains msg "burst loss")
 
 let test_duplication () =
-  let net =
-    Net.create (Helpers.rng ())
-      { (ideal_faults 0.1) with Net.duplicate = 0.4 }
-  in
+  let net = sink_net (Helpers.rng ()) { (ideal_faults 0.1) with Net.duplicate = 0.4 } in
   let sends = 1000 in
   for _ = 1 to sends do
-    Net.send net ~src:0 ~dst:1 (fun _ -> ())
+    Net.send net ~src:0 ~dst:1 0
   done;
   ignore (Engine.drain (Net.engine net));
   Alcotest.(check int) "every duplicate delivered"
@@ -151,8 +158,9 @@ let test_reordering () =
       { (ideal_faults 1.) with Net.reorder = 0.5; reorder_spread = 10. }
   in
   let log = ref [] in
+  Net.set_handler net (fun _ code -> log := Net.Packed.kind code :: !log);
   for k = 0 to 19 do
-    Net.send net ~src:0 ~dst:1 (fun _ -> log := k :: !log)
+    Net.send net ~src:0 ~dst:1 (msg ~src:0 ~dst:1 k)
   done;
   ignore (Engine.drain (Net.engine net));
   let order = List.rev !log in
@@ -170,22 +178,57 @@ let test_partition_and_heal () =
       { Net.at = 5.; groups = None };
     ];
   let delivered = ref 0 in
-  let handler _ = incr delivered in
+  Net.set_handler net (fun _ _ -> incr delivered);
   let engine = Net.engine net in
   Alcotest.(check bool) "reachable before split" true (Net.reachable net ~src:0 ~dst:3);
-  Net.send net ~src:0 ~dst:3 handler;
+  Net.send net ~src:0 ~dst:3 0;
   Engine.run_until engine ~time:2.;
   Alcotest.(check int) "pre-split message crossed" 1 !delivered;
   Alcotest.(check bool) "unreachable across split" false (Net.reachable net ~src:0 ~dst:3);
-  Net.send net ~src:0 ~dst:3 handler;
-  Net.send net ~src:2 ~dst:3 handler;
+  Net.send net ~src:0 ~dst:3 0;
+  Net.send net ~src:2 ~dst:3 0;
   Engine.run_until engine ~time:4.;
   Alcotest.(check int) "cross-group dropped, within-group crossed" 2 !delivered;
   Alcotest.(check int) "partition drop recorded" 1 (Net.partitioned net);
   Engine.run_until engine ~time:6.;
-  Net.send net ~src:0 ~dst:3 handler;
+  Net.send net ~src:0 ~dst:3 0;
   ignore (Engine.drain engine);
   Alcotest.(check int) "heal restores delivery" 3 !delivered
+
+(* Split/heal events keep their (time, seq) place among packed events:
+   a trigger scheduled at a split or heal time before the partition
+   schedule fires before the change, one scheduled after it fires after.
+   Triggers A and C precede [set_partition_schedule]; B and D follow it.
+   Each sends across the split, so A crosses, B and C are partitioned,
+   and D crosses.  A lazy port (applying a change once [now >= at]) or
+   a re-sequenced one fails here. *)
+let test_partition_events_keep_their_place () =
+  let net = Net.create (Helpers.rng ()) (ideal_faults 0.1) in
+  let engine = Net.engine net in
+  let delivered = ref [] in
+  (* kind k < 8: trigger k sends message 8 + k across the split *)
+  Net.set_handler net (fun _ code ->
+      let k = Net.Packed.kind code in
+      if k < 8 then Net.send net ~src:0 ~dst:1 (msg ~src:0 ~dst:1 (8 + k))
+      else delivered := (k - 8) :: !delivered);
+  let trigger k time = Engine.schedule_packed_at engine ~time (msg ~src:0 ~dst:0 k) in
+  trigger 0 1.;
+  trigger 2 2.;
+  Net.set_partition_schedule net
+    [ { Net.at = 1.; groups = Some [| 0; 1 |] }; { Net.at = 2.; groups = None } ];
+  trigger 1 1.;
+  trigger 3 2.;
+  Alcotest.(check int) "all six pending" 6 (Engine.pending engine);
+  Engine.run_until engine ~time:1.5;
+  Alcotest.(check bool) "split applied" false (Net.reachable net ~src:0 ~dst:1);
+  Alcotest.(check (list int)) "A crossed" [ 0 ] !delivered;
+  Alcotest.(check int) "B partitioned" 1 (Net.partitioned net);
+  Alcotest.(check int) "C, heal and D pending" 3 (Engine.pending engine);
+  Alcotest.(check bool) "drains" true (Engine.drain engine);
+  Alcotest.(check bool) "healed" true (Net.reachable net ~src:0 ~dst:1);
+  Alcotest.(check (list int)) "A and D crossed" [ 0; 3 ] (List.rev !delivered);
+  Alcotest.(check int) "B and C partitioned" 2 (Net.partitioned net);
+  Alcotest.(check int) "sent" 4 (Net.sent net)
 
 let test_net_guards () =
   let rng = Helpers.rng () in
@@ -200,6 +243,48 @@ let test_net_guards () =
       Net.create rng { (ideal_faults 0.1) with Net.reorder_spread = -1. });
   check_invalid "duplicate out of range" (fun () ->
       Net.create rng { (ideal_faults 0.1) with Net.duplicate = 1.5 })
+
+(* [nan] and [inf] pass every [x < 0.] and [p >= 1.] test, so each fault
+   field is checked finite: the error names the function, the field
+   and the value. *)
+let test_net_non_finite () =
+  let rng = Helpers.rng () in
+  let base = ideal_faults 0.1 in
+  let burst p_gb p_bg loss_good loss_bad = Net.Burst { p_gb; p_bg; loss_good; loss_bad } in
+  List.iter
+    (fun x ->
+      let value = Printf.sprintf "%g" x in
+      List.iter
+        (fun (field, faults) ->
+          match Net.create rng faults with
+          | exception Invalid_argument msg ->
+              List.iter
+                (fun fragment ->
+                  if not (Helpers.contains msg fragment) then
+                    Alcotest.failf "%s = %s: error %S does not name %S" field value msg fragment)
+                [ "Net.create"; field; value ]
+          | _ -> Alcotest.failf "%s = %s accepted" field value)
+        ([
+           ("latency", { base with Net.latency = Net.Constant x });
+           ("latency base", { base with Net.latency = Net.Jitter { base = x; spread = 0.1 } });
+           ("jitter spread", { base with Net.latency = Net.Jitter { base = 0.1; spread = x } });
+           ("log-normal mu", { base with Net.latency = Net.Log_normal { mu = x; sigma = 0.1 } });
+           ("log-normal sigma", { base with Net.latency = Net.Log_normal { mu = 0.; sigma = x } });
+           ("reorder_spread", { base with Net.reorder_spread = x });
+         ]
+        @
+        if Float.is_nan x then
+          [
+            ("loss", { base with Net.loss = Net.Iid x });
+            ("p_gb", { base with Net.loss = burst x 0.1 0. 0.5 });
+            ("p_bg", { base with Net.loss = burst 0.1 x 0. 0.5 });
+            ("loss_good", { base with Net.loss = burst 0.1 0.1 x 0.5 });
+            ("loss_bad", { base with Net.loss = burst 0.1 0.1 0. x });
+            ("duplicate", { base with Net.duplicate = x });
+            ("reorder", { base with Net.reorder = x });
+          ]
+        else []))
+    [ nan; infinity ]
 
 (* ------------------------------------------------------------------ *)
 (* Determinism                                                         *)
@@ -234,12 +319,17 @@ let delivery_trace seed =
   Net.set_partition_schedule net events;
   let trace = ref [] in
   let engine = Net.engine net in
-  for k = 0 to 79 do
-    Engine.schedule_at engine
-      ~time:(float_of_int k *. 0.1)
-      (fun _ ->
+  (* trigger [k] (kind 0) sends message [k] (kind 1) *)
+  Net.set_handler net (fun e code ->
+      let k = Net.Packed.src code in
+      if Net.Packed.kind code = 0 then begin
         let src = Rng.int rng n and dst = Rng.int rng n in
-        Net.send net ~src ~dst (fun e -> trace := (k, Engine.now e) :: !trace))
+        Net.send net ~src ~dst (Net.Packed.pack ~kind:1 ~src:k ~dst:0)
+      end
+      else trace := (k, Engine.now e) :: !trace);
+  for k = 0 to 79 do
+    Engine.schedule_packed_at engine ~time:(float_of_int k *. 0.1)
+      (Net.Packed.pack ~kind:0 ~src:k ~dst:0)
   done;
   ignore (Engine.drain engine);
   List.rev !trace
@@ -384,8 +474,8 @@ let test_drain_budget_counter () =
       let c = Obs.Counter.make "des.drain_budget_exhausted" in
       let before = Obs.Counter.value c in
       let e = Engine.create () in
-      let rec forever engine = Engine.schedule engine ~delay:1. forever in
-      Engine.schedule e ~delay:0. forever;
+      Engine.set_packed_handler e (fun engine code -> Engine.schedule_packed engine ~delay:1. code);
+      Engine.schedule_packed e ~delay:0. 0;
       Alcotest.(check bool) "budget exhausted" false (Engine.drain ~max_events:100 e);
       Alcotest.(check int) "counter bumped" (before + 1) (Obs.Counter.value c))
 
@@ -459,7 +549,12 @@ let test_plan_parse_errors () =
        "assertions": [{"kind": "drained"}]}|};
   bad
     {|{"name": "x", "workload": {"kind": "async", "n": 10},
-       "assertions": [{"kind": "stratification_within", "tolerance": 0.1}]}|}
+       "assertions": [{"kind": "stratification_within", "tolerance": 0.1}]}|};
+  (* 1e999 reads as inf: an infinite horizon or rate never finishes *)
+  bad {|{"name": "x", "workload": {"kind": "async", "n": 10, "horizon": 1e999}, "assertions": []}|};
+  bad
+    {|{"name": "x", "workload": {"kind": "async", "n": 10, "initiative_rate": 1e999},
+       "assertions": []}|}
 
 let test_plan_negative_deadline () =
   (* a deadline before t = 0 used to pass validation and die inside the
@@ -568,6 +663,9 @@ let suite =
     Alcotest.test_case "reordering" `Quick test_reordering;
     Alcotest.test_case "partition and heal" `Quick test_partition_and_heal;
     Alcotest.test_case "fault parameter guards" `Quick test_net_guards;
+    Alcotest.test_case "non-finite fault parameters are refused" `Quick test_net_non_finite;
+    Alcotest.test_case "split/heal keep their (time, seq) place" `Quick
+      test_partition_events_keep_their_place;
     test_trace_determinism;
     Alcotest.test_case "explicit fault-free net == legacy path" `Slow
       test_explicit_net_bit_identical;

@@ -3,11 +3,10 @@
 
    The load-bearing property is stop/resume equality: running a script
    to its horizon in one go, and running it to a random stop time,
-   serializing the complete world to a JSON string, restoring (possibly
-   on a *different* --queue backend) and continuing, must produce
-   byte-identical run manifests.  The qcheck law below drives that
-   across random worlds (churn, faults, piece mode, multiple swarms)
-   and all three backend pairings. *)
+   serializing the complete world to a JSON string, restoring it into a
+   fresh engine and continuing, must produce byte-identical run
+   manifests.  The qcheck law below drives that across random worlds
+   (churn, faults, piece mode, multiple swarms). *)
 
 module Rng = Stratify_prng.Rng
 module Engine = Stratify_des.Engine
@@ -91,11 +90,6 @@ let mk_script seed =
 
 let manifest_string t = Manifest.to_string (Serve.manifest ~git:"test" t)
 
-let with_backend b f =
-  let saved = Engine.default_backend () in
-  Engine.set_default_backend b;
-  Fun.protect ~finally:(fun () -> Engine.set_default_backend saved) f
-
 (* ---- stop/resume equality ------------------------------------------ *)
 
 let seed_and_cut =
@@ -109,46 +103,28 @@ let seed_and_cut =
 let stop_resume_law (seed, cut) =
   let scr = mk_script seed in
   let stop_at = Float.max 1. (cut *. scr.Request.horizon) in
-  (* rotate the restore backend so every (dump, restore) pairing of
-     heap/calendar/ladder gets exercised across the qcheck runs *)
-  List.iteri
-    (fun i run_backend ->
-      let resume_backend =
-        List.nth Engine.backends ((i + 1 + seed) mod List.length Engine.backends)
-      in
-      let uninterrupted =
-        with_backend run_backend (fun () ->
-            let t = Serve.create scr in
-            Serve.run_script t;
-            manifest_string t)
-      in
-      let resumed =
-        let snap =
-          with_backend run_backend (fun () ->
-              let t = Serve.create scr in
-              Serve.run_to t stop_at;
-              Serve.snapshot_string t)
-        in
-        with_backend resume_backend (fun () ->
-            let t = Serve.restore_string snap in
-            (* snapshot of a restored world round-trips byte-for-byte *)
-            let again = Serve.snapshot_string t in
-            if not (String.equal snap again) then
-              QCheck.Test.fail_reportf
-                "snapshot not idempotent (%s -> %s, stop %.2f)"
-                (Engine.backend_name run_backend)
-                (Engine.backend_name resume_backend)
-                stop_at;
-            Serve.run_script t;
-            manifest_string t)
-      in
-      if not (String.equal uninterrupted resumed) then
-        QCheck.Test.fail_reportf
-          "stop/resume manifest drift (%s -> %s, stop %.2f):\n%s\nvs\n%s"
-          (Engine.backend_name run_backend)
-          (Engine.backend_name resume_backend)
-          stop_at uninterrupted resumed)
-    Engine.backends;
+  let uninterrupted =
+    let t = Serve.create scr in
+    Serve.run_script t;
+    manifest_string t
+  in
+  let resumed =
+    let snap =
+      let t = Serve.create scr in
+      Serve.run_to t stop_at;
+      Serve.snapshot_string t
+    in
+    let t = Serve.restore_string snap in
+    (* snapshot of a restored world round-trips byte-for-byte *)
+    let again = Serve.snapshot_string t in
+    if not (String.equal snap again) then
+      QCheck.Test.fail_reportf "snapshot not idempotent (stop %.2f)" stop_at;
+    Serve.run_script t;
+    manifest_string t
+  in
+  if not (String.equal uninterrupted resumed) then
+    QCheck.Test.fail_reportf "stop/resume manifest drift (stop %.2f):\n%s\nvs\n%s" stop_at
+      uninterrupted resumed;
   true
 
 (* ---- scripted vs direct equivalence, double run -------------------- *)
@@ -163,19 +139,6 @@ let test_double_run () =
   let m1, c1 = run () and m2, c2 = run () in
   Alcotest.(check string) "same manifest" m1 m2;
   Alcotest.(check int) "same checksum" c1 c2
-
-let test_backend_invariance () =
-  let scr = mk_script 4321 in
-  let run b =
-    with_backend b (fun () ->
-        let t = Serve.create scr in
-        Serve.run_script t;
-        manifest_string t)
-  in
-  match List.map run Engine.backends with
-  | m :: rest ->
-      List.iter (fun m' -> Alcotest.(check string) "backend-invariant" m m') rest
-  | [] -> Alcotest.fail "no backends"
 
 (* ---- pinned answers on a membership-heavy script -------------------- *)
 
@@ -408,6 +371,8 @@ let test_validate_errors () =
           Request.requests =
             [| { Request.at = 1.; kind = Request.Scrape { swarm = "nope" } } |];
         });
+  expect_invalid "infinite horizon" "horizon must be finite" (fun () ->
+      Request.validate { base with Request.horizon = infinity });
   expect_invalid "stdio syntax" "unknown command" (fun () ->
       Request.of_line "shout 3 loud")
 
@@ -431,13 +396,17 @@ let test_engine_errors () =
       Engine.schedule_packed e ~delay:(-1.) 0);
   expect_invalid "restore negative now" "Engine.restore_packed" (fun () ->
       Engine.restore_packed ~now:(-1.) [||]);
-  (* a closure event makes the queue unserializable — and a failed dump
-     must leave the engine intact *)
+  expect_invalid "restore non-finite now" "Engine.restore_packed" (fun () ->
+      Engine.restore_packed ~now:nan [||]);
+  expect_invalid "restore non-finite entry" "Engine.schedule_packed_at" (fun () ->
+      Engine.restore_packed ~now:0. [| (infinity, 0) |]);
+  (* a dump is non-destructive: the queue stays intact *)
   let e = Engine.create () in
   Engine.schedule_packed e ~delay:1. 7;
-  Engine.schedule e ~delay:2. (fun _ -> ());
-  expect_invalid "closure dump" "closure event" (fun () -> Engine.dump_packed e);
-  Alcotest.(check int) "queue intact after failed dump" 2 (Engine.pending e)
+  Engine.schedule_packed e ~delay:2. 8;
+  Alcotest.(check (array (pair (float 0.) int)))
+    "dump in pop order" [| (1., 7); (2., 8) |] (Engine.dump_packed e);
+  Alcotest.(check int) "queue intact after dump" 2 (Engine.pending e)
 
 let test_net_errors () =
   expect_invalid "negative tick" "Net.Tick.create" (fun () ->
@@ -473,13 +442,11 @@ let test_tiny_oracle_degree () =
 
 let suite =
   [
-    Helpers.qtest ~count:12 "serve: stop/resume == uninterrupted (all backends)"
+    Helpers.qtest ~count:12 "serve: stop/resume == uninterrupted (restored engine)"
       seed_and_cut stop_resume_law;
     Helpers.qtest ~count:60 "serve: script JSON round-trips" seed_and_cut
       script_roundtrip_law;
     Alcotest.test_case "serve: double-run equality" `Quick test_double_run;
-    Alcotest.test_case "serve: manifest backend-invariant" `Quick
-      test_backend_invariance;
     Alcotest.test_case "serve: membership-heavy answers pinned" `Quick
       test_membership_pinned;
     Alcotest.test_case "serve: restore rejects broken invariants" `Quick
