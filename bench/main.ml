@@ -1,22 +1,17 @@
 (* Benchmark harness.
 
-   Part 1 regenerates every table and figure of the paper (the reproduction
-   harness - same reports as `stratify_experiments all`).  Part 2 times the
-   computational kernel behind each table/figure with Bechamel, one
-   Test.make per experiment.  Part 3 measures the multicore replication
-   engine (replicas/sec vs --jobs, written to BENCH_parallel.json) and the
-   incremental stability-detection fix.  Part 4 measures the
-   implicit-backend / flat-config matching core against a faithful replica
-   of the pre-rewrite representation (BENCH_core.json).  Part 5 races the
-   two convergence schedulers — the paper's uniform random polling vs the
-   worklist of active candidates — to the same stable configuration
-   (BENCH_sched.json).
+   Part 1 times the computational kernel behind each table/figure with
+   Bechamel, one Test.make per experiment.  Part 2 measures the multicore
+   replication engine (replicas/sec vs --jobs, written to
+   BENCH_parallel.json) and the incremental stability-detection fix.
+   Part 3 measures the implicit-backend / flat-config matching core
+   against a faithful replica of the pre-rewrite representation
+   (BENCH_core.json).  Part 4 races the two convergence schedulers — the
+   paper's uniform random polling vs the worklist of active candidates —
+   to the same stable configuration (BENCH_sched.json).  The tables and
+   figures themselves come from `stratify_experiments all`.
 
    Environment knobs:
-     BENCH_SCALE=0.2     shrink the regeneration workloads (default 1.0)
-     BENCH_JOBS=4        worker domains for the regeneration pass
-                         (default: recommended domain count)
-     BENCH_SKIP_REGEN=1  run only the micro-benchmarks
      BENCH_OUT=path      where to write the parallel-scaling run
                          manifest (default BENCH_parallel.json — the
                          checked-in baseline the bench-regression CI job
@@ -71,47 +66,11 @@ module Gen = Stratify_graph.Gen
 module Profile = Stratify_bandwidth.Profile
 module Saroiu = Stratify_bandwidth.Saroiu
 module Bt = Stratify_bittorrent
-module E = Stratify_cli.Experiments
 module Exec = Stratify_exec.Exec
 open Stratify_core
 
 (* ------------------------------------------------------------------ *)
-(* Part 1: regenerate every table and figure                           *)
-
-let regenerate () =
-  let scale =
-    match Sys.getenv_opt "BENCH_SCALE" with
-    | Some s -> (try Float.min 1. (Float.max 0.01 (float_of_string s)) with _ -> 1.)
-    | None -> 1.
-  in
-  let jobs =
-    match Sys.getenv_opt "BENCH_JOBS" with
-    | Some s -> ( try max 1 (int_of_string s) with _ -> Exec.default_jobs ())
-    | None -> Exec.default_jobs ()
-  in
-  let ctx =
-    {
-      E.seed = 42;
-      scale;
-      csv_dir = None;
-      jobs;
-      manifest_dir = None;
-      n_override = None;
-      scheduler = Scheduler.Random_poll;
-      bands = 1;
-      band_overlap = None;
-      profile_phases = false;
-    }
-  in
-  Printf.printf "Regenerating all tables and figures (scale %g, jobs %d)\n%!" scale jobs;
-  List.iter
-    (fun (_, _, f) ->
-      f ctx;
-      print_newline ())
-    E.all
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: one Bechamel kernel per table/figure                        *)
+(* Part 1: one Bechamel kernel per table/figure                        *)
 
 let make_er_instance ~n ~d ~b seed =
   let rng = Rng.create seed in
@@ -201,30 +160,6 @@ let bench_swarm =
   Test.make ~name:"swarm: one simulator tick (n=300)"
     (Staged.stage (fun () -> Bt.Swarm.step swarm))
 
-let bench_roommates =
-  let rng = Rng.create 9 in
-  let prefs =
-    Array.init 100 (fun p ->
-        let row = Array.init 100 (fun i -> i) in
-        Stratify_prng.Dist.shuffle rng row;
-        Array.of_list (List.filter (fun q -> q <> p) (Array.to_list row)))
-  in
-  let sys = Tan.of_lists prefs in
-  Test.make ~name:"substrate: Irving stable roommates (n=100)"
-    (Staged.stage (fun () -> ignore (Roommates.solve sys)))
-
-let bench_gale_shapley =
-  let rng = Rng.create 10 in
-  let mk () =
-    Array.init 200 (fun _ ->
-        let row = Array.init 200 (fun i -> i) in
-        Stratify_prng.Dist.shuffle rng row;
-        row)
-  in
-  let men = mk () and women = mk () in
-  Test.make ~name:"substrate: Gale-Shapley (n=200)"
-    (Staged.stage (fun () -> ignore (Gale_shapley.run ~proposer_prefs:men ~receiver_prefs:women)))
-
 let bench_symmetric =
   let rng = Rng.create 11 in
   let positions = Stratify_graph.Spatial.random_positions rng ~n:200 in
@@ -239,27 +174,6 @@ let bench_gossip =
   let g = Gossip.create rng ~n:500 ~view_size:10 in
   Test.make ~name:"gossip: one round (n=500, view 10)"
     (Staged.stage (fun () -> Gossip.round g))
-
-let bench_hospital_residents =
-  let rng = Rng.create 13 in
-  let n_res = 200 and n_hosp = 20 in
-  let resident_prefs =
-    Array.init n_res (fun _ ->
-        let row = Array.init n_hosp (fun h -> h) in
-        Stratify_prng.Dist.shuffle rng row;
-        row)
-  in
-  let hospital_prefs =
-    Array.init n_hosp (fun _ ->
-        let row = Array.init n_res (fun r -> r) in
-        Stratify_prng.Dist.shuffle rng row;
-        row)
-  in
-  let inst =
-    { Hospital_residents.resident_prefs; hospital_prefs; capacity = Array.make n_hosp 10 }
-  in
-  Test.make ~name:"substrate: hospitals/residents (200x20, cap 10)"
-    (Staged.stage (fun () -> ignore (Hospital_residents.solve inst)))
 
 let bench_piece_tick =
   let rng = Rng.create 14 in
@@ -312,11 +226,8 @@ let tests =
     bench_share_ratio;
     bench_slots;
     bench_swarm;
-    bench_roommates;
-    bench_gale_shapley;
     bench_symmetric;
     bench_gossip;
-    bench_hospital_residents;
     bench_piece_tick;
     bench_streaming;
     bench_edonkey;
@@ -343,7 +254,7 @@ let run_benchmarks () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: multicore engine scaling + stability-detection fix          *)
+(* Part 2: multicore engine scaling + stability-detection fix          *)
 
 let bench_parallel_scaling () =
   print_endline "\n================ Parallel replication scaling ================";
@@ -478,7 +389,7 @@ let bench_stability_detection () =
     (!t_naive -. !t_base) (!t_inc -. !t_base)
 
 (* ------------------------------------------------------------------ *)
-(* Part 4: implicit-backend / flat-config matching core                *)
+(* Part 3: implicit-backend / flat-config matching core                *)
 
 (* Faithful replica of the pre-rewrite matching core: materialized
    adjacency rows, [int list] mate storage with a cached worst rank,
@@ -832,7 +743,7 @@ let bench_core () =
   Printf.printf "  wrote %s\n" out
 
 (* ------------------------------------------------------------------ *)
-(* Part 4b: per-phase profile + the zero-alloc steady-state gate       *)
+(* Part 3b: per-phase profile + the zero-alloc steady-state gate       *)
 
 (* The allocation contract of the rewritten core (DESIGN.md §13),
    asserted: once converged, probing and repairing allocate (next to)
@@ -999,7 +910,7 @@ let bench_profile_phases () =
   Printf.printf "  wrote %s\n" out
 
 (* ------------------------------------------------------------------ *)
-(* Part 5: convergence schedulers — random polling vs active worklist  *)
+(* Part 4: convergence schedulers — random polling vs active worklist  *)
 
 let bench_sched () =
   print_endline "\n================ Convergence scheduler (random poll vs worklist) ================";
@@ -1114,7 +1025,7 @@ let bench_sched () =
   Printf.printf "  wrote %s\n" out
 
 (* ------------------------------------------------------------------ *)
-(* Part 6: stratify.net dispatch overhead                              *)
+(* Part 5: stratify.net dispatch overhead                              *)
 
 let bench_net () =
   print_endline
@@ -1261,7 +1172,7 @@ let bench_net () =
   Printf.printf "  wrote %s\n" out
 
 (* ------------------------------------------------------------------ *)
-(* Part 7: rank-banded sharded matching                                *)
+(* Part 6: rank-banded sharded matching                                *)
 
 let bench_shard () =
   print_endline "\n================ Sharded matching (rank bands over the domain pool) ================";
@@ -1353,7 +1264,7 @@ let bench_shard () =
   Printf.printf "  wrote %s\n" out
 
 (* ------------------------------------------------------------------ *)
-(* Part 8: scenario-matrix expansion and execution                     *)
+(* Part 7: scenario-matrix expansion and execution                     *)
 
 let bench_matrix () =
   print_endline "\n================ Scenario matrix (expansion + cell execution) ================";
@@ -1435,7 +1346,7 @@ let bench_matrix () =
   Printf.printf "  wrote %s\n" out
 
 (* ------------------------------------------------------------------ *)
-(* Part 9: event engine under three DES workloads                      *)
+(* Part 8: event engine under three DES workloads                      *)
 
 (* The message-level swarm driver of bench.des's swarm-md workload: the
    tick simulator runs as a self-rescheduling packed event inside the
@@ -1726,7 +1637,7 @@ let bench_des () =
   Printf.printf "  wrote %s\n" out
 
 (* ------------------------------------------------------------------ *)
-(* Part 10: the service layer (lib/serve).
+(* Part 9: the service layer (lib/serve).
 
    Three stages:
    (a) a mixed tracker script — two swarms (one partitioned-and-healed
@@ -1945,6 +1856,5 @@ let () =
             (String.concat ", " (List.map fst parts));
           exit 2)
   | _ ->
-      if Sys.getenv_opt "BENCH_SKIP_REGEN" = None then regenerate ();
       run_benchmarks ();
       List.iter (fun (_, f) -> f ()) parts

@@ -1,6 +1,6 @@
 (* Utility playground: the generic matching framework beyond global
-   rankings - symmetric (latency) utilities, blended utilities, adversarial
-   cycles, and the classical capacitated baseline.
+   rankings - symmetric (latency) utilities, blended utilities and
+   adversarial cycles.
 
    Run with:  dune exec examples/utility_playground.exe *)
 
@@ -48,12 +48,6 @@ let () =
       Output.note "best-response dynamics revisited a configuration after %d steps"
         period_found_at
   | General_matching.Converged _ -> Output.note "unexpected convergence!");
-  let sys = Utility.to_tan cyclic ~acceptance:k3 in
-  (match Tan.find_preference_cycle ~parity:`Odd sys with
-  | Some cycle ->
-      Output.note "Tan's certificate - odd preference cycle: {%s}"
-        (String.concat " -> " (List.map string_of_int cycle))
-  | None -> Output.note "no odd cycle (!?)");
 
   Output.section "Blending ranking with latency";
   let ranking_u = Utility.of_function (fun _ q -> float_of_int (n - q)) in
@@ -65,20 +59,4 @@ let () =
       | General_matching.Converged { steps } ->
           Output.note "alpha=%.2f: converged in %d steps" alpha steps
       | General_matching.Cycled _ -> Output.note "alpha=%.2f: dynamics cycled" alpha)
-    [ 0.; 0.3; 0.7; 1. ];
-
-  Output.section "The capacitated bipartite baseline (hospitals/residents)";
-  let inst =
-    {
-      Hospital_residents.resident_prefs = [| [| 0; 1 |]; [| 0; 1 |]; [| 1; 0 |]; [| 0 |] |];
-      hospital_prefs = [| [| 3; 0; 1; 2 |]; [| 2; 1; 0 |] |];
-      capacity = [| 2; 1 |];
-    }
-  in
-  let m = Hospital_residents.solve inst in
-  Array.iteri
-    (fun r h ->
-      if h >= 0 then Output.note "resident %d -> hospital %d" r h
-      else Output.note "resident %d unmatched" r)
-    m.Hospital_residents.hospital_of;
-  Output.note "stable: %b" (Hospital_residents.is_stable inst m)
+    [ 0.; 0.3; 0.7; 1. ]

@@ -3,11 +3,6 @@ let share_ratios swarm =
       let p = Swarm.peer swarm i in
       if p.Peer.uploaded <= 0. then 0. else p.Peer.downloaded /. p.Peer.uploaded)
 
-let download_rates swarm ~since_ticks =
-  if since_ticks <= 0 then invalid_arg "Metrics.download_rates: need since_ticks > 0";
-  Array.init (Swarm.size swarm) (fun i ->
-      (Swarm.peer swarm i).Peer.downloaded /. float_of_int since_ticks)
-
 let mean_partner_capacity swarm =
   Array.init (Swarm.size swarm) (fun i ->
       let p = Swarm.peer swarm i in

@@ -8,11 +8,6 @@ val share_ratios : Swarm.t -> float array
 (** Per-peer downloaded/uploaded over the measurement window (0 for peers
     that uploaded nothing). *)
 
-val download_rates : Swarm.t -> since_ticks:int -> float array
-(** Per-peer mean download per tick over the last [since_ticks] ticks,
-    from the cumulative counters (call {!Swarm.reset_counters} at the
-    start of the window). *)
-
 val mean_partner_capacity : Swarm.t -> float array
 (** For each peer, the average upload capacity of its current unchoke
     targets (0 when it unchokes nobody). *)

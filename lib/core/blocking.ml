@@ -120,10 +120,10 @@ let best_blocking_mate c p =
 
 (* Circular decremental scan with the cursor state threaded as a flat
    array: reads [cursors.(p)] as the start position and, only on a hit,
-   stores the follow-up position back — exactly [blocking_mate_from]'s
-   contract, without boxing a tuple option per probe.  Static for the
-   same reason as the kernels above: a per-call closure would put the
-   decremental steady state back on the allocator. *)
+   stores the follow-up position back, without boxing a tuple option per
+   probe.  Static for the same reason as the kernels above: a per-call
+   closure would put the decremental steady state back on the
+   allocator. *)
 let rec cursor_scan c inst cursors p len start step =
   if step >= len then -1
   else begin
@@ -146,23 +146,6 @@ let blocking_mate_cursor c p cursors =
       if s < 0 then s + len else s
     in
     cursor_scan c inst cursors p len start 0
-  end
-
-let blocking_mate_from c p ~start =
-  let inst = Config.instance c in
-  let len = Instance.degree inst p in
-  if len = 0 then None
-  else begin
-    let start = ((start mod len) + len) mod len in
-    let rec scan step =
-      if step >= len then None
-      else begin
-        let i = (start + step) mod len in
-        let q = Instance.acceptable_at inst p i in
-        if is_blocking c p q then Some (q, (i + 1) mod len) else scan (step + 1)
-      end
-    in
-    scan 0
   end
 
 let blocking_pairs c =

@@ -23,15 +23,12 @@ val best_blocking_mate_int : Config.t -> int -> int
     pair involving [p] blocks.  The steady-state convergence loop calls
     this per attempt and allocates nothing. *)
 
-val blocking_mate_from : Config.t -> int -> start:int -> (int * int) option
-(** Circular scan of [p]'s acceptance list beginning at position [start]
-    (for "decremental" initiatives).  Returns [(mate, next_start)]. *)
-
 val blocking_mate_cursor : Config.t -> int -> int array -> int
-(** Option-free {!blocking_mate_from} with the per-peer cursor state
-    threaded as an array: starts at [cursors.(p)], and only on a hit
-    stores the follow-up position back into [cursors.(p)] and returns
-    the mate's rank; [-1] (cursor untouched) when nothing blocks. *)
+(** Circular scan of [p]'s acceptance list (for "decremental"
+    initiatives), with the per-peer cursor state threaded as an array:
+    starts at position [cursors.(p)], and only on a hit stores the
+    follow-up position back into [cursors.(p)] and returns the mate's
+    rank; [-1] (cursor untouched) when nothing blocks. *)
 
 val blocking_pairs : Config.t -> (int * int) list
 (** All blocking pairs, [p < q].  O(n · degree); intended for tests and

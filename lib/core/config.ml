@@ -124,19 +124,12 @@ let empty instance =
 let instance t = t.instance
 let degree t p = t.deg.(p)
 let free_slots t p = t.bs.(p) - t.deg.(p)
-let is_full t p = free_slots t p <= 0
 let mate_at t p i = t.data.(t.off.(p) + i)
 
 let mates t p =
   let base = t.off.(p) in
   let rec go i acc = if i < 0 then acc else go (i - 1) (t.data.(base + i) :: acc) in
   go (t.deg.(p) - 1) []
-
-let iter_mates t p f =
-  let base = t.off.(p) in
-  for i = 0 to t.deg.(p) - 1 do
-    f t.data.(base + i)
-  done
 
 let best_mate t p = if t.deg.(p) = 0 then None else Some t.data.(t.off.(p))
 
@@ -384,4 +377,3 @@ let raw_off t = t.off
 let raw_data t = t.data
 let raw_deg t = t.deg
 let raw_thresh t = t.thresh
-let raw_mask t = t.mask

@@ -22,18 +22,13 @@ val degree : t -> int -> int
 val free_slots : t -> int -> int
 (** [b(p)] minus current degree. *)
 
-val is_full : t -> int -> bool
-
 val mates : t -> int -> int list
 (** Mates best-ranked first, as a fresh list.  Allocates — hot paths use
-    [mate_at]/[iter_mates] instead. *)
+    [mate_at] instead. *)
 
 val mate_at : t -> int -> int -> int
 (** [mate_at t p i] is [p]'s [i]-th best current mate
     ([0 <= i < degree t p]).  O(1), no allocation. *)
-
-val iter_mates : t -> int -> (int -> unit) -> unit
-(** Apply a function to each mate of a peer, best-ranked first. *)
 
 val best_mate : t -> int -> int option
 
@@ -49,9 +44,10 @@ val worst_rank : t -> int -> int
 val mated : t -> int -> int -> bool
 (** Whether two peers are currently mates.  When the word-packed mate
     filter is enabled ({!mask_enabled}, the default for b̄ ≤ 63) a clear
-    bit of [raw_mask] answers "no" in one load; otherwise (and on a set
-    bit) an early-exit scan of the (short, sorted, flat) mate segment —
-    all comparisons are immediate int compares. *)
+    bit of [p]'s 63-bit mask (bit [q mod 63] is set whenever [q] is a
+    mate) answers "no" in one load; otherwise (and on a set bit) an
+    early-exit scan of the (short, sorted, flat) mate segment — all
+    comparisons are immediate int compares. *)
 
 val mated_linear : t -> int -> int -> bool
 (** The flat-array reference path of {!mated}, never consulting the mate
@@ -148,9 +144,3 @@ val first_accepting : t -> lo:int -> hi:int -> int -> int
     via a max segment tree over [raw_thresh], maintained incrementally
     on every rewire; allocation-free.  The complete-backend blocking
     scan descends this tree instead of probing each rank in turn. *)
-
-val raw_mask : t -> int array
-(** Per-peer 63-bit mate filter: bit [q mod 63] is set whenever [q] is a
-    mate of [p].  A clear bit proves non-matedness; a set bit says
-    nothing (fall back to the segment scan).  Sound for every budget,
-    selective only when b̄ ≤ 63 — see {!mask_enabled}. *)

@@ -24,8 +24,8 @@ let create_state inst = { cursor = Array.make (Instance.n inst) 0 }
    option (or a fresh closure) on each. *)
 let no_note (_ : int) = ()
 
-(* Option-free [find_mate]: the blocking mate's rank, or [-1].  The
-   three strategies' scans are already sentinel-based in [Blocking]. *)
+(* The blocking mate's rank, or [-1].  The three strategies' scans are
+   already sentinel-based in [Blocking]. *)
 let find_mate_int config state strategy rng p =
   match strategy with
   | Best_mate -> Blocking.best_blocking_mate_int config p
@@ -38,10 +38,6 @@ let find_mate_int config state strategy rng p =
         let q = Instance.acceptable_at inst p (Rng.int rng len) in
         if Blocking.is_blocking config p q then q else -1
       end
-
-let find_mate config state strategy rng p =
-  let q = find_mate_int config state strategy rng p in
-  if q < 0 then None else Some q
 
 (* Non-optional-hook form of [perform]: drops are sentinel ints, the
    hook is always a function ([no_note] when absent), so an active

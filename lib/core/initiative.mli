@@ -20,15 +20,11 @@ type state
 
 val create_state : Instance.t -> state
 
-val find_mate : Config.t -> state -> strategy -> Stratify_prng.Rng.t -> int -> int option
-(** The blocking mate peer [p] would reach under the given strategy, if
-    any, without modifying the configuration (advances decremental
-    cursors). *)
-
 val find_mate_int : Config.t -> state -> strategy -> Stratify_prng.Rng.t -> int -> int
-(** Option-free {!find_mate}: the mate's rank, or [-1].  The hot loop's
-    form — a failed scan (the steady-state common case) allocates
-    nothing. *)
+(** The rank of the blocking mate peer [p] would reach under the given
+    strategy, or [-1], without modifying the configuration (advances
+    decremental cursors).  Option-free, so a failed scan (the
+    steady-state common case) allocates nothing. *)
 
 val perform : ?on_rewire:(int -> unit) -> Config.t -> int -> int -> unit
 (** Execute the pairing move of an active initiative: each side drops its
@@ -44,7 +40,7 @@ val perform : ?on_rewire:(int -> unit) -> Config.t -> int -> int -> unit
 
 val attempt :
   ?on_rewire:(int -> unit) -> Config.t -> state -> strategy -> Stratify_prng.Rng.t -> int -> bool
-(** [find_mate] then [perform]; returns whether the initiative was
+(** [find_mate_int] then [perform]; returns whether the initiative was
     active. *)
 
 val no_note : int -> unit

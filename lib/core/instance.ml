@@ -119,12 +119,6 @@ let iter_acceptable t p f =
         f row.(i)
       done
 
-let iter_acceptable_from t p ~start f =
-  let len = degree t p in
-  for i = start to len - 1 do
-    f (acceptable_at t p i)
-  done
-
 let fold_acceptable t p f init =
   match t.backend with
   | Dense { off; data } ->

@@ -98,10 +98,6 @@ val accepts : t -> int -> int -> bool
 val iter_acceptable : t -> int -> (int -> unit) -> unit
 (** Apply a function to each acceptable peer, best-ranked first. *)
 
-val iter_acceptable_from : t -> int -> start:int -> (int -> unit) -> unit
-(** Same, starting at row index [start] ([start >= 0]; indices past the
-    row length iterate nothing). *)
-
 val fold_acceptable : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
 (** Fold over acceptable peers, best-ranked first. *)
 

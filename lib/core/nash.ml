@@ -6,16 +6,6 @@ type analysis = {
   is_equilibrium : bool;
 }
 
-let best_response ~n ~d ~profile ~population_b0 ~my_upload ~candidates =
-  let sweep =
-    Share_ratio.sweep_slots ~population_b0 ~n ~d ~profile ~my_upload ~slots:candidates ()
-  in
-  Array.fold_left
-    (fun ((_, best_ratio) as best) (s, ratio) ->
-      if ratio > best_ratio then (s, ratio) else best)
-    (fst sweep.(0) |> fun s -> (s, snd sweep.(0)))
-    sweep
-
 let symmetric_profile_analysis ~n ~d ~profile ~population_b0 ~candidates
     ?(probes = [| 0.1; 0.25; 0.5; 0.75; 0.9 |]) ?(tolerance = 0.05) () =
   if not (Array.exists (fun s -> s = population_b0) candidates) then

@@ -16,17 +16,6 @@ type analysis = {
       (** no probe peer improves by more than the tolerance *)
 }
 
-val best_response :
-  n:int ->
-  d:float ->
-  profile:Stratify_bandwidth.Profile.t ->
-  population_b0:int ->
-  my_upload:float ->
-  candidates:int array ->
-  int * float
-(** The deviation (slot count, expected D/U) maximising a peer's ratio
-    when everyone else plays [population_b0]. *)
-
 val symmetric_profile_analysis :
   n:int ->
   d:float ->

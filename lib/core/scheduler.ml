@@ -125,7 +125,7 @@ let seed_all t =
    [Initiative.perform] reports every peer whose list changed through
    [on_rewire] — so each state change re-queues exactly the peers whose
    pairs it may newly activate.  A popped peer leaves only after
-   [find_mate] returned [None], i.e. no pair involving it blocks, so an
+   [find_mate_int] returned [-1], i.e. no pair involving it blocks, so an
    empty set certifies stability.  Termination is Theorem 1: every
    performed initiative is active, and active sequences are finite. *)
 let drain ?on_rewire t config state strategy rng =

@@ -30,5 +30,3 @@ let preference_lists (Fn f) ~acceptance =
         sorted;
       sorted)
     acceptance
-
-let to_tan u ~acceptance = Tan.of_lists (preference_lists u ~acceptance)

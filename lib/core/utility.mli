@@ -40,6 +40,3 @@ val preference_lists : t -> acceptance:int array array -> int array array
 (** For each peer, its acceptance list sorted by decreasing utility, ties
     broken by peer id (documented determinism; the theory assumes strict
     preferences, so callers should avoid exact ties where it matters). *)
-
-val to_tan : t -> acceptance:int array array -> Tan.t
-(** Preference system for the roommates/cycle machinery. *)

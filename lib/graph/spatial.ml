@@ -12,57 +12,3 @@ let distance pos i j =
   let xi, yi = pos.(i) and xj, yj = pos.(j) in
   let dx = xi -. xj and dy = yi -. yj in
   sqrt ((dx *. dx) +. (dy *. dy))
-
-let toroidal_distance pos i j =
-  let wrap d =
-    let d = Float.abs d in
-    Float.min d (1. -. d)
-  in
-  let xi, yi = pos.(i) and xj, yj = pos.(j) in
-  let dx = wrap (xi -. xj) and dy = wrap (yi -. yj) in
-  sqrt ((dx *. dx) +. (dy *. dy))
-
-let random_geometric rng ~n ~radius ?(torus = false) () =
-  let pos = random_positions rng ~n in
-  let dist = if torus then toroidal_distance pos else distance pos in
-  let g = Undirected.create n in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      if dist i j <= radius then ignore (Undirected.add_edge g i j)
-    done
-  done;
-  (g, pos)
-
-let watts_strogatz rng ~n ~k ~beta =
-  if k < 2 || k mod 2 <> 0 then invalid_arg "Spatial.watts_strogatz: k must be even and >= 2";
-  if k >= n then invalid_arg "Spatial.watts_strogatz: need k < n";
-  if beta < 0. || beta > 1. then invalid_arg "Spatial.watts_strogatz: beta must be in [0,1]";
-  let g = Undirected.create n in
-  (* Ring lattice: each vertex connects to its k/2 clockwise neighbours. *)
-  for v = 0 to n - 1 do
-    for step = 1 to k / 2 do
-      ignore (Undirected.add_edge g v ((v + step) mod n))
-    done
-  done;
-  (* Rewire each lattice edge (v, v+step) with probability beta, keeping
-     the graph simple and avoiding isolated self-loops. *)
-  for v = 0 to n - 1 do
-    for step = 1 to k / 2 do
-      let w = (v + step) mod n in
-      if Rng.bernoulli rng beta && Undirected.mem_edge g v w then begin
-        (* Pick a fresh endpoint not already a neighbour of v. *)
-        let attempts = ref 0 in
-        let chosen = ref (-1) in
-        while !chosen < 0 && !attempts < 32 do
-          incr attempts;
-          let candidate = Rng.int rng n in
-          if candidate <> v && not (Undirected.mem_edge g v candidate) then chosen := candidate
-        done;
-        if !chosen >= 0 then begin
-          ignore (Undirected.remove_edge g v w);
-          ignore (Undirected.add_edge g v !chosen)
-        end
-      end
-    done
-  done;
-  g

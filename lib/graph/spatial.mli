@@ -1,12 +1,8 @@
-(** Spatial and small-world acceptance graphs.
+(** Peer positions, for latency.
 
-    §4.1 of the paper contrasts the collaboration graph with the overlay
-    designs of the era ("small world properties: almost fully connected,
-    high clustering coefficient, low mean distance"); §7 proposes latency —
-    a {e symmetric} ranking — as a second collaboration criterion.  These
-    generators provide the substrates for both: random geometric graphs
-    give peers positions (hence pairwise latencies), Watts–Strogatz gives
-    the classic small-world overlay. *)
+    §7 of the paper proposes latency — a {e symmetric} ranking — as a
+    second collaboration criterion.  Peers get uniform positions in the
+    unit square, and the distance between two peers is their latency. *)
 
 type positions = (float * float) array
 (** Peer coordinates in the unit square. *)
@@ -15,18 +11,3 @@ val random_positions : Stratify_prng.Rng.t -> n:int -> positions
 
 val distance : positions -> int -> int -> float
 (** Euclidean distance between two peers (a latency proxy). *)
-
-val toroidal_distance : positions -> int -> int -> float
-(** Distance on the unit torus (no boundary effects). *)
-
-val random_geometric :
-  Stratify_prng.Rng.t -> n:int -> radius:float -> ?torus:bool -> unit -> Undirected.t * positions
-(** Peers at uniform positions; an edge joins every pair within [radius].
-    O(n²) — intended for n ≲ 10⁴. *)
-
-val watts_strogatz :
-  Stratify_prng.Rng.t -> n:int -> k:int -> beta:float -> Undirected.t
-(** Watts–Strogatz small world: a ring lattice where each vertex joins its
-    [k] nearest neighbours ([k] even, [< n]), then each lattice edge is
-    rewired to a uniform endpoint with probability [beta].  [beta = 0] is
-    the lattice, [beta = 1] approaches a random graph. *)

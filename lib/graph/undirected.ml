@@ -49,20 +49,10 @@ let neighbors t v =
 
 let sorted_neighbors t v = List.sort Int.compare (neighbors t v)
 
-let isolate t v =
-  check_vertex t v;
-  let ws = neighbors t v in
-  List.iter (fun w -> ignore (remove_edge t v w)) ws
-
 let iter_edges f t =
   Array.iteri
     (fun u adjacency -> Hashtbl.iter (fun v () -> if u < v then f u v) adjacency)
     t.adj
-
-let fold_edges f t init =
-  let acc = ref init in
-  iter_edges (fun u v -> acc := f u v !acc) t;
-  !acc
 
 let copy t =
   { adj = Array.map Hashtbl.copy t.adj; edges = t.edges }

@@ -37,14 +37,8 @@ val sorted_neighbors : t -> int -> int list
 (** Neighbours in increasing vertex order (best peer first under the
     rank-as-label convention). *)
 
-val isolate : t -> int -> unit
-(** [isolate g v] removes every edge incident to [v] (peer departure). *)
-
 val iter_edges : (int -> int -> unit) -> t -> unit
 (** Iterate each edge exactly once, with [u < v]. *)
-
-val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over each edge exactly once, with [u < v]. *)
 
 val copy : t -> t
 (** Deep copy. *)

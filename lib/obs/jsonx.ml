@@ -87,7 +87,8 @@ let to_string ?(indent = true) v =
 
 type cursor = { src : string; mutable pos : int }
 
-let fail cur msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg cur.pos))
+let fail_at pos msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg pos))
+let fail cur msg = fail_at cur.pos msg
 let peek cur = if cur.pos < String.length cur.src then Some cur.src.[cur.pos] else None
 
 let next cur =
@@ -149,7 +150,9 @@ let parse_string cur =
   in
   go ()
 
-let parse_number cur =
+(* [key] is the member the number is the value of (or an element of),
+   for the error message. *)
+let parse_number cur ~key =
   let start = cur.pos in
   let numchar = function
     | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
@@ -160,17 +163,21 @@ let parse_number cur =
   done;
   let s = String.sub cur.src start (cur.pos - start) in
   let is_float = String.exists (function '.' | 'e' | 'E' -> true | _ -> false) s in
-  if is_float then
-    match float_of_string_opt s with Some f -> Float f | None -> fail cur ("bad number " ^ s)
-  else
-    match int_of_string_opt s with
-    | Some i -> Int i
-    | None -> (
-        match float_of_string_opt s with
-        | Some f -> Float f
-        | None -> fail cur ("bad number " ^ s))
+  match if is_float then None else int_of_string_opt s with
+  | Some i -> Int i
+  | None -> (
+      match float_of_string_opt s with
+      | Some f when Float.is_finite f -> Float f
+      | Some _ ->
+          let member = match key with Some k -> Printf.sprintf " for key %S" k | None -> "" in
+          fail_at start (Printf.sprintf "non-finite number %s%s" s member)
+      | None -> fail cur ("bad number " ^ s))
 
-let rec parse_value cur =
+(* Objects past this many keys check for duplicates in a hash set; a
+   list scan is cheaper below it (request objects have 4-5 keys). *)
+let small_object = 16
+
+let rec parse_value cur ~key =
   skip_ws cur;
   match peek cur with
   | None -> fail cur "unexpected end of input"
@@ -189,7 +196,7 @@ let rec parse_value cur =
       end
       else begin
         let rec items acc =
-          let v = parse_value cur in
+          let v = parse_value cur ~key in
           skip_ws cur;
           match next cur with
           | ',' -> items (v :: acc)
@@ -206,29 +213,45 @@ let rec parse_value cur =
         Obj []
       end
       else begin
-        let field () =
+        (* [seen] holds the keys once the object outgrows [small_object]. *)
+        let rec fields acc n seen =
           skip_ws cur;
+          let at = cur.pos in
           expect cur '"';
           let k = parse_string cur in
+          let seen =
+            if n = small_object then begin
+              let h = Hashtbl.create (4 * small_object) in
+              List.iter (fun (k', _) -> Hashtbl.replace h k' ()) acc;
+              Some h
+            end
+            else seen
+          in
+          let duplicate =
+            match seen with
+            | None -> List.exists (fun (k', _) -> String.equal k k') acc
+            | Some h ->
+                let d = Hashtbl.mem h k in
+                Hashtbl.replace h k ();
+                d
+          in
+          if duplicate then fail_at at (Printf.sprintf "duplicate key %S" k);
           skip_ws cur;
           expect cur ':';
-          (k, parse_value cur)
-        in
-        let rec fields acc =
-          let kv = field () in
+          let kv = (k, parse_value cur ~key:(Some k)) in
           skip_ws cur;
           match next cur with
-          | ',' -> fields (kv :: acc)
+          | ',' -> fields (kv :: acc) (n + 1) seen
           | '}' -> List.rev (kv :: acc)
           | _ -> fail cur "expected ',' or '}'"
         in
-        Obj (fields [])
+        Obj (fields [] 0 None)
       end
-  | Some _ -> parse_number cur
+  | Some _ -> parse_number cur ~key
 
 let of_string s =
   let cur = { src = s; pos = 0 } in
-  let v = parse_value cur in
+  let v = parse_value cur ~key:None in
   skip_ws cur;
   if cur.pos <> String.length s then fail cur "trailing garbage";
   v

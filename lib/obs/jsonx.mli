@@ -25,7 +25,9 @@ val to_string : ?indent:bool -> t -> string
 
 val of_string : string -> t
 (** Numbers without [.], [e] or [E] parse as [Int]; everything else
-    numeric as [Float]. *)
+    numeric as [Float].  Rejects a number that is not finite ([1e999]),
+    naming the literal and its key, and an object that repeats a key,
+    naming the key. *)
 
 (** {2 Accessors} — all raise {!Parse_error} on shape mismatch, naming
     the offending member, so decoder errors point at the field. *)

@@ -12,7 +12,6 @@ module Bw_profile = Stratify_bandwidth.Profile
 module Saroiu = Stratify_bandwidth.Saroiu
 module Jsonx = Stratify_obs.Jsonx
 module Counter = Stratify_obs.Counter
-module Histogram = Stratify_obs.Histogram
 module Run_manifest = Stratify_obs.Run_manifest
 
 let c_announces = Counter.make "serve.announces"
@@ -24,7 +23,6 @@ let c_reconnects = Counter.make "serve.reconnects"
 let c_arrivals = Counter.make "serve.arrivals"
 let c_departures = Counter.make "serve.departures"
 let c_ticks = Counter.make "serve.ticks"
-let h_request_ns = Histogram.make "serve.request_ns"
 
 type swarm_state = {
   sspec : Request.swarm_spec;
@@ -66,7 +64,6 @@ type t = {
   mutable departures : int;
   mutable checksum : int;
   mutable requests_handled : int;
-  mutable measure_latency : bool;
 }
 
 let script t = t.scr
@@ -76,7 +73,6 @@ let ticks t = t.ticks
 let checksum t = t.checksum
 let requests_handled t = t.requests_handled
 let oracle t = t.oracle
-let set_measure_latency t on = t.measure_latency <- on
 
 (* ------------------------------------------------------------------ *)
 (* Response checksum: FNV-1a over response bytes, newline-separated.   *)
@@ -348,15 +344,7 @@ let handle_tick t =
   Counter.incr c_ticks;
   Engine.schedule_packed t.engine ~delay:1.0 tick_code
 
-let handle_scripted t i =
-  let r = t.scr.Request.requests.(i) in
-  if t.measure_latency then begin
-    let t0 = Unix.gettimeofday () in
-    ignore (handle t r.Request.kind);
-    Histogram.observe h_request_ns
-      (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9))
-  end
-  else ignore (handle t r.Request.kind)
+let handle_scripted t i = ignore (handle t t.scr.Request.requests.(i).Request.kind)
 
 let install_handler t =
   Engine.set_packed_handler t.engine (fun _e code ->
@@ -481,7 +469,6 @@ let create scr =
       departures = 0;
       checksum = fnv_offset;
       requests_handled = 0;
-      measure_latency = false;
     }
   in
   install_handler t;
@@ -955,7 +942,6 @@ let restore j =
       departures = tally "departures";
       checksum = Jsonx.get_int (req what "checksum" top);
       requests_handled = tally "requests_handled";
-      measure_latency = false;
     }
   in
   install_handler t;

@@ -48,12 +48,6 @@ val requests_handled : t -> int
 
 val oracle : t -> Stratify_core.Churn.world
 
-val set_measure_latency : t -> bool -> unit
-(** When on, each scripted request's wall-clock handling time is
-    observed into the ["serve.request_ns"] histogram (requires
-    {!Stratify_obs.Control} enabled).  Off by default — wall-clock
-    must never leak into deterministic script manifests. *)
-
 val handle : t -> Request.kind -> string
 (** Serve one request at the current simulated time and return the
     response line ("OK ..." or "ERR ..." for state-dependent refusals
@@ -96,6 +90,5 @@ val restore_string : string -> t
 (** {2 Obs wiring} — the live metrics feed: ["serve.announces"],
     ["serve.joins"], ["serve.leaves"], ["serve.scrapes"],
     ["serve.stats"], ["serve.reconnects"], ["serve.arrivals"],
-    ["serve.departures"], ["serve.ticks"] counters and the
-    ["serve.request_ns"] latency histogram, all gated by
+    ["serve.departures"] and ["serve.ticks"] counters, gated by
     {!Stratify_obs.Control} like every other probe. *)

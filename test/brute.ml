@@ -1,3 +1,5 @@
+open Stratify_core
+
 let acceptance_edges inst =
   let edges = ref [] in
   for p = Instance.n inst - 1 downto 0 do

@@ -5,6 +5,8 @@
     Complexity is exponential in the number of acceptance edges; intended
     for [n ≤ 8]. *)
 
+open Stratify_core
+
 val all_configs : Instance.t -> Config.t list
 (** Every degree-feasible subset of the acceptance edges. *)
 

@@ -36,6 +36,22 @@ let instance_params =
       let* bmax = int_range 0 4 in
       return (seed, n, float_of_int p10 /. 10., bmax))
 
+(* One-sample Kolmogorov-Smirnov statistic: the largest gap between the
+   empirical CDF of [samples] and the reference CDF [f]. *)
+let ks_distance_to samples f =
+  let sorted = Array.copy samples in
+  Array.sort Float.compare sorted;
+  let n = float_of_int (Array.length sorted) in
+  let worst = ref 0. in
+  Array.iteri
+    (fun i x ->
+      let reference = f x in
+      let upper = (float_of_int (i + 1) /. n) -. reference in
+      let lower = reference -. (float_of_int i /. n) in
+      worst := Float.max !worst (Float.max upper lower))
+    sorted;
+  !worst
+
 (* Substring membership, for asserting on error-message fragments. *)
 let contains s sub =
   let ls = String.length s and lsub = String.length sub in

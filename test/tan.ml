@@ -1,3 +1,5 @@
+open Stratify_core
+
 type t = { prefs : int array array; pos : int array array }
 
 let build prefs =

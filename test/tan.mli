@@ -10,6 +10,8 @@
     both the general representation and a brute-force cycle finder used to
     test the theorem on small adversarial instances. *)
 
+open Stratify_core
+
 type t
 (** A general preference system: each peer holds a strict preference order
     over a subset of the other peers. *)

@@ -1,7 +1,6 @@
 module Rng = Stratify_prng.Rng
 module Profile = Stratify_bandwidth.Profile
 module Saroiu = Stratify_bandwidth.Saroiu
-module Empirical = Stratify_stats.Empirical
 module Series = Stratify_stats.Series
 open Stratify_core
 
@@ -52,8 +51,7 @@ let test_sampling_matches_cdf () =
   let p = Saroiu.profile in
   let rng = Rng.create 7 in
   let samples = Array.init 20_000 (fun _ -> Profile.sample p rng) in
-  let e = Empirical.of_samples samples in
-  let ks = Empirical.ks_distance_to e (Profile.cdf p) in
+  let ks = Helpers.ks_distance_to samples (Profile.cdf p) in
   Alcotest.(check bool) (Printf.sprintf "KS %.4f small" ks) true (ks < 0.02)
 
 let test_rank_bandwidths_decreasing () =

@@ -157,91 +157,6 @@ let test_symmetric_dynamics_converge () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Hospital_residents                                                  *)
-
-let test_hr_known_instance () =
-  let inst =
-    {
-      Hospital_residents.resident_prefs = [| [| 0; 1 |]; [| 0; 1 |]; [| 0 |] |];
-      hospital_prefs = [| [| 2; 0; 1 |]; [| 0; 1 |] |];
-      capacity = [| 1; 2 |];
-    }
-  in
-  let m = Hospital_residents.solve inst in
-  Alcotest.(check bool) "stable" true (Hospital_residents.is_stable inst m);
-  (* Hospital 0 (capacity 1) prefers resident 2. *)
-  Alcotest.(check int) "resident 2 -> hospital 0" 0 m.Hospital_residents.hospital_of.(2);
-  Alcotest.(check (list int)) "hospital 1 takes 0 and 1" [ 0; 1 ]
-    m.Hospital_residents.residents_of.(1);
-  Alcotest.(check (list int)) "nobody unmatched" [] (Hospital_residents.unmatched_residents m)
-
-let random_hr rng ~n_res ~n_hosp =
-  (* Random mutual acceptability + random strict orders + capacities. *)
-  let accept = Array.make_matrix n_res n_hosp false in
-  for r = 0 to n_res - 1 do
-    for h = 0 to n_hosp - 1 do
-      accept.(r).(h) <- Rng.bernoulli rng 0.6
-    done
-  done;
-  let shuffle_of l =
-    let a = Array.of_list l in
-    Stratify_prng.Dist.shuffle rng a;
-    a
-  in
-  let resident_prefs =
-    Array.init n_res (fun r ->
-        shuffle_of (List.filter (fun h -> accept.(r).(h)) (List.init n_hosp (fun h -> h))))
-  in
-  let hospital_prefs =
-    Array.init n_hosp (fun h ->
-        shuffle_of (List.filter (fun r -> accept.(r).(h)) (List.init n_res (fun r -> r))))
-  in
-  let capacity = Array.init n_hosp (fun _ -> Rng.int rng 3) in
-  { Hospital_residents.resident_prefs; hospital_prefs; capacity }
-
-let test_hr_random_instances () =
-  let rng = Helpers.rng ~seed:12 () in
-  for _ = 1 to 120 do
-    let inst = random_hr rng ~n_res:(1 + Rng.int rng 10) ~n_hosp:(1 + Rng.int rng 5) in
-    let m = Hospital_residents.solve inst in
-    Alcotest.(check bool) "stable" true (Hospital_residents.is_stable inst m);
-    (* Capacities respected and assignment mutually consistent. *)
-    Array.iteri
-      (fun h members ->
-        Alcotest.(check bool) "capacity" true
-          (List.length members <= inst.Hospital_residents.capacity.(h));
-        List.iter
-          (fun r -> Alcotest.(check int) "mutual" h m.Hospital_residents.hospital_of.(r))
-          members)
-      m.Hospital_residents.residents_of
-  done
-
-let test_hr_zero_capacity () =
-  let inst =
-    {
-      Hospital_residents.resident_prefs = [| [| 0 |] |];
-      hospital_prefs = [| [| 0 |] |];
-      capacity = [| 0 |];
-    }
-  in
-  let m = Hospital_residents.solve inst in
-  Alcotest.(check (list int)) "unmatched" [ 0 ] (Hospital_residents.unmatched_residents m);
-  Alcotest.(check bool) "stable (capacity 0 cannot block)" true
-    (Hospital_residents.is_stable inst m)
-
-let test_hr_validation () =
-  let bad =
-    {
-      Hospital_residents.resident_prefs = [| [| 0 |] |];
-      hospital_prefs = [| [||] |];
-      capacity = [| 1 |];
-    }
-  in
-  Alcotest.check_raises "asymmetric"
-    (Invalid_argument "Hospital_residents: acceptability not mutual") (fun () ->
-      ignore (Hospital_residents.solve bad))
-
-(* ------------------------------------------------------------------ *)
 (* Gossip                                                              *)
 
 let check_view_validity g =
@@ -433,11 +348,6 @@ let suite =
     Alcotest.test_case "latency matching clusters by proximity" `Quick
       test_symmetric_greedy_proximity;
     Alcotest.test_case "symmetric dynamics converge" `Quick test_symmetric_dynamics_converge;
-    Alcotest.test_case "hospitals/residents: known instance" `Quick test_hr_known_instance;
-    Alcotest.test_case "hospitals/residents: random instances stable" `Quick
-      test_hr_random_instances;
-    Alcotest.test_case "hospitals/residents: zero capacity" `Quick test_hr_zero_capacity;
-    Alcotest.test_case "hospitals/residents: validation" `Quick test_hr_validation;
     Alcotest.test_case "gossip views stay valid" `Quick test_gossip_views_valid;
     Alcotest.test_case "gossip coverage and balance" `Quick test_gossip_coverage_and_balance;
     Alcotest.test_case "gossip graph is connected" `Quick test_gossip_graph_connected;

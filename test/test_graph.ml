@@ -3,8 +3,6 @@ module U = Stratify_graph.Undirected
 module Gen = Stratify_graph.Gen
 module Union_find = Stratify_graph.Union_find
 module Components = Stratify_graph.Components
-module Traversal = Stratify_graph.Traversal
-module Metrics = Stratify_graph.Metrics
 
 let test_union_find_basic () =
   let uf = Union_find.create 6 in
@@ -31,13 +29,6 @@ let test_self_loop_rejected () =
   let g = U.create 3 in
   Alcotest.check_raises "self loop" (Invalid_argument "Undirected.add_edge: self-loop")
     (fun () -> ignore (U.add_edge g 1 1))
-
-let test_isolate () =
-  let g = Gen.star 6 in
-  Alcotest.(check int) "star edges" 5 (U.edge_count g);
-  U.isolate g 0;
-  Alcotest.(check int) "isolated" 0 (U.edge_count g);
-  Alcotest.(check int) "degree" 0 (U.degree g 0)
 
 let test_builders () =
   Alcotest.(check int) "complete K6 edges" 15 (U.edge_count (Gen.complete 6));
@@ -97,7 +88,7 @@ let test_gnd_mean_degree () =
   let acc = Stratify_stats.Online.create () in
   for _ = 1 to 20 do
     let g = Gen.gnd rng ~n:500 ~d:12. in
-    Stratify_stats.Online.add acc (Metrics.mean_degree g)
+    Stratify_stats.Online.add acc (2. *. float_of_int (U.edge_count g) /. 500.)
   done;
   Helpers.check_close ~eps:0.5 "mean degree ~ d" 12. (Stratify_stats.Online.mean acc)
 
@@ -156,38 +147,6 @@ let test_components_connected () =
   let c2 = Components.of_graph (U.create 3) in
   Alcotest.(check bool) "empty not connected" false (Components.is_connected c2)
 
-let test_bfs () =
-  let g = Gen.path 6 in
-  let dist = Traversal.bfs_distances g 0 in
-  Alcotest.(check (array int)) "path distances" [| 0; 1; 2; 3; 4; 5 |] dist;
-  let g2 = U.create 4 in
-  ignore (U.add_edge g2 0 1);
-  let dist2 = Traversal.bfs_distances g2 0 in
-  Alcotest.(check int) "unreachable" (-1) dist2.(3)
-
-let test_diameter () =
-  Alcotest.(check int) "path diameter" 9 (Traversal.diameter_estimate (Gen.path 10));
-  Alcotest.(check int) "ring diameter" 5 (Traversal.diameter_estimate (Gen.ring 10));
-  Alcotest.(check int) "complete diameter" 1 (Traversal.diameter_estimate (Gen.complete 5))
-
-let test_metrics () =
-  let k5 = Gen.complete 5 in
-  Helpers.check_close "K5 mean degree" 4. (Metrics.mean_degree k5);
-  Helpers.check_close "K5 clustering" 1. (Metrics.clustering_coefficient k5);
-  Alcotest.(check int) "K5 max degree" 4 (Metrics.max_degree k5);
-  Helpers.check_close "path clustering" 0. (Metrics.clustering_coefficient (Gen.path 5));
-  let h = Metrics.degree_histogram (Gen.star 5) in
-  Alcotest.(check int) "star leaves" 4 h.(1);
-  Alcotest.(check int) "star centre" 1 h.(4)
-
-let test_assortativity () =
-  (* A graph linking only consecutive labels is strongly assortative. *)
-  let chain = Gen.path 100 in
-  Alcotest.(check bool) "chain assortative" true (Metrics.assortativity_by_label chain > 0.9);
-  (* A star from vertex 0 to everyone is disassortative by label. *)
-  let star = Gen.star 100 in
-  Alcotest.(check bool) "star negative" true (Metrics.assortativity_by_label star < 0.)
-
 let prop_gnp_rows_symmetric =
   Helpers.qtest ~count:50 "components of adjacency = components of graph"
     Helpers.instance_params (fun (seed, n, p, _) ->
@@ -221,7 +180,6 @@ let suite =
     Alcotest.test_case "union-find basics" `Quick test_union_find_basic;
     Alcotest.test_case "add/remove edges" `Quick test_add_remove_edges;
     Alcotest.test_case "self-loop rejected" `Quick test_self_loop_rejected;
-    Alcotest.test_case "isolate removes incident edges" `Quick test_isolate;
     Alcotest.test_case "builders" `Quick test_builders;
     Alcotest.test_case "sorted neighbours / adjacency arrays" `Quick test_sorted_neighbors_and_arrays;
     prop_csr_matches_adjacency_arrays;
@@ -233,15 +191,11 @@ let suite =
     Alcotest.test_case "attach_fresh_vertex" `Quick test_attach_fresh_vertex;
     Alcotest.test_case "connected components" `Quick test_components;
     Alcotest.test_case "is_connected" `Quick test_components_connected;
-    Alcotest.test_case "BFS distances" `Quick test_bfs;
-    Alcotest.test_case "diameter estimates" `Quick test_diameter;
-    Alcotest.test_case "structural metrics" `Quick test_metrics;
-    Alcotest.test_case "label assortativity" `Quick test_assortativity;
     prop_gnp_rows_symmetric;
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Spatial generators                                                  *)
+(* Spatial positions                                                   *)
 
 module Spatial = Stratify_graph.Spatial
 
@@ -253,72 +207,11 @@ let test_positions_and_distance () =
       Alcotest.(check bool) "in unit square" true (x >= 0. && x < 1. && y >= 0. && y < 1.))
     pos;
   Helpers.check_close "self distance" 0. (Spatial.distance pos 3 3);
-  Helpers.check_close "symmetric" (Spatial.distance pos 1 2) (Spatial.distance pos 2 1);
-  Alcotest.(check bool) "torus <= plane" true
-    (Spatial.toroidal_distance pos 1 2 <= Spatial.distance pos 1 2 +. 1e-12);
-  Alcotest.(check bool) "torus bounded" true
-    (Spatial.toroidal_distance pos 4 5 <= sqrt 0.5 +. 1e-12)
-
-let test_random_geometric () =
-  let rng = Rng.create 32 in
-  let g, pos = Spatial.random_geometric rng ~n:100 ~radius:0.2 () in
-  (* Every edge within the radius, every close pair connected. *)
-  U.iter_edges
-    (fun u v ->
-      Alcotest.(check bool) "edge within radius" true (Spatial.distance pos u v <= 0.2))
-    g;
-  for u = 0 to 99 do
-    for v = u + 1 to 99 do
-      if Spatial.distance pos u v <= 0.2 then
-        Alcotest.(check bool) "close pair connected" true (U.mem_edge g u v)
-    done
-  done
-
-let test_random_geometric_torus_denser () =
-  let rng = Rng.create 33 in
-  let g_plane, _ = Spatial.random_geometric rng ~n:200 ~radius:0.15 () in
-  let rng2 = Rng.create 33 in
-  let g_torus, _ = Spatial.random_geometric rng2 ~n:200 ~radius:0.15 ~torus:true () in
-  (* Same positions (same seed), wrapping can only add edges. *)
-  Alcotest.(check bool) "torus adds edges" true
-    (U.edge_count g_torus >= U.edge_count g_plane)
-
-let test_watts_strogatz_lattice () =
-  let rng = Rng.create 34 in
-  let g = Spatial.watts_strogatz rng ~n:40 ~k:4 ~beta:0. in
-  Alcotest.(check int) "lattice edges" 80 (U.edge_count g);
-  for v = 0 to 39 do
-    Alcotest.(check int) "degree k" 4 (U.degree g v)
-  done;
-  (* beta = 0 keeps the high-clustering ring lattice. *)
-  Alcotest.(check bool) "clustered" true (Metrics.clustering_coefficient g > 0.4)
-
-let test_watts_strogatz_small_world () =
-  let rng = Rng.create 35 in
-  let lattice = Spatial.watts_strogatz rng ~n:200 ~k:6 ~beta:0. in
-  let rewired = Spatial.watts_strogatz rng ~n:200 ~k:6 ~beta:0.2 in
-  (* A few shortcuts collapse the diameter while edges stay ~constant. *)
-  Alcotest.(check bool) "diameter shrinks" true
-    (Traversal.diameter_estimate rewired < Traversal.diameter_estimate lattice);
-  Alcotest.(check bool) "edge count preserved" true
-    (abs (U.edge_count rewired - U.edge_count lattice) <= 0)
-
-let test_watts_strogatz_guards () =
-  let rng = Rng.create 36 in
-  Alcotest.check_raises "odd k"
-    (Invalid_argument "Spatial.watts_strogatz: k must be even and >= 2") (fun () ->
-      ignore (Spatial.watts_strogatz rng ~n:10 ~k:3 ~beta:0.1));
-  Alcotest.check_raises "k too big" (Invalid_argument "Spatial.watts_strogatz: need k < n")
-    (fun () -> ignore (Spatial.watts_strogatz rng ~n:4 ~k:4 ~beta:0.1))
+  Helpers.check_close "symmetric" (Spatial.distance pos 1 2) (Spatial.distance pos 2 1)
 
 let spatial_suite =
   [
     Alcotest.test_case "positions and distances" `Quick test_positions_and_distance;
-    Alcotest.test_case "random geometric graph" `Quick test_random_geometric;
-    Alcotest.test_case "toroidal geometric graph" `Quick test_random_geometric_torus_denser;
-    Alcotest.test_case "watts-strogatz lattice" `Quick test_watts_strogatz_lattice;
-    Alcotest.test_case "watts-strogatz small world" `Quick test_watts_strogatz_small_world;
-    Alcotest.test_case "watts-strogatz guards" `Quick test_watts_strogatz_guards;
   ]
 
 (* Reference G(n,p) walk that converts every gap to an int: valid for

@@ -561,67 +561,6 @@ let test_tan_validation () =
     (fun () -> ignore (Tan.of_lists [| [| 1; 1 |]; [| 0 |] |]))
 
 (* ------------------------------------------------------------------ *)
-(* Gale-Shapley                                                        *)
-
-let test_gale_shapley_known () =
-  (* Classic 3x3 instance. *)
-  let men = [| [| 0; 1; 2 |]; [| 1; 0; 2 |]; [| 0; 1; 2 |] |] in
-  let women = [| [| 1; 0; 2 |]; [| 0; 1; 2 |]; [| 0; 1; 2 |] |] in
-  let m = Gale_shapley.run ~proposer_prefs:men ~receiver_prefs:women in
-  Alcotest.(check bool) "stable" true
-    (Gale_shapley.is_stable ~proposer_prefs:men ~receiver_prefs:women m);
-  (* Proposer-optimal: man 1 gets his favourite woman 1; man 0 gets 0. *)
-  Alcotest.(check int) "man 0" 0 m.Gale_shapley.proposer_mate.(0);
-  Alcotest.(check int) "man 1" 1 m.Gale_shapley.proposer_mate.(1);
-  Alcotest.(check int) "man 2" 2 m.Gale_shapley.proposer_mate.(2)
-
-let random_complete_prefs rng n =
-  Array.init n (fun _ ->
-      let a = Array.init n (fun i -> i) in
-      Dist.shuffle rng a;
-      a)
-
-let test_gale_shapley_random_stable () =
-  let rng = Helpers.rng ~seed:21 () in
-  for _ = 1 to 50 do
-    let n = 1 + Rng.int rng 12 in
-    let men = random_complete_prefs rng n and women = random_complete_prefs rng n in
-    let m = Gale_shapley.run ~proposer_prefs:men ~receiver_prefs:women in
-    Alcotest.(check bool) "stable" true
-      (Gale_shapley.is_stable ~proposer_prefs:men ~receiver_prefs:women m);
-    (* Perfect matching and mutual consistency. *)
-    for p = 0 to n - 1 do
-      let w = m.Gale_shapley.proposer_mate.(p) in
-      Alcotest.(check int) "mutual" p m.Gale_shapley.receiver_mate.(w)
-    done
-  done
-
-let test_gale_shapley_proposer_optimal () =
-  (* Swapping roles: proposers do at least as well as when receiving. *)
-  let rng = Helpers.rng ~seed:22 () in
-  for _ = 1 to 20 do
-    let n = 2 + Rng.int rng 8 in
-    let men = random_complete_prefs rng n and women = random_complete_prefs rng n in
-    let as_proposers = Gale_shapley.run ~proposer_prefs:men ~receiver_prefs:women in
-    let as_receivers = Gale_shapley.run ~proposer_prefs:women ~receiver_prefs:men in
-    let rank_when_proposing = Gale_shapley.proposer_rank_of_mate ~proposer_prefs:men as_proposers in
-    (* men's mean rank of mate in the women-proposing matching *)
-    let total = ref 0 in
-    for m = 0 to n - 1 do
-      let w = as_receivers.Gale_shapley.receiver_mate.(m) in
-      Array.iteri (fun i q -> if q = w then total := !total + i) men.(m)
-    done;
-    let rank_when_receiving = float_of_int !total /. float_of_int n in
-    Alcotest.(check bool) "proposing is weakly better" true
-      (rank_when_proposing <= rank_when_receiving +. 1e-9)
-  done
-
-let test_gale_shapley_validation () =
-  Alcotest.check_raises "incomplete"
-    (Invalid_argument "Gale_shapley: proposer_prefs: incomplete preference list") (fun () ->
-      ignore (Gale_shapley.run ~proposer_prefs:[| [| 0 |]; [||] |] ~receiver_prefs:[| [| 0; 1 |]; [| 0; 1 |] |]))
-
-(* ------------------------------------------------------------------ *)
 (* Roommates                                                           *)
 
 let test_roommates_classic_solvable () =
@@ -772,93 +711,6 @@ let prop_relabeling_invariance =
           Config.equal (Greedy.stable_config twin) stable
           && Blocking.is_stable stable)
 
-(* ------------------------------------------------------------------ *)
-(* Stable partitions (Tan 1991)                                        *)
-
-let test_partition_of_odd_cycle () =
-  let sys = Tan.of_lists odd_cycle_prefs in
-  (* The 3-cycle itself is the stable partition. *)
-  Alcotest.(check bool) "cycle is stable partition" true
-    (Stable_partition.is_stable_partition sys [| 1; 2; 0 |]);
-  match Stable_partition.find_brute sys with
-  | None -> Alcotest.fail "Tan: a stable partition always exists"
-  | Some perm ->
-      Alcotest.(check bool) "has odd party" true
-        (Stable_partition.odd_parties perm <> []);
-      Alcotest.(check bool) "predicts no stable matching" false
-        (Stable_partition.predicts_stable_matching perm)
-
-let test_partition_cycle_decomposition () =
-  let perm = [| 1; 0; 3; 4; 2; 5 |] in
-  let ps = Stable_partition.parties perm in
-  Alcotest.(check int) "three parties" 3 (List.length ps);
-  Alcotest.(check (list (list int))) "cycles" [ [ 0; 1 ]; [ 2; 3; 4 ]; [ 5 ] ] ps;
-  Alcotest.(check (list (list int))) "odd parties" [ [ 2; 3; 4 ] ]
-    (Stable_partition.odd_parties perm)
-
-let test_stable_matching_is_stable_partition () =
-  (* Any stable matching, read as a permutation with singles fixed, is a
-     stable partition. *)
-  let rng = Helpers.rng ~seed:51 () in
-  for _ = 1 to 40 do
-    let n = 1 + Rng.int rng 7 in
-    let sys = random_tan rng n 0.7 in
-    match Roommates.solve sys with
-    | Roommates.Stable mate ->
-        let perm = Array.mapi (fun x m -> if m < 0 then x else m) mate in
-        Alcotest.(check bool) "embeds as partition" true
-          (Stable_partition.is_stable_partition sys perm)
-    | Roommates.No_stable -> ()
-  done
-
-let prop_stable_partition_always_exists =
-  Helpers.qtest ~count:200 "a stable partition always exists (Tan's theorem)"
-    QCheck.(
-      make
-        ~print:(fun (s, n) -> Printf.sprintf "seed=%d n=%d" s n)
-        Gen.(pair (int_bound 1_000_000) (int_range 1 6)))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      let sys = random_tan rng n 0.7 in
-      Stable_partition.find_brute sys <> None)
-
-let prop_odd_party_criterion =
-  Helpers.qtest ~count:200 "odd parties <=> no stable matching (Tan's criterion)"
-    QCheck.(
-      make
-        ~print:(fun (s, n) -> Printf.sprintf "seed=%d n=%d" s n)
-        Gen.(pair (int_bound 1_000_000) (int_range 1 6)))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      let sys = random_tan rng n 0.7 in
-      match Stable_partition.find_brute sys with
-      | None -> false
-      | Some perm ->
-          let predicted = Stable_partition.predicts_stable_matching perm in
-          let actual = match Roommates.solve sys with
-            | Roommates.Stable _ -> true
-            | Roommates.No_stable -> false
-          in
-          predicted = actual)
-
-let prop_odd_parties_invariant =
-  Helpers.qtest ~count:80 "odd-party membership is an instance invariant"
-    QCheck.(
-      make
-        ~print:(fun (s, n) -> Printf.sprintf "seed=%d n=%d" s n)
-        Gen.(pair (int_bound 1_000_000) (int_range 1 5)))
-    (fun (seed, n) ->
-      let rng = Rng.create seed in
-      let sys = random_tan rng n 0.8 in
-      let members perm =
-        List.sort compare (List.concat (Stable_partition.odd_parties perm))
-      in
-      match Stable_partition.all_brute sys with
-      | [] -> false
-      | first :: rest ->
-          let reference = members first in
-          List.for_all (fun perm -> members perm = reference) rest)
-
 (* Unsorted rows, under the identity and a shuffled ranking: every
    acceptance list must be the relabelled row, sorted, and the input
    rows must stay as they were. *)
@@ -917,24 +769,13 @@ let suite =
     Alcotest.test_case "odd preference cycle found" `Quick test_tan_finds_odd_cycle;
     Alcotest.test_case "acceptability symmetrisation" `Quick test_tan_symmetrisation;
     Alcotest.test_case "preference-system validation" `Quick test_tan_validation;
-    Alcotest.test_case "Gale-Shapley known instance" `Quick test_gale_shapley_known;
-    Alcotest.test_case "Gale-Shapley random stability" `Quick test_gale_shapley_random_stable;
-    Alcotest.test_case "Gale-Shapley proposer optimality" `Quick test_gale_shapley_proposer_optimal;
-    Alcotest.test_case "Gale-Shapley validation" `Quick test_gale_shapley_validation;
     Alcotest.test_case "roommates: solvable classic" `Quick test_roommates_classic_solvable;
     Alcotest.test_case "roommates: unsolvable classic" `Quick test_roommates_classic_unsolvable;
     Alcotest.test_case "roommates = greedy under global ranking" `Quick
       test_roommates_global_ranking_agrees_with_greedy;
     prop_roommates_matches_brute_force;
     Alcotest.test_case "roommates corner cases" `Quick test_roommates_empty_and_trivial;
-    Alcotest.test_case "stable partition of the odd cycle" `Quick test_partition_of_odd_cycle;
-    Alcotest.test_case "partition cycle decomposition" `Quick test_partition_cycle_decomposition;
-    Alcotest.test_case "stable matchings embed as partitions" `Quick
-      test_stable_matching_is_stable_partition;
     prop_relabeling_invariance;
-    prop_stable_partition_always_exists;
-    prop_odd_party_criterion;
-    prop_odd_parties_invariant;
     Alcotest.test_case "of_adjacency = sorted relabelled rows" `Quick
       test_of_adjacency_reference;
   ]

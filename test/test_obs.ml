@@ -46,7 +46,7 @@ let test_counter_registry () =
     (List.mem_assoc "test.same-name" (Obs.Counter.dump ()))
 
 (* ------------------------------------------------------------------ *)
-(* Timers and spans                                                   *)
+(* Spans                                                              *)
 
 let spin () =
   (* Burn a little CPU so both wall and cpu clocks advance. *)
@@ -55,22 +55,6 @@ let spin () =
     acc := !acc +. sqrt (float_of_int i)
   done;
   ignore (Sys.opaque_identity !acc)
-
-let test_timer_accumulates () =
-  let t = Obs.Timer.create () in
-  Alcotest.(check bool) "fresh timer at zero" true (Obs.Timer.wall_s t = 0.);
-  Obs.Timer.time t spin;
-  let once = Obs.Timer.wall_s t in
-  Alcotest.(check bool) "first interval positive" true (once > 0.);
-  Obs.Timer.time t spin;
-  Alcotest.(check bool) "second interval accumulates" true (Obs.Timer.wall_s t > once);
-  Alcotest.(check bool) "not running after stop" true (not (Obs.Timer.running t));
-  Alcotest.check_raises "stop when idle"
-    (Invalid_argument "Obs.Timer.stop: not running") (fun () -> Obs.Timer.stop t);
-  Obs.Timer.start t;
-  Alcotest.check_raises "double start"
-    (Invalid_argument "Obs.Timer.start: already running") (fun () -> Obs.Timer.start t);
-  Obs.Timer.stop t
 
 let test_spans_nest () =
   with_obs (fun () ->
@@ -184,6 +168,46 @@ let test_json_roundtrip () =
         (match of_string bad with exception Parse_error _ -> true | _ -> false))
     [ ""; "{"; "[1,]"; "{\"a\" 1}"; "12 34"; "nul" ]
 
+let check_parse_error what input expected =
+  match Obs.Jsonx.of_string input with
+  | exception Obs.Jsonx.Parse_error msg -> Alcotest.(check string) what expected msg
+  | _ -> Alcotest.failf "%s: %S parsed" what input
+
+let test_json_rejects_duplicate_keys () =
+  check_parse_error "top level" {|{"horizon": 150.0, "horizon": 1.0}|}
+    {|duplicate key "horizon" at byte 19|};
+  check_parse_error "nested" {|{"a": [{"b": 1, "b": 2}]}|} {|duplicate key "b" at byte 16|};
+  (* The same key in sibling objects is no duplicate. *)
+  ignore (Obs.Jsonx.of_string {|[{"a": 1}, {"a": 2}]|});
+  (* Small objects scan a list, larger ones a hash set: repeat the first
+     and the last key of objects on both sides of the switch. *)
+  let field i = Printf.sprintf {|"k%d": %d|} i i in
+  List.iter
+    (fun n ->
+      let fields = List.init n field in
+      let prefix = "{" ^ String.concat ", " fields in
+      ignore (Obs.Jsonx.of_string (prefix ^ "}"));
+      List.iter
+        (fun dup ->
+          check_parse_error
+            (Printf.sprintf "%d keys, then k%d again" n dup)
+            (prefix ^ ", " ^ field dup ^ "}")
+            (Printf.sprintf {|duplicate key "k%d" at byte %d|} dup (String.length prefix + 2)))
+        [ 0; n - 1 ])
+    [ 1; 2; 15; 16; 17; 40 ]
+
+let test_json_rejects_non_finite_numbers () =
+  check_parse_error "bare" "1e999" "non-finite number 1e999 at byte 0";
+  check_parse_error "member" {|{"horizon": 1e999}|}
+    {|non-finite number 1e999 for key "horizon" at byte 12|};
+  check_parse_error "array member" {|{"xs": [1.0, -1e999]}|}
+    {|non-finite number -1e999 for key "xs" at byte 13|};
+  let huge = String.make 400 '9' in
+  check_parse_error "integer past max_float" ("[" ^ huge ^ "]")
+    (Printf.sprintf "non-finite number %s at byte 1" huge);
+  Alcotest.(check bool) "1e308 is finite" true
+    (Obs.Jsonx.of_string "1e308" = Obs.Jsonx.Float 1e308)
+
 let test_manifest_roundtrip () =
   let m =
     {
@@ -276,13 +300,15 @@ let suite =
     Alcotest.test_case "counters are monotone" `Quick test_counter_monotone;
     Alcotest.test_case "counters gated on the switch" `Quick test_counter_gating;
     Alcotest.test_case "counter registry idempotent" `Quick test_counter_registry;
-    Alcotest.test_case "timers accumulate" `Quick test_timer_accumulates;
     Alcotest.test_case "spans nest correctly" `Quick test_spans_nest;
     Alcotest.test_case "spans survive exceptions" `Quick test_span_exception_safe;
     Alcotest.test_case "histogram buckets exact at powers of two" `Quick
       test_histogram_buckets_exact;
     Alcotest.test_case "histogram counts" `Quick test_histogram_counts;
     Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
+    Alcotest.test_case "JSON rejects duplicate keys" `Quick test_json_rejects_duplicate_keys;
+    Alcotest.test_case "JSON rejects non-finite numbers" `Quick
+      test_json_rejects_non_finite_numbers;
     Alcotest.test_case "manifest round-trip" `Quick test_manifest_roundtrip;
     Alcotest.test_case "capture snapshots live probes" `Quick test_capture_snapshots_probes;
     Alcotest.test_case "profile counts minor words exactly" `Quick test_profile_counts_minor_words;

@@ -1,7 +1,4 @@
 module Online = Stratify_stats.Online
-module Summary = Stratify_stats.Summary
-module Histogram = Stratify_stats.Histogram
-module Empirical = Stratify_stats.Empirical
 module Discrete = Stratify_stats.Discrete
 module Series = Stratify_stats.Series
 module Table = Stratify_stats.Table
@@ -35,74 +32,6 @@ let test_online_merge_empty () =
   Helpers.check_close "merge with empty" 3. (Online.mean m);
   let m2 = Online.merge (Online.create ()) a in
   Helpers.check_close "empty with merge" 3. (Online.mean m2)
-
-let test_summary () =
-  let s = Summary.of_array [| 3.; 1.; 4.; 1.; 5.; 9.; 2.; 6. |] in
-  Alcotest.(check int) "count" 8 s.Summary.count;
-  Helpers.check_close "min" 1. s.Summary.min;
-  Helpers.check_close "max" 9. s.Summary.max;
-  Helpers.check_close "median" 3.5 s.Summary.median;
-  Helpers.check_close "mean" 3.875 s.Summary.mean
-
-let test_quantile () =
-  let xs = [| 10.; 20.; 30.; 40. |] in
-  Helpers.check_close "q0" 10. (Summary.quantile xs 0.);
-  Helpers.check_close "q1" 40. (Summary.quantile xs 1.);
-  Helpers.check_close "median interp" 25. (Summary.quantile xs 0.5);
-  Helpers.check_close "q1/3" 20. (Summary.quantile xs (1. /. 3.))
-
-let test_histogram_linear () =
-  let h = Histogram.create_linear ~lo:0. ~hi:10. ~bins:5 in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 2.5; 9.9; -1.; 10.; 11. ];
-  Helpers.check_close "bin 0" 2. (Histogram.count h 0);
-  Helpers.check_close "bin 1" 1. (Histogram.count h 1);
-  Helpers.check_close "bin 4" 1. (Histogram.count h 4);
-  Helpers.check_close "underflow" 1. (Histogram.underflow h);
-  Helpers.check_close "overflow" 2. (Histogram.overflow h);
-  Helpers.check_close "total" 4. (Histogram.total h);
-  let lo, hi = Histogram.bin_edges h 1 in
-  Helpers.check_close "edge lo" 2. lo;
-  Helpers.check_close "edge hi" 4. hi;
-  Helpers.check_close "center" 3. (Histogram.bin_center h 1)
-
-let test_histogram_log () =
-  let h = Histogram.create_log ~lo:1. ~hi:1000. ~bins:3 in
-  List.iter (Histogram.add h) [ 2.; 20.; 200.; 0.5 ];
-  Helpers.check_close "decade 0" 1. (Histogram.count h 0);
-  Helpers.check_close "decade 1" 1. (Histogram.count h 1);
-  Helpers.check_close "decade 2" 1. (Histogram.count h 2);
-  Helpers.check_close "underflow" 1. (Histogram.underflow h);
-  Helpers.check_close ~eps:1e-6 "geometric center" 31.6227766 (Histogram.bin_center h 1);
-  (* density integrates to one over covered range *)
-  let integral = ref 0. in
-  for b = 0 to 2 do
-    let lo, hi = Histogram.bin_edges h b in
-    integral := !integral +. (Histogram.density h b *. (hi -. lo))
-  done;
-  Helpers.check_close "density integral" 1. !integral
-
-let test_histogram_normalized () =
-  let h = Histogram.create_linear ~lo:0. ~hi:4. ~bins:4 in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 1.6; 3.5 ];
-  Alcotest.(check (array (float 1e-9))) "normalized" [| 0.25; 0.5; 0.; 0.25 |]
-    (Histogram.normalized h)
-
-let test_empirical () =
-  let e = Empirical.of_samples [| 1.; 2.; 2.; 3.; 10. |] in
-  Helpers.check_close "cdf below" 0. (Empirical.cdf e 0.5);
-  Helpers.check_close "cdf mid" 0.6 (Empirical.cdf e 2.);
-  Helpers.check_close "cdf top" 1. (Empirical.cdf e 10.);
-  Helpers.check_close "quantile" 2. (Empirical.quantile e 0.5)
-
-let test_ks () =
-  let a = Empirical.of_samples (Array.init 100 (fun i -> float_of_int i)) in
-  let b = Empirical.of_samples (Array.init 100 (fun i -> float_of_int i)) in
-  Helpers.check_close "identical" 0. (Empirical.ks_distance a b);
-  let c = Empirical.of_samples (Array.init 100 (fun i -> float_of_int (i + 50))) in
-  Helpers.check_close "shifted" 0.5 (Empirical.ks_distance a c);
-  (* One-sample KS against the true uniform CDF on [0, 99]. *)
-  let uniform_cdf x = Float.max 0. (Float.min 1. (x /. 99.)) in
-  Alcotest.(check bool) "one-sample small" true (Empirical.ks_distance_to a uniform_cdf < 0.05)
 
 let test_discrete_basics () =
   let d = Discrete.of_weights [| 0.1; 0.; 0.3; 0.2 |] in
@@ -191,39 +120,11 @@ let test_table_overflow () =
   Alcotest.check_raises "too many cells" (Invalid_argument "Table.add_row: more cells than headers")
     (fun () -> Table.add_row t [ "1"; "2" ])
 
-let prop_quantile_bounds =
-  Helpers.qtest ~count:100 "quantile stays within min/max"
-    QCheck.(pair (list_of_size Gen.(int_range 1 40) (float_range (-100.) 100.)) (float_range 0. 1.))
-    (fun (xs, q) ->
-      let a = Array.of_list xs in
-      let v = Summary.quantile a q in
-      let s = Summary.of_array a in
-      v >= s.Summary.min -. 1e-9 && v <= s.Summary.max +. 1e-9)
-
-let prop_empirical_cdf_monotone =
-  Helpers.qtest ~count:100 "empirical cdf is monotone"
-    QCheck.(list_of_size Gen.(int_range 1 30) (float_range (-50.) 50.))
-    (fun xs ->
-      let e = Empirical.of_samples (Array.of_list xs) in
-      let probes = Array.init 101 (fun i -> -60. +. (float_of_int i *. 1.2)) in
-      let ok = ref true in
-      for i = 0 to 99 do
-        if Empirical.cdf e probes.(i) > Empirical.cdf e probes.(i + 1) +. 1e-12 then ok := false
-      done;
-      !ok)
-
 let suite =
   [
     Alcotest.test_case "online accumulator" `Quick test_online_basic;
     Alcotest.test_case "online merge" `Quick test_online_merge;
     Alcotest.test_case "online merge with empty" `Quick test_online_merge_empty;
-    Alcotest.test_case "summary" `Quick test_summary;
-    Alcotest.test_case "quantile interpolation" `Quick test_quantile;
-    Alcotest.test_case "linear histogram" `Quick test_histogram_linear;
-    Alcotest.test_case "log histogram" `Quick test_histogram_log;
-    Alcotest.test_case "normalized histogram" `Quick test_histogram_normalized;
-    Alcotest.test_case "empirical cdf/quantile" `Quick test_empirical;
-    Alcotest.test_case "KS distances" `Quick test_ks;
     Alcotest.test_case "discrete basics" `Quick test_discrete_basics;
     Alcotest.test_case "discrete uniform/point" `Quick test_discrete_uniform_point;
     Alcotest.test_case "discrete TV and map_support" `Quick test_discrete_tv_and_map;
@@ -235,16 +136,13 @@ let suite =
     Alcotest.test_case "table rendering" `Quick test_table_render;
     Alcotest.test_case "table csv quoting" `Quick test_table_csv_quoting;
     Alcotest.test_case "table overflow" `Quick test_table_overflow;
-    prop_quantile_bounds;
-    prop_empirical_cdf_monotone;
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Correlation / Linreg / Bootstrap                                    *)
+(* Correlation / Linreg                                                *)
 
 module Correlation = Stratify_stats.Correlation
 module Linreg = Stratify_stats.Linreg
-module Bootstrap = Stratify_stats.Bootstrap
 
 let test_pearson () =
   let exact = Array.init 20 (fun i -> (float_of_int i, 2. *. float_of_int i +. 1.)) in
@@ -296,22 +194,6 @@ let test_linreg_guards () =
     (Invalid_argument "Linreg.fit: need at least two distinct x values") (fun () ->
       ignore (Linreg.fit [| (1., 1.); (1., 2.) |]))
 
-let test_bootstrap_mean () =
-  let rng = Stratify_prng.Rng.create 5 in
-  let xs = Array.init 200 (fun _ -> Stratify_prng.Dist.normal rng ~mu:10. ~sigma:2.) in
-  let iv = Bootstrap.mean_interval rng xs in
-  Alcotest.(check bool) "contains estimate" true
-    (iv.Bootstrap.low <= iv.Bootstrap.estimate && iv.Bootstrap.estimate <= iv.Bootstrap.high);
-  Alcotest.(check bool) "near true mean" true
-    (iv.Bootstrap.low < 10.5 && iv.Bootstrap.high > 9.5);
-  (* Interval width ~ 2*1.96*sigma/sqrt(n) ~ 0.55 *)
-  Alcotest.(check bool) "sane width" true (iv.Bootstrap.high -. iv.Bootstrap.low < 1.5)
-
-let test_bootstrap_guards () =
-  let rng = Stratify_prng.Rng.create 6 in
-  Alcotest.check_raises "empty" (Invalid_argument "Bootstrap.percentile: empty sample")
-    (fun () -> ignore (Bootstrap.mean_interval rng [||]))
-
 let extra_suite =
   [
     Alcotest.test_case "pearson" `Quick test_pearson;
@@ -321,8 +203,6 @@ let extra_suite =
     Alcotest.test_case "linreg exact fit" `Quick test_linreg_exact;
     Alcotest.test_case "linreg log-log power law" `Quick test_linreg_loglog;
     Alcotest.test_case "linreg guards" `Quick test_linreg_guards;
-    Alcotest.test_case "bootstrap mean interval" `Quick test_bootstrap_mean;
-    Alcotest.test_case "bootstrap guards" `Quick test_bootstrap_guards;
   ]
 
 let suite = suite @ extra_suite
