@@ -1,301 +1,80 @@
-(* Benchmark harness.
+(* Benchmark harness: nine gated parts, one run manifest each.
 
-   Part 1 times the computational kernel behind each table/figure with
-   Bechamel, one Test.make per experiment.  Part 2 measures the multicore
-   replication engine (replicas/sec vs --jobs, written to
-   BENCH_parallel.json) and the incremental stability-detection fix.
-   Part 3 measures the implicit-backend / flat-config matching core
-   against a faithful replica of the pre-rewrite representation
-   (BENCH_core.json).  Part 4 races the two convergence schedulers — the
-   paper's uniform random polling vs the worklist of active candidates —
-   to the same stable configuration (BENCH_sched.json).  The tables and
-   figures themselves come from `stratify_experiments all`.
+     bench/main.exe [--out DIR] [PART ...]
 
-   Environment knobs:
-     BENCH_OUT=path      where to write the parallel-scaling run
-                         manifest (default BENCH_parallel.json — the
-                         checked-in baseline the bench-regression CI job
-                         compares against)
-     BENCH_CORE_OUT=path where to write the matching-core run manifest
-                         (default BENCH_core.json — also a checked-in
-                         baseline)
-     BENCH_PROFILE_OUT=path where to write the per-phase-profile run
-                         manifest (default BENCH_profile.json — also a
-                         checked-in baseline; the bench hard-fails if the
-                         steady-state sweep or the worklist repair
-                         allocates on the minor heap, and the manifest's
-                         profile section carries per-kernel wall/GC rows)
-     BENCH_SCHED_OUT=path where to write the scheduler-race run manifest
-                         (default BENCH_sched.json — also a checked-in
-                         baseline)
-     BENCH_NET_OUT=path  where to write the network-dispatch run manifest
-                         (default BENCH_net.json — also a checked-in
-                         baseline; the bench itself fails if fault-free
-                         Net.send exceeds 1.15x the direct
-                         Engine.schedule_packed dispatch)
-     BENCH_SHARD_OUT=path where to write the sharded-matching run manifest
-                         (default BENCH_shard.json — also a checked-in
-                         baseline; the bench asserts band-count
-                         invariance in-process and, when enough cores
-                         exist, the parallel speedup at 8 bands)
-     BENCH_MATRIX_OUT=path where to write the scenario-matrix run manifest
-                         (default BENCH_matrix.json — also a checked-in
-                         baseline; checksums pin the generated cell list
-                         and the metrics of the async-dense slice)
-     BENCH_DES_OUT=path  where to write the event-engine run manifest
-                         (default BENCH_des.json — also a checked-in
-                         baseline; times the engine on a packed-event
-                         cascade, the message-level swarm (swarm-md)
-                         and the async dynamics under loss.  The bench
-                         hard-fails if the cascade or the in-order lane
-                         allocates on the minor heap in steady state,
-                         or if swarm-md allocates more than 3.0 minor
-                         words per event).
-     BENCH_SERVE_OUT=path where to write the service-layer run manifest
-                         (default BENCH_serve.json — also a checked-in
-                         baseline; replays a mixed tracker script,
-                         stop/resumes it, and times the announce hot
-                         path.  The bench hard-fails if a
-                         snapshot/restore run diverges from the
-                         uninterrupted one). *)
+   runs the named parts (default: all of [parts], in order) and writes
+   part [p]'s manifest to DIR/BENCH_p.json.  DIR defaults to ".", so a
+   plain run from the repository root re-records the checked-in
+   baselines; it is created if missing.  Build with --profile release:
+   the dev profile compiles with -opaque, which turns the Obs probes
+   into indirect calls and fails bench.net's dispatch budget.
 
-open Bechamel
+   Each part asserts its own gates in process (a failed gate aborts the
+   run) and returns its rows: "checksum.*" counters, which the
+   bench-regression CI job pins exactly; metrics, whose "rate/*" and
+   "speedup/*" entries ride its ratchet; and per-kernel profile rows.
+   A manifest holds only what its part returned, so it does not depend
+   on which parts ran before it.  The tables and figures themselves come
+   from `stratify_experiments all`. *)
 
 module Rng = Stratify_prng.Rng
 module Gen = Stratify_graph.Gen
-module Profile = Stratify_bandwidth.Profile
-module Saroiu = Stratify_bandwidth.Saroiu
-module Bt = Stratify_bittorrent
 module Exec = Stratify_exec.Exec
+module Obs = Stratify_obs
 open Stratify_core
 
-(* ------------------------------------------------------------------ *)
-(* Part 1: one Bechamel kernel per table/figure                        *)
+type rows = {
+  checksums : (string * int) list;
+  metrics : (string * float) list;
+  profile : Obs.Profile.entry list;
+  jobs : int;
+}
 
-let make_er_instance ~n ~d ~b seed =
-  let rng = Rng.create seed in
-  let graph = Gen.gnd rng ~n ~d in
-  Instance.create ~graph ~b:(Array.make n b) ()
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
 
-let bench_fig1 =
-  (* Kernel of Figs 1-3: one best-mate initiative step. *)
-  let inst = make_er_instance ~n:1000 ~d:10. ~b:1 1 in
-  let rng = Rng.create 2 in
-  let sim = Sim.create inst rng in
-  Test.make ~name:"fig1-3: initiative step (n=1000,d=10)"
-    (Staged.stage (fun () -> ignore (Sim.step sim)))
-
-let bench_stable_config =
-  (* Kernel of Fig 2's instant-stable recomputation. *)
-  let inst = make_er_instance ~n:1000 ~d:10. ~b:1 3 in
-  Test.make ~name:"fig2: Algorithm 1 (n=1000,d=10)"
-    (Staged.stage (fun () -> ignore (Greedy.stable_config inst)))
-
-let bench_disorder =
-  let inst = make_er_instance ~n:1000 ~d:10. ~b:1 4 in
-  let stable = Greedy.stable_config inst in
-  let empty = Config.empty inst in
-  Test.make ~name:"fig3: disorder metric (n=1000)"
-    (Staged.stage (fun () -> ignore (Disorder.distance empty stable)))
-
-let bench_complete =
-  (* Kernel of Fig 4/5 and Table 1: fast greedy on the complete graph. *)
-  let b = Normal_b.constant ~n:10_000 ~b0:6 in
-  Test.make ~name:"fig4-5/table1: complete-graph matching (n=10000,b0=6)"
-    (Staged.stage (fun () -> ignore (Greedy.stable_complete ~b)))
-
-let bench_phase =
-  (* Kernel of Fig 6: one sigma measurement. *)
-  let rng = Rng.create 5 in
-  Test.make ~name:"fig6: phase point (n=5000,b=6,sigma=0.2)"
-    (Staged.stage (fun () ->
-         ignore (Phase.measure rng ~n:5000 ~mean_b:6. ~sigma:0.2 ~replicates:1)))
-
-let bench_exact =
-  Test.make ~name:"fig7: exact enumeration (n=5,b0=2)"
-    (Staged.stage (fun () -> ignore (Exact_small.mate_matrix ~n:5 ~p:0.3 ~b0:2)))
-
-let bench_one_matching =
-  Test.make ~name:"fig8: Algorithm 2 sweep (n=2000)"
-    (Staged.stage (fun () -> One_matching.sweep ~n:2000 ~p:0.005 ~f:(fun _ _ _ -> ())))
-
-let bench_monte_carlo =
-  (* Kernel of Fig 9: one Monte-Carlo realization. *)
-  let rng = Rng.create 6 in
-  Test.make ~name:"fig9: one G(n,p) stable 2-matching (n=2000,p=1%)"
-    (Staged.stage (fun () ->
-         let adj = Gen.gnp_adjacency rng ~n:2000 ~p:0.01 in
-         let inst = Instance.of_adjacency ~adj ~b:(Array.make 2000 2) () in
-         ignore (Greedy.stable_config inst)))
-
-let bench_b_matching =
-  Test.make ~name:"fig9/11: Algorithm 3 sweep (n=1000,b0=3)"
-    (Staged.stage (fun () -> B_matching.sweep ~n:1000 ~p:0.02 ~b0:3 ~f:(fun _ _ _ _ -> ())))
-
-let bench_profile =
-  let rng = Rng.create 7 in
-  Test.make ~name:"fig10: bandwidth profile sampling (x1000)"
-    (Staged.stage (fun () ->
-         for _ = 1 to 1000 do
-           ignore (Profile.sample Saroiu.profile rng)
-         done))
-
-let bench_share_ratio =
-  Test.make ~name:"fig11: share-ratio model (n=500,b0=3,d=20)"
-    (Staged.stage (fun () ->
-         ignore
-           (Share_ratio.compute { Share_ratio.n = 500; b0 = 3; d = 20.; profile = Saroiu.profile })))
-
-let bench_slots =
-  Test.make ~name:"slots: rational-peer sweep (n=300)"
-    (Staged.stage (fun () ->
-         ignore
-           (Share_ratio.sweep_slots ~n:300 ~d:20. ~profile:Saroiu.profile ~my_upload:500.
-              ~slots:[| 1; 3 |] ())))
-
-let bench_swarm =
-  let rng = Rng.create 8 in
-  let uploads = Profile.rank_bandwidths Saroiu.profile ~n:300 in
-  let swarm = Bt.Swarm.create rng (Bt.Swarm.default_params ~uploads) in
-  Test.make ~name:"swarm: one simulator tick (n=300)"
-    (Staged.stage (fun () -> Bt.Swarm.step swarm))
-
-let bench_symmetric =
-  let rng = Rng.create 11 in
-  let positions = Stratify_graph.Spatial.random_positions rng ~n:200 in
-  let u = Stratify_core.Utility.symmetric_distance (Stratify_graph.Spatial.distance positions) in
-  let acceptance = Stratify_graph.Undirected.adjacency_arrays (Gen.complete 200) in
-  let g = General_matching.create ~utility:u ~acceptance ~b:(Array.make 200 2) in
-  Test.make ~name:"latency: symmetric greedy matching (n=200, complete)"
-    (Staged.stage (fun () -> ignore (Symmetric_greedy.stable_state g ~utility:u)))
-
-let bench_gossip =
-  let rng = Rng.create 12 in
-  let g = Gossip.create rng ~n:500 ~view_size:10 in
-  Test.make ~name:"gossip: one round (n=500, view 10)"
-    (Staged.stage (fun () -> Gossip.round g))
-
-let bench_piece_tick =
-  let rng = Rng.create 14 in
-  let uploads = Array.make 200 16. in
-  let params =
-    {
-      (Bt.Swarm.default_params ~uploads) with
-      Bt.Swarm.d = 15.;
-      piece = Some { Bt.Swarm.pieces = 400; piece_size = 8.; init_fraction = 0.5; seeds = 2 };
-    }
-  in
-  let swarm = Bt.Swarm.create rng params in
-  Test.make ~name:"flashcrowd: piece-mode swarm tick (n=200, 400 pieces)"
-    (Staged.stage (fun () -> Bt.Swarm.step swarm))
-
-let bench_streaming =
-  let rng = Rng.create 15 in
-  let b = Normal_b.rounded_normal rng ~n:2000 ~mean:8. ~sigma:0.5 in
-  let adjacency = Cluster.collaboration_graph ~b () in
-  Test.make ~name:"streaming: delay measurement (n=2000)"
-    (Staged.stage (fun () -> ignore (Streaming.measure ~adjacency ~sources:[ 0 ])))
-
-let bench_edonkey =
-  let rng = Rng.create 16 in
-  let uploads = Profile.rank_bandwidths Saroiu.profile ~n:200 in
-  let sim = Stratify_edonkey.Queue_sim.create rng (Stratify_edonkey.Queue_sim.default_params ~uploads) in
-  Test.make ~name:"edonkey: one credit-queue tick (n=200)"
-    (Staged.stage (fun () -> Stratify_edonkey.Queue_sim.step sim))
-
-let bench_async =
-  let rng = Rng.create 17 in
-  let graph = Gen.gnd rng ~n:300 ~d:10. in
-  let inst = Instance.create ~graph ~b:(Array.make 300 1) () in
-  let a = Async_dynamics.create inst rng { Async_dynamics.latency = 0.1; initiative_rate = 1.; loss = 0. } in
-  Test.make ~name:"async: 1 time unit of the message protocol (n=300)"
-    (Staged.stage (fun () -> Async_dynamics.run a ~horizon:1.))
-
-let tests =
-  [
-    bench_fig1;
-    bench_stable_config;
-    bench_disorder;
-    bench_complete;
-    bench_phase;
-    bench_exact;
-    bench_one_matching;
-    bench_monte_carlo;
-    bench_b_matching;
-    bench_profile;
-    bench_share_ratio;
-    bench_slots;
-    bench_swarm;
-    bench_symmetric;
-    bench_gossip;
-    bench_piece_tick;
-    bench_streaming;
-    bench_edonkey;
-    bench_async;
-  ]
-
-let run_benchmarks () =
-  print_endline "\n================ Bechamel micro-benchmarks ================";
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analysis = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns ] ->
-              if ns > 1e6 then Printf.printf "  %-55s %10.3f ms/run\n%!" name (ns /. 1e6)
-              else Printf.printf "  %-55s %10.1f ns/run\n%!" name ns
-          | _ -> Printf.printf "  %-55s (no estimate)\n%!" name)
-        analysis)
-    tests
+(* Order-sensitive hash of the collaboration set (pairs p<q in ascending
+   order) — the determinism checksum pinned by the bench-regression job.
+   Implementation-independent: both representations iterate pairs in the
+   same order. *)
+let fnv_pairs iter =
+  let h = ref 0x811c9dc5 in
+  iter (fun p q -> h := ((!h * 16777619) lxor ((p lsl 20) lxor q)) land ((1 lsl 50) - 1));
+  !h
 
 (* ------------------------------------------------------------------ *)
-(* Part 2: multicore engine scaling + stability-detection fix          *)
+(* parallel: multicore replication engine                             *)
 
-let bench_parallel_scaling () =
-  print_endline "\n================ Parallel replication scaling ================";
-  (* Fig 9's Monte-Carlo kernel: one G(n,p) instance solved to stability.
-     The whole section runs with the stratify.obs probes on and is
-     published as a run manifest — the same schema the experiments emit
-     under --manifest — so CI can track the perf trajectory and pin the
-     kernel checksum without parsing free-form text. *)
-  let module Obs = Stratify_obs in
+(* Fig 9's Monte-Carlo kernel: one G(n,p) instance solved to stability,
+   replicated over the domain pool at each job count.  The one part run
+   with the library's probes on: its manifest also carries the counters
+   the kernel bumps, which are jobs-invariant by construction. *)
+let bench_parallel () =
   let n = 500 and p = 0.02 and replicas = 24 in
   let kernel rng _i =
     let adj = Gen.gnp_adjacency rng ~n ~p in
     let inst = Instance.of_adjacency ~adj ~b:(Array.make n 2) () in
     Config.edge_count (Greedy.stable_config inst)
   in
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
   let time_once jobs =
     let rng = Rng.create 42 in
-    let t0 = Unix.gettimeofday () in
-    let results =
-      Obs.Span.with_
-        (Printf.sprintf "bench.jobs_%d" jobs)
-        (fun () -> Exec.map_replicas ~jobs ~rng ~replicas kernel)
-    in
-    let dt = Unix.gettimeofday () -. t0 in
-    let checksum = Array.fold_left ( + ) 0 results in
-    (float_of_int replicas /. dt, checksum)
+    let results, dt = time (fun () -> Exec.map_replicas ~jobs ~rng ~replicas kernel) in
+    (float_of_int replicas /. dt, Array.fold_left ( + ) 0 results)
   in
   let job_counts = [ 1; 2; 4; 8 ] in
-  (* Warm up the allocator/code paths once so jobs=1 is not penalised. *)
-  ignore (time_once 1);
+  Obs.Counter.reset_all ();
   let rows =
-    List.map
-      (fun jobs ->
-        let rate, checksum = time_once jobs in
-        Printf.printf "  jobs=%d  %8.2f replicas/sec  (checksum %d)\n%!" jobs rate checksum;
-        (jobs, rate, checksum))
-      job_counts
+    Obs.Control.with_enabled true (fun () ->
+        (* Warm up the allocator/code paths once so jobs=1 is not penalised. *)
+        ignore (time_once 1);
+        List.map
+          (fun jobs ->
+            let rate, checksum = time_once jobs in
+            Printf.printf "  jobs=%d  %8.2f replicas/sec  (checksum %d)\n%!" jobs rate checksum;
+            (jobs, rate, checksum))
+          job_counts)
   in
   (* All job counts must agree bit-for-bit on the results. *)
   let checksum =
@@ -308,88 +87,18 @@ let bench_parallel_scaling () =
         c0
     | [] -> 0
   in
-  Obs.Counter.add (Obs.Counter.make "bench.checksum") checksum;
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_parallel" ~seed:42 ~scale:1.0
-      ~jobs:(List.fold_left max 1 job_counts)
-      ~metrics:
-        ([ ("n", float_of_int n); ("p", p); ("replicas", float_of_int replicas) ]
-        @ List.map (fun (j, r, _) -> (Printf.sprintf "replicas_per_sec/%d" j, r)) rows)
-      ()
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_OUT" with Some p when p <> "" -> p | _ -> "BENCH_parallel.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
-
-let bench_stability_detection () =
-  print_endline "\n================ Stability-detection fix ================";
-  (* Naive baseline: a [Config.equal] scan before every step — what
-     [run_until_stable] used to do.  Same seed, same check-before-step
-     order, so both take the identical number of steps.  A third run with
-     {e no} check at all isolates the detection overhead from the common
-     stepping cost, which otherwise Amdahl-bounds the end-to-end ratio. *)
-  let n = 1000 and d = 10. and b = 1 and reps = 10 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let t_base = ref 0. and t_naive = ref 0. and t_inc = ref 0. and steps_total = ref 0 in
-  for rep = 1 to reps do
-    let inst =
-      let rng = Rng.create (100 + rep) in
-      let graph = Gen.gnd rng ~n ~d in
-      Instance.create ~graph ~b:(Array.make n b) ()
-    in
-    let stable = Greedy.stable_config inst in
-    let max_units = 10_000 in
-    let naive () =
-      let sim = Sim.create inst (Rng.create (200 + rep)) in
-      let limit = max_units * n in
-      let rec loop () =
-        if Config.equal (Sim.config sim) stable then Some (Sim.steps sim)
-        else if Sim.steps sim >= limit then None
-        else begin
-          ignore (Sim.step sim);
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let incremental () =
-      let sim = Sim.create inst (Rng.create (200 + rep)) in
-      Sim.run_until_stable sim ~stable ~max_units
-    in
-    let r_naive, dt_naive = time naive in
-    let r_inc, dt_inc = time incremental in
-    if r_naive <> r_inc then failwith "stability detection: step counts differ";
-    let steps = match r_inc with Some s -> s | None -> failwith "did not converge" in
-    let base () =
-      let sim = Sim.create inst (Rng.create (200 + rep)) in
-      for _ = 1 to steps do
-        ignore (Sim.step sim)
-      done
-    in
-    let (), dt_base = time base in
-    steps_total := !steps_total + steps;
-    t_naive := !t_naive +. dt_naive;
-    t_inc := !t_inc +. dt_inc;
-    t_base := !t_base +. dt_base
-  done;
-  Printf.printf "  n=%d d=%g b=%d, %d runs, %d steps total\n" n d b reps !steps_total;
-  Printf.printf "  stepping only (no check):        %8.4f s\n" !t_base;
-  Printf.printf "  naive (Config.equal every step): %8.4f s\n" !t_naive;
-  Printf.printf "  incremental tracker:             %8.4f s\n" !t_inc;
-  Printf.printf "  end-to-end speedup:  %.1fx\n" (!t_naive /. !t_inc);
-  Printf.printf "  detection overhead:  %.1fx  (%.4f s -> %.4f s)\n%!"
-    ((!t_naive -. !t_base) /. (!t_inc -. !t_base))
-    (!t_naive -. !t_base) (!t_inc -. !t_base)
+  {
+    checksums =
+      ("bench.checksum", checksum) :: List.filter (fun (_, v) -> v <> 0) (Obs.Counter.dump ());
+    metrics =
+      [ ("n", float_of_int n); ("p", p); ("replicas", float_of_int replicas) ]
+      @ List.map (fun (j, r, _) -> (Printf.sprintf "replicas_per_sec/%d" j, r)) rows;
+    profile = [];
+    jobs = List.fold_left max 1 job_counts;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: implicit-backend / flat-config matching core                *)
+(* core: implicit-backend / flat-config matching core                 *)
 
 (* Faithful replica of the pre-rewrite matching core: materialized
    adjacency rows, [int list] mate storage with a cached worst rank,
@@ -516,25 +225,9 @@ module Legacy = struct
         true
 end
 
-(* Order-sensitive hash of the collaboration set (pairs p<q in ascending
-   order) — the determinism checksum pinned by the bench-regression job.
-   Implementation-independent: both representations iterate pairs in the
-   same order. *)
-let fnv_pairs iter =
-  let h = ref 0x811c9dc5 in
-  iter (fun p q -> h := ((!h * 16777619) lxor ((p lsl 20) lxor q)) land ((1 lsl 50) - 1));
-  !h
-
 let bench_core () =
-  print_endline "\n================ Implicit-backend / flat-config core ================";
-  let module Obs = Stratify_obs in
   let n = 10_000 and b0 = 6 in
   let b = Array.make n b0 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* New core: implicit complete acceptance graph, flat-array config. *)
   let inst = Instance.complete ~n ~b () in
   let stable = Greedy.stable_config inst in
@@ -697,72 +390,52 @@ let bench_core () =
     live_mb dense_mb;
   Printf.printf "    allocation churn: %.1f Mwords minor, %.2f Mwords promoted\n%!" minor_mwords
     promoted_mwords;
-
-  (* Publish as a run manifest: "checksum.*" counters are pinned exactly
-     by the bench-regression job; "rate/*" metrics fail CI when more
-     than --max-slowdown slower than the committed baseline. *)
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.core_stable_config") cs_stable;
-  Obs.Counter.add (Obs.Counter.make "checksum.core_sweep_probes") probes_per_sweep;
-  Obs.Counter.add (Obs.Counter.make "checksum.core_dyn_stable_active") active_core;
-  Obs.Counter.add (Obs.Counter.make "checksum.core_fill_config") cs_fill_core;
-  Obs.Counter.add (Obs.Counter.make "checksum.core_complete_1e5_edges") edges5;
-  Obs.Counter.add (Obs.Counter.make "checksum.core_complete_1e5_clusters") clusters5;
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_core" ~seed:42 ~scale:1.0 ~jobs:1
-      ~metrics:
-        [
-          ("n", float_of_int n);
-          ("b0", float_of_int b0);
-          ("rate/sweep_probes_legacy", rate_sweep_legacy);
-          ("rate/sweep_probes_core", rate_sweep_core);
-          ("rate/dyn_stable_steps_legacy", rate_dyn_legacy);
-          ("rate/dyn_stable_steps_core", rate_dyn_core);
-          ("rate/fill_steps_legacy", rate_fill_legacy);
-          ("rate/fill_steps_core", rate_fill_core);
-          ("speedup/sweep", rate_sweep_core /. rate_sweep_legacy);
-          ("speedup/dyn_stable", rate_dyn_core /. rate_dyn_legacy);
-          ("speedup/fill", rate_fill_core /. rate_fill_legacy);
-          ("mem/complete_1e5_live_mb", live_mb);
-          ("mem/complete_1e5_dense_equiv_mb", dense_mb);
-          ("mem/complete_1e5_minor_mwords", minor_mwords);
-          ("mem/complete_1e5_promoted_mwords", promoted_mwords);
-        ]
-      ()
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_CORE_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_core.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+  {
+    checksums =
+      [
+        ("checksum.core_stable_config", cs_stable);
+        ("checksum.core_sweep_probes", probes_per_sweep);
+        ("checksum.core_dyn_stable_active", active_core);
+        ("checksum.core_fill_config", cs_fill_core);
+        ("checksum.core_complete_1e5_edges", edges5);
+        ("checksum.core_complete_1e5_clusters", clusters5);
+      ];
+    metrics =
+      [
+        ("n", float_of_int n);
+        ("b0", float_of_int b0);
+        ("rate/sweep_probes_legacy", rate_sweep_legacy);
+        ("rate/sweep_probes_core", rate_sweep_core);
+        ("rate/dyn_stable_steps_legacy", rate_dyn_legacy);
+        ("rate/dyn_stable_steps_core", rate_dyn_core);
+        ("rate/fill_steps_legacy", rate_fill_legacy);
+        ("rate/fill_steps_core", rate_fill_core);
+        ("speedup/sweep", rate_sweep_core /. rate_sweep_legacy);
+        ("speedup/dyn_stable", rate_dyn_core /. rate_dyn_legacy);
+        ("speedup/fill", rate_fill_core /. rate_fill_legacy);
+        ("mem/complete_1e5_live_mb", live_mb);
+        ("mem/complete_1e5_dense_equiv_mb", dense_mb);
+        ("mem/complete_1e5_minor_mwords", minor_mwords);
+        ("mem/complete_1e5_promoted_mwords", promoted_mwords);
+      ];
+    profile = [];
+    jobs = 1;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Part 3b: per-phase profile + the zero-alloc steady-state gate       *)
+(* profile: per-phase profile + the zero-alloc steady-state gate      *)
 
 (* The allocation contract of the rewritten core (DESIGN.md §13),
    asserted: once converged, probing and repairing allocate (next to)
    nothing on the minor heap.  Both windows are RNG-free — the xoshiro
    state boxes int64s, so only the Best_mate sweep and the worklist
    drain can be measured at zero words.  Also runs the instrumented
-   build kernels under Stratify_obs.Profile and publishes the per-kernel
-   wall/GC rows as the manifest's "profile" section, which the
-   bench-regression job ratchets. *)
-let bench_profile_phases () =
-  print_endline
-    "\n================ Per-phase profile / zero-alloc steady state ================";
-  let module Obs = Stratify_obs in
+   build kernels under Stratify_obs.Profile and returns their per-kernel
+   wall/GC rows, which the bench-regression job ratchets.  The zero-alloc
+   verdicts are pinned as checksums too, so CI fails loudly if a
+   regression slips past the local failwith. *)
+let bench_profile () =
   let n = 10_000 and b0 = 6 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let inst = Instance.complete ~n ~b:(Array.make n b0) () in
   let stable = Greedy.stable_config inst in
   let cs_stable = fnv_pairs (fun f -> Config.iter_pairs f stable) in
@@ -844,8 +517,7 @@ let bench_profile_phases () =
   Printf.printf "    %10.0f initiatives/s\n%!" rate_repair;
 
   (* (c) The instrumented build kernels under Profile: arena-reused
-     greedy builds, the cut scan and a banded solve.  The snapshot
-     becomes the manifest's "profile" section. *)
+     greedy builds, the cut scan and a banded solve. *)
   Obs.Profile.reset ();
   Obs.Profile.set_enabled true;
   let arena = Greedy.create_arena () in
@@ -861,72 +533,46 @@ let bench_profile_phases () =
   Obs.Profile.set_enabled false;
   if not (Config.equal sharded stable) then
     failwith "bench.profile: sharded build diverged from the serial build";
+  let profile = Obs.Profile.snapshot () in
   Printf.printf "  profiled kernels:\n";
   List.iter
     (fun (r : Obs.Profile.entry) ->
       Printf.printf "    %-18s %8.2f ms  %3d call(s)  %9d ops  %10.0f minor words\n" r.kernel
         (r.wall_s *. 1e3) r.count r.ops r.minor_words)
-    (Obs.Profile.snapshot ());
-
-  (* Publish: the zero-alloc verdicts are pinned exactly as checksum
-     counters (so CI fails loudly if a regression slips past the local
-     failwith), rates ratchet via rate/*, and the per-kernel rows ride
-     in the manifest's profile section. *)
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.profile_stable_config") cs_stable;
-  Obs.Counter.add (Obs.Counter.make "checksum.profile_sweep_initiatives") sweep_initiatives;
-  Obs.Counter.add (Obs.Counter.make "checksum.profile_repair_initiatives") !total_active;
-  Obs.Counter.add
-    (Obs.Counter.make "checksum.profile_sweep_zero_alloc")
-    (if sweep_zero_alloc then 1 else 0);
-  Obs.Counter.add
-    (Obs.Counter.make "checksum.profile_repair_zero_alloc")
-    (if repair_zero_alloc then 1 else 0);
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_profile" ~seed:42 ~scale:1.0 ~jobs:1
-      ~metrics:
-        [
-          ("n", float_of_int n);
-          ("b0", float_of_int b0);
-          ("rate/profile_sweep_initiatives", rate_sweep);
-          ("rate/profile_repair_initiatives", rate_repair);
-          ("alloc/sweep_minor_words", sweep_minor);
-          ("alloc/repair_minor_words_per_initiative", repair_words_per_initiative);
-        ]
-      ()
-  in
-  (* Keep later bench sections' manifests profile-free. *)
-  Obs.Profile.reset ();
-  let out =
-    match Sys.getenv_opt "BENCH_PROFILE_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_profile.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+    profile;
+  {
+    checksums =
+      [
+        ("checksum.profile_stable_config", cs_stable);
+        ("checksum.profile_sweep_initiatives", sweep_initiatives);
+        ("checksum.profile_repair_initiatives", !total_active);
+        ("checksum.profile_sweep_zero_alloc", if sweep_zero_alloc then 1 else 0);
+        ("checksum.profile_repair_zero_alloc", if repair_zero_alloc then 1 else 0);
+      ];
+    metrics =
+      [
+        ("n", float_of_int n);
+        ("b0", float_of_int b0);
+        ("rate/profile_sweep_initiatives", rate_sweep);
+        ("rate/profile_repair_initiatives", rate_repair);
+        ("alloc/sweep_minor_words", sweep_minor);
+        ("alloc/repair_minor_words_per_initiative", repair_words_per_initiative);
+      ];
+    profile;
+    jobs = 1;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Part 4: convergence schedulers — random polling vs active worklist  *)
+(* sched: convergence schedulers — random polling vs active worklist  *)
 
+(* Race both policies from the empty configuration to the (unique,
+   Theorem 1) stable configuration.  [run_until_stable] counts every
+   initiative attempt; under [Worklist] it terminates the moment the
+   dirty queue drains, which certifies stability without the
+   random-poll tail of wasted scans.  Final configurations must be
+   bit-identical — that is the uniqueness theorem, pinned here by
+   checksum. *)
 let bench_sched () =
-  print_endline "\n================ Convergence scheduler (random poll vs worklist) ================";
-  let module Obs = Stratify_obs in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  (* Race both policies from the empty configuration to the (unique,
-     Theorem 1) stable configuration.  [run_until_stable] counts every
-     initiative attempt; under [Worklist] it terminates the moment the
-     dirty queue drains, which certifies stability without the
-     random-poll tail of wasted scans.  Final configurations must be
-     bit-identical — that is the uniqueness theorem, pinned here by
-     checksum. *)
   let race ~label inst ~max_units =
     let stable = Greedy.stable_config inst in
     let run policy =
@@ -980,64 +626,47 @@ let bench_sched () =
   (* Pin exact determinism: the shared final configuration of each case
      and the worklist attempt counts (the worklist draws no randomness
      with the best-mate strategy, so these are schedule-determined). *)
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.sched_complete_config") c_cs;
-  Obs.Counter.add (Obs.Counter.make "checksum.sched_complete_worklist_attempts") c_aw;
-  Obs.Counter.add (Obs.Counter.make "checksum.sched_complete_worklist_active") c_actw;
-  Obs.Counter.add (Obs.Counter.make "checksum.sched_gnd_config") g_cs;
-  Obs.Counter.add (Obs.Counter.make "checksum.sched_gnd_worklist_attempts") g_aw;
-  Obs.Counter.add (Obs.Counter.make "checksum.sched_gnd_worklist_active") g_actw;
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_sched" ~seed:42 ~scale:1.0 ~jobs:1
-      ~metrics:
-        [
-          ("complete/n", float_of_int n4);
-          ("complete/b0", float_of_int b0);
-          ("complete/attempts_random", float_of_int c_ar);
-          ("complete/attempts_worklist", float_of_int c_aw);
-          ("complete/attempts_ratio", c_ratio);
-          ("complete/wall_random_s", c_dtr);
-          ("complete/wall_worklist_s", c_dtw);
-          ("rate/sched_complete_random", float_of_int c_ar /. c_dtr);
-          ("rate/sched_complete_worklist", float_of_int c_aw /. c_dtw);
-          ("gnd/n", float_of_int n5);
-          ("gnd/d", d);
-          ("gnd/attempts_random", float_of_int g_ar);
-          ("gnd/attempts_worklist", float_of_int g_aw);
-          ("gnd/attempts_ratio", g_ratio);
-          ("gnd/wall_random_s", g_dtr);
-          ("gnd/wall_worklist_s", g_dtw);
-          ("rate/sched_gnd_random", float_of_int g_ar /. g_dtr);
-          ("rate/sched_gnd_worklist", float_of_int g_aw /. g_dtw);
-        ]
-      ()
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_SCHED_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_sched.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+  {
+    checksums =
+      [
+        ("checksum.sched_complete_config", c_cs);
+        ("checksum.sched_complete_worklist_attempts", c_aw);
+        ("checksum.sched_complete_worklist_active", c_actw);
+        ("checksum.sched_gnd_config", g_cs);
+        ("checksum.sched_gnd_worklist_attempts", g_aw);
+        ("checksum.sched_gnd_worklist_active", g_actw);
+      ];
+    metrics =
+      [
+        ("complete/n", float_of_int n4);
+        ("complete/b0", float_of_int b0);
+        ("complete/attempts_random", float_of_int c_ar);
+        ("complete/attempts_worklist", float_of_int c_aw);
+        ("complete/attempts_ratio", c_ratio);
+        ("complete/wall_random_s", c_dtr);
+        ("complete/wall_worklist_s", c_dtw);
+        ("rate/sched_complete_random", float_of_int c_ar /. c_dtr);
+        ("rate/sched_complete_worklist", float_of_int c_aw /. c_dtw);
+        ("gnd/n", float_of_int n5);
+        ("gnd/d", d);
+        ("gnd/attempts_random", float_of_int g_ar);
+        ("gnd/attempts_worklist", float_of_int g_aw);
+        ("gnd/attempts_ratio", g_ratio);
+        ("gnd/wall_random_s", g_dtr);
+        ("gnd/wall_worklist_s", g_dtw);
+        ("rate/sched_gnd_random", float_of_int g_ar /. g_dtr);
+        ("rate/sched_gnd_worklist", float_of_int g_aw /. g_dtw);
+      ];
+    profile = [];
+    jobs = 1;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Part 5: stratify.net dispatch overhead                              *)
+(* net: stratify.net dispatch overhead                                *)
 
 let bench_net () =
-  print_endline
-    "\n================ Network layer (fault-free Net.send vs Engine.schedule_packed) ================";
-  let module Obs = Stratify_obs in
   let module Net = Stratify_net.Net in
   let module Engine = Stratify_des.Engine in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* Every Async_dynamics message crosses Net.send; the fault-free
      configuration must stay within 1.15x of scheduling the same packed
      code straight on the engine, or the network layer has a hot-path
@@ -1137,55 +766,37 @@ let bench_net () =
       (Net.Packed.pack ~kind:0 ~src:k ~dst:0)
   done;
   ignore (Engine.drain e);
-  let cs_trace = !h in
   Printf.printf "  faulty-pipeline delivery checksum over %d sends: %d delivered, lost %d, dup %d\n%!"
     trace_events (Net.delivered net) (Net.lost net) (Net.duplicated net);
-
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.net_trace") cs_trace;
-  Obs.Counter.add (Obs.Counter.make "checksum.net_trace_delivered") (Net.delivered net);
-  Obs.Counter.add (Obs.Counter.make "checksum.net_trace_lost") (Net.lost net);
-  Obs.Counter.add (Obs.Counter.make "checksum.net_trace_partitioned") (Net.partitioned net);
-  Obs.Counter.add (Obs.Counter.make "checksum.net_trace_duplicated") (Net.duplicated net);
-  Obs.Counter.add (Obs.Counter.make "checksum.net_trace_reordered") (Net.reordered net);
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_net" ~seed:42 ~scale:1.0 ~jobs:1
-      ~metrics:
-        [
-          ("events", float_of_int events);
-          ("rate/net_dispatch", rate_net);
-          ("rate/engine_dispatch", rate_engine);
-          ("overhead/fault_free", overhead);
-        ]
-      ()
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_NET_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_net.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+  {
+    checksums =
+      [
+        ("checksum.net_trace", !h);
+        ("checksum.net_trace_delivered", Net.delivered net);
+        ("checksum.net_trace_lost", Net.lost net);
+        ("checksum.net_trace_partitioned", Net.partitioned net);
+        ("checksum.net_trace_duplicated", Net.duplicated net);
+        ("checksum.net_trace_reordered", Net.reordered net);
+      ];
+    metrics =
+      [
+        ("events", float_of_int events);
+        ("rate/net_dispatch", rate_net);
+        ("rate/engine_dispatch", rate_engine);
+        ("overhead/fault_free", overhead);
+      ];
+    profile = [];
+    jobs = 1;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Part 6: rank-banded sharded matching                                *)
+(* shard: rank-banded sharded matching                                *)
 
 let bench_shard () =
-  print_endline "\n================ Sharded matching (rank bands over the domain pool) ================";
-  let module Obs = Stratify_obs in
   let n = 1_000_000 and b0 = 3 in
   let inst = Instance.complete ~n ~b:(Array.make n b0) () in
   let jobs = Exec.default_jobs () in
   let cores = Domain.recommended_domain_count () in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* bands = 1 short-circuits to the plain greedy — that IS the
      baseline the speedups are measured against. *)
   let runs =
@@ -1228,54 +839,34 @@ let bench_shard () =
       (Printf.sprintf "bench.shard: %.2fx speedup at 4 bands on %d cores (need >= 1.5x)" s4 cores);
   if cores < 4 then
     Printf.printf "  (%d cores: speedup gate skipped, invariance still asserted)\n%!" cores;
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.shard_config") base_cs;
-  Obs.Counter.add (Obs.Counter.make "checksum.shard_edges") base_edges;
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_shard" ~seed:42 ~scale:1.0 ~jobs
-      ~metrics:
-        (List.concat_map
-           (fun (bands, dt, _, edges) ->
-             [
-               (Printf.sprintf "shard/wall_bands_%d_s" bands, dt);
-               (Printf.sprintf "rate/shard_bands_%d" bands, float_of_int edges /. dt);
-             ])
-           runs
-        @ [
-            ("shard/n", float_of_int n);
-            ("shard/b0", float_of_int b0);
-            ("shard/jobs", float_of_int jobs);
-            ("shard/cores", float_of_int cores);
-            ("shard/speedup_4", s4);
-            ("shard/speedup_8", s8);
+  {
+    checksums = [ ("checksum.shard_config", base_cs); ("checksum.shard_edges", base_edges) ];
+    metrics =
+      List.concat_map
+        (fun (bands, dt, _, edges) ->
+          [
+            (Printf.sprintf "shard/wall_bands_%d_s" bands, dt);
+            (Printf.sprintf "rate/shard_bands_%d" bands, float_of_int edges /. dt);
           ])
-      ()
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_SHARD_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_shard.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+        runs
+      @ [
+          ("shard/n", float_of_int n);
+          ("shard/b0", float_of_int b0);
+          ("shard/jobs", float_of_int jobs);
+          ("shard/cores", float_of_int cores);
+          ("shard/speedup_4", s4);
+          ("shard/speedup_8", s8);
+        ];
+    profile = [];
+    jobs;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Part 7: scenario-matrix expansion and execution                     *)
+(* matrix: scenario-matrix expansion and execution                    *)
 
 let bench_matrix () =
-  print_endline "\n================ Scenario matrix (expansion + cell execution) ================";
-  let module Obs = Stratify_obs in
   let module Matrix = Stratify_net_plan.Matrix in
   let module Plan = Stratify_net_plan.Plan in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   (* Expansion throughput: the generator is pure, so repeated expansion
      is the honest unit of work; the checksum pins the cell list
      (names, order, per-cell seeds) across machines. *)
@@ -1311,117 +902,35 @@ let bench_matrix () =
         List.iter
           (fun (_, v) ->
             acc := Int64.mul (Int64.logxor !acc (Int64.bits_of_float v)) 0x100000001b3L)
-          r.Plan.manifest.Stratify_obs.Run_manifest.metrics)
+          r.Plan.manifest.Obs.Run_manifest.metrics)
       results;
     Int64.to_int (Int64.logand !acc 0x3FFF_FFFFL)
   in
   Printf.printf "  run: %d cells in %.3f s on %d jobs (metrics checksum %d)\n%!"
     (Array.length subset) run_dt jobs metrics_cs;
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.matrix_cells") cells_cs;
-  Obs.Counter.add (Obs.Counter.make "checksum.matrix_cardinality") Matrix.cardinality;
-  Obs.Counter.add (Obs.Counter.make "checksum.matrix_metrics") metrics_cs;
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_matrix" ~seed:42 ~scale:1.0 ~jobs
-      ~metrics:
-        [
-          ("rate/matrix_expand", float_of_int (Matrix.cardinality * reps) /. expand_dt);
-          ("rate/matrix_run", float_of_int (Array.length subset) /. run_dt);
-          ("matrix/cells", float_of_int Matrix.cardinality);
-          ("matrix/subset", float_of_int (Array.length subset));
-          ("matrix/jobs", float_of_int jobs);
-        ]
-      ()
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_MATRIX_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_matrix.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
-
-(* ------------------------------------------------------------------ *)
-(* Part 8: event engine under three DES workloads                      *)
-
-(* The message-level swarm driver of bench.des's swarm-md workload: the
-   tick simulator runs as a self-rescheduling packed event inside the
-   network's engine, and every applied transfer fans out into
-   [amount / chunk] (at least one) piece messages routed through
-   [Net.send_packed] — latency, loss, reordering and duplication apply
-   per message, with all of a tick's fault draws batched behind one RNG
-   advance ([Net.burst_begin]).  The §6 stratification claims must
-   ultimately be observed from message-level traffic (Legout et al.),
-   which makes events/sec the binding constraint on reproduction scale. *)
-module Swarm_md = struct
-  module Engine = Stratify_des.Engine
-  module Net = Stratify_net.Net
-
-  let kind_tick = 0
-  let kind_piece = 1
-
-  (* one tick per simulated second *)
-  let tick_interval = 1.0
-
-  type t = {
-    net : Net.t;
-    tick_code : int;
-    mutable ticks_left : int;
-    mutable pieces_sent : int;
-    mutable pieces_delivered : int;
-    mutable checksum : int;
+  {
+    checksums =
+      [
+        ("checksum.matrix_cells", cells_cs);
+        ("checksum.matrix_cardinality", Matrix.cardinality);
+        ("checksum.matrix_metrics", metrics_cs);
+      ];
+    metrics =
+      [
+        ("rate/matrix_expand", float_of_int (Matrix.cardinality * reps) /. expand_dt);
+        ("rate/matrix_run", float_of_int (Array.length subset) /. run_dt);
+        ("matrix/cells", float_of_int Matrix.cardinality);
+        ("matrix/subset", float_of_int (Array.length subset));
+        ("matrix/jobs", float_of_int jobs);
+      ];
+    profile = [];
+    jobs;
   }
 
-  let create swarm ~net ~chunk =
-    let d =
-      {
-        net;
-        tick_code = Net.Packed.pack_checked ~kind:kind_tick ~src:0 ~dst:0;
-        ticks_left = 0;
-        pieces_sent = 0;
-        pieces_delivered = 0;
-        checksum = 0x811C9DC5;
-      }
-    in
-    Bt.Swarm.set_on_transfer swarm (fun sender receiver amount ->
-        let msgs =
-          let m = int_of_float (amount /. chunk) in
-          if m < 1 then 1 else m
-        in
-        d.pieces_sent <- d.pieces_sent + msgs;
-        for _ = 1 to msgs do
-          Net.send_packed d.net ~src:sender ~dst:receiver ~kind:kind_piece
-        done);
-    Net.set_handler net (fun eng code ->
-        if Net.Packed.kind code = kind_piece then begin
-          d.pieces_delivered <- d.pieces_delivered + 1;
-          (* FNV-style fold of the delivery order *)
-          d.checksum <- (d.checksum lxor code) * 0x01000193 land max_int
-        end
-        else begin
-          Net.burst_begin d.net;
-          Bt.Swarm.step swarm;
-          d.ticks_left <- d.ticks_left - 1;
-          if d.ticks_left > 0 then Engine.schedule_packed eng ~delay:tick_interval d.tick_code
-        end);
-    d
+(* ------------------------------------------------------------------ *)
+(* des: the event engine — one binary heap behind the in-order lane   *)
 
-  (* [ticks] swarm ticks one simulated second apart, plus every piece
-     message they emit (deliveries may trail the last tick; the drain
-     runs to empty). *)
-  let run d ~ticks =
-    d.ticks_left <- ticks;
-    let eng = Net.engine d.net in
-    Engine.schedule_packed eng ~delay:0. d.tick_code;
-    ignore (Engine.drain ~max_events:max_int eng)
-end
-
-(* bench.des: the event engine — one binary heap behind the in-order
-   lane — under three workloads:
+(* Two workloads:
 
    (a) cascade — a self-rescheduling packed-event population, the pure
        queue-ops workload.  Delays are compile-time float constants
@@ -1431,28 +940,17 @@ end
        the DESIGN.md §13 zero-alloc discipline to the event layer.  A
        second window re-arms the same population with one constant
        delay, so every schedule takes the engine's in-order lane, under
-       the same gate.
-   (b) swarm-md — the message-level BitTorrent swarm ([Swarm_md]):
-       every transfer fans out into packed piece messages through the
-       full Net fault pipeline with burst-batched draws.  This is the
-       workload the reproduction actually scales by, so its gate lives
-       here: the run fails if it allocates more than
-       [swarm_words_per_event] minor words per event, the bound that
-       catches a return to per-message allocation (the closure-per-
-       message design it replaced read ~10.7 words/event, the packed
-       path ~2.3).  Its events/sec ride the ratchet as an absolute row.
-   (c) async — the propose/accept/commit dynamics under loss: packed
+       the same gate.  The cascade's row rides the profile ratchet (and
+       its zero-alloc one) like the matching kernels.
+   (b) async — the propose/accept/commit dynamics under loss: packed
        message kinds sent through Net's RNG-drawing fault pipeline
        ([Net.send]), with one exponential clock event per peer.
 
-   The delivery checksums of all three are pinned counters, so CI
-   catches any change in pop order. *)
+   The delivery checksums of both are pinned, so CI catches any change
+   in pop order.  The windows time themselves inline: a [time] closure
+   would put its own words in the count. *)
 let bench_des () =
-  print_endline "\n================ Event engine (binary heap + in-order lane) ================";
-  let module Obs = Stratify_obs in
   let module Eng = Stratify_des.Engine in
-  let module Net = Stratify_net.Net in
-
   (* (a) packed cascade *)
   let cascade_pending = 30_000 in
   let eng = Eng.create () in
@@ -1530,48 +1028,7 @@ let bench_des () =
       (Printf.sprintf "bench.des: lane allocated %.0f minor words over %d events (expected ~0)"
          minor ev);
 
-  (* (b) swarm-md: message-level swarm through the full fault pipeline.
-     chunk 0.0625 puts ~7.7M piece messages through 40 ticks with ~1.2M
-     in flight at steady state.  The run starts from a compacted heap:
-     the des section runs after the shard/matrix parts, whose n = 10^6
-     solves leave hundreds of MB of garbage. *)
-  let swarm_ticks = 40 in
-  let swarm_words_per_event = 3.0 in
-  let swarm =
-    let uploads = Array.init 300 (fun i -> 20. +. (10. *. float_of_int (i mod 5))) in
-    Bt.Swarm.create (Rng.create 4242) (Bt.Swarm.default_params ~uploads)
-  in
-  let net =
-    Net.create (Rng.create 993)
-      {
-        Net.latency = Net.Jitter { base = 2.0; spread = 8.0 };
-        loss = Net.Iid 0.05;
-        duplicate = 0.01;
-        reorder = 0.1;
-        reorder_spread = 1.0;
-      }
-  in
-  let d = Swarm_md.create swarm ~net ~chunk:0.0625 in
-  Gc.compact ();
-  let m0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  Swarm_md.run d ~ticks:swarm_ticks;
-  let swarm_dt = Unix.gettimeofday () -. t0 in
-  let swarm_minor = Gc.minor_words () -. m0 in
-  let swarm_events = d.Swarm_md.pieces_delivered + swarm_ticks in
-  let swarm_rate = float_of_int swarm_events /. swarm_dt in
-  let swarm_wpe = swarm_minor /. float_of_int swarm_events in
-  Printf.printf
-    "  swarm-md %9d events in %6.3f s  (%10.0f events/s, %d pieces sent, %.3f minor words/event)\n%!"
-    swarm_events swarm_dt swarm_rate d.Swarm_md.pieces_sent swarm_wpe;
-  if swarm_wpe > swarm_words_per_event then
-    failwith
-      (Printf.sprintf
-         "bench.des: swarm-md allocated %.3f minor words per event (%.0f over %d events; bound \
-          %.1f) — per-message allocation is back on the packed path"
-         swarm_wpe swarm_minor swarm_events swarm_words_per_event);
-
-  (* (c) async dynamics under loss (packed messages, small population) *)
+  (* (b) async dynamics under loss (packed messages, small population) *)
   let rng = Rng.create 7 in
   let graph = Gen.gnd rng ~n:400 ~d:12. in
   let inst = Instance.create ~graph ~b:(Array.make 400 3) () in
@@ -1579,70 +1036,55 @@ let bench_des () =
     Async_dynamics.create inst (Rng.create 11)
       { Async_dynamics.latency = 0.4; initiative_rate = 1.; loss = 0.05 }
   in
-  let t0 = Unix.gettimeofday () in
-  Async_dynamics.run dyn ~horizon:40.;
-  let outcome = Async_dynamics.quiesce dyn in
-  let async_dt = Unix.gettimeofday () -. t0 in
+  let outcome, async_dt =
+    time (fun () ->
+        Async_dynamics.run dyn ~horizon:40.;
+        Async_dynamics.quiesce dyn)
+  in
   if outcome <> Async_dynamics.Drained then failwith "bench.des: async failed to quiesce";
   let async_sent = Async_dynamics.messages_sent dyn in
   let async_cs = fnv_pairs (fun f -> Config.iter_pairs f (Async_dynamics.mutual_config dyn)) in
   let async_rate = float_of_int async_sent /. async_dt in
   Printf.printf "  async    %9d messages in %6.3f s  (%10.0f messages/s)\n%!" async_sent async_dt
     async_rate;
-
-  (* Publish.  Checksums are pinned exactly; rate/* ride the
-     max-slowdown gate; and the cascade and swarm-md rows enter the
-     profile section via Profile.record, putting the event layer under
-     the same ratchet as the matching kernels (the cascade's row also
-     under the zero-alloc one). *)
-  Obs.Profile.reset ();
-  Obs.Profile.set_enabled true;
-  Obs.Profile.record "des.cascade.heap" ~ops:cascade_fired ~minor_words:cascade_minor
-    ~wall_s:cascade_dt ();
-  Obs.Profile.record "des.swarm_md.heap" ~ops:swarm_events ~wall_s:swarm_dt ();
-  Obs.Profile.set_enabled false;
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_cascade") cascade_cs;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_cascade_fired") cascade_fired;
-  (* the window failed the run above unless it stayed allocation-free *)
-  Obs.Counter.add (Obs.Counter.make "checksum.des_cascade_zero_alloc") 1;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_swarm") d.Swarm_md.checksum;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_swarm_events") swarm_events;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_swarm_sent") d.Swarm_md.pieces_sent;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_async_config") async_cs;
-  Obs.Counter.add (Obs.Counter.make "checksum.des_async_sent") async_sent;
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_des" ~seed:42 ~scale:1.0 ~jobs:1
-      ~metrics:
-        [
-          ("rate/des_cascade_heap", cascade_rate);
-          ("rate/des_swarm_md_heap", swarm_rate);
-          ("rate/des_async_heap", async_rate);
-          ("des/cascade_pending", float_of_int cascade_pending);
-          ("des/swarm_ticks", float_of_int swarm_ticks);
-        ]
-      ()
-  in
-  Obs.Profile.reset ();
-  let out =
-    match Sys.getenv_opt "BENCH_DES_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_des.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+  {
+    checksums =
+      [
+        ("checksum.des_cascade", cascade_cs);
+        ("checksum.des_cascade_fired", cascade_fired);
+        (* the window failed the run above unless it stayed allocation-free *)
+        ("checksum.des_cascade_zero_alloc", 1);
+        ("checksum.des_async_config", async_cs);
+        ("checksum.des_async_sent", async_sent);
+      ];
+    metrics =
+      [
+        ("rate/des_cascade_heap", cascade_rate);
+        ("rate/des_async_heap", async_rate);
+        ("des/cascade_pending", float_of_int cascade_pending);
+      ];
+    profile =
+      [
+        {
+          Obs.Profile.kernel = "des.cascade.heap";
+          wall_s = cascade_dt;
+          count = 1;
+          ops = cascade_fired;
+          minor_words = cascade_minor;
+          major_words = 0.;
+          promoted_words = 0.;
+        };
+      ];
+    jobs = 1;
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Part 9: the service layer (lib/serve).
+(* serve: the service layer (lib/serve)
 
    Three stages:
    (a) a mixed tracker script — two swarms (one partitioned-and-healed
        under loss, one in piece mode) over a churning population —
-       replayed once; its response checksum is a pinned counter.
+       replayed once; its response checksum is pinned.
    (b) the same script stopped mid-run, snapshotted, restored into a
        fresh engine and run out: the manifest must equal the
        uninterrupted run's (hard failure) — the serve-suite CI
@@ -1653,8 +1095,6 @@ let bench_des () =
        from the full sorted per-request latency array — no histogram
        bucketing, every sample kept. *)
 let bench_serve () =
-  print_endline "\n================ Service layer (replay equality + announce path) ================";
-  let module Obs = Stratify_obs in
   let module Serve = Stratify_serve.Serve in
   let module Req = Stratify_serve.Request in
 
@@ -1781,16 +1221,17 @@ let bench_serve () =
     let t = Serve.create hot_script in
     (* warm-up: build the world and let the first ticks settle *)
     Serve.run_to t 2.0;
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to announces - 1 do
-      let peer = i mod 600 in
-      let a = Unix.gettimeofday () in
-      ignore (Serve.handle t (Req.Announce { peer; swarm = "hot"; want = 8 }));
-      let b = Unix.gettimeofday () in
-      lat.(i) <- (b -. a) *. 1e9;
-      if i mod 2000 = 1999 then Serve.run_to t (Serve.now t +. 1.0)
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
+    let (), dt =
+      time (fun () ->
+          for i = 0 to announces - 1 do
+            let peer = i mod 600 in
+            let a = Unix.gettimeofday () in
+            ignore (Serve.handle t (Req.Announce { peer; swarm = "hot"; want = 8 }));
+            let b = Unix.gettimeofday () in
+            lat.(i) <- (b -. a) *. 1e9;
+            if i mod 2000 = 1999 then Serve.run_to t (Serve.now t +. 1.0)
+          done)
+    in
     (float_of_int announces /. dt, Serve.checksum t)
   in
   Array.sort compare lat;
@@ -1800,61 +1241,82 @@ let bench_serve () =
   let p50 = pct 0.50 and p99 = pct 0.99 in
   Printf.printf "  announce hot path: %9.0f announces/s   p50 %7.0f ns   p99 %8.0f ns\n%!"
     announce_rate p50 p99;
+  {
+    checksums =
+      [
+        ("checksum.serve_script", script_cs);
+        ("checksum.serve_script_requests", script_requests);
+        ("checksum.serve_stop_resume_ok", 1);
+        ("checksum.serve_hot", hot_cs);
+      ];
+    metrics =
+      [
+        ("rate/serve_announce", announce_rate);
+        ("serve/p50_announce_ns", p50);
+        ("serve/p99_announce_ns", p99);
+        ("serve/announce_count", float_of_int announces);
+      ];
+    profile = [];
+    jobs = 1;
+  }
 
-  Obs.Counter.reset_all ();
-  Obs.Histogram.reset_all ();
-  Obs.Span.reset ();
-  Obs.Control.set_enabled true;
-  Obs.Counter.add (Obs.Counter.make "checksum.serve_script") script_cs;
-  Obs.Counter.add (Obs.Counter.make "checksum.serve_script_requests") script_requests;
-  Obs.Counter.add (Obs.Counter.make "checksum.serve_stop_resume_ok") 1;
-  Obs.Counter.add (Obs.Counter.make "checksum.serve_hot") hot_cs;
-  Obs.Control.set_enabled false;
-  let manifest =
-    Obs.Run_manifest.capture ~kind:"bench" ~name:"bench_serve" ~seed:42 ~scale:1.0 ~jobs:1
-      ~metrics:
-        [
-          ("rate/serve_announce", announce_rate);
-          ("serve/p50_announce_ns", p50);
-          ("serve/p99_announce_ns", p99);
-          ("serve/announce_count", float_of_int announces);
-        ]
-      ()
-  in
-  let out =
-    match Sys.getenv_opt "BENCH_SERVE_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_serve.json"
-  in
-  Obs.Run_manifest.write_path out manifest;
-  Printf.printf "  wrote %s\n" out
+(* ------------------------------------------------------------------ *)
+(* The part table and its driver                                      *)
 
+(* Part [p] writes BENCH_p.json, the name of its checked-in baseline. *)
 let parts =
   [
-    ("parallel", bench_parallel_scaling);
+    ("parallel", bench_parallel);
     ("core", bench_core);
-    ("profile", bench_profile_phases);
+    ("profile", bench_profile);
     ("sched", bench_sched);
     ("net", bench_net);
     ("shard", bench_shard);
     ("matrix", bench_matrix);
     ("des", bench_des);
     ("serve", bench_serve);
-    ("stability", bench_stability_detection);
   ]
 
+(* The identity fields match what [Run_manifest.capture] stamps; the
+   counters are the part's checksum rows, sorted as [Counter.dump]
+   sorts them. *)
+let publish ~dir name r =
+  let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" name) in
+  Obs.Run_manifest.write_path path
+    {
+      Obs.Run_manifest.schema_version = Obs.Run_manifest.schema_version;
+      kind = "bench";
+      name = "bench_" ^ name;
+      seed = 42;
+      scale = 1.0;
+      jobs = r.jobs;
+      git = Obs.Run_manifest.git_describe ();
+      cores = Domain.recommended_domain_count ();
+      phases = [];
+      counters = List.sort compare r.checksums;
+      histograms = [];
+      metrics = r.metrics;
+      profile = r.profile;
+    };
+  Printf.printf "  wrote %s\n%!" path
+
 let () =
-  (* BENCH_ONLY=name runs a single micro-benchmark part (see [parts]) —
-     the fast loop for regenerating one baseline or chasing one
-     regression without paying for the whole harness. *)
-  match Sys.getenv_opt "BENCH_ONLY" with
-  | Some only when only <> "" -> (
-      match List.assoc_opt only parts with
-      | Some f -> f ()
-      | None ->
-          Printf.eprintf "bench: unknown BENCH_ONLY=%s (parts: %s)\n" only
-            (String.concat ", " (List.map fst parts));
-          exit 2)
-  | _ ->
-      run_benchmarks ();
-      List.iter (fun (_, f) -> f ()) parts
+  let fail msg =
+    Printf.eprintf "bench: %s\nusage: main.exe [--out DIR] [PART ...]; parts: %s\n" msg
+      (String.concat ", " (List.map fst parts));
+    exit 2
+  in
+  let rec parse dir names = function
+    | [] -> (dir, List.rev names)
+    | [ "--out" ] -> fail "--out needs a directory"
+    | "--out" :: d :: rest -> parse d names rest
+    | name :: rest when List.mem_assoc name parts -> parse dir (name :: names) rest
+    | arg :: _ -> fail (Printf.sprintf "unknown part %S" arg)
+  in
+  let dir, names = parse "." [] (List.tl (Array.to_list Sys.argv)) in
+  let names = if names = [] then List.map fst parts else names in
+  List.iter
+    (fun name ->
+      Printf.printf "\n================ bench.%s ================\n%!" name;
+      publish ~dir name ((List.assoc name parts) ()))
+    names

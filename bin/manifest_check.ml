@@ -32,9 +32,15 @@
    run left nothing behind — override the expected count with --cells N
    for deliberately partial runs), cell names must be unique and agree
    with their recorded axes, and per-cell seeds must match the
-   generator's name-keyed derivation from the matrix seed. *)
+   generator's name-keyed derivation from the matrix seed.
+
+   Exit 0 when every check passes and 1 when one fails.  A usage error,
+   a flag outside its mode or its range (--max-slowdown must be finite
+   and >= 1, --cells a positive integer), or a file that cannot be read
+   or parsed exits 2 with `manifest_check: FLAG-OR-PATH: MESSAGE`. *)
 
 module M = Stratify_obs.Run_manifest
+module Arg_file = Stratify_cli.Arg_file
 
 let failures = ref 0
 
@@ -171,8 +177,7 @@ let check_serve reference candidate =
 module Matrix = Stratify_net_plan.Matrix
 module Report = Stratify_cli.Matrix_report
 
-let check_matrix ~expected_cells path =
-  let summary = Report.read path in
+let check_matrix ~expected_cells summary =
   let cells = summary.Report.cells in
   if summary.Report.cardinality <> Matrix.cardinality then
     fail "cardinality: summary records %d, generator produces %d" summary.Report.cardinality
@@ -208,8 +213,27 @@ let usage () =
     \       manifest_check matrix SUMMARY [--cells N]";
   exit 2
 
+let bad_flag flag msg = Arg_file.fail ~binary:"manifest_check" flag msg
+let read path reader = Arg_file.with_arg_file ~binary:"manifest_check" path reader
+
+(* Flags are parsed and checked before any file is read: a bad value
+   exits 2 naming the flag, never as an uncaught exception or a silently
+   disabled check. *)
+let max_slowdown = function
+  | None -> 2.0
+  | Some s -> (
+      match float_of_string_opt s with
+      | Some x when Float.is_finite x && x >= 1. -> x
+      | _ -> bad_flag "--max-slowdown" (Printf.sprintf "expected a finite number >= 1, got %S" s))
+
+let expected_cells = function
+  | None -> None
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some n when n > 0 -> Some n
+      | _ -> bad_flag "--cells" (Printf.sprintf "expected a positive integer, got %S" s))
+
 let () =
-  let argv = Array.to_list Sys.argv in
   (* Flags may appear anywhere after the mode: split them out first. *)
   let rec split_flags = function
     | [] -> ([], [])
@@ -221,46 +245,43 @@ let () =
         let flags, pos = split_flags rest in
         (flags, p :: pos)
   in
-  let opt key flags = List.assoc_opt key flags in
-  match argv with
-  | _ :: "matrix" :: rest -> (
-      let flags, positional = split_flags rest in
-      match positional with
-      | [ path ] ->
-          Printf.printf "matrix: %s\n" path;
-          let expected_cells = Option.map int_of_string (opt "--cells" flags) in
-          check_matrix ~expected_cells path;
-          if !failures > 0 then begin
-            Printf.printf "%d check(s) failed\n" !failures;
-            exit 1
-          end
-          else print_endline "all checks passed"
-      | _ -> usage ())
-  | _ :: mode :: rest -> (
-      let rest, positional = split_flags rest in
-      match positional with
-      | [ base_path; cand_path ] -> (
-      let baseline = M.read base_path and candidate = M.read cand_path in
+  let mode, flags, positional =
+    match Array.to_list Sys.argv with
+    | _ :: mode :: rest ->
+        let flags, positional = split_flags rest in
+        (mode, flags, positional)
+    | _ -> usage ()
+  in
+  let known =
+    match mode with
+    | "bench" -> [ "--max-slowdown" ]
+    | "golden" -> [ "--counters" ]
+    | "serve" -> []
+    | "matrix" -> [ "--cells" ]
+    | _ -> usage ()
+  in
+  List.iter
+    (fun (k, _) -> if not (List.mem k known) then bad_flag k ("not a flag of mode " ^ mode))
+    flags;
+  let opt key = List.assoc_opt key flags in
+  (match (mode, positional) with
+  | "matrix", [ path ] ->
+      let expected_cells = expected_cells (opt "--cells") in
+      let summary = read path Report.read in
+      Printf.printf "matrix: %s\n" path;
+      check_matrix ~expected_cells summary
+  | ("bench" | "golden" | "serve"), [ base_path; cand_path ] -> (
+      let max_slowdown = max_slowdown (opt "--max-slowdown") in
+      let counters = Option.map (String.split_on_char ',') (opt "--counters") in
+      let baseline = read base_path M.read and candidate = read cand_path M.read in
       Printf.printf "%s: %s vs %s\n" mode base_path cand_path;
-          (match mode with
-          | "bench" ->
-              let max_slowdown =
-                match opt "--max-slowdown" rest with
-                | Some s -> float_of_string s
-                | None -> 2.0
-              in
-              check_bench ~max_slowdown baseline candidate
-          | "golden" ->
-              let counters =
-                Option.map (String.split_on_char ',') (opt "--counters" rest)
-              in
-              check_golden ~counters baseline candidate
-          | "serve" -> check_serve baseline candidate
-          | _ -> usage ());
-          if !failures > 0 then begin
-            Printf.printf "%d check(s) failed\n" !failures;
-            exit 1
-          end
-          else print_endline "all checks passed")
-      | _ -> usage ())
-  | _ -> usage ()
+      match mode with
+      | "bench" -> check_bench ~max_slowdown baseline candidate
+      | "golden" -> check_golden ~counters baseline candidate
+      | _ -> check_serve baseline candidate)
+  | _ -> usage ());
+  if !failures > 0 then begin
+    Printf.printf "%d check(s) failed\n" !failures;
+    exit 1
+  end
+  else print_endline "all checks passed"

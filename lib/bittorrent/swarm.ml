@@ -42,11 +42,6 @@ type t = {
   availability : Piece.Availability.counts option;
   link_progress : (int * int, float ref) Hashtbl.t;  (* (sender, receiver) *)
   mutable tick : int;
-  (* Observation hook fired on every applied transfer (after download-cap
-     scaling): sender, receiver, amount.  Defaults to a no-op, so plain
-     tick runs are unchanged; the DES driver below uses it to emit
-     message-level piece traffic. *)
-  mutable on_transfer : int -> int -> float -> unit;
 }
 
 let create rng params =
@@ -89,7 +84,6 @@ let create rng params =
     availability;
     link_progress = Hashtbl.create 1024;
     tick = 0;
-    on_transfer = (fun _ _ _ -> ());
   }
 
 let size t = Array.length t.peers
@@ -173,10 +167,7 @@ let deliver_piece t ~sender ~receiver =
       | None -> ())
   | _ -> ()
 
-let set_on_transfer t f = t.on_transfer <- f
-
 let transfer t ~sender ~receiver ~tft amount =
-  t.on_transfer sender receiver amount;
   let p = t.peers.(sender) and q = t.peers.(receiver) in
   p.Peer.uploaded <- p.Peer.uploaded +. amount;
   Peer.record_download q ~from_:sender ~tick:t.tick amount;

@@ -108,9 +108,3 @@ val set_link_progress : t -> sender:int -> receiver:int -> float -> unit
 (** Set one link's partial-piece progress ([>= 0]). *)
 
 val clear_link_progress : t -> unit
-
-val set_on_transfer : t -> (int -> int -> float -> unit) -> unit
-(** Observation hook fired on every applied transfer, after download-cap
-    scaling: [f sender receiver amount].  Defaults to a no-op (plain
-    tick runs are byte-identical with or without it); bench.des's
-    swarm-md workload uses it to emit message-level piece traffic. *)

@@ -136,16 +136,6 @@ type t = {
   fast : bool;
   fast_latency : float;
   links : Links.t;  (* Gilbert–Elliott link states *)
-  (* Packed-path fault state: one RNG advance per [burst_begin] seeds a
-     native-int counter-mode base; each [send_packed] then hashes
-     (base, message index, lane) for its draws instead of advancing the
-     RNG.  [packed_loss] is the loss model collapsed to its stationary
-     rate (Gilbert–Elliott chains would need per-link mutable state —
-     hash-table lookups and allocation — on a path that must stay
-     allocation-free and order-independent). *)
-  packed_loss : float;
-  mutable burst_base : int;
-  mutable burst_idx : int;
   mutable groups : int array option;
   mutable splits : int array option array;
       (* the groups of every scheduled split/heal event, indexed by the
@@ -216,9 +206,6 @@ let create ?engine rng faults =
     fast;
     fast_latency;
     links = Links.create ();
-    packed_loss = stationary_loss faults.loss;
-    burst_base = 0;
-    burst_idx = 0;
     groups = None;
     splits = [||];
     handler = no_handler;
@@ -359,88 +346,6 @@ let partitioned t = t.partitioned
 let dropped t = t.lost + t.partitioned
 let duplicated t = t.duplicated
 let reordered t = t.reordered
-
-(* ------------------------------------------------------------------ *)
-
-(* Counter-mode uniforms for the packed path: a native-int splitmix-style
-   finalizer (no Int64 — Int64 values box, and this runs per message).
-   The multipliers are odd 62-bit constants; overflow wraps, which is
-   fine for a hash. *)
-let[@inline] mix63 x =
-  let x = x lxor (x lsr 30) in
-  let x = x * 0x2545F4914F6CDD1D in
-  let x = x lxor (x lsr 27) in
-  let x = x * 0x27BB2EE687B0B0FD in
-  let x = x lxor (x lsr 31) in
-  x
-
-(* Uniform in [0, 1) from (burst base, message index, draw lane). *)
-let[@inline] lane_u53 t lane =
-  let h = mix63 (t.burst_base lxor ((t.burst_idx * 64) + lane)) in
-  float_of_int (h land 0x1F_FFFF_FFFF_FFFF) *. 0x1p-53
-
-let burst_begin t =
-  t.burst_idx <- 0;
-  t.burst_base <- Int64.to_int (Splitmix64.mix (Rng.int64 t.rng)) land max_int
-
-(* One packed delivery attempt: latency and reorder draws from lanes
-   [off .. off+3], then a defunctionalized schedule. *)
-let deliver_packed t code off =
-  let delay =
-    match t.faults.latency with
-    | Constant l -> l
-    | Jitter { base; spread } ->
-        if spread <= 0. then base else base +. (spread *. lane_u53 t off)
-    | Log_normal { mu; sigma } ->
-        (* Box–Muller on two lane uniforms *)
-        let u1 = lane_u53 t off in
-        let u1 = if u1 <= 0. then 0x1p-53 else u1 in
-        let u2 = lane_u53 t (off + 1) in
-        exp (mu +. (sigma *. (sqrt (-2. *. log u1) *. cos (6.28318530717958648 *. u2))))
-  in
-  let delay =
-    if t.faults.reorder > 0. && lane_u53 t (off + 2) < t.faults.reorder then begin
-      t.reordered <- t.reordered + 1;
-      Counter.incr c_reordered;
-      delay +. (t.faults.reorder_spread *. lane_u53 t (off + 3))
-    end
-    else delay
-  in
-  t.delivered <- t.delivered + 1;
-  Counter.incr c_delivered;
-  Engine.schedule_packed t.engine ~delay code
-
-let[@inline never] send_packed_slow t ~src ~dst code =
-  if not (reachable t ~src ~dst) then begin
-    t.partitioned <- t.partitioned + 1;
-    Counter.incr c_partitioned
-  end
-  else if t.packed_loss > 0. && lane_u53 t 0 < t.packed_loss then begin
-    t.lost <- t.lost + 1;
-    Counter.incr c_lost
-  end
-  else begin
-    deliver_packed t code 1;
-    if t.faults.duplicate > 0. && lane_u53 t 5 < t.faults.duplicate then begin
-      t.duplicated <- t.duplicated + 1;
-      Counter.incr c_duplicated;
-      deliver_packed t code 6
-    end
-  end
-
-let[@inline always] send_packed t ~src ~dst ~kind =
-  t.sent <- t.sent + 1;
-  Counter.incr c_sent;
-  let code = Packed.pack ~kind ~src ~dst in
-  if t.fast && t.groups == None then begin
-    t.delivered <- t.delivered + 1;
-    Counter.incr c_delivered;
-    Engine.schedule_packed t.engine ~delay:t.fast_latency code
-  end
-  else begin
-    send_packed_slow t ~src ~dst code;
-    t.burst_idx <- t.burst_idx + 1
-  end
 
 (* ------------------------------------------------------------------ *)
 

@@ -86,11 +86,11 @@ val engine : t -> Stratify_des.Engine.t
 val faults : t -> faults
 
 val set_handler : t -> (Stratify_des.Engine.t -> int -> unit) -> unit
-(** Install the protocol's handler for the codes delivered by {!send}
-    and {!send_packed}, replacing any handler the engine had.  Once the
-    network has a partition schedule, the engine's handler applies the
-    network's own split/heal events (see {!set_partition_schedule})
-    itself and passes every other code to [f]; until then it is [f].
+(** Install the protocol's handler for the codes delivered by {!send},
+    replacing any handler the engine had.  Once the network has a
+    partition schedule, the engine's handler applies the network's own
+    split/heal events (see {!set_partition_schedule}) itself and passes
+    every other code to [f]; until then it is [f].
     A network's engine must get its handler here, not through
     {!Stratify_des.Engine.set_packed_handler}. *)
 
@@ -117,27 +117,6 @@ val send : t -> src:int -> dst:int -> int -> unit
     Under [Burst] loss the link state is keyed by both ids packed into
     one int, so [src] and [dst] must lie in [0, Packed.max_id]; others
     raise [Invalid_argument]. *)
-
-(** {2 Counter-mode sends}
-
-    The high-throughput path for message-level workloads (tens of
-    millions of events): a message is an int code bit-packing
-    [(kind, src, dst)], delivered through the handler installed with
-    {!set_handler}.  Fault draws are {e burst-batched}: {!burst_begin} advances the
-    network's RNG once and derives a counter-mode base; every
-    {!send_packed} until the next [burst_begin] hashes
-    [(base, message index, draw lane)] for its loss / latency / reorder
-    / duplicate draws.  One RNG advance per burst, zero allocation per
-    message, and verdicts independent of send order within a burst —
-    the same discipline as {!Tick}.
-
-    Two deliberate semantic differences from {!send} (a separate
-    traffic class, not a re-encoding of it): draws come from the
-    counter-mode hash, so {!send_packed} and {!send} over the same
-    network do not consume each other's RNG stream; and a [Burst]
-    (Gilbert–Elliott) loss model collapses to its {!stationary_loss}
-    rate — per-link chain state would reintroduce per-message lookups
-    and allocation. *)
 
 module Packed : sig
   val kind_bits : int
@@ -167,17 +146,6 @@ module Packed : sig
 
   val dst : int -> int
 end
-
-val burst_begin : t -> unit
-(** Start a fault-draw burst: advance the RNG once and reset the
-    message index.  Call at the start of each tick (or other natural
-    burst) before a batch of {!send_packed} calls. *)
-
-val send_packed : t -> src:int -> dst:int -> kind:int -> unit
-(** Route one message: same fault pipeline and counters as {!send}
-    (with the counter-mode differences above), then schedule
-    [Packed.pack ~kind ~src ~dst] at delivery time.  Allocation-free in
-    steady state. *)
 
 (** {2 Telemetry} — plain fields, plus the ["net.*"] observability
     counters ([net.sent], [net.delivered], [net.lost],

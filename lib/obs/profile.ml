@@ -85,20 +85,6 @@ let stop name ?(ops = 0) snap =
     Mutex.unlock mu
   end
 
-let record name ?(ops = 0) ?(minor_words = 0.) ?(major_words = 0.) ?(promoted_words = 0.)
-    ~wall_s () =
-  if enabled () then begin
-    Mutex.lock mu;
-    let r = row_of name in
-    r.r_wall <- r.r_wall +. wall_s;
-    r.r_count <- r.r_count + 1;
-    r.r_ops <- r.r_ops + ops;
-    r.r_minor <- r.r_minor +. minor_words;
-    r.r_major <- r.r_major +. major_words;
-    r.r_promoted <- r.r_promoted +. promoted_words;
-    Mutex.unlock mu
-  end
-
 let with_ name ?(ops = 0) f =
   if not (enabled ()) then f ()
   else begin

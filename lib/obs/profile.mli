@@ -46,21 +46,6 @@ val stop : string -> ?ops:int -> snap -> unit
 val with_ : string -> ?ops:int -> (unit -> 'a) -> 'a
 (** [start]/[stop] around a thunk, exception-safe. *)
 
-val record :
-  string ->
-  ?ops:int ->
-  ?minor_words:float ->
-  ?major_words:float ->
-  ?promoted_words:float ->
-  wall_s:float ->
-  unit ->
-  unit
-(** Fold an {e externally measured} interval into a kernel's row —
-    for harnesses (bench.des) that time and [Gc]-meter a region
-    themselves and want the result to ride the same snapshot/manifest
-    machinery (and its zero-alloc ratchet) as instrumented kernels.
-    A no-op when disabled. *)
-
 val snapshot : unit -> entry list
 (** Current aggregates, in first-entry order. *)
 

@@ -11,18 +11,7 @@ module Rate = Stratify_bittorrent.Rate
 module Bw_profile = Stratify_bandwidth.Profile
 module Saroiu = Stratify_bandwidth.Saroiu
 module Jsonx = Stratify_obs.Jsonx
-module Counter = Stratify_obs.Counter
 module Run_manifest = Stratify_obs.Run_manifest
-
-let c_announces = Counter.make "serve.announces"
-let c_joins = Counter.make "serve.joins"
-let c_leaves = Counter.make "serve.leaves"
-let c_scrapes = Counter.make "serve.scrapes"
-let c_stats = Counter.make "serve.stats"
-let c_reconnects = Counter.make "serve.reconnects"
-let c_arrivals = Counter.make "serve.arrivals"
-let c_departures = Counter.make "serve.departures"
-let c_ticks = Counter.make "serve.ticks"
 
 type swarm_state = {
   sspec : Request.swarm_spec;
@@ -160,7 +149,6 @@ let depart t v =
   Churn.remove_peer t.oracle v;
   t.present_count <- t.present_count - 1;
   t.departures <- t.departures + 1;
-  Counter.incr c_departures;
   List.iter
     (fun ss ->
       match Hashtbl.find_opt ss.slot_of v with
@@ -171,8 +159,7 @@ let depart t v =
 let arrive t v =
   Churn.insert_peer t.churn_rng t.oracle v ~p:t.er_p;
   t.present_count <- t.present_count + 1;
-  t.arrivals <- t.arrivals + 1;
-  Counter.incr c_arrivals
+  t.arrivals <- t.arrivals + 1
 
 let churn_once t =
   let mask = Churn.world_present t.oracle in
@@ -195,8 +182,7 @@ let ensure_online t peer =
   if not (Churn.world_present t.oracle).(peer) then begin
     Churn.insert_peer t.churn_rng t.oracle peer ~p:t.er_p;
     t.present_count <- t.present_count + 1;
-    t.reconnects <- t.reconnects + 1;
-    Counter.incr c_reconnects
+    t.reconnects <- t.reconnects + 1
   end
 
 (* ------------------------------------------------------------------ *)
@@ -303,23 +289,18 @@ let handle t kind =
     match kind with
     | Request.Announce { peer; swarm; want } ->
         t.announces <- t.announces + 1;
-        Counter.incr c_announces;
         do_announce t peer swarm want
     | Request.Join { peer; swarm } ->
         t.joins <- t.joins + 1;
-        Counter.incr c_joins;
         do_join t peer swarm
     | Request.Leave { peer; swarm } ->
         t.leaves <- t.leaves + 1;
-        Counter.incr c_leaves;
         do_leave t peer swarm
     | Request.Scrape { swarm } ->
         t.scrapes <- t.scrapes + 1;
-        Counter.incr c_scrapes;
         do_scrape t swarm
     | Request.Stats ->
         t.stats_reqs <- t.stats_reqs + 1;
-        Counter.incr c_stats;
         do_stats t
   in
   t.requests_handled <- t.requests_handled + 1;
@@ -341,7 +322,6 @@ let handle_tick t =
   let rate = t.scr.Request.world.Request.churn_rate in
   if rate > 0. && Rng.bernoulli t.churn_rng rate then churn_once t;
   t.ticks <- t.ticks + 1;
-  Counter.incr c_ticks;
   Engine.schedule_packed t.engine ~delay:1.0 tick_code
 
 let handle_scripted t i = ignore (handle t t.scr.Request.requests.(i).Request.kind)

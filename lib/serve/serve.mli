@@ -86,9 +86,3 @@ val restore : Stratify_obs.Jsonx.t -> t
     on). *)
 
 val restore_string : string -> t
-
-(** {2 Obs wiring} — the live metrics feed: ["serve.announces"],
-    ["serve.joins"], ["serve.leaves"], ["serve.scrapes"],
-    ["serve.stats"], ["serve.reconnects"], ["serve.arrivals"],
-    ["serve.departures"] and ["serve.ticks"] counters, gated by
-    {!Stratify_obs.Control} like every other probe. *)

@@ -178,6 +178,33 @@ let test_swarm_determinism () =
   Alcotest.(check bool) "same seed same result" true (run 5 = run 5);
   Alcotest.(check bool) "different seed differs" true (run 5 <> run 6)
 
+(* The exact trajectory, pinned: an FNV-1a fold over every peer's
+   transfer counters (IEEE bits), its TFT unchokes, its optimistic
+   unchoke and, in piece mode, its piece count.  The property tests
+   above hold for many trajectories; a rewrite of the choker or of the
+   transfer loop must reproduce this one. *)
+let trajectory_hash swarm =
+  let h = ref 0xcbf29ce484222325L in
+  let word w = h := Int64.mul (Int64.logxor !h w) 0x100000001b3L in
+  let int i = word (Int64.of_int i) in
+  for i = 0 to Swarm.size swarm - 1 do
+    let p = Swarm.peer swarm i in
+    List.iter
+      (fun x -> word (Int64.bits_of_float x))
+      [ p.Peer.uploaded; p.Peer.downloaded; p.Peer.uploaded_tft; p.Peer.downloaded_tft ];
+    int (List.length p.Peer.unchoked);
+    List.iter int p.Peer.unchoked;
+    int (Option.value p.Peer.optimistic ~default:(-1));
+    Option.iter (fun f -> int (Piece.count f)) p.Peer.field
+  done;
+  !h
+
+let test_swarm_trajectory_pinned () =
+  let uploads = Array.init 300 (fun i -> 20. +. (10. *. float_of_int (i mod 5))) in
+  let swarm = Swarm.create (Rng.create 4242) (Swarm.default_params ~uploads) in
+  Swarm.run swarm ~ticks:40;
+  Alcotest.(check int64) "300 peers, 40 ticks" 1344991189084431645L (trajectory_hash swarm)
+
 let test_swarm_validation () =
   let rng = Helpers.rng () in
   Alcotest.check_raises "slot mismatch" (Invalid_argument "Swarm.create: |slots| <> |uploads|")
@@ -314,6 +341,11 @@ let test_post_flashcrowd_assumption () =
     true
     (with_pieces > 0.9 *. bw_only)
 
+let test_piece_swarm_trajectory_pinned () =
+  let swarm = piece_swarm ~seeds:2 ~ticks:40 in
+  Alcotest.(check int64) "60 peers, 50 pieces, 40 ticks" 3019196061985673940L
+    (trajectory_hash swarm)
+
 let suite =
   [
     Alcotest.test_case "rate window semantics" `Quick test_rate_window;
@@ -331,10 +363,12 @@ let suite =
     Alcotest.test_case "share-ratio shape (Fig 11, simulated)" `Slow test_swarm_share_ratio_shape;
     Alcotest.test_case "partner rank offset small" `Slow test_swarm_partner_rank_offset_small;
     Alcotest.test_case "simulator determinism" `Slow test_swarm_determinism;
+    Alcotest.test_case "swarm trajectory pinned" `Quick test_swarm_trajectory_pinned;
     Alcotest.test_case "swarm validation" `Quick test_swarm_validation;
     Alcotest.test_case "download caps respected" `Slow test_download_caps_respected;
     Alcotest.test_case "no caps = unlimited caps" `Slow test_no_caps_matches_old_behaviour;
     Alcotest.test_case "piece mode progress" `Slow test_piece_mode_progress;
     Alcotest.test_case "piece-mode interest semantics" `Quick test_piece_mode_interest_semantics;
     Alcotest.test_case "post-flash-crowd assumption" `Slow test_post_flashcrowd_assumption;
+    Alcotest.test_case "piece-mode trajectory pinned" `Quick test_piece_swarm_trajectory_pinned;
   ]
