@@ -1081,7 +1081,7 @@ let bench_des () =
 (* ------------------------------------------------------------------ *)
 (* serve: the service layer (lib/serve)
 
-   Three stages:
+   Four stages:
    (a) a mixed tracker script — two swarms (one partitioned-and-healed
        under loss, one in piece mode) over a churning population —
        replayed once; its response checksum is pinned.
@@ -1093,7 +1093,14 @@ let bench_des () =
        announce stream against a live (ticking) world.  Reports
        sustained announces/sec and the exact p50/p99 handling latency
        from the full sorted per-request latency array — no histogram
-       bucketing, every sample kept. *)
+       bucketing, every sample kept.
+   (d) the swarm tick: serve-mixed's clean swarm (300 peers, Saroiu
+       rank bandwidths, d = 20, bandwidth-only, no faults) stepped
+       directly.  After 20 warm-up ticks, a 50-tick window (5 rechokes,
+       2 optimistic rounds) must allocate nothing on the minor heap
+       (DESIGN.md §13); it times itself inline like bench.des's windows,
+       and its profile row rides the zero-allocation ratchet.  The final
+       state's hash pins the trajectory. *)
 let bench_serve () =
   let module Serve = Stratify_serve.Serve in
   let module Req = Stratify_serve.Request in
@@ -1241,6 +1248,49 @@ let bench_serve () =
   let p50 = pct 0.50 and p99 = pct 0.99 in
   Printf.printf "  announce hot path: %9.0f announces/s   p50 %7.0f ns   p99 %8.0f ns\n%!"
     announce_rate p50 p99;
+
+  (* (d) the swarm tick *)
+  let module Swarm = Stratify_bittorrent.Swarm in
+  let uploads =
+    Stratify_bandwidth.Profile.rank_bandwidths Stratify_bandwidth.Saroiu.profile ~n:300
+  in
+  let swarm =
+    Swarm.create (Rng.create 42) { (Swarm.default_params ~uploads) with Swarm.d = 20. }
+  in
+  Swarm.run swarm ~ticks:20;
+  let ticks = 50 in
+  let m0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to ticks do
+    Swarm.step swarm
+  done;
+  let swarm_dt = Unix.gettimeofday () -. t0 in
+  let swarm_minor = Gc.minor_words () -. m0 in
+  let swarm_rate = float_of_int ticks /. swarm_dt in
+  Printf.printf "  swarm tick: %d ticks in %6.3f s  (%8.0f ticks/s, %.0f minor words)\n%!" ticks
+    swarm_dt swarm_rate swarm_minor;
+  if swarm_minor > 512. then
+    failwith
+      (Printf.sprintf
+         "bench.serve: swarm tick allocated %.0f minor words over %d ticks (expected ~0)"
+         swarm_minor ticks);
+  let swarm_cs =
+    let h = ref 0xcbf29ce484222325L in
+    let word w = h := Int64.mul (Int64.logxor !h w) 0x100000001b3L in
+    for i = 0 to Swarm.size swarm - 1 do
+      List.iter
+        (fun x -> word (Int64.bits_of_float x))
+        [
+          Swarm.uploaded swarm i;
+          Swarm.downloaded swarm i;
+          Swarm.uploaded_tft swarm i;
+          Swarm.downloaded_tft swarm i;
+        ];
+      List.iter (fun q -> word (Int64.of_int q)) (Swarm.unchoked swarm i);
+      word (Int64.of_int (Swarm.optimistic swarm i))
+    done;
+    Int64.to_int !h land max_int
+  in
   {
     checksums =
       [
@@ -1248,6 +1298,9 @@ let bench_serve () =
         ("checksum.serve_script_requests", script_requests);
         ("checksum.serve_stop_resume_ok", 1);
         ("checksum.serve_hot", hot_cs);
+        ("checksum.serve_swarm", swarm_cs);
+        (* the window failed the run above unless it stayed allocation-free *)
+        ("checksum.serve_swarm_zero_alloc", 1);
       ];
     metrics =
       [
@@ -1255,8 +1308,20 @@ let bench_serve () =
         ("serve/p50_announce_ns", p50);
         ("serve/p99_announce_ns", p99);
         ("serve/announce_count", float_of_int announces);
+        ("rate/serve_swarm_tick", swarm_rate);
       ];
-    profile = [];
+    profile =
+      [
+        {
+          Obs.Profile.kernel = "serve.swarm.clean";
+          wall_s = swarm_dt;
+          count = 1;
+          ops = ticks;
+          minor_words = swarm_minor;
+          major_words = 0.;
+          promoted_words = 0.;
+        };
+      ];
     jobs = 1;
   }
 

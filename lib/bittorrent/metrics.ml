@@ -1,18 +1,15 @@
 let share_ratios swarm =
   Array.init (Swarm.size swarm) (fun i ->
-      let p = Swarm.peer swarm i in
-      if p.Peer.uploaded <= 0. then 0. else p.Peer.downloaded /. p.Peer.uploaded)
+      let up = Swarm.uploaded swarm i in
+      if up <= 0. then 0. else Swarm.downloaded swarm i /. up)
 
 let mean_partner_capacity swarm =
   Array.init (Swarm.size swarm) (fun i ->
-      let p = Swarm.peer swarm i in
-      match p.Peer.unchoked with
+      match Swarm.unchoked swarm i with
       | [] -> 0.
       | partners ->
           let total =
-            List.fold_left
-              (fun acc q -> acc +. (Swarm.peer swarm q).Peer.upload_capacity)
-              0. partners
+            List.fold_left (fun acc q -> acc +. Swarm.upload_capacity swarm q) 0. partners
           in
           total /. float_of_int (List.length partners))
 
@@ -36,21 +33,19 @@ let stratification_correlation swarm =
   let partner_caps = mean_partner_capacity swarm in
   let pairs = ref [] in
   for i = 0 to Swarm.size swarm - 1 do
-    let p = Swarm.peer swarm i in
-    if p.Peer.unchoked <> [] then
-      pairs := (log p.Peer.upload_capacity, log partner_caps.(i)) :: !pairs
+    if Swarm.unchoked swarm i <> [] then
+      pairs := (log (Swarm.upload_capacity swarm i), log partner_caps.(i)) :: !pairs
   done;
   pearson !pairs
 
 let reciprocity swarm =
   let edges = ref 0 and mutual = ref 0 in
   for i = 0 to Swarm.size swarm - 1 do
-    let p = Swarm.peer swarm i in
     List.iter
       (fun q ->
         incr edges;
-        if List.mem i (Swarm.peer swarm q).Peer.unchoked then incr mutual)
-      p.Peer.unchoked
+        if List.mem i (Swarm.unchoked swarm q) then incr mutual)
+      (Swarm.unchoked swarm i)
   done;
   if !edges = 0 then 0. else float_of_int !mutual /. float_of_int !edges
 
@@ -63,11 +58,11 @@ let mean_partner_rank_offset swarm ~ranks =
       (fun q ->
         incr edges;
         total := !total + abs (ranks.(i) - ranks.(q)))
-      (Swarm.peer swarm i).Peer.unchoked
+      (Swarm.unchoked swarm i)
   done;
   if !edges = 0 then 0. else float_of_int !total /. float_of_int !edges
 
 let tft_share_ratios swarm =
   Array.init (Swarm.size swarm) (fun i ->
-      let p = Swarm.peer swarm i in
-      if p.Peer.uploaded_tft <= 0. then 0. else p.Peer.downloaded_tft /. p.Peer.uploaded_tft)
+      let up = Swarm.uploaded_tft swarm i in
+      if up <= 0. then 0. else Swarm.downloaded_tft swarm i /. up)

@@ -43,6 +43,18 @@ let iter_held t f =
     if has t i then f i
   done
 
+(* Padding bits past [pieces] are never set, so whole bytes compare. *)
+let[@inline] wanted_byte ~have ~from_ byte =
+  Char.code (Bytes.get from_.bits byte) land lnot (Char.code (Bytes.get have.bits byte))
+
+let wants ~have ~from_ =
+  let bytes = Bytes.length from_.bits in
+  let byte = ref 0 in
+  while !byte < bytes && wanted_byte ~have ~from_ !byte = 0 do
+    incr byte
+  done;
+  !byte < bytes
+
 module Availability = struct
   type counts = int array
 
@@ -60,13 +72,21 @@ module Availability = struct
       fields;
     counts
 
+  (* Ascending piece order, strict [<]: the first of the rarest wins. *)
   let rarest_wanted counts ~have ~from_ =
     let best = ref (-1) and best_avail = ref max_int in
-    for i = 0 to Array.length counts - 1 do
-      if has from_ i && (not (has have i)) && counts.(i) < !best_avail then begin
-        best := i;
-        best_avail := counts.(i)
-      end
+    for byte = 0 to Bytes.length from_.bits - 1 do
+      let w = wanted_byte ~have ~from_ byte in
+      if w <> 0 then
+        for bit = 0 to 7 do
+          if w land (1 lsl bit) <> 0 then begin
+            let i = (byte lsl 3) lor bit in
+            if counts.(i) < !best_avail then begin
+              best := i;
+              best_avail := counts.(i)
+            end
+          end
+        done
     done;
-    if !best < 0 then None else Some !best
+    !best
 end

@@ -34,6 +34,11 @@ val clear : t -> unit
 val iter_held : t -> (int -> unit) -> unit
 (** Visit each held piece index. *)
 
+val wants : have:t -> from_:t -> bool
+(** Whether [from_] holds a piece [have] lacks — the receiver [have]
+    is "interested" in the sender [from_].  A byte-wise scan of the two
+    bitfields, which must have the same piece count. *)
+
 (** Global piece availability across the swarm. *)
 module Availability : sig
   type counts
@@ -43,8 +48,8 @@ module Availability : sig
   val on_remove : counts -> int -> unit
   val of_swarm : pieces:int -> t array -> counts
 
-  val rarest_wanted : counts -> have:t -> from_:t -> int option
+  val rarest_wanted : counts -> have:t -> from_:t -> int
   (** The rarest piece the sender [from_] holds that the receiver [have]
-      lacks; [None] when the sender has nothing useful (the receiver is
-      "not interested"). *)
+      lacks, the lowest index among equally rare ones; [-1] when the
+      sender has nothing useful (the receiver is "not interested"). *)
 end

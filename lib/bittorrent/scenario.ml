@@ -27,7 +27,7 @@ let flash_crowd rng ~uploads ~pieces ~piece_size ~d ~max_ticks =
     incr tick;
     for i = 0 to n - 1 do
       if completion_ticks.(i) = None then
-        match (Swarm.peer swarm i).Peer.field with
+        match Swarm.field swarm i with
         | Some f when Piece.is_complete f -> completion_ticks.(i) <- Some !tick
         | _ -> ()
     done;
@@ -70,7 +70,7 @@ let steady_churn rng ~uploads ~pieces ~piece_size ~d ~warmup ~measure =
   let time_total = ref 0 in
   let recycle_completed ~record tick =
     for i = 1 to n - 1 do
-      match (Swarm.peer swarm i).Peer.field with
+      match Swarm.field swarm i with
       | Some f when Piece.is_complete f ->
           if record then begin
             incr departures;
@@ -92,7 +92,7 @@ let steady_churn rng ~uploads ~pieces ~piece_size ~d ~warmup ~measure =
   done;
   let moved = ref 0. in
   for i = 0 to n - 1 do
-    moved := !moved +. (Swarm.peer swarm i).Peer.downloaded
+    moved := !moved +. Swarm.downloaded swarm i
   done;
   {
     departures = !departures;

@@ -13,7 +13,10 @@
       regime §6 models analytically.
     - {e piece mode}: an explicit file of [pieces] pieces with rarest-first
       selection, used to check rather than assume that availability is not
-      a bottleneck. *)
+      a bottleneck.
+
+    State is indexed by knowledge-graph edge in flat arrays (DESIGN.md
+    §13), and a tick allocates nothing in bandwidth-only mode. *)
 
 type piece_params = {
   pieces : int;
@@ -52,7 +55,6 @@ type t
 val create : Stratify_prng.Rng.t -> params -> t
 val size : t -> int
 val tick_count : t -> int
-val peer : t -> int -> Peer.t
 
 val step : t -> unit
 (** Advance one tick. *)
@@ -87,12 +89,81 @@ val interested : t -> int -> int -> bool
     bandwidth-only mode; in piece mode, true iff [p] holds a piece [q]
     lacks. *)
 
+(** {2 Per-peer state} *)
+
+val upload_capacity : t -> int -> float
+
+val uploaded : t -> int -> float
+(** Data the peer sent since creation or the last {!reset_counters}. *)
+
+val downloaded : t -> int -> float
+
+val uploaded_tft : t -> int -> float
+(** The portion of {!uploaded} sent on the peer's TFT slots. *)
+
+val downloaded_tft : t -> int -> float
+(** The portion of {!downloaded} received on senders' TFT slots. *)
+
+val unchoked : t -> int -> int list
+(** The peer's current TFT unchokes, best-ranked first. *)
+
+val optimistic : t -> int -> int
+(** The peer's optimistic unchoke, [-1] for none. *)
+
+val field : t -> int -> Piece.t option
+(** The peer's piece bitfield ([None] in bandwidth-only mode). *)
+
+val is_neighbor : t -> int -> int -> bool
+(** [is_neighbor t p q]: whether [q] is in [p]'s knowledge-graph row
+    ([false] for a [p] outside the swarm). *)
+
+(** {2 Snapshot/restore}
+
+    The setters validate what they are given against the knowledge graph
+    and the swarm's parameters, and raise [Invalid_argument] naming the
+    setter before changing anything. *)
+
 val rng : t -> Stratify_prng.Rng.t
 (** The swarm's private random source — exposed so snapshot/restore can
     capture and re-seed its state ({!Stratify_prng.Rng.state}). *)
 
 val set_tick : t -> int -> unit
 (** Overwrite the tick counter (snapshot/restore; [tick >= 0]). *)
+
+val set_counters :
+  t ->
+  int ->
+  uploaded:float ->
+  downloaded:float ->
+  uploaded_tft:float ->
+  downloaded_tft:float ->
+  unit
+
+val set_unchoked : t -> int -> int list -> unit
+(** Overwrite the peer's TFT unchokes (best-ranked first): distinct
+    knowledge-graph neighbours, at most the peer's slot count. *)
+
+val set_optimistic : t -> int -> int -> unit
+(** Overwrite the peer's optimistic unchoke: a knowledge-graph neighbour,
+    or [-1] for none. *)
+
+type rate = {
+  from_ : int;  (** the neighbour the window measures downloads from *)
+  window : int;
+  buckets : float array;
+  stamps : int array;
+  total : float;
+}
+(** One download-rate window in serializable form (see {!Rate.dump}). *)
+
+val rates : t -> int -> rate list
+(** The peer's download-rate windows, one per knowledge-graph neighbour in
+    ascending [from_]; fresh copies. *)
+
+val set_rates : t -> int -> rate list -> unit
+(** Overwrite the peer's download-rate windows.  The list must name
+    exactly the peer's neighbours in ascending order, each with the
+    swarm's [rate_window] and that many buckets and stamps. *)
 
 val set_held_pieces : t -> int -> int list -> unit
 (** Overwrite a peer's bitfield to exactly the given pieces, keeping the
@@ -101,10 +172,11 @@ val set_held_pieces : t -> int -> int list -> unit
     [Invalid_argument] when given pieces in bandwidth-only mode. *)
 
 val iter_link_progress : t -> (int -> int -> float -> unit) -> unit
-(** Visit every (sender, receiver, partial-piece progress) entry, in
-    hash-table order — sort before serializing. *)
+(** Visit every (sender, receiver, partial-piece progress) entry in
+    ascending (sender, receiver) order. *)
 
 val set_link_progress : t -> sender:int -> receiver:int -> float -> unit
-(** Set one link's partial-piece progress ([>= 0]). *)
+(** Set one link's partial-piece progress: [receiver] must be a
+    knowledge-graph neighbour of [sender], and the progress [>= 0]. *)
 
 val clear_link_progress : t -> unit

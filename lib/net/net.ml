@@ -388,8 +388,9 @@ module Tick = struct
 
   (* Counter-mode draw: hash (seed, tick, src, dst) to a u53 uniform.
      No state advances, so the verdict for a link does not depend on how
-     many other links were asked first. *)
-  let unit_float t ~tick ~src ~dst =
+     many other links were asked first.  Inlined into [passes], so the
+     float never boxes on the swarm's per-link path. *)
+  let[@inline] unit_float t ~tick ~src ~dst =
     let key = Int64.of_int ((((tick * 1_000_003) + src) * 1_000_003) + dst) in
     let h = Splitmix64.mix (Int64.logxor t.base (Splitmix64.mix key)) in
     Int64.to_float (Int64.shift_right_logical h 11) *. 0x1p-53

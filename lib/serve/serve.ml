@@ -5,9 +5,7 @@ module Churn = Stratify_core.Churn
 module Config = Stratify_core.Config
 module Instance = Stratify_core.Instance
 module Swarm = Stratify_bittorrent.Swarm
-module Peer = Stratify_bittorrent.Peer
 module Piece = Stratify_bittorrent.Piece
-module Rate = Stratify_bittorrent.Rate
 module Bw_profile = Stratify_bandwidth.Profile
 module Saroiu = Stratify_bandwidth.Saroiu
 module Jsonx = Stratify_obs.Jsonx
@@ -137,7 +135,7 @@ let release_slot ss peer slot =
 let members_uploaded ss =
   let acc = ref 0. in
   for i = 0 to ss.member_count - 1 do
-    acc := !acc +. (Swarm.peer ss.swarm ss.occupied.(i)).Peer.uploaded
+    acc := !acc +. Swarm.uploaded ss.swarm ss.occupied.(i)
   done;
   !acc
 
@@ -516,8 +514,8 @@ let manifest ?git t =
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot.  Int64s travel as decimal strings (Jsonx.Int is an OCaml  *)
-(* 63-bit int); every hash-table dump is sorted by key so the bytes    *)
-(* are canonical.                                                      *)
+(* 63-bit int); every list is written in ascending id order (swarm     *)
+(* state in its CSR edge order) so the bytes are canonical.            *)
 
 let json_of_int64 x = Jsonx.String (Int64.to_string x)
 
@@ -554,29 +552,24 @@ let json_of_swarm ss =
   let sw = ss.swarm in
   let peers =
     List.init (Swarm.size sw) (fun i ->
-        let p = Swarm.peer sw i in
         let rates =
-          Hashtbl.fold (fun q r acc -> (q, r) :: acc) p.Peer.link_rates []
-          |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
-          |> List.map (fun (q, r) ->
-                 let buckets, stamps, total = Rate.dump r in
-                 Jsonx.Obj
-                   [
-                     ("from", Jsonx.Int q);
-                     ("window", Jsonx.Int (Rate.window r));
-                     ( "buckets",
-                       Jsonx.List
-                         (List.map (fun x -> Jsonx.Float x)
-                            (Array.to_list buckets)) );
-                     ( "stamps",
-                       Jsonx.List
-                         (List.map (fun x -> Jsonx.Int x) (Array.to_list stamps))
-                     );
-                     ("total", Jsonx.Float total);
-                   ])
+          List.map
+            (fun (r : Swarm.rate) ->
+              Jsonx.Obj
+                [
+                  ("from", Jsonx.Int r.from_);
+                  ("window", Jsonx.Int r.window);
+                  ( "buckets",
+                    Jsonx.List
+                      (List.map (fun x -> Jsonx.Float x) (Array.to_list r.buckets)) );
+                  ( "stamps",
+                    Jsonx.List (List.map (fun x -> Jsonx.Int x) (Array.to_list r.stamps)) );
+                  ("total", Jsonx.Float r.total);
+                ])
+            (Swarm.rates sw i)
         in
         let pieces =
-          match p.Peer.field with
+          match Swarm.field sw i with
           | None -> Jsonx.Null
           | Some f ->
               let held = ref [] in
@@ -587,26 +580,21 @@ let json_of_swarm ss =
         Jsonx.Obj
           [
             ( "unchoked",
-              Jsonx.List (List.map (fun q -> Jsonx.Int q) p.Peer.unchoked) );
-            ( "optimistic",
-              Jsonx.Int (match p.Peer.optimistic with Some q -> q | None -> -1)
-            );
-            ("uploaded", Jsonx.Float p.Peer.uploaded);
-            ("downloaded", Jsonx.Float p.Peer.downloaded);
-            ("uploaded_tft", Jsonx.Float p.Peer.uploaded_tft);
-            ("downloaded_tft", Jsonx.Float p.Peer.downloaded_tft);
+              Jsonx.List (List.map (fun q -> Jsonx.Int q) (Swarm.unchoked sw i)) );
+            ("optimistic", Jsonx.Int (Swarm.optimistic sw i));
+            ("uploaded", Jsonx.Float (Swarm.uploaded sw i));
+            ("downloaded", Jsonx.Float (Swarm.downloaded sw i));
+            ("uploaded_tft", Jsonx.Float (Swarm.uploaded_tft sw i));
+            ("downloaded_tft", Jsonx.Float (Swarm.downloaded_tft sw i));
             ("pieces", pieces);
             ("rates", Jsonx.List rates);
           ])
   in
   let progress =
     let acc = ref [] in
-    Swarm.iter_link_progress sw (fun s r v -> acc := (s, r, v) :: !acc);
-    Jsonx.List
-      (List.map
-         (fun (s, r, v) ->
-           Jsonx.List [ Jsonx.Int s; Jsonx.Int r; Jsonx.Float v ])
-         (List.sort compare !acc))
+    Swarm.iter_link_progress sw (fun s r v ->
+        acc := Jsonx.List [ Jsonx.Int s; Jsonx.Int r; Jsonx.Float v ] :: !acc);
+    Jsonx.List (List.rev !acc)
   in
   Jsonx.Obj
     [
@@ -771,49 +759,44 @@ let restore_swarm what ~n (sw : Request.swarm_spec) sj =
   if List.length peers_j <> sw.size then
     parse_fail "%s: %d peer records, swarm has %d slots" what
       (List.length peers_j) sw.size;
-  (* Choke references and link progress must only ever name
-     knowledge-graph neighbours: the simulation never creates any other,
-     and [Swarm.recycle_peer] relies on it to visit neighbours only. *)
-  let neighbour i q = Array.mem q (Swarm.peer swarm i).Peer.neighbors in
-  let chokes_neighbour i role q =
-    if not (neighbour i q) then
-      restore_invalid "%s: slot %d's %s %d is not a knowledge-graph neighbour"
-        what i role q;
-    q
+  (* The Swarm setters check the choke, rate and progress state against
+     the knowledge graph and the slot budgets: the simulation never
+     names a non-neighbour ([Swarm.recycle_peer] relies on it to visit
+     neighbours only), never unchokes a peer twice or past its slots,
+     and keeps one rate window per neighbour. *)
+  let checked context f =
+    try f () with Invalid_argument msg -> restore_invalid "%s: %s: %s" what context msg
   in
   List.iteri
     (fun i pj ->
       let po = Jsonx.get_obj pj in
-      let p = Swarm.peer swarm i in
-      p.Peer.unchoked <-
+      let unchoked = List.map Jsonx.get_int (Jsonx.get_list (req what "unchoked" po)) in
+      let optimistic = Jsonx.get_int (req what "optimistic" po) in
+      let rates =
         List.map
-          (fun qj -> chokes_neighbour i "unchoked peer" (Jsonx.get_int qj))
-          (Jsonx.get_list (req what "unchoked" po));
-      p.Peer.optimistic <-
-        (match Jsonx.get_int (req what "optimistic" po) with
-        | -1 -> None
-        | q -> Some (chokes_neighbour i "optimistic unchoke" q));
-      p.Peer.uploaded <- Jsonx.get_float (req what "uploaded" po);
-      p.Peer.downloaded <- Jsonx.get_float (req what "downloaded" po);
-      p.Peer.uploaded_tft <- Jsonx.get_float (req what "uploaded_tft" po);
-      p.Peer.downloaded_tft <- Jsonx.get_float (req what "downloaded_tft" po);
-      Hashtbl.reset p.Peer.link_rates;
-      List.iter
-        (fun rj ->
-          let ro = Jsonx.get_obj rj in
-          Hashtbl.replace p.Peer.link_rates
-            (Jsonx.get_int (req what "from" ro))
-            (Rate.restore
-               ~window:(Jsonx.get_int (req what "window" ro))
-               ~buckets:(float_array what (req what "buckets" ro))
-               ~stamps:(int_array what (req what "stamps" ro))
-               ~total:(Jsonx.get_float (req what "total" ro))))
-        (Jsonx.get_list (req what "rates" po));
-      match req what "pieces" po with
-      | Jsonx.Null -> ()
-      | pcj ->
-          Swarm.set_held_pieces swarm i
-            (List.map Jsonx.get_int (Jsonx.get_list pcj)))
+          (fun rj ->
+            let ro = Jsonx.get_obj rj in
+            {
+              Swarm.from_ = Jsonx.get_int (req what "from" ro);
+              window = Jsonx.get_int (req what "window" ro);
+              buckets = float_array what (req what "buckets" ro);
+              stamps = int_array what (req what "stamps" ro);
+              total = Jsonx.get_float (req what "total" ro);
+            })
+          (Jsonx.get_list (req what "rates" po))
+      in
+      checked (Printf.sprintf "slot %d" i) (fun () ->
+          Swarm.set_unchoked swarm i unchoked;
+          Swarm.set_optimistic swarm i optimistic;
+          Swarm.set_counters swarm i
+            ~uploaded:(Jsonx.get_float (req what "uploaded" po))
+            ~downloaded:(Jsonx.get_float (req what "downloaded" po))
+            ~uploaded_tft:(Jsonx.get_float (req what "uploaded_tft" po))
+            ~downloaded_tft:(Jsonx.get_float (req what "downloaded_tft" po));
+          Swarm.set_rates swarm i rates;
+          match req what "pieces" po with
+          | Jsonx.Null -> ()
+          | pcj -> Swarm.set_held_pieces swarm i (List.map Jsonx.get_int (Jsonx.get_list pcj))))
     peers_j;
   Swarm.clear_link_progress swarm;
   List.iter
@@ -821,11 +804,8 @@ let restore_swarm what ~n (sw : Request.swarm_spec) sj =
       match Jsonx.get_list ej with
       | [ s; r; v ] ->
           let s = Jsonx.get_int s and r = Jsonx.get_int r in
-          if s < 0 || s >= sw.size || not (neighbour s r) then
-            restore_invalid
-              "%s: progress entry [%d, %d] is not a knowledge-graph neighbour pair"
-              what s r;
-          Swarm.set_link_progress swarm ~sender:s ~receiver:r (Jsonx.get_float v)
+          checked "progress" (fun () ->
+              Swarm.set_link_progress swarm ~sender:s ~receiver:r (Jsonx.get_float v))
       | _ -> parse_fail "%s: progress entry must be [sender, receiver, v]" what)
     (Jsonx.get_list (req what "progress" obj));
   let ss = swarm_state sw swarm ~faults ~created_rng members in

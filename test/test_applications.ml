@@ -242,26 +242,37 @@ let test_piece_recycling () =
   Bt.Swarm.recycle_peer swarm 5;
   Alcotest.(check (pair int int)) "no progress names the recycled peer" (0, 0)
     (progress_naming_5 ());
-  (match (Bt.Swarm.peer swarm 5).Bt.Peer.field with
+  (match Bt.Swarm.field swarm 5 with
   | Some f ->
       Alcotest.(check int) "emptied" 0 (Bt.Piece.count f);
       Alcotest.(check bool) "not complete" false (Bt.Piece.is_complete f)
   | None -> Alcotest.fail "piece mode expected");
-  Alcotest.(check (list int)) "unchoked cleared" [] (Bt.Swarm.peer swarm 5).Bt.Peer.unchoked;
-  Helpers.check_close "counters cleared" 0. (Bt.Swarm.peer swarm 5).Bt.Peer.uploaded;
+  Alcotest.(check (list int)) "unchoked cleared" [] (Bt.Swarm.unchoked swarm 5);
+  Helpers.check_close "counters cleared" 0. (Bt.Swarm.uploaded swarm 5);
   (* Nobody still references the recycled peer in its choke state. *)
   for i = 0 to n - 1 do
     if i <> 5 then begin
       Alcotest.(check bool) "not unchoked by others" false
-        (List.mem 5 (Bt.Swarm.peer swarm i).Bt.Peer.unchoked);
-      Alcotest.(check bool) "not optimistic of others" false
-        ((Bt.Swarm.peer swarm i).Bt.Peer.optimistic = Some 5)
+        (List.mem 5 (Bt.Swarm.unchoked swarm i));
+      Alcotest.(check bool) "not optimistic of others" false (Bt.Swarm.optimistic swarm i = 5)
     end
   done;
   (* The swarm keeps running fine afterwards. *)
   Bt.Swarm.run swarm ~ticks:100;
   Alcotest.(check bool) "recycled peer downloads again" true
-    ((Bt.Swarm.peer swarm 5).Bt.Peer.downloaded > 0.)
+    (Bt.Swarm.downloaded swarm 5 > 0.);
+  (* ...and keeps the neighbour invariant recycling relies on: choke
+     and progress state name knowledge-graph neighbours only. *)
+  let neighbour what i q =
+    Alcotest.(check bool) (Printf.sprintf "%s: %d -> %d" what i q) true
+      (Bt.Swarm.is_neighbor swarm i q)
+  in
+  for i = 0 to n - 1 do
+    List.iter (neighbour "unchoke" i) (Bt.Swarm.unchoked swarm i);
+    let o = Bt.Swarm.optimistic swarm i in
+    if o >= 0 then neighbour "optimistic" i o
+  done;
+  Bt.Swarm.iter_link_progress swarm (fun s r _ -> neighbour "progress" s r)
 
 let test_steady_churn_runs () =
   let rng = Rng.create 12 in

@@ -1,34 +1,47 @@
 module Rng = Stratify_prng.Rng
 module Profile = Stratify_bandwidth.Profile
 module Saroiu = Stratify_bandwidth.Saroiu
+module Net = Stratify_net.Net
 open Stratify_bittorrent
 
 (* ------------------------------------------------------------------ *)
 (* Rate                                                                *)
 
+(* Each case runs in window 1 of a three-window store, so a write that
+   strays into a neighbouring window shows as a non-empty one. *)
+let check_neighbours_empty r ~tick =
+  Helpers.check_close "window 0 untouched" 0. (Rate.rate r 0 ~tick);
+  Helpers.check_close "window 2 untouched" 0. (Rate.rate r 2 ~tick)
+
 let test_rate_window () =
-  let r = Rate.create ~window:5 in
-  Helpers.check_close "empty" 0. (Rate.rate r ~tick:0);
-  Rate.record r ~tick:0 10.;
-  Rate.record r ~tick:1 20.;
-  Helpers.check_close "avg over window" 6. (Rate.rate r ~tick:1);
+  let r = Rate.create ~window:5 3 in
+  Helpers.check_close "empty" 0. (Rate.rate r 1 ~tick:0);
+  Rate.record r 1 ~tick:0 10.;
+  Rate.record r 1 ~tick:1 20.;
+  Helpers.check_close "avg over window" 6. (Rate.rate r 1 ~tick:1);
   (* Ticks 0 and 1 age out of the window ending at tick 6. *)
-  Helpers.check_close "aged out (0)" 4. (Rate.rate r ~tick:5);
-  Helpers.check_close "aged out (both)" 0. (Rate.rate r ~tick:8);
-  Helpers.check_close "total persists" 30. (Rate.total r)
+  Helpers.check_close "aged out (0)" 4. (Rate.rate r 1 ~tick:5);
+  Helpers.check_close "aged out (both)" 0. (Rate.rate r 1 ~tick:8);
+  Helpers.check_close "total persists" 30. (Rate.total r 1);
+  check_neighbours_empty r ~tick:1;
+  Rate.clear r 1;
+  Helpers.check_close "cleared" 0. (Rate.rate r 1 ~tick:1);
+  Helpers.check_close "cleared total" 0. (Rate.total r 1)
 
 let test_rate_same_tick_accumulates () =
-  let r = Rate.create ~window:4 in
-  Rate.record r ~tick:3 1.;
-  Rate.record r ~tick:3 2.;
-  Helpers.check_close "accumulated" 0.75 (Rate.rate r ~tick:3)
+  let r = Rate.create ~window:4 3 in
+  Rate.record r 1 ~tick:3 1.;
+  Rate.record r 1 ~tick:3 2.;
+  Helpers.check_close "accumulated" 0.75 (Rate.rate r 1 ~tick:3);
+  check_neighbours_empty r ~tick:3
 
 let test_rate_bucket_reuse () =
-  let r = Rate.create ~window:2 in
-  Rate.record r ~tick:0 5.;
-  Rate.record r ~tick:2 7.;
+  let r = Rate.create ~window:2 3 in
+  Rate.record r 1 ~tick:0 5.;
+  Rate.record r 1 ~tick:2 7.;
   (* tick 2 reuses the slot of tick 0; old value must not leak. *)
-  Helpers.check_close "no leak" 3.5 (Rate.rate r ~tick:2)
+  Helpers.check_close "no leak" 3.5 (Rate.rate r 1 ~tick:2);
+  check_neighbours_empty r ~tick:2
 
 (* ------------------------------------------------------------------ *)
 (* Piece                                                               *)
@@ -62,44 +75,70 @@ let test_rarest_first () =
   let counts = Piece.Availability.of_swarm ~pieces:4 fields in
   (* availability: piece0=3, piece1=2, piece2=1, piece3=0 *)
   (* receiver has only piece 0; sender has 0,1,2: rarest wanted = 2. *)
-  (match Piece.Availability.rarest_wanted counts ~have:fields.(2) ~from_:fields.(0) with
-  | Some p -> Alcotest.(check int) "rarest" 2 p
-  | None -> Alcotest.fail "expected a wanted piece");
+  Alcotest.(check int) "rarest" 2
+    (Piece.Availability.rarest_wanted counts ~have:fields.(2) ~from_:fields.(0));
+  Alcotest.(check bool) "interested" true (Piece.wants ~have:fields.(2) ~from_:fields.(0));
   (* sender with subset of receiver: not interested. *)
-  Alcotest.(check bool) "not interested" true
-    (Piece.Availability.rarest_wanted counts ~have:fields.(0) ~from_:fields.(2) = None)
+  Alcotest.(check int) "not interested" (-1)
+    (Piece.Availability.rarest_wanted counts ~have:fields.(0) ~from_:fields.(2));
+  Alcotest.(check bool) "wants nothing" false (Piece.wants ~have:fields.(0) ~from_:fields.(2))
 
 (* ------------------------------------------------------------------ *)
 (* Choker                                                              *)
 
+(* One rechoke through the buffer, tagging each offer with its id so
+   rate ties break by id. *)
+let rechoke ~rates ~slots ~optimistic =
+  let c = Choker.create ~slots in
+  Choker.start c ~slots ~optimistic;
+  List.iter (fun (id, rate) -> Choker.offer c rate id id) rates;
+  (List.init (Choker.count c) (Choker.nth c), Choker.optimistic c)
+
 let test_choker_top_slots () =
   let rates = [ (4, 1.); (2, 9.); (7, 5.); (1, 9.) ] in
-  let d = Choker.rechoke ~rates ~slots:2 ~current_optimistic:None () in
+  let unchoked, optimistic = rechoke ~rates ~slots:2 ~optimistic:(-1) in
   (* ties broken by id: 1 before 2 *)
-  Alcotest.(check (list int)) "top2" [ 1; 2 ] d.Choker.unchoked;
-  Alcotest.(check (option int)) "no optimistic" None d.Choker.optimistic
+  Alcotest.(check (list int)) "top2" [ 1; 2 ] unchoked;
+  Alcotest.(check int) "no optimistic" (-1) optimistic
 
 let test_choker_keeps_valid_optimistic () =
   let rates = [ (1, 5.); (2, 3.); (3, 1.) ] in
-  let d = Choker.rechoke ~rates ~slots:1 ~current_optimistic:(Some 3) () in
-  Alcotest.(check (list int)) "winner" [ 1 ] d.Choker.unchoked;
-  Alcotest.(check (option int)) "kept" (Some 3) d.Choker.optimistic;
+  let unchoked, optimistic = rechoke ~rates ~slots:1 ~optimistic:3 in
+  Alcotest.(check (list int)) "winner" [ 1 ] unchoked;
+  Alcotest.(check int) "kept" 3 optimistic;
   (* Optimistic that became a TFT winner is dropped from the slot. *)
-  let d2 = Choker.rechoke ~rates ~slots:1 ~current_optimistic:(Some 1) () in
-  Alcotest.(check (option int)) "absorbed" None d2.Choker.optimistic;
+  Alcotest.(check int) "absorbed" (-1) (snd (rechoke ~rates ~slots:1 ~optimistic:1));
   (* Optimistic no longer a neighbour is dropped. *)
-  let d3 = Choker.rechoke ~rates ~slots:1 ~current_optimistic:(Some 99) () in
-  Alcotest.(check (option int)) "gone" None d3.Choker.optimistic
+  Alcotest.(check int) "gone" (-1) (snd (rechoke ~rates ~slots:1 ~optimistic:99))
+
+(* The buffer must give exactly the top [slots] of a stable sort by
+   (rate descending, tag ascending), whatever the offer order and ties. *)
+let choker_matches_stable_sort =
+  QCheck.make
+    ~print:QCheck.Print.(pair int (list (pair int int)))
+    QCheck.Gen.(
+      pair (int_range 0 5) (list_size (int_range 0 12) (pair (int_range 0 3) (int_range 0 3))))
+
+let choker_stable_sort_law (slots, offers) =
+  let offers = List.mapi (fun id (rate, tag) -> (float_of_int rate, tag, id)) offers in
+  let c = Choker.create ~slots in
+  Choker.start c ~slots ~optimistic:(-1);
+  List.iter (fun (rate, tag, id) -> Choker.offer c rate tag id) offers;
+  let sorted =
+    List.stable_sort
+      (fun (r1, t1, _) (r2, t2, _) ->
+        let c = Float.compare r2 r1 in
+        if c <> 0 then c else Int.compare t1 t2)
+      offers
+  in
+  List.filteri (fun k _ -> k < slots) (List.map (fun (_, _, id) -> id) sorted)
+  = List.init (Choker.count c) (Choker.nth c)
 
 let test_rotate_optimistic () =
   let rng = Helpers.rng () in
-  (match Choker.rotate_optimistic rng ~candidates:[ 1; 2; 3 ] ~exclude:[ 1; 2 ] with
-  | Some 3 -> ()
-  | other ->
-      Alcotest.failf "expected Some 3, got %s"
-        (match other with None -> "None" | Some x -> string_of_int x));
-  Alcotest.(check (option int)) "exhausted" None
-    (Choker.rotate_optimistic rng ~candidates:[ 1 ] ~exclude:[ 1 ])
+  (* candidates 1, 2, 3 with 1 and 2 unchoked leave 3 eligible *)
+  Alcotest.(check int) "only eligible" 3 (Choker.rotate rng [| 3; 1; 2 |] 1);
+  Alcotest.(check int) "exhausted" (-1) (Choker.rotate rng [| 1 |] 0)
 
 (* ------------------------------------------------------------------ *)
 (* Swarm: bandwidth-only mode                                          *)
@@ -118,8 +157,8 @@ let test_swarm_conservation () =
   let swarm = heterogeneous_swarm () in
   let up = ref 0. and down = ref 0. in
   for i = 0 to Swarm.size swarm - 1 do
-    up := !up +. (Swarm.peer swarm i).Peer.uploaded;
-    down := !down +. (Swarm.peer swarm i).Peer.downloaded
+    up := !up +. Swarm.uploaded swarm i;
+    down := !down +. Swarm.downloaded swarm i
   done;
   Helpers.check_close_rel ~rel:1e-9 "conservation" !up !down;
   Alcotest.(check bool) "data flowed" true (!up > 0.)
@@ -183,19 +222,26 @@ let test_swarm_determinism () =
    unchoke and, in piece mode, its piece count.  The property tests
    above hold for many trajectories; a rewrite of the choker or of the
    transfer loop must reproduce this one. *)
+let fnv_word h w = Int64.mul (Int64.logxor h w) 0x100000001b3L
+
 let trajectory_hash swarm =
   let h = ref 0xcbf29ce484222325L in
-  let word w = h := Int64.mul (Int64.logxor !h w) 0x100000001b3L in
+  let word w = h := fnv_word !h w in
   let int i = word (Int64.of_int i) in
   for i = 0 to Swarm.size swarm - 1 do
-    let p = Swarm.peer swarm i in
     List.iter
       (fun x -> word (Int64.bits_of_float x))
-      [ p.Peer.uploaded; p.Peer.downloaded; p.Peer.uploaded_tft; p.Peer.downloaded_tft ];
-    int (List.length p.Peer.unchoked);
-    List.iter int p.Peer.unchoked;
-    int (Option.value p.Peer.optimistic ~default:(-1));
-    Option.iter (fun f -> int (Piece.count f)) p.Peer.field
+      [
+        Swarm.uploaded swarm i;
+        Swarm.downloaded swarm i;
+        Swarm.uploaded_tft swarm i;
+        Swarm.downloaded_tft swarm i;
+      ];
+    let unchoked = Swarm.unchoked swarm i in
+    int (List.length unchoked);
+    List.iter int unchoked;
+    int (Swarm.optimistic swarm i);
+    Option.iter (fun f -> int (Piece.count f)) (Swarm.field swarm i)
   done;
   !h
 
@@ -204,6 +250,45 @@ let test_swarm_trajectory_pinned () =
   let swarm = Swarm.create (Rng.create 4242) (Swarm.default_params ~uploads) in
   Swarm.run swarm ~ticks:40;
   Alcotest.(check int64) "300 peers, 40 ticks" 1344991189084431645L (trajectory_hash swarm)
+
+(* The download-cap path: receivers at 2.5x their upload throttle
+   proportionally, so the inbound sums and the scaled shares are
+   pinned too. *)
+let test_capped_trajectory_pinned () =
+  let n = 60 in
+  let uploads = Profile.rank_bandwidths Saroiu.profile ~n in
+  let caps = Array.map (fun u -> 2.5 *. u) uploads in
+  let swarm =
+    Swarm.create (Rng.create 19)
+      { (Swarm.default_params ~uploads) with Swarm.d = 20.; downloads = Some caps }
+  in
+  Swarm.run swarm ~ticks:100;
+  Alcotest.(check int64) "60 peers, capped, 100 ticks" (-7396052761728880515L)
+    (trajectory_hash swarm)
+
+(* The fault path: per-link loss throughout, the swarm cut in halves at
+   tick 15 and healed at tick 30; the drop count is folded in. *)
+let test_lossy_trajectory_pinned () =
+  let n = 200 in
+  let uploads = Array.init n (fun i -> 20. +. (10. *. float_of_int (i mod 5))) in
+  let halves = Array.init n (fun p -> if p < n / 2 then 0 else 1) in
+  let faults =
+    Net.Tick.create ~seed:9 ~loss:0.1
+      ~schedule:
+        [
+          { Net.Tick.at_tick = 15; groups = Some halves };
+          { Net.Tick.at_tick = 30; groups = None };
+        ]
+      ()
+  in
+  let swarm =
+    Swarm.create (Rng.create 9)
+      { (Swarm.default_params ~uploads) with Swarm.faults = Some faults }
+  in
+  Swarm.run swarm ~ticks:60;
+  Alcotest.(check int) "drops" 8502 (Swarm.link_drops swarm);
+  Alcotest.(check int64) "200 peers, lossy and partitioned, 60 ticks" (-443687622765377038L)
+    (fnv_word (trajectory_hash swarm) (Int64.of_int (Swarm.link_drops swarm)))
 
 let test_swarm_validation () =
   let rng = Helpers.rng () in
@@ -229,7 +314,7 @@ let test_download_caps_respected () =
   let ticks = 400 in
   Swarm.run swarm ~ticks;
   for i = 0 to n - 1 do
-    let inflow = (Swarm.peer swarm i).Peer.downloaded /. float_of_int ticks in
+    let inflow = Swarm.downloaded swarm i /. float_of_int ticks in
     Alcotest.(check bool)
       (Printf.sprintf "peer %d inflow %.1f <= cap %.1f" i inflow caps.(i))
       true
@@ -246,8 +331,8 @@ let test_download_caps_respected () =
     Swarm.run swarm ~ticks;
     let up = ref 0. and down = ref 0. in
     for i = 0 to n - 1 do
-      up := !up +. (Swarm.peer swarm i).Peer.uploaded;
-      down := !down +. (Swarm.peer swarm i).Peer.downloaded
+      up := !up +. Swarm.uploaded swarm i;
+      down := !down +. Swarm.downloaded swarm i
     done;
     Helpers.check_close_rel ~rel:1e-9 "conservation of delivered traffic" !up !down;
     !down
@@ -292,7 +377,7 @@ let test_piece_mode_progress () =
   Alcotest.(check bool) (Printf.sprintf "completions %d" completed) true (completed > 30);
   (* Everyone still holds a valid bitfield and piece counts only grew. *)
   for i = 0 to Swarm.size swarm - 1 do
-    match (Swarm.peer swarm i).Peer.field with
+    match Swarm.field swarm i with
     | Some f -> Alcotest.(check bool) "holds pieces" true (Piece.count f >= 1)
     | None -> Alcotest.fail "expected piece mode"
   done
@@ -303,7 +388,7 @@ let test_piece_mode_interest_semantics () =
      lacking something is interested in the seed (peer 0). *)
   let interested_in_seed = ref 0 in
   for q = 1 to Swarm.size swarm - 1 do
-    match (Swarm.peer swarm q).Peer.field with
+    match Swarm.field swarm q with
     | Some f ->
         if not (Piece.is_complete f) then begin
           if Swarm.interested swarm q 0 then incr interested_in_seed
@@ -326,7 +411,7 @@ let test_post_flashcrowd_assumption () =
     Swarm.run swarm ~ticks:150;
     let total = ref 0. in
     for i = 0 to n - 1 do
-      total := !total +. (Swarm.peer swarm i).Peer.downloaded
+      total := !total +. Swarm.downloaded swarm i
     done;
     !total
   in
@@ -357,6 +442,8 @@ let suite =
     Alcotest.test_case "choker top slots" `Quick test_choker_top_slots;
     Alcotest.test_case "choker optimistic lifecycle" `Quick test_choker_keeps_valid_optimistic;
     Alcotest.test_case "optimistic rotation" `Quick test_rotate_optimistic;
+    Helpers.qtest "choker buffer = stable sort prefix" choker_matches_stable_sort
+      choker_stable_sort_law;
     Alcotest.test_case "conservation of data" `Slow test_swarm_conservation;
     Alcotest.test_case "TFT reciprocity" `Slow test_swarm_tft_reciprocity;
     Alcotest.test_case "stratification emerges" `Slow test_swarm_stratification_emerges;
@@ -364,6 +451,8 @@ let suite =
     Alcotest.test_case "partner rank offset small" `Slow test_swarm_partner_rank_offset_small;
     Alcotest.test_case "simulator determinism" `Slow test_swarm_determinism;
     Alcotest.test_case "swarm trajectory pinned" `Quick test_swarm_trajectory_pinned;
+    Alcotest.test_case "capped trajectory pinned" `Quick test_capped_trajectory_pinned;
+    Alcotest.test_case "lossy partitioned trajectory pinned" `Quick test_lossy_trajectory_pinned;
     Alcotest.test_case "swarm validation" `Quick test_swarm_validation;
     Alcotest.test_case "download caps respected" `Slow test_download_caps_respected;
     Alcotest.test_case "no caps = unlimited caps" `Slow test_no_caps_matches_old_behaviour;

@@ -442,7 +442,7 @@ let swarm_uploaded ~faults seed =
   Bt.Swarm.run swarm ~ticks:300;
   let total = ref 0. in
   for i = 0 to Bt.Swarm.size swarm - 1 do
-    total := !total +. (Bt.Swarm.peer swarm i).Bt.Peer.uploaded
+    total := !total +. Bt.Swarm.uploaded swarm i
   done;
   (!total, Bt.Swarm.link_drops swarm)
 

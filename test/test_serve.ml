@@ -247,6 +247,18 @@ let test_membership_pinned () =
   Alcotest.(check int) "response checksum" pinned_checksum (Serve.checksum t);
   Alcotest.(check string) "manifest" pinned_manifest m
 
+(* The snapshot bytes themselves, mid-run: every rate window, choke
+   list, counter and progress entry of the three swarms, in the order
+   the format lists them. *)
+let test_snapshot_pinned () =
+  let t = Serve.create (membership_script ()) in
+  Serve.run_to t 20.;
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    (Serve.snapshot_string t);
+  Alcotest.(check int64) "FNV-64 of the t=20 snapshot" (-1939435093814881738L) !h
+
 (* ---- restore checks the membership and neighbour invariants --------- *)
 
 (* Peers 0-4 join at t=0.5 and take slots 0-4 of swarm "s0"; slots 5-7
@@ -318,7 +330,49 @@ let test_restore_invariants () =
        (fun j ->
          Jsonx.List
            (Jsonx.List [ Jsonx.Int 1; Jsonx.Int 1; Jsonx.Float 0.5 ] :: Jsonx.get_list j))
-       snap)
+       snap);
+  (* Slot 6 unchokes [0, 1, 3] with 3 slots; its neighbours are 0, 1, 2,
+     3, 4 and 7.  Slot 3's rate windows are from 0, 4, 6 and 7. *)
+  let ints l = Jsonx.List (List.map (fun i -> Jsonx.Int i) l) in
+  expect_restore_error "duplicate unchoke" [ "slot 6"; "peer 0 unchoked twice" ]
+    (edit
+       (swarm0 [ `Field "peers"; `Nth 6; `Field "unchoked" ])
+       (set_to (ints [ 0; 0; 1 ]))
+       snap);
+  expect_restore_error "unchokes past the slots" [ "slot 6"; "5 unchokes for 3 slots" ]
+    (edit
+       (swarm0 [ `Field "peers"; `Nth 6; `Field "unchoked" ])
+       (set_to (ints [ 0; 1; 3; 4; 7 ]))
+       snap);
+  let rates rest = swarm0 (`Field "peers" :: `Nth 3 :: `Field "rates" :: rest) in
+  expect_restore_error "rate from a non-neighbour"
+    [ "slot 3"; "is from 5, expected neighbour 4" ]
+    (edit (rates [ `Nth 1; `Field "from" ]) (set_to (Jsonx.Int 5)) snap);
+  expect_restore_error "short rate window" [ "slot 3"; "has window 3, the swarm's is 10" ]
+    (edit
+       (rates [ `Nth 1 ])
+       (function
+         | Jsonx.Obj kv ->
+             Jsonx.Obj
+               (List.map
+                  (fun (k, v) ->
+                    match k with
+                    | "window" -> (k, Jsonx.Int 3)
+                    | "buckets" -> (k, Jsonx.List (List.init 3 (fun _ -> Jsonx.Float 0.)))
+                    | "stamps" -> (k, ints [ -1; -1; -1 ])
+                    | _ -> (k, v))
+                  kv)
+         | _ -> Alcotest.fail "rate entry is not an object")
+       snap);
+  expect_restore_error "duplicated rate entry" [ "slot 3"; "is from 0, expected neighbour 4" ]
+    (edit (rates [])
+       (fun j ->
+         match Jsonx.get_list j with
+         | r0 :: _ :: rest -> Jsonx.List (r0 :: r0 :: rest)
+         | _ -> Alcotest.fail "slot 3 has fewer than two rate windows")
+       snap);
+  expect_restore_error "missing rate entry" [ "slot 3"; "3 rate windows for 4" ]
+    (edit (rates []) (fun j -> Jsonx.List (List.tl (Jsonx.get_list j))) snap)
 
 (* ---- script JSON ---------------------------------------------------- *)
 
@@ -449,6 +503,7 @@ let suite =
     Alcotest.test_case "serve: double-run equality" `Quick test_double_run;
     Alcotest.test_case "serve: membership-heavy answers pinned" `Quick
       test_membership_pinned;
+    Alcotest.test_case "serve: mid-run snapshot bytes pinned" `Quick test_snapshot_pinned;
     Alcotest.test_case "serve: restore rejects broken invariants" `Quick
       test_restore_invariants;
     Alcotest.test_case "serve: unknown JSON keys rejected" `Quick
