@@ -1093,7 +1093,9 @@ let bench_des () =
        announce stream against a live (ticking) world.  Reports
        sustained announces/sec and the exact p50/p99 handling latency
        from the full sorted per-request latency array — no histogram
-       bucketing, every sample kept.
+       bucketing, every sample kept.  Then an untimed window of 2000
+       announces on the same world must allocate nothing beyond its
+       reply strings (within 512 words).
    (d) the swarm tick: serve-mixed's clean swarm (300 peers, Saroiu
        rank bandwidths, d = 20, bandwidth-only, no faults) stepped
        directly.  After 20 warm-up ticks, a 50-tick window (5 rechokes,
@@ -1224,23 +1226,21 @@ let bench_serve () =
   in
   let announces = 20_000 in
   let lat = Array.make announces 0. in
-  let announce_rate, hot_cs =
-    let t = Serve.create hot_script in
-    (* warm-up: build the world and let the first ticks settle *)
-    Serve.run_to t 2.0;
-    let (), dt =
-      time (fun () ->
-          for i = 0 to announces - 1 do
-            let peer = i mod 600 in
-            let a = Unix.gettimeofday () in
-            ignore (Serve.handle t (Req.Announce { peer; swarm = "hot"; want = 8 }));
-            let b = Unix.gettimeofday () in
-            lat.(i) <- (b -. a) *. 1e9;
-            if i mod 2000 = 1999 then Serve.run_to t (Serve.now t +. 1.0)
-          done)
-    in
-    (float_of_int announces /. dt, Serve.checksum t)
+  let hot = Serve.create hot_script in
+  (* warm-up: build the world and let the first ticks settle *)
+  Serve.run_to hot 2.0;
+  let (), dt =
+    time (fun () ->
+        for i = 0 to announces - 1 do
+          let peer = i mod 600 in
+          let a = Unix.gettimeofday () in
+          ignore (Serve.handle hot (Req.Announce { peer; swarm = "hot"; want = 8 }));
+          let b = Unix.gettimeofday () in
+          lat.(i) <- (b -. a) *. 1e9;
+          if i mod 2000 = 1999 then Serve.run_to hot (Serve.now hot +. 1.0)
+        done)
   in
+  let announce_rate = float_of_int announces /. dt and hot_cs = Serve.checksum hot in
   Array.sort compare lat;
   let pct p =
     lat.(max 0 (min (announces - 1) (int_of_float (ceil (p *. float_of_int announces)) - 1)))
@@ -1248,6 +1248,33 @@ let bench_serve () =
   let p50 = pct 0.50 and p99 = pct 0.99 in
   Printf.printf "  announce hot path: %9.0f announces/s   p50 %7.0f ns   p99 %8.0f ns\n%!"
     announce_rate p50 p99;
+
+  (* (c') the announce path's allocation, on the hot world after its
+     checksum is read: 2000 more announces over request records built
+     beforehand, with no run_to and no clock in the window.  Beyond the
+     reply strings' own words, Σ(length/8 + 2), it may allocate no more
+     than bench.des's 512-word slack (DESIGN.md §15).  A release build
+     is assumed: in the dev profile each padding draw boxes (§13). *)
+  let window = 2000 in
+  let window_reqs =
+    Array.init window (fun i -> Req.Announce { peer = i mod 600; swarm = "hot"; want = 8 })
+  in
+  let replies = Array.make window "" in
+  let m0 = Gc.minor_words () in
+  for i = 0 to window - 1 do
+    replies.(i) <- Serve.handle hot window_reqs.(i)
+  done;
+  let window_minor = Gc.minor_words () -. m0 in
+  let reply_words = Array.fold_left (fun acc r -> acc + (String.length r / 8) + 2) 0 replies in
+  let extra_words = window_minor -. float_of_int reply_words in
+  Printf.printf "  announce allocation: %d announces, %.0f minor words, %d in replies, %.0f extra\n%!"
+    window window_minor reply_words extra_words;
+  if extra_words > 512. then
+    failwith
+      (Printf.sprintf
+         "bench.serve: %d announces allocated %.0f minor words beyond their %d reply words \
+          (expected <= 512)"
+         window extra_words reply_words);
 
   (* (d) the swarm tick *)
   let module Swarm = Stratify_bittorrent.Swarm in
@@ -1298,6 +1325,9 @@ let bench_serve () =
         ("checksum.serve_script_requests", script_requests);
         ("checksum.serve_stop_resume_ok", 1);
         ("checksum.serve_hot", hot_cs);
+        (* the window failed the run above unless its extra words stayed
+           within the slack *)
+        ("checksum.serve_announce_alloc_ok", 1);
         ("checksum.serve_swarm", swarm_cs);
         (* the window failed the run above unless it stayed allocation-free *)
         ("checksum.serve_swarm_zero_alloc", 1);
@@ -1308,6 +1338,7 @@ let bench_serve () =
         ("serve/p50_announce_ns", p50);
         ("serve/p99_announce_ns", p99);
         ("serve/announce_count", float_of_int announces);
+        ("serve/announce_extra_words", extra_words);
         ("rate/serve_swarm_tick", swarm_rate);
       ];
     profile =

@@ -306,19 +306,22 @@ let load path =
 
 (* ---- line protocol -------------------------------------------------- *)
 
+(* Plain decimal digits only, as a script's JSON integers are:
+   [int_of_string] alone would also take "0x5", "1_0" and "-3". *)
+let decimal cmd field what s =
+  match int_of_string_opt s with
+  | Some x when String.for_all (fun c -> c >= '0' && c <= '9') s -> x
+  | _ -> invalid "serve: %s: %s must be a decimal %s >= 0, got %S" cmd field what s
+
 let of_line line =
   let words =
     String.split_on_char ' ' (String.trim line) |> List.filter (fun w -> w <> "")
   in
-  let peer what s =
-    match int_of_string_opt s with
-    | Some p -> p
-    | None -> invalid "serve: %s wants an integer peer id, got %S" what s
-  in
+  let peer cmd s = decimal cmd "peer" "id" s in
   match words with
   | [ "announce"; p; sid ] -> Announce { peer = peer "announce" p; swarm = sid; want = 0 }
   | [ "announce"; p; sid; w ] ->
-      Announce { peer = peer "announce" p; swarm = sid; want = peer "announce want" w }
+      Announce { peer = peer "announce" p; swarm = sid; want = decimal "announce" "want" "count" w }
   | [ "join"; p; sid ] -> Join { peer = peer "join" p; swarm = sid }
   | [ "leave"; p; sid ] -> Leave { peer = peer "leave" p; swarm = sid }
   | [ "scrape"; sid ] -> Scrape { swarm = sid }

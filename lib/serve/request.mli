@@ -86,5 +86,7 @@ val load : string -> script
 val of_line : string -> kind
 (** Parse one stdio-frontend command:
     ["announce <peer> <swarm> [want]"], ["join <peer> <swarm>"],
-    ["leave <peer> <swarm>"], ["scrape <swarm>"] or ["stats"].
-    Raises [Invalid_argument] naming the offending line otherwise. *)
+    ["leave <peer> <swarm>"], ["scrape <swarm>"] or ["stats"].  A peer
+    id and a want are plain decimal digits, as in a script: ["0x5"],
+    ["1_0"] and ["-3"] are refused.  Raises [Invalid_argument] naming
+    the offending command or field otherwise. *)

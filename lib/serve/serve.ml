@@ -20,12 +20,12 @@ type swarm_state = {
          replays create from here to regenerate the knowledge graph and
          piece fields bit-for-bit, then overwrites the mutable state *)
   members : int array;  (* slot -> peer id, -1 = free *)
-  slot_of : (int, int) Hashtbl.t;
   mutable member_count : int;
   (* Derived membership index (rebuilt from [members] on restore, never
-     serialized): the occupied slots in ascending order, first
-     [member_count] entries live; and per slot, the stamp of the last
-     announce that listed its occupant. *)
+     serialized): per population id, its slot or -1; the occupied slots
+     in ascending order, first [member_count] entries live; and per
+     slot, the stamp of the last announce that listed its occupant. *)
+  slot_of : int array;
   occupied : int array;
   picked : int array;
   mutable stamp : int;
@@ -51,6 +51,9 @@ type t = {
   mutable departures : int;
   mutable checksum : int;
   mutable requests_handled : int;
+  (* the response being written: [out_len] bytes of [out] *)
+  mutable out : Bytes.t;
+  mutable out_len : int;
 }
 
 let script t = t.scr
@@ -62,31 +65,76 @@ let requests_handled t = t.requests_handled
 let oracle t = t.oracle
 
 (* ------------------------------------------------------------------ *)
-(* Response checksum: FNV-1a over response bytes, newline-separated.   *)
+(* The response writer.  Every handler appends its reply to one reused *)
+(* buffer, so a request allocates only the string [handle] returns.    *)
 
+let reserve t k =
+  let need = t.out_len + k in
+  if need > Bytes.length t.out then begin
+    let cap = ref (2 * Bytes.length t.out) in
+    while !cap < need do
+      cap := 2 * !cap
+    done;
+    let grown = Bytes.create !cap in
+    Bytes.blit t.out 0 grown 0 t.out_len;
+    t.out <- grown
+  end
+
+let add_char t c =
+  reserve t 1;
+  Bytes.unsafe_set t.out t.out_len c;
+  t.out_len <- t.out_len + 1
+
+let add_string t s =
+  let k = String.length s in
+  reserve t k;
+  Bytes.unsafe_blit_string s 0 t.out t.out_len k;
+  t.out_len <- t.out_len + k
+
+(* The digits [string_of_int] writes for [x >= 0]; every int a reply
+   carries (ids, slots, counts) is one. *)
+let add_int t (x : int) =
+  let digits = ref 1 and rest = ref (x / 10) in
+  while !rest > 0 do
+    incr digits;
+    rest := !rest / 10
+  done;
+  reserve t !digits;
+  let v = ref x in
+  for i = t.out_len + !digits - 1 downto t.out_len do
+    Bytes.unsafe_set t.out i (Char.unsafe_chr (Char.code '0' + (!v mod 10)));
+    v := !v / 10
+  done;
+  t.out_len <- t.out_len + !digits
+
+(* " x", the way a reply lists an id *)
+let add_id t x =
+  add_char t ' ';
+  add_int t x
+
+(* Response checksum: FNV-1a over response bytes, newline-separated. *)
 let fnv_offset = 0x811C9DC5
 let fnv_prime = 0x01000193
 
-let fold_checksum t s =
+let fold_checksum t =
   let cs = ref t.checksum in
-  for i = 0 to String.length s - 1 do
-    cs := ((!cs lxor Char.code s.[i]) * fnv_prime) land max_int
+  for i = 0 to t.out_len - 1 do
+    cs := ((!cs lxor Char.code (Bytes.unsafe_get t.out i)) * fnv_prime) land max_int
   done;
   t.checksum <- ((!cs lxor 0x0a) * fnv_prime) land max_int
 
 (* ------------------------------------------------------------------ *)
 (* Directory plumbing.                                                 *)
 
-let find_swarm t sid =
-  let rec go = function
-    | [] ->
-        invalid_arg
-          (Printf.sprintf "Serve: unknown swarm %S (known:%s)" sid
-             (String.concat ""
-                (List.map (fun ss -> " " ^ ss.sspec.Request.sid) t.swarms)))
-    | ss :: rest -> if String.equal ss.sspec.Request.sid sid then ss else go rest
-  in
-  go t.swarms
+(* Module-level so the walk builds no closure per request (DESIGN.md §13). *)
+let rec find_swarm_in t sid = function
+  | [] ->
+      invalid_arg
+        (Printf.sprintf "Serve: unknown swarm %S (known:%s)" sid
+           (String.concat "" (List.map (fun ss -> " " ^ ss.sspec.Request.sid) t.swarms)))
+  | ss :: rest -> if String.equal ss.sspec.Request.sid sid then ss else find_swarm_in t sid rest
+
+let find_swarm t sid = find_swarm_in t sid t.swarms
 
 let check_peer t peer =
   let n = t.scr.Request.world.Request.n in
@@ -94,41 +142,56 @@ let check_peer t peer =
     invalid_arg
       (Printf.sprintf "Serve: peer %d outside the population [0, %d)" peer n)
 
-(* Binary search over the live prefix of [occupied]: the first index
-   where [past], a predicate monotone in the index, holds (or
-   [member_count]). *)
-let first_index ss past =
+(* Two binary searches over the live prefix of [occupied], each written
+   out so that no predicate closure is built per request. *)
+
+(* The index of [slot] in [occupied], or where it would go. *)
+let rank ss slot =
   let lo = ref 0 and hi = ref ss.member_count in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if past mid then hi := mid else lo := mid + 1
+    if ss.occupied.(mid) >= slot then hi := mid else lo := mid + 1
   done;
   !lo
 
-let rank ss slot = first_index ss (fun i -> ss.occupied.(i) >= slot)
-
-(* The lowest free slot.  The occupied slots are distinct and sorted,
-   so [occupied.(i) >= i], with equality exactly below the first gap:
-   the first [i] with [occupied.(i) > i] (or [member_count]) is free. *)
+(* The lowest free slot, or -1 when the swarm is full.  The occupied
+   slots are distinct and sorted, so [occupied.(i) >= i], with equality
+   exactly below the first gap: the first [i] with [occupied.(i) > i]
+   (or [member_count]) is free. *)
 let free_slot ss =
-  if ss.member_count = Array.length ss.members then None
-  else Some (first_index ss (fun i -> ss.occupied.(i) > i))
+  if ss.member_count = Array.length ss.members then -1
+  else begin
+    let lo = ref 0 and hi = ref ss.member_count in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if ss.occupied.(mid) > mid then hi := mid else lo := mid + 1
+    done;
+    !lo
+  end
 
+(* The tail shifts are plain loops: [Array.blit] into an old (major
+   heap) array runs [caml_modify] on every element, even for ints. *)
 let take_slot ss peer slot =
   let pos = rank ss slot in
-  Array.blit ss.occupied pos ss.occupied (pos + 1) (ss.member_count - pos);
-  ss.occupied.(pos) <- slot;
+  let occupied = ss.occupied in
+  for i = ss.member_count downto pos + 1 do
+    occupied.(i) <- occupied.(i - 1)
+  done;
+  occupied.(pos) <- slot;
   ss.members.(slot) <- peer;
-  Hashtbl.replace ss.slot_of peer slot;
+  ss.slot_of.(peer) <- slot;
   ss.member_count <- ss.member_count + 1;
   Swarm.recycle_peer ss.swarm slot
 
 let release_slot ss peer slot =
   Swarm.recycle_peer ss.swarm slot;
   let pos = rank ss slot in
-  Array.blit ss.occupied (pos + 1) ss.occupied pos (ss.member_count - pos - 1);
+  let occupied = ss.occupied in
+  for i = pos to ss.member_count - 2 do
+    occupied.(i) <- occupied.(i + 1)
+  done;
   ss.members.(slot) <- -1;
-  Hashtbl.remove ss.slot_of peer;
+  ss.slot_of.(peer) <- -1;
   ss.member_count <- ss.member_count - 1
 
 (* Upload total over the occupied slots, summed in slot order. *)
@@ -149,9 +212,8 @@ let depart t v =
   t.departures <- t.departures + 1;
   List.iter
     (fun ss ->
-      match Hashtbl.find_opt ss.slot_of v with
-      | Some slot -> release_slot ss v slot
-      | None -> ())
+      let slot = ss.slot_of.(v) in
+      if slot >= 0 then release_slot ss v slot)
     t.swarms
 
 let arrive t v =
@@ -185,125 +247,162 @@ let ensure_online t peer =
 
 (* ------------------------------------------------------------------ *)
 (* Request handlers.  Reference errors (unknown swarm, peer out of     *)
-(* range) raise; state-dependent refusals answer "ERR ..." so the      *)
-(* service keeps running — a tracker does not die because a peer       *)
-(* joined twice.                                                       *)
+(* range) raise before anything is written; state-dependent refusals   *)
+(* answer "ERR ..." so the service keeps running — a tracker does not  *)
+(* die because a peer joined twice.  Each handler writes its reply     *)
+(* into the response buffer.                                           *)
+
+(* List [slot]'s occupant unless this announce (stamped [stamp]) has
+   listed it already; 1 if listed now, else 0. *)
+let pick t ss stamp slot =
+  if ss.picked.(slot) = stamp then 0
+  else begin
+    ss.picked.(slot) <- stamp;
+    add_id t ss.members.(slot);
+    1
+  end
 
 let do_announce t peer sid want =
   let ss = find_swarm t sid in
   check_peer t peer;
   ensure_online t peer;
   let own =
-    match Hashtbl.find_opt ss.slot_of peer with
-    | Some _ as seated -> seated
-    | None -> (
-        match free_slot ss with
-        | Some slot as free ->
-            take_slot ss peer slot;
-            free
-        | None -> None)
+    let seated = ss.slot_of.(peer) in
+    if seated >= 0 then seated
+    else
+      let free = free_slot ss in
+      if free >= 0 then take_slot ss peer free;
+      free
   in
-  match own with
-  | None -> Printf.sprintf "ERR announce %s full" sid
-  | Some own ->
-      let want = max 0 (min want (ss.member_count - 1)) in
-      let buf = Buffer.create 256 in
-      Buffer.add_string buf "OK announce ";
-      Buffer.add_string buf sid;
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (string_of_int peer);
-      Buffer.add_string buf " peers";
-      (* a slot stamped with this announce is listed already; the
-         announcer's own slot starts stamped *)
-      ss.stamp <- ss.stamp + 1;
-      let stamp = ss.stamp in
-      ss.picked.(own) <- stamp;
-      let npicks = ref 0 in
-      let pick slot =
-        if ss.picked.(slot) <> stamp then begin
-          ss.picked.(slot) <- stamp;
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (string_of_int ss.members.(slot));
-          incr npicks
-        end
-      in
-      (* stable-configuration mates first: the tracker answer *is* the
-         paper's stratified matching, restricted to this swarm *)
-      List.iter
-        (fun q ->
-          if !npicks < want then
-            match Hashtbl.find_opt ss.slot_of q with
-            | Some slot -> pick slot
-            | None -> ())
-        (Config.mates (Churn.world_stable t.oracle) peer);
-      (* pad with uniform member draws; bounded attempts keep a
-         near-degenerate membership from spinning *)
-      let attempts = ref 0 in
-      let max_attempts = (4 * want) + 8 in
-      while !npicks < want && !attempts < max_attempts do
-        incr attempts;
-        pick ss.occupied.(Rng.int t.req_rng ss.member_count)
-      done;
-      Buffer.contents buf
+  if own < 0 then begin
+    add_string t "ERR announce ";
+    add_string t sid;
+    add_string t " full"
+  end
+  else begin
+    let want = Int.max 0 (Int.min want (ss.member_count - 1)) in
+    add_string t "OK announce ";
+    add_string t sid;
+    add_id t peer;
+    add_string t " peers";
+    (* a slot stamped with this announce is listed already; the
+       announcer's own slot starts stamped *)
+    ss.stamp <- ss.stamp + 1;
+    let stamp = ss.stamp in
+    ss.picked.(own) <- stamp;
+    let npicks = ref 0 in
+    (* stable-configuration mates first, best-ranked first: the tracker
+       answer *is* the paper's stratified matching, restricted to this
+       swarm *)
+    let stable = Churn.world_stable t.oracle in
+    let degree = Config.degree stable peer in
+    let i = ref 0 in
+    while !npicks < want && !i < degree do
+      let slot = ss.slot_of.(Config.mate_at stable peer !i) in
+      if slot >= 0 then npicks := !npicks + pick t ss stamp slot;
+      incr i
+    done;
+    (* pad with uniform member draws; bounded attempts keep a
+       near-degenerate membership from spinning *)
+    let attempts = ref 0 in
+    let max_attempts = (4 * want) + 8 in
+    while !npicks < want && !attempts < max_attempts do
+      incr attempts;
+      npicks := !npicks + pick t ss stamp ss.occupied.(Rng.int t.req_rng ss.member_count)
+    done
+  end
 
 let do_join t peer sid =
   let ss = find_swarm t sid in
   check_peer t peer;
-  if Hashtbl.mem ss.slot_of peer then
-    Printf.sprintf "ERR join %s %d already-member" sid peer
+  if ss.slot_of.(peer) >= 0 then begin
+    add_string t "ERR join ";
+    add_string t sid;
+    add_id t peer;
+    add_string t " already-member"
+  end
   else
-    match free_slot ss with
-    | None -> Printf.sprintf "ERR join %s full" sid
-    | Some slot ->
-        ensure_online t peer;
-        take_slot ss peer slot;
-        Printf.sprintf "OK join %s %d slot %d" sid peer slot
+    let free = free_slot ss in
+    if free < 0 then begin
+      add_string t "ERR join ";
+      add_string t sid;
+      add_string t " full"
+    end
+    else begin
+      ensure_online t peer;
+      take_slot ss peer free;
+      add_string t "OK join ";
+      add_string t sid;
+      add_id t peer;
+      add_string t " slot ";
+      add_int t free
+    end
 
 let do_leave t peer sid =
   let ss = find_swarm t sid in
   check_peer t peer;
-  match Hashtbl.find_opt ss.slot_of peer with
-  | None -> Printf.sprintf "ERR leave %s %d not-a-member" sid peer
-  | Some slot ->
-      release_slot ss peer slot;
-      Printf.sprintf "OK leave %s %d" sid peer
+  let slot = ss.slot_of.(peer) in
+  if slot < 0 then begin
+    add_string t "ERR leave ";
+    add_string t sid;
+    add_id t peer;
+    add_string t " not-a-member"
+  end
+  else begin
+    release_slot ss peer slot;
+    add_string t "OK leave ";
+    add_string t sid;
+    add_id t peer
+  end
 
 let do_scrape t sid =
   let ss = find_swarm t sid in
-  Printf.sprintf "OK scrape %s members %d complete %d drops %d uploaded %.3f"
-    sid ss.member_count
-    (Swarm.completed ss.swarm)
-    (Swarm.link_drops ss.swarm)
-    (members_uploaded ss)
+  add_string t "OK scrape ";
+  add_string t sid;
+  add_string t " members ";
+  add_int t ss.member_count;
+  add_string t " complete ";
+  add_int t (Swarm.completed ss.swarm);
+  add_string t " drops ";
+  add_int t (Swarm.link_drops ss.swarm);
+  add_string t " uploaded ";
+  add_string t (Printf.sprintf "%.3f" (members_uploaded ss))
 
 let do_stats t =
-  Printf.sprintf "OK stats now %g ticks %d present %d stable_edges %d handled %d"
-    (Engine.now t.engine) t.ticks t.present_count
-    (Config.edge_count (Churn.world_stable t.oracle))
-    t.requests_handled
+  add_string t "OK stats now ";
+  add_string t (Printf.sprintf "%g" (Engine.now t.engine));
+  add_string t " ticks ";
+  add_int t t.ticks;
+  add_string t " present ";
+  add_int t t.present_count;
+  add_string t " stable_edges ";
+  add_int t (Config.edge_count (Churn.world_stable t.oracle));
+  add_string t " handled ";
+  add_int t t.requests_handled
 
+(* A kind's tally moves with [requests_handled], after its handler
+   returns: a request that raised was not handled. *)
 let handle t kind =
-  let resp =
-    match kind with
-    | Request.Announce { peer; swarm; want } ->
-        t.announces <- t.announces + 1;
-        do_announce t peer swarm want
-    | Request.Join { peer; swarm } ->
-        t.joins <- t.joins + 1;
-        do_join t peer swarm
-    | Request.Leave { peer; swarm } ->
-        t.leaves <- t.leaves + 1;
-        do_leave t peer swarm
-    | Request.Scrape { swarm } ->
-        t.scrapes <- t.scrapes + 1;
-        do_scrape t swarm
-    | Request.Stats ->
-        t.stats_reqs <- t.stats_reqs + 1;
-        do_stats t
-  in
+  t.out_len <- 0;
+  (match kind with
+  | Request.Announce { peer; swarm; want } ->
+      do_announce t peer swarm want;
+      t.announces <- t.announces + 1
+  | Request.Join { peer; swarm } ->
+      do_join t peer swarm;
+      t.joins <- t.joins + 1
+  | Request.Leave { peer; swarm } ->
+      do_leave t peer swarm;
+      t.leaves <- t.leaves + 1
+  | Request.Scrape { swarm } ->
+      do_scrape t swarm;
+      t.scrapes <- t.scrapes + 1
+  | Request.Stats ->
+      do_stats t;
+      t.stats_reqs <- t.stats_reqs + 1);
   t.requests_handled <- t.requests_handled + 1;
-  fold_checksum t resp;
-  resp
+  fold_checksum t;
+  Bytes.sub_string t.out 0 t.out_len
 
 (* ------------------------------------------------------------------ *)
 (* The event loop: one self-rescheduling packed tick plus one packed   *)
@@ -378,15 +477,16 @@ let swarm_params (sw : Request.swarm_spec) ~faults =
 let er_p (w : Request.world_spec) = w.d /. float_of_int (max 1 (w.n - 1))
 
 (* A swarm's directory over its slot -> peer array, with the derived
-   membership index built from it. *)
-let swarm_state sspec swarm ~faults ~created_rng members =
+   membership index built from it.  Every member must lie in [0, n);
+   a peer seated twice keeps its last slot. *)
+let swarm_state sspec swarm ~faults ~created_rng ~n members =
   let size = Array.length members in
-  let slot_of = Hashtbl.create 64 and occupied = Array.make size 0 in
+  let slot_of = Array.make n (-1) and occupied = Array.make size 0 in
   let count = ref 0 in
   Array.iteri
     (fun slot pid ->
       if pid >= 0 then begin
-        Hashtbl.replace slot_of pid slot;
+        slot_of.(pid) <- slot;
         occupied.(!count) <- slot;
         incr count
       end)
@@ -397,8 +497,8 @@ let swarm_state sspec swarm ~faults ~created_rng members =
     faults;
     created_rng;
     members;
-    slot_of;
     member_count = !count;
+    slot_of;
     occupied;
     picked = Array.make size 0;
     stamp = 0;
@@ -422,7 +522,7 @@ let create scr =
         let created_rng = Rng.state srng in
         let faults = make_faults ~seed:scr.Request.seed ~idx sw in
         let swarm = Swarm.create srng (swarm_params sw ~faults) in
-        swarm_state sw swarm ~faults ~created_rng (Array.make sw.size (-1)))
+        swarm_state sw swarm ~faults ~created_rng ~n:w.Request.n (Array.make sw.size (-1)))
       w.Request.swarms
   in
   let engine = Engine.create () in
@@ -447,6 +547,8 @@ let create scr =
       departures = 0;
       checksum = fnv_offset;
       requests_handled = 0;
+      out = Bytes.create 256;
+      out_len = 0;
     }
   in
   install_handler t;
@@ -808,17 +910,18 @@ let restore_swarm what ~n (sw : Request.swarm_spec) sj =
               Swarm.set_link_progress swarm ~sender:s ~receiver:r (Jsonx.get_float v))
       | _ -> parse_fail "%s: progress entry must be [sender, receiver, v]" what)
     (Jsonx.get_list (req what "progress" obj));
-  let ss = swarm_state sw swarm ~faults ~created_rng members in
   Array.iteri
     (fun slot pid ->
       if pid < -1 || pid >= n then
         restore_invalid "%s: slot %d holds peer %d, outside the population [0, %d)"
-          what slot pid n;
-      if pid >= 0 then
-        let last = Hashtbl.find ss.slot_of pid in
-        if last <> slot then
-          restore_invalid "%s: peer %d holds both slot %d and slot %d" what pid
-            slot last)
+          what slot pid n)
+    members;
+  let ss = swarm_state sw swarm ~faults ~created_rng ~n members in
+  Array.iteri
+    (fun slot pid ->
+      if pid >= 0 && ss.slot_of.(pid) <> slot then
+        restore_invalid "%s: peer %d holds both slot %d and slot %d" what pid slot
+          ss.slot_of.(pid))
     members;
   ss
 
@@ -902,6 +1005,8 @@ let restore j =
       departures = tally "departures";
       checksum = Jsonx.get_int (req what "checksum" top);
       requests_handled = tally "requests_handled";
+      out = Bytes.create 256;
+      out_len = 0;
     }
   in
   install_handler t;

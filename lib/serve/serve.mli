@@ -41,8 +41,8 @@ val ticks : t -> int
 (** World ticks completed so far. *)
 
 val checksum : t -> int
-(** FNV-style fold of every response string served so far — the
-    replay-equality fingerprint. *)
+(** FNV-1a fold of every response string served so far, each followed
+    by a newline — the replay-equality fingerprint. *)
 
 val requests_handled : t -> int
 
@@ -54,7 +54,12 @@ val handle : t -> Request.kind -> string
     such as joining a full swarm).  Referencing an unknown swarm id or
     a peer outside the population raises a named [Invalid_argument] —
     the contract the stdio frontend and the error-path tests lean on.
-    The response is folded into {!checksum}. *)
+    The response is folded into {!checksum}.  A request that raises is
+    not handled: it changes no state, and neither [requests_handled]
+    nor its kind's tally in the {!manifest} and {!snapshot} counts it.
+    The reply is written into a buffer the world reuses, so apart from
+    the float fields of scrape and stats replies the returned string is
+    the only value a request allocates. *)
 
 val run_to : t -> float -> unit
 (** Advance the world to an absolute simulated time (events at that

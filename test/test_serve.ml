@@ -127,6 +127,44 @@ let stop_resume_law (seed, cut) =
       uninterrupted resumed;
   true
 
+(* ---- the checksum is the fold of the returned replies --------------- *)
+
+(* Replaying a script request by request ([run_to] its stamp, then
+   [handle]) serves what [run_script] serves, and [Serve.checksum] is
+   FNV-1a over the returned strings, each followed by a newline.  The
+   service folds its reply buffer, not the string it hands out, so this
+   ties the two together. *)
+let fnv_replies replies =
+  List.fold_left
+    (fun cs reply ->
+      let cs = ref cs in
+      String.iter (fun c -> cs := ((!cs lxor Char.code c) * 0x01000193) land max_int) reply;
+      ((!cs lxor 0x0a) * 0x01000193) land max_int)
+    0x811C9DC5 replies
+
+let checksum_law (seed, _) =
+  let scr = mk_script seed in
+  let requests = Array.copy scr.Request.requests in
+  (* same-time requests fire in array order *)
+  Array.stable_sort (fun (a : Request.t) b -> Float.compare a.at b.at) requests;
+  let t = Serve.create { scr with Request.requests = [||] } in
+  let replies = ref [] in
+  Array.iter
+    (fun (r : Request.t) ->
+      Serve.run_to t r.at;
+      replies := Serve.handle t r.kind :: !replies)
+    requests;
+  let scripted =
+    let t = Serve.create scr in
+    Serve.run_script t;
+    Serve.checksum t
+  in
+  let folded = fnv_replies (List.rev !replies) in
+  if folded <> Serve.checksum t || folded <> scripted then
+    QCheck.Test.fail_reportf "replies fold to %d; replay checksum %d, scripted %d" folded
+      (Serve.checksum t) scripted;
+  true
+
 (* ---- scripted vs direct equivalence, double run -------------------- *)
 
 let test_double_run () =
@@ -258,6 +296,75 @@ let test_snapshot_pinned () =
     (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
     (Serve.snapshot_string t);
   Alcotest.(check int64) "FNV-64 of the t=20 snapshot" (-1939435093814881738L) !h
+
+(* ---- every reply kind, byte for byte --------------------------------- *)
+
+(* n = 1001, so ids of one to four digits (0, 9, 10, 99, 100, 999,
+   1000) appear in the replies.  Swarm "s" (4 slots) fills up and
+   refuses; in swarm "m", peer 0's stable mates 29 and 209 are seated,
+   so its announce lists them first, best-ranked first, then pads.
+   Peer 999 has no stable mate: its announce is all padding.  The
+   replies were recorded while each handler still formatted its own
+   string with Printf or a Buffer. *)
+let test_reply_bytes () =
+  let swarm sid size = { Request.sid; size; d = 2.; loss = 0.; partitions = []; piece = None } in
+  let t =
+    Serve.create
+      {
+        Request.name = "reply-bytes";
+        seed = 3;
+        world =
+          {
+            Request.n = 1001;
+            d = 12.;
+            b = 2;
+            churn_rate = 0.;
+            bands = 1;
+            swarms = [ swarm "s" 4; swarm "m" 6 ];
+          };
+        requests = [||];
+        horizon = 10.;
+      }
+  in
+  let stable = Stratify_core.Churn.world_stable (Serve.oracle t) in
+  Alcotest.(check (list int)) "peer 0's stable mates" [ 29; 209 ]
+    (Stratify_core.Config.mates stable 0);
+  Alcotest.(check (list int)) "peer 999's stable mates" [] (Stratify_core.Config.mates stable 999);
+  let join peer swarm = Request.Join { peer; swarm }
+  and leave peer swarm = Request.Leave { peer; swarm }
+  and announce peer swarm want = Request.Announce { peer; swarm; want } in
+  let expect =
+    List.iter (fun (kind, reply) -> Alcotest.(check string) reply reply (Serve.handle t kind))
+  in
+  expect
+    [
+      (join 0 "s", "OK join s 0 slot 0");
+      (join 9 "s", "OK join s 9 slot 1");
+      (join 9 "s", "ERR join s 9 already-member");
+      (join 10 "s", "OK join s 10 slot 2");
+      (join 1000 "s", "OK join s 1000 slot 3");
+      (join 99 "s", "ERR join s full");
+      (announce 100 "s" 5, "ERR announce s full");
+      (leave 9 "s", "OK leave s 9");
+      (leave 9 "s", "ERR leave s 9 not-a-member");
+      (announce 999 "s" 3, "OK announce s 999 peers 1000 10 0");
+      (join 209 "m", "OK join m 209 slot 0");
+      (join 99 "m", "OK join m 99 slot 1");
+      (join 29 "m", "OK join m 29 slot 2");
+      (join 100 "m", "OK join m 100 slot 3");
+      (announce 0 "m" 3, "OK announce m 0 peers 29 209 99");
+      (announce 1000 "m" 50, "OK announce m 1000 peers 0 99 29 100 209");
+      (Request.Scrape { swarm = "s" }, "OK scrape s members 4 complete 4 drops 0 uploaded 0.000");
+      (Request.Stats, "OK stats now 0 ticks 0 present 1001 stable_edges 936 handled 17");
+    ];
+  Serve.run_to t 3.;
+  expect
+    [
+      ( Request.Scrape { swarm = "m" },
+        "OK scrape m members 6 complete 6 drops 0 uploaded 25351.191" );
+      (Request.Stats, "OK stats now 3 ticks 3 present 1001 stable_edges 936 handled 19");
+    ];
+  Alcotest.(check int) "checksum" 1290784180688390296 (Serve.checksum t)
 
 (* ---- restore checks the membership and neighbour invariants --------- *)
 
@@ -428,16 +535,36 @@ let test_validate_errors () =
   expect_invalid "infinite horizon" "horizon must be finite" (fun () ->
       Request.validate { base with Request.horizon = infinity });
   expect_invalid "stdio syntax" "unknown command" (fun () ->
-      Request.of_line "shout 3 loud")
+      Request.of_line "shout 3 loud");
+  (* a stdio line takes the ids and counts a script would *)
+  expect_invalid "stdio negative want"
+    {|serve: announce: want must be a decimal count >= 0, got "-3"|} (fun () ->
+      Request.of_line "announce 5 alpha -3");
+  expect_invalid "stdio hex peer" {|serve: announce: peer must be a decimal id >= 0, got "0x5"|}
+    (fun () -> Request.of_line "announce 0x5 alpha 2");
+  expect_invalid "stdio underscore peer" {|serve: join: peer must be a decimal id >= 0, got "1_0"|}
+    (fun () -> Request.of_line "join 1_0 beta")
 
 (* ---- error paths: serve, engine, net (satellite sweep) -------------- *)
 
 let test_serve_errors () =
   let t = Serve.create (mk_script 3) in
+  ignore (Serve.handle t (Request.Announce { peer = 0; swarm = "s0"; want = 2 }));
+  ignore (Serve.handle t (Request.Scrape { swarm = "s0" }));
+  let counter name = List.assoc name (Serve.manifest ~git:"test" t).Manifest.counters in
+  let kinds = [ "serve.announces"; "serve.joins"; "serve.leaves"; "serve.scrapes"; "serve.stats" ] in
+  let before = List.map counter kinds in
   expect_invalid "unknown swarm" "Serve: unknown swarm \"zz\"" (fun () ->
       Serve.handle t (Request.Scrape { swarm = "zz" }));
   expect_invalid "peer range" "outside the population" (fun () ->
       Serve.handle t (Request.Join { peer = 10_000; swarm = "s0" }));
+  expect_invalid "announce to an unknown swarm" "Serve: unknown swarm \"zz\"" (fun () ->
+      Serve.handle t (Request.Announce { peer = 0; swarm = "zz"; want = 3 }));
+  (* a request that raised was not handled, so no tally counts it *)
+  Alcotest.(check (list int)) "per-kind tallies after the raising calls" before
+    (List.map counter kinds);
+  Alcotest.(check int) "per-kind tallies sum to serve.requests" (counter "serve.requests")
+    (List.fold_left (fun acc name -> acc + counter name) 0 kinds);
   Serve.run_to t 2.;
   expect_invalid "past run_to" "Engine.run_until" (fun () -> Serve.run_to t 1.)
 
@@ -500,10 +627,13 @@ let suite =
       seed_and_cut stop_resume_law;
     Helpers.qtest ~count:60 "serve: script JSON round-trips" seed_and_cut
       script_roundtrip_law;
+    Helpers.qtest ~count:30 "serve: checksum folds the returned replies" seed_and_cut
+      checksum_law;
     Alcotest.test_case "serve: double-run equality" `Quick test_double_run;
     Alcotest.test_case "serve: membership-heavy answers pinned" `Quick
       test_membership_pinned;
     Alcotest.test_case "serve: mid-run snapshot bytes pinned" `Quick test_snapshot_pinned;
+    Alcotest.test_case "serve: every reply kind pinned byte for byte" `Quick test_reply_bytes;
     Alcotest.test_case "serve: restore rejects broken invariants" `Quick
       test_restore_invariants;
     Alcotest.test_case "serve: unknown JSON keys rejected" `Quick
