@@ -41,80 +41,45 @@ let make ~matrix_seed ~cardinality cells = { matrix_seed; cardinality; cells = s
 
 (* ---- JSON ----------------------------------------------------------- *)
 
-let kind = "matrix-summary"
+open struct
+  open Stratify_obs.Codec
 
-let check_to_json (c : Plan.check) =
-  Jsonx.Obj
-    [ ("label", Jsonx.String c.Plan.label); ("ok", Jsonx.Bool c.Plan.ok);
-      ("detail", Jsonx.String c.Plan.detail) ]
+  let check =
+    obj
+      (record (fun label ok detail -> { Plan.label; ok; detail })
+      |+ req "label" string (fun (c : Plan.check) -> c.label)
+      |+ req "ok" bool (fun (c : Plan.check) -> c.ok)
+      |+ req "detail" string (fun (c : Plan.check) -> c.detail))
 
-let check_of_json j =
-  {
-    Plan.label = Jsonx.(get_string (member "label" j));
-    ok = (match Jsonx.member "ok" j with Jsonx.Bool b -> b | _ -> raise (Jsonx.Parse_error "check: ok must be a bool"));
-    detail = Jsonx.(get_string (member "detail" j));
-  }
+  let cell =
+    obj
+      (record (fun name seed axes passed checks metrics wall_ms ->
+           { name; seed; axes; passed; checks; metrics; wall_ms })
+      |+ req "name" string (fun c -> c.name)
+      |+ req "seed" int (fun c -> c.seed)
+      |+ req "axes" (assoc string) (fun c -> c.axes)
+      |+ req "passed" bool (fun c -> c.passed)
+      |+ req "checks" (list check) (fun c -> c.checks)
+      |+ req "metrics" (assoc float) (fun c -> c.metrics)
+      |+ req "wall_ms" float (fun c -> c.wall_ms))
 
-let cell_to_json c =
-  Jsonx.Obj
-    [
-      ("name", Jsonx.String c.name);
-      ("seed", Jsonx.Int c.seed);
-      ("axes", Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.String v)) c.axes));
-      ("passed", Jsonx.Bool c.passed);
-      ("checks", Jsonx.List (List.map check_to_json c.checks));
-      ("metrics", Jsonx.Obj (List.map (fun (k, v) -> (k, Jsonx.Float v)) c.metrics));
-      ("wall_ms", Jsonx.Float c.wall_ms);
-    ]
+  let summary =
+    obj
+      (record (fun () matrix_seed cardinality cells -> { matrix_seed; cardinality; cells })
+      |+ req "kind" (literal string "matrix-summary") ignore
+      |+ req "matrix_seed" int (fun s -> s.matrix_seed)
+      |+ req "cardinality" int (fun s -> s.cardinality)
+      |+ req "cells" (conv ~dec:sort_cells ~enc:Fun.id (list cell)) (fun s -> s.cells))
+end
 
-let cell_of_json j =
-  {
-    name = Jsonx.(get_string (member "name" j));
-    seed = Jsonx.(get_int (member "seed" j));
-    axes = List.map (fun (k, v) -> (k, Jsonx.get_string v)) Jsonx.(get_obj (member "axes" j));
-    passed =
-      (match Jsonx.member "passed" j with
-      | Jsonx.Bool b -> b
-      | _ -> raise (Jsonx.Parse_error "cell: passed must be a bool"));
-    checks = List.map check_of_json Jsonx.(get_list (member "checks" j));
-    metrics = List.map (fun (k, v) -> (k, Jsonx.get_float v)) Jsonx.(get_obj (member "metrics" j));
-    wall_ms = Jsonx.(get_float (member "wall_ms" j));
-  }
-
-let to_json s =
-  Jsonx.Obj
-    [
-      ("kind", Jsonx.String kind);
-      ("matrix_seed", Jsonx.Int s.matrix_seed);
-      ("cardinality", Jsonx.Int s.cardinality);
-      ("cells", Jsonx.List (List.map cell_to_json s.cells));
-    ]
-
-let of_json j =
-  let k = Jsonx.(get_string (member "kind" j)) in
-  if k <> kind then
-    raise (Jsonx.Parse_error (Printf.sprintf "summary: kind %S, expected %S" k kind));
-  {
-    matrix_seed = Jsonx.(get_int (member "matrix_seed" j));
-    cardinality = Jsonx.(get_int (member "cardinality" j));
-    cells = sort_cells (List.map cell_of_json Jsonx.(get_list (member "cells" j)));
-  }
-
-let read path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> of_json (Jsonx.of_string (really_input_string ic (in_channel_length ic))))
+let to_json = summary.enc
+let of_json = Stratify_obs.Codec.decode ~what:"matrix summary" summary
+let read path = of_json (Jsonx.of_string (In_channel.with_open_bin path In_channel.input_all))
 
 let write path s =
   let dir = Filename.dirname path in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Jsonx.to_string (to_json s));
-      output_char oc '\n')
+  Out_channel.with_open_bin path (fun oc -> output_string oc (Jsonx.to_string (to_json s) ^ "\n"))
 
 (* ---- shard merging --------------------------------------------------- *)
 

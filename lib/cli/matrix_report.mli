@@ -39,7 +39,7 @@ val make : matrix_seed:int -> cardinality:int -> cell_result list -> summary
 val to_json : summary -> Jsonx.t
 val of_json : Jsonx.t -> summary
 (** Raises {!Jsonx.Parse_error} on schema mismatch (wrong ["kind"],
-    missing fields). *)
+    missing or unknown fields). *)
 
 val read : string -> summary
 val write : string -> summary -> unit

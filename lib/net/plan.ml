@@ -67,137 +67,6 @@ type t = {
 
 (* ---- JSON ---------------------------------------------------------- *)
 
-let parse_fail fmt = Printf.ksprintf (fun s -> raise (Jsonx.Parse_error s)) fmt
-
-let req name j =
-  match Jsonx.member name j with
-  | Jsonx.Null -> parse_fail "plan: missing field %S" name
-  | v -> v
-
-let opt_float name ~default j =
-  match Jsonx.member name j with Jsonx.Null -> default | v -> Jsonx.get_float v
-
-let opt_int name ~default j =
-  match Jsonx.member name j with Jsonx.Null -> default | v -> Jsonx.get_int v
-
-let latency_of_json j =
-  match Jsonx.get_string (req "kind" j) with
-  | "constant" -> Constant (Jsonx.get_float (req "value" j))
-  | "jitter" ->
-      Jitter { base = Jsonx.get_float (req "base" j); spread = Jsonx.get_float (req "spread" j) }
-  | "lognormal" ->
-      Log_normal { mu = Jsonx.get_float (req "mu" j); sigma = Jsonx.get_float (req "sigma" j) }
-  | k -> parse_fail "plan: unknown latency kind %S" k
-
-let loss_of_json j =
-  match Jsonx.get_string (req "kind" j) with
-  | "none" -> No_loss
-  | "iid" -> Iid (Jsonx.get_float (req "p" j))
-  | "burst" ->
-      Burst
-        {
-          p_gb = Jsonx.get_float (req "p_gb" j);
-          p_bg = Jsonx.get_float (req "p_bg" j);
-          loss_good = opt_float "loss_good" ~default:0. j;
-          loss_bad = Jsonx.get_float (req "loss_bad" j);
-        }
-  | k -> parse_fail "plan: unknown loss kind %S" k
-
-let default_net =
-  { latency = Constant 0.05; loss = No_loss; duplicate = 0.; reorder = 0.; reorder_spread = 0. }
-
-let net_of_json j =
-  match j with
-  | Jsonx.Null -> default_net
-  | _ ->
-      {
-        latency =
-          (match Jsonx.member "latency" j with
-          | Jsonx.Null -> default_net.latency
-          | l -> latency_of_json l);
-        loss =
-          (match Jsonx.member "loss" j with Jsonx.Null -> No_loss | l -> loss_of_json l);
-        duplicate = opt_float "duplicate" ~default:0. j;
-        reorder = opt_float "reorder" ~default:0. j;
-        reorder_spread = opt_float "reorder_spread" ~default:0. j;
-      }
-
-let groups_of_json = function
-  | Jsonx.String "halves" -> Halves
-  | Jsonx.String "heal" -> Heal
-  | Jsonx.List l -> Groups (Array.of_list (List.map Jsonx.get_int l))
-  | Jsonx.String s -> parse_fail "plan: unknown groups %S (want \"halves\", \"heal\" or a list)" s
-  | _ -> parse_fail "plan: groups must be \"halves\", \"heal\" or a list of ints"
-
-let partition_of_json j =
-  { at = Jsonx.get_float (req "at" j); groups = groups_of_json (req "groups" j) }
-
-let backend_of_json j =
-  match Jsonx.member "backend" j with
-  | Jsonx.Null -> Dense
-  | v -> (
-      match Jsonx.get_string v with
-      | "dense" -> Dense
-      | "complete" -> Complete
-      | "complete_minus" -> Complete_minus { removed = opt_int "removed" ~default:0 j }
-      | k -> parse_fail "plan: unknown backend %S (want dense/complete/complete_minus)" k)
-
-let scheduler_of_json j =
-  match Jsonx.member "scheduler" j with
-  | Jsonx.Null -> Scheduler.Random_poll
-  | v -> (
-      let s = Jsonx.get_string v in
-      match Scheduler.policy_of_string s with
-      | Some p -> p
-      | None -> parse_fail "plan: unknown scheduler %S (want random/worklist)" s)
-
-let workload_of_json j =
-  match Jsonx.get_string (req "kind" j) with
-  | "async" ->
-      Async
-        {
-          n = Jsonx.get_int (req "n" j);
-          d = opt_float "d" ~default:10. j;
-          b = opt_int "b" ~default:1 j;
-          horizon = opt_float "horizon" ~default:100. j;
-          initiative_rate = opt_float "initiative_rate" ~default:1. j;
-          backend = backend_of_json j;
-          scheduler = scheduler_of_json j;
-        }
-  | "swarm" ->
-      Swarm
-        {
-          n = Jsonx.get_int (req "n" j);
-          d = opt_float "d" ~default:20. j;
-          ticks = opt_int "ticks" ~default:2000 j;
-          warmup = opt_int "warmup" ~default:500 j;
-        }
-  | "edonkey" ->
-      Edonkey
-        {
-          n = Jsonx.get_int (req "n" j);
-          d = opt_float "d" ~default:20. j;
-          slots = opt_int "slots" ~default:4 j;
-          ticks = opt_int "ticks" ~default:2000 j;
-          warmup = opt_int "warmup" ~default:500 j;
-        }
-  | k -> parse_fail "plan: unknown workload kind %S" k
-
-let assertion_of_json j =
-  match Jsonx.get_string (req "kind" j) with
-  | "drained" -> Drained
-  | "final_disorder_below" -> Final_disorder_below (Jsonx.get_float (req "value" j))
-  | "inconsistency_below" -> Inconsistency_below (Jsonx.get_int (req "value" j))
-  | "converged_by" ->
-      Converged_by
-        {
-          deadline = Jsonx.get_float (req "deadline" j);
-          disorder_below = Jsonx.get_float (req "disorder_below" j);
-        }
-  | "stratification_within" -> Stratification_within (Jsonx.get_float (req "tolerance" j))
-  | "scheduler_fixed_point" -> Scheduler_fixed_point
-  | k -> parse_fail "plan: unknown assertion kind %S" k
-
 let validate t =
   let async_only what =
     match t.workload with
@@ -263,147 +132,193 @@ let validate t =
     t.partitions;
   t
 
-(* Reject unknown top-level fields instead of silently ignoring them: a
-   typo'd field ("asserts", "partiton") would otherwise make the plan
-   assert nothing and "pass" vacuously. *)
-let known_fields = [ "name"; "seed"; "workload"; "net"; "partitions"; "assertions" ]
+open struct
+  open Stratify_obs.Codec
 
-let check_no_unknown_fields j =
-  match j with
-  | Jsonx.Obj members ->
-      List.iter
-        (fun (key, _) ->
-          if not (List.mem key known_fields) then
-            parse_fail "plan: unknown field %S (expected one of %s)" key
-              (String.concat "/" known_fields))
-        members
-  | _ -> parse_fail "plan: expected a JSON object"
+  let latency =
+    variant "kind"
+      [
+        case "constant"
+          (record Fun.id |+ req "value" float Fun.id)
+          (fun v -> Constant v)
+          (function Constant v -> Some v | _ -> None);
+        case "jitter"
+          (record (fun base spread -> (base, spread))
+          |+ req "base" float fst
+          |+ req "spread" float snd)
+          (fun (base, spread) -> Jitter { base; spread })
+          (function Jitter { base; spread } -> Some (base, spread) | _ -> None);
+        case "lognormal"
+          (record (fun mu sigma -> (mu, sigma))
+          |+ req "mu" float fst
+          |+ req "sigma" float snd)
+          (fun (mu, sigma) -> Log_normal { mu; sigma })
+          (function Log_normal { mu; sigma } -> Some (mu, sigma) | _ -> None);
+      ]
 
-let of_json j =
-  check_no_unknown_fields j;
-  validate
+  let loss =
+    variant "kind"
+      [
+        case0 "none" No_loss;
+        case "iid"
+          (record Fun.id |+ req "p" float Fun.id)
+          (fun p -> Iid p)
+          (function Iid p -> Some p | _ -> None);
+        case "burst"
+          (record (fun p_gb p_bg loss_good loss_bad -> (p_gb, p_bg, loss_good, loss_bad))
+          |+ req "p_gb" float (fun (x, _, _, _) -> x)
+          |+ req "p_bg" float (fun (_, x, _, _) -> x)
+          |+ opt "loss_good" float ~default:0. (fun (_, _, x, _) -> x)
+          |+ req "loss_bad" float (fun (_, _, _, x) -> x))
+          (fun (p_gb, p_bg, loss_good, loss_bad) ->
+            Burst { p_gb; p_bg; loss_good; loss_bad })
+          (function
+            | Burst { p_gb; p_bg; loss_good; loss_bad } ->
+                Some (p_gb, p_bg, loss_good, loss_bad)
+            | _ -> None);
+      ]
+
+  let default_net =
+    { latency = Constant 0.05; loss = No_loss; duplicate = 0.; reorder = 0.;
+      reorder_spread = 0. }
+
+  let net =
+    obj
+      (record (fun latency loss duplicate reorder reorder_spread ->
+           { latency; loss; duplicate; reorder; reorder_spread })
+      |+ opt "latency" latency ~default:default_net.latency (fun n -> n.latency)
+      |+ opt "loss" loss ~default:No_loss (fun n -> n.loss)
+      |+ opt "duplicate" float ~default:0. (fun n -> n.duplicate)
+      |+ opt "reorder" float ~default:0. (fun n -> n.reorder)
+      |+ opt "reorder_spread" float ~default:0. (fun n -> n.reorder_spread))
+
+  (* "halves", "heal" or one group label per peer *)
+  let groups =
+    let labels = array int in
     {
-      name = Jsonx.get_string (req "name" j);
-      seed = opt_int "seed" ~default:42 j;
-      workload = workload_of_json (req "workload" j);
-      net = net_of_json (Jsonx.member "net" j);
-      partitions =
-        (match Jsonx.member "partitions" j with
-        | Jsonx.Null -> []
-        | l -> List.map partition_of_json (Jsonx.get_list l));
-      assertions = List.map assertion_of_json (Jsonx.get_list (req "assertions" j));
+      enc =
+        (function
+        | Halves -> Jsonx.String "halves"
+        | Heal -> Jsonx.String "heal"
+        | Groups g -> labels.enc g);
+      dec =
+        (function
+        | Jsonx.String "halves" -> Halves
+        | Jsonx.String "heal" -> Heal
+        | Jsonx.String s -> fail (Printf.sprintf "unknown groups %S (want halves or heal)" s)
+        | j -> Groups (labels.dec j));
     }
 
-let latency_to_json = function
-  | Constant v -> Jsonx.Obj [ ("kind", Jsonx.String "constant"); ("value", Jsonx.Float v) ]
-  | Jitter { base; spread } ->
-      Jsonx.Obj
-        [ ("kind", Jsonx.String "jitter"); ("base", Jsonx.Float base); ("spread", Jsonx.Float spread) ]
-  | Log_normal { mu; sigma } ->
-      Jsonx.Obj
-        [ ("kind", Jsonx.String "lognormal"); ("mu", Jsonx.Float mu); ("sigma", Jsonx.Float sigma) ]
+  let partition =
+    obj
+      (record (fun at groups -> { at; groups })
+      |+ req "at" float (fun p -> p.at)
+      |+ req "groups" groups (fun p -> p.groups))
 
-let loss_to_json = function
-  | No_loss -> Jsonx.Obj [ ("kind", Jsonx.String "none") ]
-  | Iid p -> Jsonx.Obj [ ("kind", Jsonx.String "iid"); ("p", Jsonx.Float p) ]
-  | Burst { p_gb; p_bg; loss_good; loss_bad } ->
-      Jsonx.Obj
-        [
-          ("kind", Jsonx.String "burst");
-          ("p_gb", Jsonx.Float p_gb);
-          ("p_bg", Jsonx.Float p_bg);
-          ("loss_good", Jsonx.Float loss_good);
-          ("loss_bad", Jsonx.Float loss_bad);
-        ]
+  let backend =
+    union ~default:"dense" "backend"
+      [
+        case0 "dense" Dense;
+        case0 "complete" Complete;
+        case "complete_minus"
+          (record Fun.id |+ opt "removed" int ~default:0 Fun.id)
+          (fun removed -> Complete_minus { removed })
+          (function Complete_minus { removed } -> Some removed | _ -> None);
+      ]
 
-let groups_to_json = function
-  | Halves -> Jsonx.String "halves"
-  | Heal -> Jsonx.String "heal"
-  | Groups g -> Jsonx.List (Array.to_list (Array.map (fun x -> Jsonx.Int x) g))
+  let scheduler =
+    conv
+      ~dec:(fun s ->
+        match Scheduler.policy_of_string s with
+        | Some p -> p
+        | None -> fail (Printf.sprintf "unknown scheduler %S (want random/worklist)" s))
+      ~enc:Scheduler.policy_name string
 
-let workload_to_json = function
-  | Async { n; d; b; horizon; initiative_rate; backend; scheduler } ->
-      Jsonx.Obj
-        ([
-           ("kind", Jsonx.String "async");
-           ("n", Jsonx.Int n);
-           ("d", Jsonx.Float d);
-           ("b", Jsonx.Int b);
-           ("horizon", Jsonx.Float horizon);
-           ("initiative_rate", Jsonx.Float initiative_rate);
-         ]
-        @ (match backend with
-          | Dense -> [ ("backend", Jsonx.String "dense") ]
-          | Complete -> [ ("backend", Jsonx.String "complete") ]
-          | Complete_minus { removed } ->
-              [ ("backend", Jsonx.String "complete_minus"); ("removed", Jsonx.Int removed) ])
-        @ [ ("scheduler", Jsonx.String (Scheduler.policy_name scheduler)) ])
-  | Swarm { n; d; ticks; warmup } ->
-      Jsonx.Obj
-        [
-          ("kind", Jsonx.String "swarm");
-          ("n", Jsonx.Int n);
-          ("d", Jsonx.Float d);
-          ("ticks", Jsonx.Int ticks);
-          ("warmup", Jsonx.Int warmup);
-        ]
-  | Edonkey { n; d; slots; ticks; warmup } ->
-      Jsonx.Obj
-        [
-          ("kind", Jsonx.String "edonkey");
-          ("n", Jsonx.Int n);
-          ("d", Jsonx.Float d);
-          ("slots", Jsonx.Int slots);
-          ("ticks", Jsonx.Int ticks);
-          ("warmup", Jsonx.Int warmup);
-        ]
+  let workload =
+    variant "kind"
+      [
+        case "async"
+          (record (fun n d b horizon initiative_rate backend scheduler ->
+               (n, d, b, horizon, initiative_rate, backend, scheduler))
+          |+ req "n" int (fun (x, _, _, _, _, _, _) -> x)
+          |+ opt "d" float ~default:10. (fun (_, x, _, _, _, _, _) -> x)
+          |+ opt "b" int ~default:1 (fun (_, _, x, _, _, _, _) -> x)
+          |+ opt "horizon" float ~default:100. (fun (_, _, _, x, _, _, _) -> x)
+          |+ opt "initiative_rate" float ~default:1. (fun (_, _, _, _, x, _, _) -> x)
+          |+ backend (fun (_, _, _, _, _, x, _) -> x)
+          |+ opt "scheduler" scheduler ~default:Scheduler.Random_poll
+               (fun (_, _, _, _, _, _, x) -> x))
+          (fun (n, d, b, horizon, initiative_rate, backend, scheduler) ->
+            Async { n; d; b; horizon; initiative_rate; backend; scheduler })
+          (function
+            | Async { n; d; b; horizon; initiative_rate; backend; scheduler } ->
+                Some (n, d, b, horizon, initiative_rate, backend, scheduler)
+            | _ -> None);
+        case "swarm"
+          (record (fun n d ticks warmup -> (n, d, ticks, warmup))
+          |+ req "n" int (fun (x, _, _, _) -> x)
+          |+ opt "d" float ~default:20. (fun (_, x, _, _) -> x)
+          |+ opt "ticks" int ~default:2000 (fun (_, _, x, _) -> x)
+          |+ opt "warmup" int ~default:500 (fun (_, _, _, x) -> x))
+          (fun (n, d, ticks, warmup) -> Swarm { n; d; ticks; warmup })
+          (function
+            | Swarm { n; d; ticks; warmup } -> Some (n, d, ticks, warmup) | _ -> None);
+        case "edonkey"
+          (record (fun n d slots ticks warmup -> (n, d, slots, ticks, warmup))
+          |+ req "n" int (fun (x, _, _, _, _) -> x)
+          |+ opt "d" float ~default:20. (fun (_, x, _, _, _) -> x)
+          |+ opt "slots" int ~default:4 (fun (_, _, x, _, _) -> x)
+          |+ opt "ticks" int ~default:2000 (fun (_, _, _, x, _) -> x)
+          |+ opt "warmup" int ~default:500 (fun (_, _, _, _, x) -> x))
+          (fun (n, d, slots, ticks, warmup) -> Edonkey { n; d; slots; ticks; warmup })
+          (function
+            | Edonkey { n; d; slots; ticks; warmup } -> Some (n, d, slots, ticks, warmup)
+            | _ -> None);
+      ]
 
-let assertion_to_json = function
-  | Drained -> Jsonx.Obj [ ("kind", Jsonx.String "drained") ]
-  | Final_disorder_below v ->
-      Jsonx.Obj [ ("kind", Jsonx.String "final_disorder_below"); ("value", Jsonx.Float v) ]
-  | Inconsistency_below v ->
-      Jsonx.Obj [ ("kind", Jsonx.String "inconsistency_below"); ("value", Jsonx.Int v) ]
-  | Converged_by { deadline; disorder_below } ->
-      Jsonx.Obj
-        [
-          ("kind", Jsonx.String "converged_by");
-          ("deadline", Jsonx.Float deadline);
-          ("disorder_below", Jsonx.Float disorder_below);
-        ]
-  | Stratification_within tol ->
-      Jsonx.Obj [ ("kind", Jsonx.String "stratification_within"); ("tolerance", Jsonx.Float tol) ]
-  | Scheduler_fixed_point -> Jsonx.Obj [ ("kind", Jsonx.String "scheduler_fixed_point") ]
+  let assertion =
+    variant "kind"
+      [
+        case0 "drained" Drained;
+        case "final_disorder_below"
+          (record Fun.id |+ req "value" float Fun.id)
+          (fun v -> Final_disorder_below v)
+          (function Final_disorder_below v -> Some v | _ -> None);
+        case "inconsistency_below"
+          (record Fun.id |+ req "value" int Fun.id)
+          (fun v -> Inconsistency_below v)
+          (function Inconsistency_below v -> Some v | _ -> None);
+        case "converged_by"
+          (record (fun deadline disorder_below -> (deadline, disorder_below))
+          |+ req "deadline" float fst
+          |+ req "disorder_below" float snd)
+          (fun (deadline, disorder_below) -> Converged_by { deadline; disorder_below })
+          (function
+            | Converged_by { deadline; disorder_below } -> Some (deadline, disorder_below)
+            | _ -> None);
+        case "stratification_within"
+          (record Fun.id |+ req "tolerance" float Fun.id)
+          (fun tol -> Stratification_within tol)
+          (function Stratification_within tol -> Some tol | _ -> None);
+        case0 "scheduler_fixed_point" Scheduler_fixed_point;
+      ]
 
-let to_json t =
-  Jsonx.Obj
-    [
-      ("name", Jsonx.String t.name);
-      ("seed", Jsonx.Int t.seed);
-      ("workload", workload_to_json t.workload);
-      ( "net",
-        Jsonx.Obj
-          [
-            ("latency", latency_to_json t.net.latency);
-            ("loss", loss_to_json t.net.loss);
-            ("duplicate", Jsonx.Float t.net.duplicate);
-            ("reorder", Jsonx.Float t.net.reorder);
-            ("reorder_spread", Jsonx.Float t.net.reorder_spread);
-          ] );
-      ( "partitions",
-        Jsonx.List
-          (List.map
-             (fun p -> Jsonx.Obj [ ("at", Jsonx.Float p.at); ("groups", groups_to_json p.groups) ])
-             t.partitions) );
-      ("assertions", Jsonx.List (List.map assertion_to_json t.assertions));
-    ]
+  let plan =
+    conv ~dec:validate ~enc:Fun.id
+      (obj
+         (record (fun name seed workload net partitions assertions ->
+              { name; seed; workload; net; partitions; assertions })
+         |+ req "name" string (fun t -> t.name)
+         |+ opt "seed" int ~default:42 (fun t -> t.seed)
+         |+ req "workload" workload (fun t -> t.workload)
+         |+ opt "net" net ~default:default_net (fun t -> t.net)
+         |+ opt "partitions" (list partition) ~default:[] (fun t -> t.partitions)
+         |+ req "assertions" (list assertion) (fun t -> t.assertions)))
+end
 
-let load path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  of_json (Jsonx.of_string s)
+let of_json = Stratify_obs.Codec.decode ~what:"plan" plan
+let to_json = plan.enc
+let load path = of_json (Jsonx.of_string (In_channel.with_open_bin path In_channel.input_all))
 
 (* ---- execution ----------------------------------------------------- *)
 
@@ -570,9 +485,12 @@ let run_async plan ~n ~d ~b ~horizon ~initiative_rate ~backend ~scheduler =
   in
   (checks, [ ("final_disorder", final_disorder) ])
 
-let run_swarm plan ~n ~d ~ticks ~warmup =
-  (* A tick has no sub-tick timing, so a burst model collapses to its
-     stationary rate. *)
+(* The swarm and eDonkey workloads: tick-level link faults, and
+   stratification compared against a fault-free twin of the same seed.
+   [simulate rng ~uploads ~faults] runs the simulator and returns its
+   stratification and its own extra metrics.  A tick has no sub-tick
+   timing, so a burst loss model collapses to its stationary rate. *)
+let run_ticks plan ~runner ~n ~simulate =
   let loss = Net.stationary_loss (net_loss plan.net.loss) in
   let schedule =
     List.map
@@ -587,18 +505,13 @@ let run_swarm plan ~n ~d ~ticks ~warmup =
         Some (Net.Tick.create ~seed:plan.seed ~loss ~schedule ())
       else None
     in
-    let swarm = Swarm.create rng { (Swarm.default_params ~uploads) with Swarm.d; faults } in
-    Swarm.run swarm ~ticks:warmup;
-    Swarm.reset_counters swarm;
-    Swarm.run swarm ~ticks:(ticks - warmup);
-    swarm
+    simulate rng ~uploads ~faults
   in
-  let swarm = build ~faulty:true in
-  let strat = Bt_metrics.stratification_correlation swarm in
+  let strat, extra = build ~faulty:true in
   Counter.add c_strat_scaled (int_of_float ((strat +. 1.) *. 1e6));
   let baseline =
     if List.exists (function Stratification_within _ -> true | _ -> false) plan.assertions then
-      Some (Bt_metrics.stratification_correlation (build ~faulty:false))
+      Some (fst (build ~faulty:false))
     else None
   in
   let checks =
@@ -609,64 +522,12 @@ let run_swarm plan ~n ~d ~ticks ~warmup =
             pass_fail "stratification_within"
               (Float.abs (strat -. base) <= tol)
               (Printf.sprintf "stratification %.4f vs fault-free %.4f (tolerance %g)" strat base tol)
-        | a -> dispatch_fail plan ~runner:"swarm" a)
+        | a -> dispatch_fail plan ~runner a)
       plan.assertions
   in
   let metrics =
-    ("stratification", strat)
-    :: (match baseline with None -> [] | Some b -> [ ("baseline_stratification", b) ])
-  in
-  (checks, metrics)
-
-(* The eDonkey twin of [run_swarm]: same tick-level fault model, same
-   fault-free-twin stratification comparison, over the credit-queue
-   simulator instead of the TFT swarm. *)
-let run_edonkey plan ~n ~d ~slots ~ticks ~warmup =
-  let loss = Net.stationary_loss (net_loss plan.net.loss) in
-  let schedule =
-    List.map
-      (fun p -> { Net.Tick.at_tick = int_of_float p.at; groups = resolve_groups n p.groups })
-      plan.partitions
-  in
-  let build ~faulty =
-    let rng = Rng.create plan.seed in
-    let uploads = Profile.rank_bandwidths Saroiu.profile ~n in
-    let faults =
-      if faulty && (loss > 0. || schedule <> []) then
-        Some (Net.Tick.create ~seed:plan.seed ~loss ~schedule ())
-      else None
-    in
-    let sim =
-      Queue_sim.create rng { (Queue_sim.default_params ~uploads) with Queue_sim.d; slots; faults }
-    in
-    Queue_sim.run sim ~ticks:warmup;
-    Queue_sim.reset_counters sim;
-    Queue_sim.run sim ~ticks:(ticks - warmup);
-    sim
-  in
-  let sim = build ~faulty:true in
-  let strat = Queue_sim.stratification_correlation sim in
-  Counter.add c_strat_scaled (int_of_float ((strat +. 1.) *. 1e6));
-  let baseline =
-    if List.exists (function Stratification_within _ -> true | _ -> false) plan.assertions then
-      Some (Queue_sim.stratification_correlation (build ~faulty:false))
-    else None
-  in
-  let checks =
-    List.map
-      (function
-        | Stratification_within tol ->
-            let base = Option.get baseline in
-            pass_fail "stratification_within"
-              (Float.abs (strat -. base) <= tol)
-              (Printf.sprintf "stratification %.4f vs fault-free %.4f (tolerance %g)" strat base tol)
-        | a -> dispatch_fail plan ~runner:"edonkey" a)
-      plan.assertions
-  in
-  let metrics =
-    ("stratification", strat)
-    :: ("mean_wait", Queue_sim.mean_wait sim)
-    :: (match baseline with None -> [] | Some b -> [ ("baseline_stratification", b) ])
+    (("stratification", strat) :: extra)
+    @ match baseline with None -> [] | Some b -> [ ("baseline_stratification", b) ]
   in
   (checks, metrics)
 
@@ -674,8 +535,25 @@ let execute plan =
   match plan.workload with
   | Async { n; d; b; horizon; initiative_rate; backend; scheduler } ->
       run_async plan ~n ~d ~b ~horizon ~initiative_rate ~backend ~scheduler
-  | Swarm { n; d; ticks; warmup } -> run_swarm plan ~n ~d ~ticks ~warmup
-  | Edonkey { n; d; slots; ticks; warmup } -> run_edonkey plan ~n ~d ~slots ~ticks ~warmup
+  | Swarm { n; d; ticks; warmup } ->
+      run_ticks plan ~runner:"swarm" ~n ~simulate:(fun rng ~uploads ~faults ->
+          let params = { (Swarm.default_params ~uploads) with Swarm.d; faults } in
+          let swarm = Swarm.create rng params in
+          Swarm.run swarm ~ticks:warmup;
+          Swarm.reset_counters swarm;
+          Swarm.run swarm ~ticks:(ticks - warmup);
+          (Bt_metrics.stratification_correlation swarm, []))
+  | Edonkey { n; d; slots; ticks; warmup } ->
+      run_ticks plan ~runner:"edonkey" ~n ~simulate:(fun rng ~uploads ~faults ->
+          let params =
+            { (Queue_sim.default_params ~uploads) with Queue_sim.d; slots; faults }
+          in
+          let sim = Queue_sim.create rng params in
+          Queue_sim.run sim ~ticks:warmup;
+          Queue_sim.reset_counters sim;
+          Queue_sim.run sim ~ticks:(ticks - warmup);
+          let mean_wait = Queue_sim.mean_wait sim in
+          (Queue_sim.stratification_correlation sim, [ ("mean_wait", mean_wait) ]))
 
 let run plan =
   let module Obs = Stratify_obs in

@@ -113,10 +113,10 @@ type t = {
 }
 
 val of_json : Jsonx.t -> t
-(** Raises {!Jsonx.Parse_error} on missing, ill-typed or {e unknown}
-    top-level fields (a typo'd ["assertions"] must not yield a plan that
-    passes by asserting nothing); [Invalid_argument] on semantic
-    nonsense (swarm plan with an async-only assertion, etc.). *)
+(** Raises {!Jsonx.Parse_error} naming the field path on missing,
+    ill-typed or {e unknown} fields at any depth (a typo'd ["assertions"]
+    or ["reorder"] must not yield a plan that passes by asserting or
+    injecting nothing); [Invalid_argument] on semantic nonsense. *)
 
 val to_json : t -> Jsonx.t
 (** Round-trips: [of_json (to_json p) = p] up to field defaults. *)

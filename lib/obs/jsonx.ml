@@ -259,25 +259,22 @@ let of_string s =
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                          *)
 
+let type_name = function
+  | Null -> "null"
+  | Bool _ -> "bool"
+  | Int _ -> "int"
+  | Float _ -> "float"
+  | String _ -> "string"
+  | List _ -> "array"
+  | Obj _ -> "object"
+
 let shape_error what v =
-  let tag =
-    match v with
-    | Null -> "null"
-    | Bool _ -> "bool"
-    | Int _ -> "int"
-    | Float _ -> "float"
-    | String _ -> "string"
-    | List _ -> "array"
-    | Obj _ -> "object"
-  in
-  raise (Parse_error (Printf.sprintf "expected %s, got %s" what tag))
+  raise (Parse_error (Printf.sprintf "expected %s, got %s" what (type_name v)))
 
 let member key = function
   | Obj fields -> ( match List.assoc_opt key fields with Some v -> v | None -> Null)
   | v -> shape_error ("object with member " ^ key) v
 
-let get_int = function Int i -> i | v -> shape_error "int" v
 let get_float = function Float f -> f | Int i -> float_of_int i | v -> shape_error "number" v
-let get_string = function String s -> s | v -> shape_error "string" v
 let get_list = function List l -> l | v -> shape_error "array" v
 let get_obj = function Obj o -> o | v -> shape_error "object" v

@@ -30,15 +30,18 @@ val of_string : string -> t
     naming the key. *)
 
 (** {2 Accessors} — all raise {!Parse_error} on shape mismatch, naming
-    the offending member, so decoder errors point at the field. *)
+    the expected and the actual shape but not where the value sits.
+    Records decode through {!Codec}, whose errors name the field path. *)
+
+val type_name : t -> string
+(** ["null"], ["bool"], ["int"], ["float"], ["string"], ["array"] or
+    ["object"], as shape errors name a value. *)
 
 val member : string -> t -> t
 (** Field of an object; [Null] if absent. *)
 
-val get_int : t -> int
 val get_float : t -> float
 (** Accepts [Int] too. *)
 
-val get_string : t -> string
 val get_list : t -> t list
 val get_obj : t -> (string * t) list

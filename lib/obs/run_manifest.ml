@@ -57,109 +57,54 @@ let profile_row t name = List.find_opt (fun (r : Profile.entry) -> r.kernel = na
 (* ------------------------------------------------------------------ *)
 (* JSON encoding                                                      *)
 
-let to_json t =
-  let open Jsonx in
-  Obj
-    ([
-      ("schema_version", Int t.schema_version);
-      ("kind", String t.kind);
-      ("name", String t.name);
-      ("seed", Int t.seed);
-      ("scale", Float t.scale);
-      ("jobs", Int t.jobs);
-      ("git", String t.git);
-      ("cores", Int t.cores);
-      ( "phases",
-        List
-          (List.map
-             (fun p ->
-               Obj
-                 [
-                   ("name", String p.phase);
-                   ("wall_s", Float p.wall_s);
-                   ("cpu_s", Float p.cpu_s);
-                   ("count", Int p.count);
-                 ])
-             t.phases) );
-      ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) t.counters));
-      ( "histograms",
-        Obj
-          (List.map
-             (fun (k, cells) -> (k, List (Array.to_list (Array.map (fun c -> Int c) cells))))
-             t.histograms) );
-      ("metrics", Obj (List.map (fun (k, v) -> (k, Float v)) t.metrics));
-    ]
-    @
-    (* Optional trailing section: absent when the run was not profiled,
-       so pre-profile manifests round-trip byte-identically. *)
-    (match t.profile with
-    | [] -> []
-    | rows ->
-        [
-          ( "profile",
-            List
-              (List.map
-                 (fun (r : Profile.entry) ->
-                   Obj
-                     [
-                       ("kernel", String r.kernel);
-                       ("wall_s", Float r.wall_s);
-                       ("count", Int r.count);
-                       ("ops", Int r.ops);
-                       ("minor_words", Float r.minor_words);
-                       ("major_words", Float r.major_words);
-                       ("promoted_words", Float r.promoted_words);
-                     ])
-                 rows) );
-        ]))
+open struct
+  open Codec
 
-let of_json j =
-  let open Jsonx in
-  let phases =
-    List.map
-      (fun p ->
-        {
-          phase = get_string (member "name" p);
-          wall_s = get_float (member "wall_s" p);
-          cpu_s = get_float (member "cpu_s" p);
-          count = get_int (member "count" p);
-        })
-      (get_list (member "phases" j))
-  in
-  {
-    schema_version = get_int (member "schema_version" j);
-    kind = get_string (member "kind" j);
-    name = get_string (member "name" j);
-    seed = get_int (member "seed" j);
-    scale = get_float (member "scale" j);
-    jobs = get_int (member "jobs" j);
-    git = get_string (member "git" j);
-    cores = get_int (member "cores" j);
-    phases;
-    counters = List.map (fun (k, v) -> (k, get_int v)) (get_obj (member "counters" j));
-    histograms =
-      List.map
-        (fun (k, v) -> (k, Array.of_list (List.map get_int (get_list v))))
-        (get_obj (member "histograms" j));
-    metrics = List.map (fun (k, v) -> (k, get_float v)) (get_obj (member "metrics" j));
-    profile =
-      (match member "profile" j with
-      | Null -> [] (* pre-profile manifests have no such section *)
-      | p ->
-          List.map
-            (fun r : Profile.entry ->
-              {
-                kernel = get_string (member "kernel" r);
-                wall_s = get_float (member "wall_s" r);
-                count = get_int (member "count" r);
-                ops = get_int (member "ops" r);
-                minor_words = get_float (member "minor_words" r);
-                major_words = get_float (member "major_words" r);
-                promoted_words = get_float (member "promoted_words" r);
-              })
-            (get_list p));
-  }
+  let phase =
+    obj
+      (record (fun phase wall_s cpu_s count -> { phase; wall_s; cpu_s; count })
+      |+ req "name" string (fun p -> p.phase)
+      |+ req "wall_s" float (fun p -> p.wall_s)
+      |+ req "cpu_s" float (fun p -> p.cpu_s)
+      |+ req "count" int (fun p -> p.count))
 
+  let profile_entry =
+    let open Profile in
+    obj
+      (record (fun kernel wall_s count ops minor_words major_words promoted_words ->
+           { kernel; wall_s; count; ops; minor_words; major_words; promoted_words })
+      |+ req "kernel" string (fun r -> r.kernel)
+      |+ req "wall_s" float (fun r -> r.wall_s)
+      |+ req "count" int (fun r -> r.count)
+      |+ req "ops" int (fun r -> r.ops)
+      |+ req "minor_words" float (fun r -> r.minor_words)
+      |+ req "major_words" float (fun r -> r.major_words)
+      |+ req "promoted_words" float (fun r -> r.promoted_words))
+
+  let manifest =
+    obj
+      (record
+         (fun schema_version kind name seed scale jobs git cores phases counters histograms
+              metrics profile ->
+           { schema_version; kind; name; seed; scale; jobs; git; cores; phases; counters;
+             histograms; metrics; profile })
+      |+ req "schema_version" int (fun t -> t.schema_version)
+      |+ req "kind" string (fun t -> t.kind)
+      |+ req "name" string (fun t -> t.name)
+      |+ req "seed" int (fun t -> t.seed)
+      |+ req "scale" float (fun t -> t.scale)
+      |+ req "jobs" int (fun t -> t.jobs)
+      |+ req "git" string (fun t -> t.git)
+      |+ req "cores" int (fun t -> t.cores)
+      |+ req "phases" (list phase) (fun t -> t.phases)
+      |+ req "counters" (assoc int) (fun t -> t.counters)
+      |+ req "histograms" (assoc (array int)) (fun t -> t.histograms)
+      |+ req "metrics" (assoc float) (fun t -> t.metrics)
+      |+ omit "profile" (list profile_entry) ~default:[] (fun t -> t.profile))
+end
+
+let to_json = manifest.enc
+let of_json = Codec.decode ~what:"manifest" manifest
 let to_string t = Jsonx.to_string (to_json t) ^ "\n"
 let of_string s = of_json (Jsonx.of_string (String.trim s))
 
@@ -174,18 +119,11 @@ let rec ensure_dir dir =
 
 let write_path path t =
   ensure_dir (Filename.dirname path);
-  let oc = open_out path in
-  output_string oc (to_string t);
-  close_out oc
+  Out_channel.with_open_bin path (fun oc -> output_string oc (to_string t))
 
 let write ~dir t =
   let path = Filename.concat dir (Printf.sprintf "%s-%d.json" t.name t.seed) in
   write_path path t;
   path
 
-let read path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  of_string s
+let read path = of_string (In_channel.with_open_bin path In_channel.input_all)

@@ -57,7 +57,7 @@ val profile_row : t -> string -> Profile.entry option
 
 val to_json : t -> Jsonx.t
 val of_json : Jsonx.t -> t
-(** Raises {!Jsonx.Parse_error} on missing or ill-typed fields. *)
+(** Raises {!Jsonx.Parse_error} on missing, ill-typed or unknown fields. *)
 
 val to_string : t -> string
 val of_string : string -> t

@@ -124,185 +124,110 @@ let validate script =
 
 (* ---- JSON ---------------------------------------------------------- *)
 
-let parse_fail fmt = Printf.ksprintf (fun s -> raise (Jsonx.Parse_error s)) fmt
+open struct
+  open Stratify_obs.Codec
 
-let req name j =
-  match Jsonx.member name j with
-  | Jsonx.Null -> parse_fail "serve script: missing field %S" name
-  | v -> v
-
-let opt_float name ~default j =
-  match Jsonx.member name j with Jsonx.Null -> default | v -> Jsonx.get_float v
-
-let opt_int name ~default j =
-  match Jsonx.member name j with Jsonx.Null -> default | v -> Jsonx.get_int v
-
-(* Unknown keys are rejected at every level: a typo'd field would
-   otherwise silently drop a request or fault and "pass" vacuously —
-   the same discipline as [Plan.of_json]. *)
-let check_fields what known j =
-  match j with
-  | Jsonx.Obj members ->
-      List.iter
-        (fun (key, _) ->
-          if not (List.mem key known) then
-            parse_fail "serve script: unknown %s field %S (expected one of %s)" what key
-              (String.concat "/" known))
-        members
-  | _ -> parse_fail "serve script: %s must be a JSON object" what
-
-let groups_of_json = function
-  | Jsonx.String "halves" -> Halves
-  | Jsonx.String "heal" -> Heal
-  | Jsonx.List l -> Groups (Array.of_list (List.map Jsonx.get_int l))
-  | Jsonx.String s -> parse_fail "serve script: unknown groups %S (want \"halves\", \"heal\" or a list)" s
-  | _ -> parse_fail "serve script: groups must be \"halves\", \"heal\" or a list of ints"
-
-let partition_of_json j =
-  check_fields "partition" [ "at_tick"; "groups" ] j;
-  { at_tick = Jsonx.get_int (req "at_tick" j); groups = groups_of_json (req "groups" j) }
-
-let piece_of_json j =
-  check_fields "pieces" [ "pieces"; "piece_size"; "init_fraction"; "seeds" ] j;
-  {
-    pieces = Jsonx.get_int (req "pieces" j);
-    piece_size = Jsonx.get_float (req "piece_size" j);
-    init_fraction = opt_float "init_fraction" ~default:0. j;
-    seeds = opt_int "seeds" ~default:1 j;
-  }
-
-let swarm_of_json j =
-  check_fields "swarm" [ "sid"; "size"; "d"; "loss"; "partitions"; "pieces" ] j;
-  {
-    sid = Jsonx.get_string (req "sid" j);
-    size = Jsonx.get_int (req "size" j);
-    d = opt_float "d" ~default:20. j;
-    loss = opt_float "loss" ~default:0. j;
-    partitions =
-      (match Jsonx.member "partitions" j with
-      | Jsonx.Null -> []
-      | l -> List.map partition_of_json (Jsonx.get_list l));
-    piece =
-      (match Jsonx.member "pieces" j with Jsonx.Null -> None | p -> Some (piece_of_json p));
-  }
-
-let world_of_json j =
-  check_fields "world" [ "n"; "d"; "b"; "churn_rate"; "bands"; "swarms" ] j;
-  {
-    n = Jsonx.get_int (req "n" j);
-    d = opt_float "d" ~default:8. j;
-    b = opt_int "b" ~default:2 j;
-    churn_rate = opt_float "churn_rate" ~default:0. j;
-    bands = opt_int "bands" ~default:1 j;
-    swarms = List.map swarm_of_json (Jsonx.get_list (req "swarms" j));
-  }
-
-let request_of_json i j =
-  check_fields "request" [ "at"; "kind"; "peer"; "swarm"; "want" ] j;
-  let at = Jsonx.get_float (req "at" j) in
-  let peer () = Jsonx.get_int (req "peer" j) in
-  let swarm () = Jsonx.get_string (req "swarm" j) in
-  let kind =
-    match Jsonx.get_string (req "kind" j) with
-    | "join" -> Join { peer = peer (); swarm = swarm () }
-    | "leave" -> Leave { peer = peer (); swarm = swarm () }
-    | "announce" -> Announce { peer = peer (); swarm = swarm (); want = opt_int "want" ~default:0 j }
-    | "scrape" -> Scrape { swarm = swarm () }
-    | "stats" -> Stats
-    | k -> parse_fail "serve script: request %d has unknown kind %S" i k
-  in
-  { at; kind }
-
-let of_json j =
-  check_fields "top-level" [ "name"; "seed"; "world"; "requests"; "horizon" ] j;
-  validate
+  (* "halves", "heal" or one group label per peer *)
+  let groups =
+    let labels = array int in
     {
-      name = Jsonx.get_string (req "name" j);
-      seed = opt_int "seed" ~default:42 j;
-      world = world_of_json (req "world" j);
-      requests =
-        (match Jsonx.member "requests" j with
-        | Jsonx.Null -> [||]
-        | l -> Array.of_list (List.mapi request_of_json (Jsonx.get_list l)));
-      horizon = Jsonx.get_float (req "horizon" j);
+      enc =
+        (function
+        | Halves -> Jsonx.String "halves"
+        | Heal -> Jsonx.String "heal"
+        | Groups g -> labels.enc g);
+      dec =
+        (function
+        | Jsonx.String "halves" -> Halves
+        | Jsonx.String "heal" -> Heal
+        | Jsonx.String s -> fail (Printf.sprintf "unknown groups %S (want halves or heal)" s)
+        | j -> Groups (labels.dec j));
     }
 
-let groups_to_json = function
-  | Halves -> Jsonx.String "halves"
-  | Heal -> Jsonx.String "heal"
-  | Groups g -> Jsonx.List (Array.to_list (Array.map (fun x -> Jsonx.Int x) g))
+  let partition =
+    obj
+      (record (fun at_tick groups -> { at_tick; groups })
+      |+ req "at_tick" int (fun p -> p.at_tick)
+      |+ req "groups" groups (fun p -> p.groups))
 
-let partition_to_json p =
-  Jsonx.Obj [ ("at_tick", Jsonx.Int p.at_tick); ("groups", groups_to_json p.groups) ]
+  let piece =
+    obj
+      (record (fun pieces piece_size init_fraction seeds ->
+           { pieces; piece_size; init_fraction; seeds })
+      |+ req "pieces" int (fun p -> p.pieces)
+      |+ req "piece_size" float (fun p -> p.piece_size)
+      |+ opt "init_fraction" float ~default:0. (fun p -> p.init_fraction)
+      |+ opt "seeds" int ~default:1 (fun p -> p.seeds))
 
-let piece_to_json pp =
-  Jsonx.Obj
-    [
-      ("pieces", Jsonx.Int pp.pieces);
-      ("piece_size", Jsonx.Float pp.piece_size);
-      ("init_fraction", Jsonx.Float pp.init_fraction);
-      ("seeds", Jsonx.Int pp.seeds);
-    ]
+  let swarm =
+    obj
+      (record (fun sid size d loss partitions piece ->
+           { sid; size; d; loss; partitions; piece })
+      |+ req "sid" string (fun sw -> sw.sid)
+      |+ req "size" int (fun sw -> sw.size)
+      |+ opt "d" float ~default:20. (fun (sw : swarm_spec) -> sw.d)
+      |+ opt "loss" float ~default:0. (fun sw -> sw.loss)
+      |+ omit "partitions" (list partition) ~default:[] (fun sw -> sw.partitions)
+      |+ omit "pieces" (nullable piece) ~default:None (fun sw -> sw.piece))
 
-let swarm_to_json sw =
-  Jsonx.Obj
-    ([
-       ("sid", Jsonx.String sw.sid);
-       ("size", Jsonx.Int sw.size);
-       ("d", Jsonx.Float sw.d);
-       ("loss", Jsonx.Float sw.loss);
-     ]
-    @ (match sw.partitions with
-      | [] -> []
-      | ps -> [ ("partitions", Jsonx.List (List.map partition_to_json ps)) ])
-    @ match sw.piece with None -> [] | Some pp -> [ ("pieces", piece_to_json pp) ])
+  let world =
+    obj
+      (record (fun n d b churn_rate bands swarms -> { n; d; b; churn_rate; bands; swarms })
+      |+ req "n" int (fun w -> w.n)
+      |+ opt "d" float ~default:8. (fun w -> w.d)
+      |+ opt "b" int ~default:2 (fun w -> w.b)
+      |+ opt "churn_rate" float ~default:0. (fun w -> w.churn_rate)
+      |+ opt "bands" int ~default:1 (fun w -> w.bands)
+      |+ req "swarms" (list swarm) (fun w -> w.swarms))
 
-let world_to_json w =
-  Jsonx.Obj
-    [
-      ("n", Jsonx.Int w.n);
-      ("d", Jsonx.Float w.d);
-      ("b", Jsonx.Int w.b);
-      ("churn_rate", Jsonx.Float w.churn_rate);
-      ("bands", Jsonx.Int w.bands);
-      ("swarms", Jsonx.List (List.map swarm_to_json w.swarms));
-    ]
+  let peer_swarm =
+    record (fun peer swarm -> (peer, swarm)) |+ req "peer" int fst |+ req "swarm" string snd
 
-let request_to_json r =
-  let fields =
-    match r.kind with
-    | Join { peer; swarm } ->
-        [ ("kind", Jsonx.String "join"); ("peer", Jsonx.Int peer); ("swarm", Jsonx.String swarm) ]
-    | Leave { peer; swarm } ->
-        [ ("kind", Jsonx.String "leave"); ("peer", Jsonx.Int peer); ("swarm", Jsonx.String swarm) ]
-    | Announce { peer; swarm; want } ->
-        [
-          ("kind", Jsonx.String "announce");
-          ("peer", Jsonx.Int peer);
-          ("swarm", Jsonx.String swarm);
-          ("want", Jsonx.Int want);
-        ]
-    | Scrape { swarm } -> [ ("kind", Jsonx.String "scrape"); ("swarm", Jsonx.String swarm) ]
-    | Stats -> [ ("kind", Jsonx.String "stats") ]
-  in
-  Jsonx.Obj (("at", Jsonx.Float r.at) :: fields)
+  let kind =
+    union "kind"
+      [
+        case "join" peer_swarm
+          (fun (peer, swarm) -> Join { peer; swarm })
+          (function Join { peer; swarm } -> Some (peer, swarm) | _ -> None);
+        case "leave" peer_swarm
+          (fun (peer, swarm) -> Leave { peer; swarm })
+          (function Leave { peer; swarm } -> Some (peer, swarm) | _ -> None);
+        case "announce"
+          (record (fun peer swarm want -> (peer, swarm, want))
+          |+ req "peer" int (fun (p, _, _) -> p)
+          |+ req "swarm" string (fun (_, s, _) -> s)
+          |+ opt "want" int ~default:0 (fun (_, _, w) -> w))
+          (fun (peer, swarm, want) -> Announce { peer; swarm; want })
+          (function Announce { peer; swarm; want } -> Some (peer, swarm, want) | _ -> None);
+        case "scrape"
+          (record Fun.id |+ req "swarm" string Fun.id)
+          (fun swarm -> Scrape { swarm })
+          (function Scrape { swarm } -> Some swarm | _ -> None);
+        case0 "stats" Stats;
+      ]
 
-let to_json s =
-  Jsonx.Obj
-    [
-      ("name", Jsonx.String s.name);
-      ("seed", Jsonx.Int s.seed);
-      ("world", world_to_json s.world);
-      ("requests", Jsonx.List (Array.to_list (Array.map request_to_json s.requests)));
-      ("horizon", Jsonx.Float s.horizon);
-    ]
+  let request =
+    obj
+      (record (fun at kind -> { at; kind })
+      |+ req "at" float (fun r -> r.at)
+      |+ kind (fun r -> r.kind))
 
-let load path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let body = really_input_string ic len in
-  close_in ic;
-  of_json (Jsonx.of_string body)
+  let script =
+    conv ~dec:validate ~enc:Fun.id
+      (obj
+         (record (fun name seed world requests horizon ->
+              { name; seed; world; requests; horizon })
+         |+ req "name" string (fun s -> s.name)
+         |+ opt "seed" int ~default:42 (fun s -> s.seed)
+         |+ req "world" world (fun s -> s.world)
+         |+ opt "requests" (array request) ~default:[||] (fun s -> s.requests)
+         |+ req "horizon" float (fun s -> s.horizon)))
+end
+
+let codec = script
+let of_json = Stratify_obs.Codec.decode ~what:"serve script" codec
+let to_json = codec.enc
+let load path = of_json (Jsonx.of_string (In_channel.with_open_bin path In_channel.input_all))
 
 (* ---- line protocol -------------------------------------------------- *)
 

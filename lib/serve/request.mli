@@ -71,11 +71,15 @@ val validate : script -> script
     named [Invalid_argument] on the first violation.  Returns the
     script for pipelining. *)
 
+val codec : script Stratify_obs.Codec.t
+(** The script's JSON form; decoding also runs {!validate}.  A snapshot
+    carries its script through it. *)
+
 val of_json : Stratify_obs.Jsonx.t -> script
 (** Parse and {!validate}.  Unknown keys anywhere (top level, world,
-    swarm, pieces, partition or request objects) raise
-    [Jsonx.Parse_error] naming the key — a typo cannot silently drop a
-    request. *)
+    swarm, pieces, partition or request objects, and a request key its
+    kind does not take) raise [Jsonx.Parse_error] naming the key and
+    its path — a typo cannot silently drop a request. *)
 
 val to_json : script -> Stratify_obs.Jsonx.t
 (** Round-trips: [of_json (to_json s) = s] for every valid script. *)

@@ -31,6 +31,19 @@ type swarm_state = {
   mutable stamp : int;
 }
 
+(* Request and churn totals, as the manifest and a snapshot carry them. *)
+type tallies = {
+  mutable announces : int;
+  mutable joins : int;
+  mutable leaves : int;
+  mutable scrapes : int;
+  mutable stats : int;
+  mutable reconnects : int;
+  mutable arrivals : int;
+  mutable departures : int;
+  mutable requests_handled : int;
+}
+
 type t = {
   scr : Request.script;
   engine : Engine.t;
@@ -41,16 +54,8 @@ type t = {
   swarms : swarm_state list;  (* in script order *)
   mutable present_count : int;
   mutable ticks : int;
-  mutable announces : int;
-  mutable joins : int;
-  mutable leaves : int;
-  mutable scrapes : int;
-  mutable stats_reqs : int;
-  mutable reconnects : int;
-  mutable arrivals : int;
-  mutable departures : int;
+  tallies : tallies;
   mutable checksum : int;
-  mutable requests_handled : int;
   (* the response being written: [out_len] bytes of [out] *)
   mutable out : Bytes.t;
   mutable out_len : int;
@@ -61,7 +66,7 @@ let engine t = t.engine
 let now t = Engine.now t.engine
 let ticks t = t.ticks
 let checksum t = t.checksum
-let requests_handled t = t.requests_handled
+let requests_handled t = t.tallies.requests_handled
 let oracle t = t.oracle
 
 (* ------------------------------------------------------------------ *)
@@ -209,7 +214,7 @@ let members_uploaded ss =
 let depart t v =
   Churn.remove_peer t.oracle v;
   t.present_count <- t.present_count - 1;
-  t.departures <- t.departures + 1;
+  t.tallies.departures <- t.tallies.departures + 1;
   List.iter
     (fun ss ->
       let slot = ss.slot_of.(v) in
@@ -219,7 +224,7 @@ let depart t v =
 let arrive t v =
   Churn.insert_peer t.churn_rng t.oracle v ~p:t.er_p;
   t.present_count <- t.present_count + 1;
-  t.arrivals <- t.arrivals + 1
+  t.tallies.arrivals <- t.tallies.arrivals + 1
 
 let churn_once t =
   let mask = Churn.world_present t.oracle in
@@ -242,7 +247,7 @@ let ensure_online t peer =
   if not (Churn.world_present t.oracle).(peer) then begin
     Churn.insert_peer t.churn_rng t.oracle peer ~p:t.er_p;
     t.present_count <- t.present_count + 1;
-    t.reconnects <- t.reconnects + 1
+    t.tallies.reconnects <- t.tallies.reconnects + 1
   end
 
 (* ------------------------------------------------------------------ *)
@@ -378,7 +383,7 @@ let do_stats t =
   add_string t " stable_edges ";
   add_int t (Config.edge_count (Churn.world_stable t.oracle));
   add_string t " handled ";
-  add_int t t.requests_handled
+  add_int t t.tallies.requests_handled
 
 (* A kind's tally moves with [requests_handled], after its handler
    returns: a request that raised was not handled. *)
@@ -387,20 +392,20 @@ let handle t kind =
   (match kind with
   | Request.Announce { peer; swarm; want } ->
       do_announce t peer swarm want;
-      t.announces <- t.announces + 1
+      t.tallies.announces <- t.tallies.announces + 1
   | Request.Join { peer; swarm } ->
       do_join t peer swarm;
-      t.joins <- t.joins + 1
+      t.tallies.joins <- t.tallies.joins + 1
   | Request.Leave { peer; swarm } ->
       do_leave t peer swarm;
-      t.leaves <- t.leaves + 1
+      t.tallies.leaves <- t.tallies.leaves + 1
   | Request.Scrape { swarm } ->
       do_scrape t swarm;
-      t.scrapes <- t.scrapes + 1
+      t.tallies.scrapes <- t.tallies.scrapes + 1
   | Request.Stats ->
       do_stats t;
-      t.stats_reqs <- t.stats_reqs + 1);
-  t.requests_handled <- t.requests_handled + 1;
+      t.tallies.stats <- t.tallies.stats + 1);
+  t.tallies.requests_handled <- t.tallies.requests_handled + 1;
   fold_checksum t;
   Bytes.sub_string t.out 0 t.out_len
 
@@ -537,16 +542,19 @@ let create scr =
       swarms;
       present_count = w.Request.n;
       ticks = 0;
-      announces = 0;
-      joins = 0;
-      leaves = 0;
-      scrapes = 0;
-      stats_reqs = 0;
-      reconnects = 0;
-      arrivals = 0;
-      departures = 0;
+      tallies =
+        {
+          announces = 0;
+          joins = 0;
+          leaves = 0;
+          scrapes = 0;
+          stats = 0;
+          reconnects = 0;
+          arrivals = 0;
+          departures = 0;
+          requests_handled = 0;
+        };
       checksum = fnv_offset;
-      requests_handled = 0;
       out = Bytes.create 256;
       out_len = 0;
     }
@@ -594,18 +602,18 @@ let manifest ?git t =
     counters =
       [
         ("checksum.serve_responses", t.checksum);
-        ("serve.announces", t.announces);
-        ("serve.arrivals", t.arrivals);
-        ("serve.departures", t.departures);
-        ("serve.joins", t.joins);
-        ("serve.leaves", t.leaves);
+        ("serve.announces", t.tallies.announces);
+        ("serve.arrivals", t.tallies.arrivals);
+        ("serve.departures", t.tallies.departures);
+        ("serve.joins", t.tallies.joins);
+        ("serve.leaves", t.tallies.leaves);
         ("serve.oracle.present", t.present_count);
         ( "serve.oracle.stable_edges",
           Config.edge_count (Churn.world_stable t.oracle) );
-        ("serve.reconnects", t.reconnects);
-        ("serve.requests", t.requests_handled);
-        ("serve.scrapes", t.scrapes);
-        ("serve.stats", t.stats_reqs);
+        ("serve.reconnects", t.tallies.reconnects);
+        ("serve.requests", t.tallies.requests_handled);
+        ("serve.scrapes", t.tallies.scrapes);
+        ("serve.stats", t.tallies.stats);
         ("serve.ticks", t.ticks);
       ]
       @ swarm_counters;
@@ -615,252 +623,253 @@ let manifest ?git t =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot.  Int64s travel as decimal strings (Jsonx.Int is an OCaml  *)
-(* 63-bit int); every list is written in ascending id order (swarm     *)
-(* state in its CSR edge order) so the bytes are canonical.            *)
+(* Snapshot.  The world is captured into plain records and encoded     *)
+(* through one codec; restore decodes them all, then rebuilds the      *)
+(* world and checks its invariants.  Int64s travel as decimal strings  *)
+(* (Jsonx.Int is an OCaml 63-bit int); every list is written in        *)
+(* ascending id order (swarm state in its CSR edge order) so the bytes *)
+(* are canonical.                                                      *)
 
-let json_of_int64 x = Jsonx.String (Int64.to_string x)
+module Snap = struct
+  type peer = {
+    unchoked : int list;
+    optimistic : int;
+    uploaded : float;
+    downloaded : float;
+    uploaded_tft : float;
+    downloaded_tft : float;
+    pieces : int list option;  (* [None] in bandwidth-only mode *)
+    rates : Swarm.rate list;
+  }
 
-let json_of_rng_state st =
-  Jsonx.List (List.map json_of_int64 (Array.to_list st))
+  type swarm = {
+    sid : string;
+    created_rng : int64 array;
+    rng : int64 array;
+    tick : int;
+    members : int array;
+    faults : Net.Tick.snapshot option;
+    peers : peer list;
+    progress : (int * int * float) list;
+  }
 
-let json_of_groups = function
-  | None -> Jsonx.Null
-  | Some g -> Jsonx.List (List.map (fun x -> Jsonx.Int x) (Array.to_list g))
+  type oracle = {
+    present : bool array;
+    adjacency : int array array;
+    config : (int * int) list;
+    stable : (int * int) list;
+  }
 
-let json_of_faults = function
-  | None -> Jsonx.Null
-  | Some f ->
-      let s = Net.Tick.snapshot f in
-      Jsonx.Obj
-        [
-          ("base", json_of_int64 s.Net.Tick.snap_base);
-          ("loss", Jsonx.Float s.Net.Tick.snap_loss);
-          ( "pending",
-            Jsonx.List
-              (List.map
-                 (fun (e : Net.Tick.event) ->
-                   Jsonx.Obj
-                     [
-                       ("at_tick", Jsonx.Int e.at_tick);
-                       ("groups", json_of_groups e.groups);
-                     ])
-                 s.Net.Tick.snap_pending) );
-          ("groups", json_of_groups s.Net.Tick.snap_groups);
-          ("drops", Jsonx.Int s.Net.Tick.snap_drops);
-        ]
+  type t = {
+    script : Request.script;
+    now : float;
+    ticks : int;
+    tallies : tallies;
+    checksum : int;
+    req_rng : int64 array;
+    churn_rng : int64 array;
+    queue : (float * int) array;  (* in the canonical (time, seq) order *)
+    oracle : oracle;
+    swarms : swarm list;
+  }
 
-let json_of_swarm ss =
+  open Stratify_obs.Codec
+
+  let int64 =
+    conv ~enc:Int64.to_string string ~dec:(fun s ->
+        try Int64.of_string s with Failure _ -> fail (Printf.sprintf "bad int64 %S" s))
+
+  let groups = nullable (array int)
+
+  let faults =
+    let open Net.Tick in
+    let event =
+      obj
+        (record (fun at_tick groups -> { at_tick; groups })
+        |+ req "at_tick" int (fun e -> e.at_tick)
+        |+ req "groups" groups (fun e -> e.groups))
+    in
+    obj
+      (record (fun snap_base snap_loss snap_pending snap_groups snap_drops ->
+           { snap_base; snap_loss; snap_pending; snap_groups; snap_drops })
+      |+ req "base" int64 (fun s -> s.snap_base)
+      |+ req "loss" float (fun s -> s.snap_loss)
+      |+ req "pending" (list event) (fun s -> s.snap_pending)
+      |+ req "groups" groups (fun s -> s.snap_groups)
+      |+ req "drops" int (fun s -> s.snap_drops))
+
+  let rate =
+    let open Swarm in
+    obj
+      (record (fun from_ window buckets stamps total ->
+           { from_; window; buckets; stamps; total })
+      |+ req "from" int (fun r -> r.from_)
+      |+ req "window" int (fun r -> r.window)
+      |+ req "buckets" (array float) (fun r -> r.buckets)
+      |+ req "stamps" (array int) (fun r -> r.stamps)
+      |+ req "total" float (fun r -> r.total))
+
+  let peer =
+    obj
+      (record
+         (fun unchoked optimistic uploaded downloaded uploaded_tft downloaded_tft pieces
+              rates ->
+           { unchoked; optimistic; uploaded; downloaded; uploaded_tft; downloaded_tft; pieces;
+             rates })
+      |+ req "unchoked" (list int) (fun p -> p.unchoked)
+      |+ req "optimistic" int (fun p -> p.optimistic)
+      |+ req "uploaded" float (fun p -> p.uploaded)
+      |+ req "downloaded" float (fun p -> p.downloaded)
+      |+ req "uploaded_tft" float (fun p -> p.uploaded_tft)
+      |+ req "downloaded_tft" float (fun p -> p.downloaded_tft)
+      |+ req "pieces" (nullable (list int)) (fun p -> p.pieces)
+      |+ req "rates" (list rate) (fun p -> p.rates))
+
+  let swarm =
+    obj
+      (record (fun sid created_rng rng tick members faults peers progress ->
+           { sid; created_rng; rng; tick; members; faults; peers; progress })
+      |+ req "sid" string (fun s -> s.sid)
+      |+ req "created_rng" (array int64) (fun s -> s.created_rng)
+      |+ req "rng" (array int64) (fun s -> s.rng)
+      |+ req "tick" int (fun s -> s.tick)
+      |+ req "members" (array int) (fun s -> s.members)
+      |+ req "faults" (nullable faults) (fun s -> s.faults)
+      |+ req "peers" (list peer) (fun s -> s.peers)
+      |+ req "progress" (list (triple int int float)) (fun s -> s.progress))
+
+  let oracle =
+    let flag = conv ~dec:(fun x -> x <> 0) ~enc:(fun b -> if b then 1 else 0) int in
+    obj
+      (record (fun present adjacency config stable -> { present; adjacency; config; stable })
+      |+ req "present" (array flag) (fun o -> o.present)
+      |+ req "adjacency" (array (array int)) (fun o -> o.adjacency)
+      |+ req "config" (list (pair int int)) (fun o -> o.config)
+      |+ req "stable" (list (pair int int)) (fun o -> o.stable))
+
+  let tallies =
+    obj
+      (record
+         (fun announces joins leaves scrapes stats reconnects arrivals departures
+              requests_handled ->
+           { announces; joins; leaves; scrapes; stats; reconnects; arrivals; departures;
+             requests_handled })
+      |+ req "announces" int (fun t -> t.announces)
+      |+ req "joins" int (fun t -> t.joins)
+      |+ req "leaves" int (fun t -> t.leaves)
+      |+ req "scrapes" int (fun t -> t.scrapes)
+      |+ req "stats" int (fun t -> t.stats)
+      |+ req "reconnects" int (fun t -> t.reconnects)
+      |+ req "arrivals" int (fun t -> t.arrivals)
+      |+ req "departures" int (fun t -> t.departures)
+      |+ req "requests_handled" int (fun t -> t.requests_handled))
+
+  let codec =
+    obj
+      (record
+         (fun () () script now ticks tallies checksum req_rng churn_rng queue oracle swarms ->
+           { script; now; ticks; tallies; checksum; req_rng; churn_rng; queue; oracle; swarms })
+      |+ req "schema_version" (literal int 1) ignore
+      |+ req "kind" (literal string "serve-snapshot") ignore
+      |+ req "script" Request.codec (fun s -> s.script)
+      |+ req "now" float (fun s -> s.now)
+      |+ req "ticks" int (fun s -> s.ticks)
+      |+ req "tallies" tallies (fun s -> s.tallies)
+      |+ req "checksum" int (fun s -> s.checksum)
+      |+ req "req_rng" (array int64) (fun s -> s.req_rng)
+      |+ req "churn_rng" (array int64) (fun s -> s.churn_rng)
+      |+ req "queue" (array (pair float int)) (fun s -> s.queue)
+      |+ req "oracle" oracle (fun s -> s.oracle)
+      |+ req "swarms" (list swarm) (fun s -> s.swarms))
+end
+
+let capture_swarm ss =
   let sw = ss.swarm in
-  let peers =
-    List.init (Swarm.size sw) (fun i ->
-        let rates =
-          List.map
-            (fun (r : Swarm.rate) ->
-              Jsonx.Obj
-                [
-                  ("from", Jsonx.Int r.from_);
-                  ("window", Jsonx.Int r.window);
-                  ( "buckets",
-                    Jsonx.List
-                      (List.map (fun x -> Jsonx.Float x) (Array.to_list r.buckets)) );
-                  ( "stamps",
-                    Jsonx.List (List.map (fun x -> Jsonx.Int x) (Array.to_list r.stamps)) );
-                  ("total", Jsonx.Float r.total);
-                ])
-            (Swarm.rates sw i)
-        in
-        let pieces =
-          match Swarm.field sw i with
-          | None -> Jsonx.Null
-          | Some f ->
-              let held = ref [] in
-              Piece.iter_held f (fun pc -> held := pc :: !held);
-              Jsonx.List
-                (List.map (fun pc -> Jsonx.Int pc) (List.sort compare !held))
-        in
-        Jsonx.Obj
-          [
-            ( "unchoked",
-              Jsonx.List (List.map (fun q -> Jsonx.Int q) (Swarm.unchoked sw i)) );
-            ("optimistic", Jsonx.Int (Swarm.optimistic sw i));
-            ("uploaded", Jsonx.Float (Swarm.uploaded sw i));
-            ("downloaded", Jsonx.Float (Swarm.downloaded sw i));
-            ("uploaded_tft", Jsonx.Float (Swarm.uploaded_tft sw i));
-            ("downloaded_tft", Jsonx.Float (Swarm.downloaded_tft sw i));
-            ("pieces", pieces);
-            ("rates", Jsonx.List rates);
-          ])
+  let peer i =
+    {
+      Snap.unchoked = Swarm.unchoked sw i;
+      optimistic = Swarm.optimistic sw i;
+      uploaded = Swarm.uploaded sw i;
+      downloaded = Swarm.downloaded sw i;
+      uploaded_tft = Swarm.uploaded_tft sw i;
+      downloaded_tft = Swarm.downloaded_tft sw i;
+      pieces =
+        Option.map
+          (fun f -> List.filter (Piece.has f) (List.init (Piece.pieces f) Fun.id))
+          (Swarm.field sw i);
+      rates = Swarm.rates sw i;
+    }
   in
-  let progress =
-    let acc = ref [] in
-    Swarm.iter_link_progress sw (fun s r v ->
-        acc := Jsonx.List [ Jsonx.Int s; Jsonx.Int r; Jsonx.Float v ] :: !acc);
-    Jsonx.List (List.rev !acc)
-  in
-  Jsonx.Obj
-    [
-      ("sid", Jsonx.String ss.sspec.Request.sid);
-      ("created_rng", json_of_rng_state ss.created_rng);
-      ("rng", json_of_rng_state (Rng.state (Swarm.rng sw)));
-      ("tick", Jsonx.Int (Swarm.tick_count sw));
-      ( "members",
-        Jsonx.List (List.map (fun m -> Jsonx.Int m) (Array.to_list ss.members))
-      );
-      ("faults", json_of_faults ss.faults);
-      ("peers", Jsonx.List peers);
-      ("progress", progress);
-    ]
+  let progress = ref [] in
+  Swarm.iter_link_progress sw (fun s r v -> progress := (s, r, v) :: !progress);
+  {
+    Snap.sid = ss.sspec.Request.sid;
+    created_rng = ss.created_rng;
+    rng = Rng.state (Swarm.rng sw);
+    tick = Swarm.tick_count sw;
+    members = ss.members;
+    faults = Option.map Net.Tick.snapshot ss.faults;
+    peers = List.init (Swarm.size sw) peer;
+    progress = List.rev !progress;
+  }
 
-let json_of_oracle oracle =
-  let present = Churn.world_present oracle in
-  let adjacency =
-    match Instance.raw_backend (Churn.world_instance oracle) with
-    | Instance.Raw_dynamic { rows; len } ->
-        Jsonx.List
-          (List.init (Array.length rows) (fun i ->
-               Jsonx.List (List.init len.(i) (fun j -> Jsonx.Int rows.(i).(j)))))
-    | _ -> invalid_arg "Serve.snapshot: oracle instance is not dynamic"
-  in
+let capture_oracle oracle =
   let pairs cfg =
     let acc = ref [] in
-    Config.iter_pairs
-      (fun p q -> acc := Jsonx.List [ Jsonx.Int p; Jsonx.Int q ] :: !acc)
-      cfg;
-    Jsonx.List (List.rev !acc)
+    Config.iter_pairs (fun p q -> acc := (p, q) :: !acc) cfg;
+    List.rev !acc
   in
-  Jsonx.Obj
-    [
-      ( "present",
-        Jsonx.List
-          (List.map
-             (fun b -> Jsonx.Int (if b then 1 else 0))
-             (Array.to_list present)) );
-      ("adjacency", adjacency);
-      ("config", pairs (Churn.world_config oracle));
-      ("stable", pairs (Churn.world_stable oracle));
-    ]
+  {
+    Snap.present = Churn.world_present oracle;
+    adjacency =
+      (match Instance.raw_backend (Churn.world_instance oracle) with
+      | Instance.Raw_dynamic { rows; len } ->
+          Array.mapi (fun i row -> Array.sub row 0 len.(i)) rows
+      | _ -> invalid_arg "Serve.snapshot: oracle instance is not dynamic");
+    config = pairs (Churn.world_config oracle);
+    stable = pairs (Churn.world_stable oracle);
+  }
 
 let snapshot t =
-  let queue = Engine.dump_packed t.engine in
-  Jsonx.Obj
-    [
-      ("schema_version", Jsonx.Int 1);
-      ("kind", Jsonx.String "serve-snapshot");
-      ("script", Request.to_json t.scr);
-      ("now", Jsonx.Float (Engine.now t.engine));
-      (* the queue entries in the canonical (time, seq) order *)
-      ("ticks", Jsonx.Int t.ticks);
-      ( "tallies",
-        Jsonx.Obj
-          [
-            ("announces", Jsonx.Int t.announces);
-            ("joins", Jsonx.Int t.joins);
-            ("leaves", Jsonx.Int t.leaves);
-            ("scrapes", Jsonx.Int t.scrapes);
-            ("stats", Jsonx.Int t.stats_reqs);
-            ("reconnects", Jsonx.Int t.reconnects);
-            ("arrivals", Jsonx.Int t.arrivals);
-            ("departures", Jsonx.Int t.departures);
-            ("requests_handled", Jsonx.Int t.requests_handled);
-          ] );
-      ("checksum", Jsonx.Int t.checksum);
-      ("req_rng", json_of_rng_state (Rng.state t.req_rng));
-      ("churn_rng", json_of_rng_state (Rng.state t.churn_rng));
-      ( "queue",
-        Jsonx.List
-          (List.map
-             (fun (time, code) ->
-               Jsonx.List [ Jsonx.Float time; Jsonx.Int code ])
-             (Array.to_list queue)) );
-      ("oracle", json_of_oracle t.oracle);
-      ("swarms", Jsonx.List (List.map json_of_swarm t.swarms));
-    ]
+  Snap.codec.enc
+    {
+      Snap.script = t.scr;
+      now = Engine.now t.engine;
+      ticks = t.ticks;
+      tallies = t.tallies;
+      checksum = t.checksum;
+      req_rng = Rng.state t.req_rng;
+      churn_rng = Rng.state t.churn_rng;
+      queue = Engine.dump_packed t.engine;
+      oracle = capture_oracle t.oracle;
+      swarms = List.map capture_swarm t.swarms;
+    }
 
 let snapshot_string t = Jsonx.to_string ~indent:false (snapshot t)
 
 (* ------------------------------------------------------------------ *)
 (* Restore.                                                            *)
 
-let parse_fail fmt =
-  Printf.ksprintf (fun msg -> raise (Jsonx.Parse_error msg)) fmt
-
-let req what name obj =
-  match List.assoc_opt name obj with
-  | Some v -> v
-  | None -> parse_fail "%s: missing field %S" what name
-
-let int64_of_json what = function
-  | Jsonx.String s -> (
-      try Int64.of_string s
-      with _ -> parse_fail "%s: bad int64 %S" what s)
-  | _ -> parse_fail "%s: expected an int64-as-string" what
-
-let rng_state_of_json what = function
-  | Jsonx.List l -> Array.of_list (List.map (int64_of_json what) l)
-  | _ -> parse_fail "%s: expected an RNG state list" what
-
-let int_array what = function
-  | Jsonx.List l -> Array.of_list (List.map Jsonx.get_int l)
-  | _ -> parse_fail "%s: expected an int array" what
-
-let float_array what = function
-  | Jsonx.List l -> Array.of_list (List.map Jsonx.get_float l)
-  | _ -> parse_fail "%s: expected a float array" what
-
-let groups_of_json what = function
-  | Jsonx.Null -> None
-  | j -> Some (int_array what j)
-
-let faults_of_json what = function
-  | Jsonx.Null -> None
-  | fj ->
-      let fo = Jsonx.get_obj fj in
-      let pending =
-        List.map
-          (fun ej ->
-            let eo = Jsonx.get_obj ej in
-            {
-              Net.Tick.at_tick = Jsonx.get_int (req what "at_tick" eo);
-              groups = groups_of_json what (req what "groups" eo);
-            })
-          (Jsonx.get_list (req what "pending" fo))
-      in
-      Some
-        (Net.Tick.restore
-           {
-             Net.Tick.snap_base = int64_of_json what (req what "base" fo);
-             snap_loss = Jsonx.get_float (req what "loss" fo);
-             snap_pending = pending;
-             snap_groups = groups_of_json what (req what "groups" fo);
-             snap_drops = Jsonx.get_int (req what "drops" fo);
-           })
-
 let restore_invalid fmt = Printf.ksprintf invalid_arg fmt
 
-let restore_swarm what ~n (sw : Request.swarm_spec) sj =
-  let obj = Jsonx.get_obj sj in
-  let sid = Jsonx.get_string (req what "sid" obj) in
-  if not (String.equal sid sw.sid) then
-    parse_fail "%s: swarm %S out of order (script declares %S here)" what sid
+let restore_swarm ~n (sw : Request.swarm_spec) (snap : Snap.swarm) =
+  if not (String.equal snap.sid sw.sid) then
+    restore_invalid "Serve.restore: swarm %S out of order (script declares %S here)" snap.sid
       sw.sid;
-  let what = Printf.sprintf "%s.swarm[%s]" what sid in
-  let created_rng = rng_state_of_json what (req what "created_rng" obj) in
-  let faults = faults_of_json what (req what "faults" obj) in
+  let what = Printf.sprintf "Serve.restore.swarm[%s]" snap.sid in
+  let faults = Option.map Net.Tick.restore snap.faults in
   (* replay create from the captured pre-create RNG state: regenerates
      the knowledge graph and piece fields bit-for-bit *)
-  let srng = Rng.of_state created_rng in
-  let swarm = Swarm.create srng (swarm_params sw ~faults) in
-  Rng.set_state (Swarm.rng swarm) (rng_state_of_json what (req what "rng" obj));
-  Swarm.set_tick swarm (Jsonx.get_int (req what "tick" obj));
-  let members = int_array what (req what "members" obj) in
+  let swarm = Swarm.create (Rng.of_state snap.created_rng) (swarm_params sw ~faults) in
+  Rng.set_state (Swarm.rng swarm) snap.rng;
+  Swarm.set_tick swarm snap.tick;
+  let members = snap.members in
   if Array.length members <> sw.size then
-    parse_fail "%s: members has %d slots, swarm has %d" what
-      (Array.length members) sw.size;
-  let peers_j = Jsonx.get_list (req what "peers" obj) in
-  if List.length peers_j <> sw.size then
-    parse_fail "%s: %d peer records, swarm has %d slots" what
-      (List.length peers_j) sw.size;
+    restore_invalid "%s: members has %d slots, swarm has %d" what (Array.length members)
+      sw.size;
+  if List.length snap.peers <> sw.size then
+    restore_invalid "%s: %d peer records, swarm has %d slots" what (List.length snap.peers)
+      sw.size;
   (* The Swarm setters check the choke, rate and progress state against
      the knowledge graph and the slot budgets: the simulation never
      names a non-neighbour ([Swarm.recycle_peer] relies on it to visit
@@ -870,53 +879,27 @@ let restore_swarm what ~n (sw : Request.swarm_spec) sj =
     try f () with Invalid_argument msg -> restore_invalid "%s: %s: %s" what context msg
   in
   List.iteri
-    (fun i pj ->
-      let po = Jsonx.get_obj pj in
-      let unchoked = List.map Jsonx.get_int (Jsonx.get_list (req what "unchoked" po)) in
-      let optimistic = Jsonx.get_int (req what "optimistic" po) in
-      let rates =
-        List.map
-          (fun rj ->
-            let ro = Jsonx.get_obj rj in
-            {
-              Swarm.from_ = Jsonx.get_int (req what "from" ro);
-              window = Jsonx.get_int (req what "window" ro);
-              buckets = float_array what (req what "buckets" ro);
-              stamps = int_array what (req what "stamps" ro);
-              total = Jsonx.get_float (req what "total" ro);
-            })
-          (Jsonx.get_list (req what "rates" po))
-      in
+    (fun i (p : Snap.peer) ->
       checked (Printf.sprintf "slot %d" i) (fun () ->
-          Swarm.set_unchoked swarm i unchoked;
-          Swarm.set_optimistic swarm i optimistic;
-          Swarm.set_counters swarm i
-            ~uploaded:(Jsonx.get_float (req what "uploaded" po))
-            ~downloaded:(Jsonx.get_float (req what "downloaded" po))
-            ~uploaded_tft:(Jsonx.get_float (req what "uploaded_tft" po))
-            ~downloaded_tft:(Jsonx.get_float (req what "downloaded_tft" po));
-          Swarm.set_rates swarm i rates;
-          match req what "pieces" po with
-          | Jsonx.Null -> ()
-          | pcj -> Swarm.set_held_pieces swarm i (List.map Jsonx.get_int (Jsonx.get_list pcj))))
-    peers_j;
+          Swarm.set_unchoked swarm i p.unchoked;
+          Swarm.set_optimistic swarm i p.optimistic;
+          Swarm.set_counters swarm i ~uploaded:p.uploaded ~downloaded:p.downloaded
+            ~uploaded_tft:p.uploaded_tft ~downloaded_tft:p.downloaded_tft;
+          Swarm.set_rates swarm i p.rates;
+          Option.iter (Swarm.set_held_pieces swarm i) p.pieces))
+    snap.peers;
   Swarm.clear_link_progress swarm;
   List.iter
-    (fun ej ->
-      match Jsonx.get_list ej with
-      | [ s; r; v ] ->
-          let s = Jsonx.get_int s and r = Jsonx.get_int r in
-          checked "progress" (fun () ->
-              Swarm.set_link_progress swarm ~sender:s ~receiver:r (Jsonx.get_float v))
-      | _ -> parse_fail "%s: progress entry must be [sender, receiver, v]" what)
-    (Jsonx.get_list (req what "progress" obj));
+    (fun (s, r, v) ->
+      checked "progress" (fun () -> Swarm.set_link_progress swarm ~sender:s ~receiver:r v))
+    snap.progress;
   Array.iteri
     (fun slot pid ->
       if pid < -1 || pid >= n then
-        restore_invalid "%s: slot %d holds peer %d, outside the population [0, %d)"
-          what slot pid n)
+        restore_invalid "%s: slot %d holds peer %d, outside the population [0, %d)" what slot
+          pid n)
     members;
-  let ss = swarm_state sw swarm ~faults ~created_rng ~n members in
+  let ss = swarm_state sw swarm ~faults ~created_rng:snap.created_rng ~n members in
   Array.iteri
     (fun slot pid ->
       if pid >= 0 && ss.slot_of.(pid) <> slot then
@@ -926,85 +909,32 @@ let restore_swarm what ~n (sw : Request.swarm_spec) sj =
   ss
 
 let restore j =
-  let what = "Serve.restore" in
-  let top = Jsonx.get_obj j in
-  (match Jsonx.get_int (req what "schema_version" top) with
-  | 1 -> ()
-  | v -> parse_fail "%s: unsupported schema_version %d" what v);
-  (match Jsonx.get_string (req what "kind" top) with
-  | "serve-snapshot" -> ()
-  | k -> parse_fail "%s: kind %S is not a serve snapshot" what k);
-  let scr = Request.of_json (req what "script" top) in
-  let w = scr.Request.world in
-  let now = Jsonx.get_float (req what "now" top) in
-  let tallies = Jsonx.get_obj (req what "tallies" top) in
-  let tally name = Jsonx.get_int (req (what ^ ".tallies") name tallies) in
-  let queue =
-    Jsonx.get_list (req what "queue" top)
-    |> List.map (fun e ->
-           match Jsonx.get_list e with
-           | [ time; code ] -> (Jsonx.get_float time, Jsonx.get_int code)
-           | _ -> parse_fail "%s: queue entry must be [time, code]" what)
-    |> Array.of_list
-  in
-  let oracle_j = Jsonx.get_obj (req what "oracle" top) in
-  let present =
-    Array.of_list
-      (List.map
-         (fun v -> Jsonx.get_int v <> 0)
-         (Jsonx.get_list (req what "present" oracle_j)))
-  in
-  let adjacency =
-    Array.of_list
-      (List.map
-         (fun row -> int_array (what ^ ".adjacency") row)
-         (Jsonx.get_list (req what "adjacency" oracle_j)))
-  in
-  let pairs name =
-    List.map
-      (fun pq ->
-        match Jsonx.get_list pq with
-        | [ a; b ] -> (Jsonx.get_int a, Jsonx.get_int b)
-        | _ -> parse_fail "%s: %s entry must be [p, q]" what name)
-      (Jsonx.get_list (req what name oracle_j))
-  in
+  let snap = Stratify_obs.Codec.decode ~what:"serve snapshot" Snap.codec j in
+  let w = snap.script.Request.world in
+  let o = snap.oracle in
   let oracle =
-    Churn.restore_world ~n:w.Request.n ~b:w.Request.b ~present ~adjacency
-      ~config_pairs:(pairs "config") ~stable_pairs:(pairs "stable")
+    Churn.restore_world ~n:w.Request.n ~b:w.Request.b ~present:o.present ~adjacency:o.adjacency
+      ~config_pairs:o.config ~stable_pairs:o.stable
   in
-  let swarm_js = Jsonx.get_list (req what "swarms" top) in
-  if List.length swarm_js <> List.length w.Request.swarms then
-    parse_fail "%s: snapshot has %d swarms, script declares %d" what
-      (List.length swarm_js)
-      (List.length w.Request.swarms);
-  let swarms =
-    List.map2 (restore_swarm what ~n:w.Request.n) w.Request.swarms swarm_js
-  in
+  if List.length snap.swarms <> List.length w.Request.swarms then
+    restore_invalid "Serve.restore: snapshot has %d swarms, script declares %d"
+      (List.length snap.swarms) (List.length w.Request.swarms);
+  let swarms = List.map2 (restore_swarm ~n:w.Request.n) w.Request.swarms snap.swarms in
   (* restore_packed replays the snapshot's canonical (time, seq) order *)
-  let engine = Engine.restore_packed ~now queue in
+  let engine = Engine.restore_packed ~now:snap.now snap.queue in
   let t =
     {
-      scr;
+      scr = snap.script;
       engine;
       oracle;
       er_p = er_p w;
-      req_rng = Rng.of_state (rng_state_of_json what (req what "req_rng" top));
-      churn_rng =
-        Rng.of_state (rng_state_of_json what (req what "churn_rng" top));
+      req_rng = Rng.of_state snap.req_rng;
+      churn_rng = Rng.of_state snap.churn_rng;
       swarms;
-      present_count =
-        Array.fold_left (fun a b -> if b then a + 1 else a) 0 present;
-      ticks = Jsonx.get_int (req what "ticks" top);
-      announces = tally "announces";
-      joins = tally "joins";
-      leaves = tally "leaves";
-      scrapes = tally "scrapes";
-      stats_reqs = tally "stats";
-      reconnects = tally "reconnects";
-      arrivals = tally "arrivals";
-      departures = tally "departures";
-      checksum = Jsonx.get_int (req what "checksum" top);
-      requests_handled = tally "requests_handled";
+      present_count = Array.fold_left (fun a b -> if b then a + 1 else a) 0 o.present;
+      ticks = snap.ticks;
+      tallies = snap.tallies;
+      checksum = snap.checksum;
       out = Bytes.create 256;
       out_len = 0;
     }

@@ -82,12 +82,12 @@ val snapshot : t -> Stratify_obs.Jsonx.t
 val snapshot_string : t -> string
 
 val restore : Stratify_obs.Jsonx.t -> t
-(** Rebuild a world from {!snapshot} output.  Raises [Jsonx.Parse_error] on
-    shape errors and named [Invalid_argument] on semantic ones, naming
-    the swarm and slot: a member outside the population or seated in
-    two slots, and an unchoke, optimistic unchoke or link-progress
-    entry that names a slot outside the knowledge-graph neighbourhood
-    (the invariant {!Stratify_bittorrent.Swarm.recycle_peer} relies
-    on). *)
+(** Rebuild a world from {!snapshot} output.  Raises [Jsonx.Parse_error]
+    naming the field path on shape errors and unknown keys, and named
+    [Invalid_argument] on semantic ones, naming the swarm and slot: a
+    member outside the population or seated in two slots, and an
+    unchoke, optimistic unchoke or link-progress entry that names a slot
+    outside the knowledge-graph neighbourhood (the invariant
+    {!Stratify_bittorrent.Swarm.recycle_peer} relies on). *)
 
 val restore_string : string -> t

@@ -554,7 +554,40 @@ let test_plan_parse_errors () =
   bad {|{"name": "x", "workload": {"kind": "async", "n": 10, "horizon": 1e999}, "assertions": []}|};
   bad
     {|{"name": "x", "workload": {"kind": "async", "n": 10, "initiative_rate": 1e999},
-       "assertions": []}|}
+       "assertions": []}|};
+  (* A typo'd key in a nested object is an error naming the key and its
+     path, not a field silently left at its default. *)
+  let typo path key json =
+    match Plan.of_json (Obs.Jsonx.of_string json) with
+    | exception Obs.Jsonx.Parse_error msg ->
+        List.iter
+          (fun fragment ->
+            if not (Helpers.contains msg fragment) then
+              Alcotest.failf "error %S does not mention %S" msg fragment)
+          [ path ^ ": unknown field"; Printf.sprintf "%S" key ]
+    | _ -> Alcotest.failf "%S in %s accepted" key path
+  in
+  let plan ?(workload = {|{"kind": "async", "n": 10}|}) ?(net = "{}") ?(partitions = "[]")
+      ?(assertions = "[]") () =
+    Printf.sprintf {|{"name": "x", "workload": %s, "net": %s, "partitions": %s, "assertions": %s}|}
+      workload net partitions assertions
+  in
+  typo "plan.workload" "horizn" (plan ~workload:{|{"kind": "async", "n": 10, "horizn": 5.0}|} ());
+  typo "plan.workload" "slots" (plan ~workload:{|{"kind": "async", "n": 10, "slots": 2}|} ());
+  typo "plan.net" "reordr" (plan ~net:{|{"reordr": 0.1}|} ());
+  typo "plan.net.latency" "sprad"
+    (plan ~net:{|{"latency": {"kind": "jitter", "base": 0.1, "spread": 0.1, "sprad": 1.0}}|} ());
+  typo "plan.net.loss" "loss_god"
+    (plan
+       ~net:
+         {|{"loss": {"kind": "burst", "p_gb": 0.1, "p_bg": 0.3, "loss_god": 0.02,
+                     "loss_bad": 0.5}}|}
+       ());
+  typo "plan.partitions[1]" "group"
+    (plan
+       ~partitions:{|[{"at": 1.0, "groups": "halves"}, {"at": 2.0, "groups": "heal", "group": 1}]|}
+       ());
+  typo "plan.assertions[0]" "value" (plan ~assertions:{|[{"kind": "drained", "value": 1}]|} ())
 
 let test_plan_negative_deadline () =
   (* a deadline before t = 0 used to pass validation and die inside the

@@ -253,6 +253,28 @@ let test_manifest_roundtrip () =
   Alcotest.(check bool) "file name" true (Filename.basename path = "fig1-42.json");
   Alcotest.(check bool) "file round-trips" true (Obs.Run_manifest.read path = m)
 
+(* A malformed manifest names the field: a missing section, and a key
+   the schema does not declare. *)
+let test_manifest_errors () =
+  let good =
+    Obs.Jsonx.of_string
+      {|{"schema_version": 1, "kind": "bench", "name": "x", "seed": 42, "scale": 1.0, "jobs": 1,
+         "git": "g", "cores": 1, "phases": [], "counters": {}, "histograms": {}, "metrics": {}}|}
+  in
+  ignore (Obs.Run_manifest.of_json good);
+  let expect what fragment edit =
+    match Obs.Run_manifest.of_json (edit good) with
+    | _ -> Alcotest.failf "%s: manifest accepted" what
+    | exception Obs.Jsonx.Parse_error msg ->
+        if not (Helpers.contains msg fragment) then
+          Alcotest.failf "%s: %S lacks %S" what msg fragment
+  in
+  let fields f = function Obs.Jsonx.Obj kv -> Obs.Jsonx.Obj (f kv) | j -> j in
+  expect "no counters" {|manifest: missing field "counters"|}
+    (fields (List.filter (fun (k, _) -> k <> "counters")));
+  expect "typo'd seed" {|manifest: unknown field "sede"|}
+    (fields (fun kv -> kv @ [ ("sede", Obs.Jsonx.Int 43) ]))
+
 let test_capture_snapshots_probes () =
   with_obs (fun () ->
       Obs.Span.reset ();
@@ -310,6 +332,7 @@ let suite =
     Alcotest.test_case "JSON rejects non-finite numbers" `Quick
       test_json_rejects_non_finite_numbers;
     Alcotest.test_case "manifest round-trip" `Quick test_manifest_roundtrip;
+    Alcotest.test_case "manifest errors name the field" `Quick test_manifest_errors;
     Alcotest.test_case "capture snapshots live probes" `Quick test_capture_snapshots_probes;
     Alcotest.test_case "profile counts minor words exactly" `Quick test_profile_counts_minor_words;
   ]

@@ -488,12 +488,12 @@ let script_roundtrip_law (seed, _) =
   let scr' = Request.of_json (Request.to_json scr) in
   scr = scr'
 
-let expect_parse_error what json =
+let expect_parse_error ?(fragment = "unknown") what json =
   match Request.of_json (Jsonx.of_string json) with
-  | _ -> Alcotest.failf "%s: unknown key accepted" what
+  | _ -> Alcotest.failf "%s: script accepted" what
   | exception Jsonx.Parse_error msg ->
-      if not (Helpers.contains msg "unknown") then
-        Alcotest.failf "%s: error %S does not name the unknown key" what msg
+      if not (Helpers.contains msg fragment) then
+        Alcotest.failf "%s: error %S lacks %S" what msg fragment
 
 let minimal_script extra_world extra_top =
   Printf.sprintf
@@ -508,7 +508,34 @@ let test_unknown_keys () =
   expect_parse_error "request"
     {|{"name": "x", "seed": 1, "world": {"n": 4, "swarms": [{"sid": "a", "size": 3}]}, "requests": [{"at": 1.0, "kind": "stats", "why": 0}], "horizon": 5.0}|};
   expect_parse_error "pieces"
-    {|{"name": "x", "seed": 1, "world": {"n": 4, "swarms": [{"sid": "a", "size": 3, "pieces": {"pieces": 4, "piece_size": 8.0, "chunk": 1}}]}, "requests": [], "horizon": 5.0}|}
+    {|{"name": "x", "seed": 1, "world": {"n": 4, "swarms": [{"sid": "a", "size": 3, "pieces": {"pieces": 4, "piece_size": 8.0, "chunk": 1}}]}, "requests": [], "horizon": 5.0}|};
+  (* a key of another request kind *)
+  expect_parse_error ~fragment:"requests[0]: unknown field \"want\"" "join with a want"
+    {|{"name": "x", "seed": 1, "world": {"n": 4, "swarms": [{"sid": "a", "size": 3}]}, "requests": [{"at": 1.0, "kind": "join", "peer": 0, "swarm": "a", "want": 3}], "horizon": 5.0}|}
+
+(* A shape error names the field's path in the script or the snapshot. *)
+let test_decode_paths () =
+  expect_parse_error ~fragment:"serve script.world.swarms[0].size: expected int, got string"
+    "size as a string"
+    {|{"name": "x", "world": {"n": 4, "swarms": [{"sid": "a", "size": "3"}]}, "horizon": 5.0}|};
+  let expect_snapshot_error fragment snap =
+    match Serve.restore_string (Jsonx.to_string ~indent:false snap) with
+    | _ -> Alcotest.failf "%s: snapshot restored" fragment
+    | exception Jsonx.Parse_error msg ->
+        if not (Helpers.contains msg fragment) then Alcotest.failf "error %S lacks %S" msg fragment
+  in
+  let snap = small_world () in
+  expect_snapshot_error "serve snapshot.swarms[0].peers[3].optimistic: expected int, got string"
+    (edit
+       (swarm0 [ `Field "peers"; `Nth 3; `Field "optimistic" ])
+       (set_to (Jsonx.String "3"))
+       snap);
+  expect_snapshot_error "serve snapshot.tallies: unknown field \"joinz\""
+    (edit [ `Field "tallies" ]
+       (function
+         | Jsonx.Obj kv -> Jsonx.Obj (("joinz", Jsonx.Int 0) :: kv)
+         | _ -> Alcotest.fail "tallies is not an object")
+       snap)
 
 let expect_invalid what fragment f =
   match f () with
@@ -638,6 +665,7 @@ let suite =
       test_restore_invariants;
     Alcotest.test_case "serve: unknown JSON keys rejected" `Quick
       test_unknown_keys;
+    Alcotest.test_case "serve: decode errors name the field path" `Quick test_decode_paths;
     Alcotest.test_case "serve: validation errors are named" `Quick
       test_validate_errors;
     Alcotest.test_case "serve: reference errors are named" `Quick
