@@ -108,12 +108,13 @@ let literal c v =
 type members = (string * Jsonx.t) list
 
 (* A group of an object's keys: one key, a flattened union, or a whole
-   record.  [write] puts the group's members in front of [tail]; [keys]
+   record.  [write] puts the group's members in front of [tail]; [read]
+   adds to [found] one for each of the group's keys it finds; [keys]
    lists them for an error message, given the object's members (which
    select a union's case). *)
 type ('r, 'a) field = {
   write : 'r -> members -> members;
-  read : members -> 'a;
+  read : int ref -> members -> 'a;
   declares : members -> string -> bool;
   keys : members -> string list;
 }
@@ -129,15 +130,19 @@ let key name ~write ~read =
 
 let write_always name c get v tail = (name, c.enc (get v)) :: tail
 
-let read_default name c default m =
+let read_default name c default found m =
   match find name m with
-  | Jsonx.Null | (exception Not_found) -> default
-  | j -> in_key name c.dec j
+  | exception Not_found -> default
+  | j -> (
+      incr found;
+      match j with Jsonx.Null -> default | j -> in_key name c.dec j)
 
 let req name c get =
-  key name ~write:(write_always name c get) ~read:(fun m ->
+  key name ~write:(write_always name c get) ~read:(fun found m ->
       match find name m with
-      | j -> in_key name c.dec j
+      | j ->
+          incr found;
+          in_key name c.dec j
       | exception Not_found -> raise (Missing name))
 
 let opt name c ~default get =
@@ -149,16 +154,16 @@ let omit name c ~default get =
       if x = default then tail else (name, c.enc x) :: tail)
 
 let record make =
-  { write = (fun _ tail -> tail); read = (fun _ -> make); declares = (fun _ _ -> false);
+  { write = (fun _ tail -> tail); read = (fun _ _ -> make); declares = (fun _ _ -> false);
     keys = (fun _ -> []) }
 
 let ( |+ ) r f =
   {
     write = (fun v tail -> r.write v (f.write v tail));
     read =
-      (fun m ->
-        let k = r.read m in
-        k (f.read m));
+      (fun found m ->
+        let k = r.read found m in
+        k (f.read found m));
     declares = (fun m k -> r.declares m k || f.declares m k);
     keys = (fun m -> r.keys m @ f.keys m);
   }
@@ -185,12 +190,16 @@ let union ?default tag cases get =
         let msg = Printf.sprintf "unknown %s %S (expected one of %s)" tag s names in
         raise (Fail ([ "." ^ tag ], msg))
   in
-  let select m =
+  let absent () = match default with Some d -> named d cases | None -> raise (Missing tag) in
+  let select found m =
     match find tag m with
-    | Jsonx.String s -> named s cases
-    | Jsonx.Null | (exception Not_found) -> (
-        match default with Some d -> named d cases | None -> raise (Missing tag))
-    | j -> in_key tag (expected "string") j
+    | exception Not_found -> absent ()
+    | j -> (
+        incr found;
+        match j with
+        | Jsonx.String s -> named s cases
+        | Jsonx.Null -> absent ()
+        | j -> in_key tag (expected "string") j)
   in
   let rec write v tail = function
     | [] -> invalid_arg ("Codec.union: no case of " ^ tag ^ " holds the value")
@@ -202,19 +211,19 @@ let union ?default tag cases get =
   {
     write = (fun v tail -> write (get v) tail cases);
     read =
-      (fun m ->
-        let (Case c) = select m in
-        c.inject (c.fields.read m));
+      (fun found m ->
+        let (Case c) = select found m in
+        c.inject (c.fields.read found m));
     declares =
       (fun m k ->
         String.equal k tag
         ||
-        match select m with
+        match select (ref 0) m with
         | Case c -> c.fields.declares m k
         | exception (Fail _ | Missing _) -> true);
     keys =
       (fun m ->
-        match select m with
+        match select (ref 0) m with
         | Case c -> tag :: c.fields.keys m
         | exception (Fail _ | Missing _) -> [ tag ]);
   }
@@ -234,13 +243,16 @@ let obj r =
     dec =
       (function
       | Jsonx.Obj m ->
+          let found = ref 0 in
           let v =
-            try r.read m
+            try r.read found m
             with Missing name ->
               check_keys r m m;
               fail (Printf.sprintf "missing field %S" name)
           in
-          check_keys r m m;
+          (* A record declares each key once and Jsonx rejects a repeated
+             one, so if every member was found, none is unknown. *)
+          if !found <> List.length m then check_keys r m m;
           v
       | j -> expected "object" j);
   }

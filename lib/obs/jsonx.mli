@@ -3,9 +3,9 @@
     The repository deliberately has no JSON dependency; run manifests
     only need objects, arrays, strings, ints and floats.  The printer
     emits standard JSON (floats chosen so they parse back to the same
-    bits); the parser accepts standard JSON including escape sequences
-    and [\uXXXX] (encoded to UTF-8).  [to_string (of_string s)] is the
-    identity on values, which the test suite pins. *)
+    bits); the parser accepts standard JSON (RFC 8259).  [of_string
+    (to_string v)] is [v], floats bit for bit, which the test suite
+    pins. *)
 
 type t =
   | Null
@@ -24,10 +24,23 @@ val to_string : ?indent:bool -> t -> string
     otherwise one compact line. *)
 
 val of_string : string -> t
-(** Numbers without [.], [e] or [E] parse as [Int]; everything else
-    numeric as [Float].  Rejects a number that is not finite ([1e999]),
-    naming the literal and its key, and an object that repeats a key,
-    naming the key. *)
+(** Parses one JSON value, with white space around it.
+    - A number follows the JSON grammar,
+      [-? (0 | [1-9] [0-9]* ) ([.] [0-9]+)? ([eE] [+-]? [0-9]+)?], so
+      [+5], [01], [.5] and [5.] are errors.  One without [.], [e] or [E]
+      that fits an [int] is an [Int]; every other number is the
+      [Float] that [float_of_string] reads from it, bit for bit.  A
+      number that is not finite ([1e999]) is an error naming the
+      literal and its key.
+    - A string may hold JSON's escapes.  [\u] takes exactly four hex
+      digits and is encoded to UTF-8; a surrogate pair is one code
+      point, and a lone surrogate is an error.  Other bytes are taken
+      as they are.
+    - An object that repeats a key is an error naming the key.  Keys
+      with the same spelling share one string within one call.
+    - Arrays and objects nest at most 512 deep.
+
+    Every error is a {!Parse_error} naming its byte offset. *)
 
 (** {2 Accessors} — all raise {!Parse_error} on shape mismatch, naming
     the expected and the actual shape but not where the value sits.

@@ -146,6 +146,7 @@ let test_json_roundtrip () =
       Float 1.6180339887498949;
       Float (-1e-300);
       Float 12345678901234567890.;
+      Float 17151476436924556.;
       String "plain";
       String "esc \"quotes\" back\\slash\nnewline\ttab\001ctl";
       List [ Int 1; List []; Obj [] ];
@@ -207,6 +208,192 @@ let test_json_rejects_non_finite_numbers () =
     (Printf.sprintf "non-finite number %s at byte 1" huge);
   Alcotest.(check bool) "1e308 is finite" true
     (Obs.Jsonx.of_string "1e308" = Obs.Jsonx.Float 1e308)
+
+(* JSON numbers follow the grammar: a sign, a leading zero or a bare
+   point is refused, with the run of number bytes and its end offset. *)
+let test_json_rejects_non_json_numbers () =
+  check_parse_error "plus sign" "+5" "bad number +5 at byte 2";
+  check_parse_error "leading zero" {|{"horizon": 040.0}|} "bad number 040.0 at byte 17";
+  check_parse_error "no integer part" "[.5]" "bad number .5 at byte 3";
+  check_parse_error "no fraction digits" "5." "bad number 5. at byte 2";
+  check_parse_error "point before exponent" "1.e5" "bad number 1.e5 at byte 4";
+  let open Obs.Jsonx in
+  Alcotest.(check bool) "-0 is Int 0" true (of_string "-0" = Int 0);
+  Alcotest.(check bool) "max_int + 1 reads as a float" true
+    (of_string "4611686018427387904" = Float 4.6116860184273879e18);
+  Alcotest.(check bool) "min_int is an int" true (of_string "-4611686018427387904" = Int min_int)
+
+(* [\u] takes exactly four hex digits; a surrogate pair is one code
+   point in four UTF-8 bytes, and a lone surrogate is refused. *)
+let test_json_unicode_escapes () =
+  check_parse_error "underscore in the digits" {|"\u1_23"|} {|bad \u escape 1_23 at byte 7|};
+  check_parse_error "lone high surrogate" {|"\uD800"|} {|bad \u escape D800 at byte 7|};
+  check_parse_error "high surrogate, then no low one" {|"\ud800A"|}
+    {|bad \u escape d800 at byte 7|};
+  check_parse_error "lone low surrogate" {|["\uDC00"]|} {|bad \u escape DC00 at byte 8|};
+  Alcotest.(check bool) "surrogate pair is UTF-8" true
+    (Obs.Jsonx.of_string {|"\ud83d\ude00"|} = Obs.Jsonx.String "\xF0\x9F\x98\x80")
+
+(* Containers nest at most 512 deep, so a deep input fails at once
+   instead of costing time quadratic in its depth. *)
+let test_json_nesting_bounded () =
+  let nested depth = String.make depth '[' ^ String.make depth ']' in
+  ignore (Obs.Jsonx.of_string (nested 512));
+  check_parse_error "depth 513" (nested 513) "nesting deeper than 512 at byte 512";
+  let objects = String.concat "" (List.init 513 (fun _ -> {|{"a": |})) in
+  check_parse_error "objects" objects "nesting deeper than 512 at byte 3072";
+  let t0 = Unix.gettimeofday () in
+  check_parse_error "depth 10^6" (nested 1_000_000) "nesting deeper than 512 at byte 512";
+  let elapsed = Unix.gettimeofday () -. t0 in
+  if elapsed > 0.5 then Alcotest.failf "depth 10^6 took %.2f s" elapsed
+
+(* ---- scanner laws ---------------------------------------------------- *)
+
+(* Equality with floats compared bit for bit, so -0.0 differs from 0.0. *)
+let rec same_json a b =
+  let open Obs.Jsonx in
+  match (a, b) with
+  | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | List x, List y -> List.length x = List.length y && List.for_all2 same_json x y
+  | Obj x, Obj y ->
+      List.length x = List.length y
+      && List.for_all2 (fun (k, v) (k', v') -> String.equal k k' && same_json v v') x y
+  | _ -> a = b
+
+let json_gen =
+  let open QCheck.Gen in
+  let open Obs.Jsonx in
+  let text =
+    oneof
+      [
+        string_size ~gen:char (int_bound 10);
+        oneofl [ "\""; "\\"; "/"; "\n\r\t\b\012"; "\000\001\031"; "é€😀"; "ключ"; "" ];
+      ]
+  in
+  let bits_float =
+    map2
+      (fun i top ->
+        let bits = Int64.of_int i in
+        Int64.float_of_bits (if top then Int64.logxor bits Int64.min_int else bits))
+      int bool
+  in
+  let decimal =
+    map2
+      (fun x k -> float_of_string (Printf.sprintf "%.*f" k x))
+      (float_range (-1e4) 1e4) (int_range 1 6)
+  in
+  let number =
+    oneof
+      [
+        map (fun i -> Int i) (oneof [ small_signed_int; int; oneofl [ 0; max_int; min_int ] ]);
+        map
+          (fun f -> Float f)
+          (oneof
+             [
+               decimal;
+               map2 ldexp (float_range (-1.) 1.) (int_range (-40) 60);
+               map (fun f -> if Float.is_finite f then f else 0.5) bits_float;
+               oneofl
+                 [ -0.0; 5e-324; 2.2250738585072014e-308; 1e308; -1e308; max_float; 1e16;
+                   9007199254740992.; 0.1 ];
+             ]);
+      ]
+  in
+  let leaf =
+    oneof [ return Null; map (fun b -> Bool b) bool; number; map (fun s -> String s) text ]
+  in
+  let distinct kvs =
+    List.fold_left (fun acc (k, v) -> if List.mem_assoc k acc then acc else acc @ [ (k, v) ]) [] kvs
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> List l) (list_size (int_bound 5) (self (n / 3))));
+               ( 1,
+                 map
+                   (fun kvs -> Obj (distinct kvs))
+                   (list_size (int_bound 5) (pair text (self (n / 3)))) );
+             ])
+
+let json_arb = QCheck.make ~print:(Obs.Jsonx.to_string ~indent:false) json_gen
+
+let roundtrip_law v =
+  let open Obs.Jsonx in
+  same_json (of_string (to_string v)) v && same_json (of_string (to_string ~indent:false v)) v
+
+(* The decimal fast path agrees with float_of_string bit for bit: below
+   2^20 with at most 9 decimals, every literal takes it. *)
+let decimal_literal =
+  QCheck.make ~print:Fun.id
+    QCheck.Gen.(
+      map3
+        (fun x e k -> Printf.sprintf "%.*f" k (ldexp x e))
+        (float_range (-1.) 1.) (int_range (-30) 20) (int_range 1 9))
+
+let decimal_law lit =
+  match Obs.Jsonx.of_string lit with
+  | Obs.Jsonx.Float f ->
+      Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float (float_of_string lit))
+  | _ -> false
+
+(* Byte flips and truncations of a printed tree give a value or a
+   Parse_error, never another exception. *)
+let mutated =
+  QCheck.make
+    ~print:(fun (v, flips, cut) ->
+      Printf.sprintf "%s, flips %s, cut %d" (Obs.Jsonx.to_string ~indent:false v)
+        (String.concat " " (List.map (fun (i, c) -> Printf.sprintf "%d:%C" i c) flips))
+        cut)
+    QCheck.Gen.(triple json_gen (list_size (int_range 1 3) (pair nat char)) nat)
+
+let mutation_law (v, flips, cut) =
+  let b = Bytes.of_string (Obs.Jsonx.to_string ~indent:(cut mod 2 = 0) v) in
+  List.iter (fun (i, c) -> Bytes.set b (i mod Bytes.length b) c) flips;
+  let length = if cut mod 3 = 0 then cut mod (Bytes.length b + 1) else Bytes.length b in
+  let text = Bytes.sub_string b 0 length in
+  match Obs.Jsonx.of_string text with _ -> true | exception Obs.Jsonx.Parse_error _ -> true
+
+(* The reader allocates little beyond the tree it returns: at most 2
+   minor words per input byte on a serve script of 10^4 requests. *)
+let test_json_allocation () =
+  let module R = Stratify_serve.Request in
+  let spec sid size = { R.sid; size; d = 20.; loss = 0.; partitions = []; piece = None } in
+  let request i =
+    let peer = i * 7919 mod 10_000 and swarm = [| "lossy"; "pieces"; "clean" |].(i mod 3) in
+    let kind =
+      match i mod 20 with
+      | 0 -> R.Join { peer; swarm }
+      | 1 -> R.Leave { peer; swarm }
+      | 2 -> R.Scrape { swarm }
+      | 3 -> R.Stats
+      | _ -> R.Announce { peer; swarm; want = 1 + (i mod 50) }
+    in
+    { R.at = float_of_int i /. 500.; kind }
+  in
+  let script =
+    {
+      R.name = "allocation";
+      seed = 11;
+      world =
+        { R.n = 10_000; d = 10.; b = 3; churn_rate = 1.; bands = 4;
+          swarms = [ spec "lossy" 1000; spec "pieces" 600; spec "clean" 300 ] };
+      requests = Array.init 10_000 request;
+      horizon = 20.;
+    }
+  in
+  let text = Obs.Jsonx.to_string ~indent:false (R.to_json script) in
+  let before = Gc.minor_words () in
+  let tree = Obs.Jsonx.of_string text in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity tree);
+  let per_byte = words /. float_of_int (String.length text) in
+  if per_byte > 2. then
+    Alcotest.failf "%.0f minor words for %d bytes: %.2f per byte" words (String.length text)
+      per_byte
 
 let test_manifest_roundtrip () =
   let m =
@@ -273,7 +460,11 @@ let test_manifest_errors () =
   expect "no counters" {|manifest: missing field "counters"|}
     (fields (List.filter (fun (k, _) -> k <> "counters")));
   expect "typo'd seed" {|manifest: unknown field "sede"|}
-    (fields (fun kv -> kv @ [ ("sede", Obs.Jsonx.Int 43) ]))
+    (fields (fun kv -> kv @ [ ("sede", Obs.Jsonx.Int 43) ]));
+  (* A hand-built tree may repeat a declared key; that hides no typo. *)
+  ignore (Obs.Run_manifest.of_json (fields (fun kv -> kv @ [ ("seed", Obs.Jsonx.Int 43) ]) good));
+  expect "repeated seed and typo'd seed" {|manifest: unknown field "sede"|}
+    (fields (fun kv -> kv @ [ ("seed", Obs.Jsonx.Int 43); ("sede", Obs.Jsonx.Int 43) ]))
 
 let test_capture_snapshots_probes () =
   with_obs (fun () ->
@@ -331,6 +522,13 @@ let suite =
     Alcotest.test_case "JSON rejects duplicate keys" `Quick test_json_rejects_duplicate_keys;
     Alcotest.test_case "JSON rejects non-finite numbers" `Quick
       test_json_rejects_non_finite_numbers;
+    Alcotest.test_case "JSON rejects non-JSON numbers" `Quick test_json_rejects_non_json_numbers;
+    Alcotest.test_case "JSON \\u escapes are UTF-8" `Quick test_json_unicode_escapes;
+    Alcotest.test_case "JSON nesting is bounded" `Quick test_json_nesting_bounded;
+    Helpers.qtest ~count:500 "JSON round-trips bit for bit" json_arb roundtrip_law;
+    Helpers.qtest ~count:100_000 "JSON decimals match float_of_string" decimal_literal decimal_law;
+    Helpers.qtest ~count:2000 "JSON mutations fail by name" mutated mutation_law;
+    Alcotest.test_case "JSON reader allocates <= 2 words/byte" `Quick test_json_allocation;
     Alcotest.test_case "manifest round-trip" `Quick test_manifest_roundtrip;
     Alcotest.test_case "manifest errors name the field" `Quick test_manifest_errors;
     Alcotest.test_case "capture snapshots live probes" `Quick test_capture_snapshots_probes;
