@@ -204,42 +204,35 @@ let print_components adj =
       (String.concat ", " (List.map (fun v -> string_of_int (v + 1)) members))
   done
 
-(* The same hash over an adjacency's (p, q) pairs with p < q — fig4
-   records one so CI can assert the collaboration graph is
-   band-count-invariant. *)
-let adjacency_checksum adj =
-  let h = ref fnv_seed in
-  Array.iteri
-    (fun p row -> Array.iter (fun q -> if p < q then h := fnv !h ((p lsl 20) lxor q)) row)
-    adj;
-  !h
-
 let fig4 ctx =
   Output.section "Fig 4 - constant 2-matching on a complete graph: clusters of b0+1";
   (* The acceptance graph is implicit ([Instance.complete] under
-     [Cluster.collaboration_graph]), so [--n 1000000] runs in O(n·b0)
-     memory — no n×n adjacency exists at any point.  [--bands k] solves
-     k overlapping rank bands on the domain pool and reconciles the
-     boundaries; the graph is identical for every band count. *)
+     [Cluster.stable_config]), so [--n 1000000] runs in O(n·b0) memory —
+     no n×n adjacency exists at any point, and no per-peer array either:
+     the clusters, the checksum and the block check all read the flat
+     configuration rows.  [--bands k] snaps k rank bands to cluster cuts
+     and solves them in place on the domain pool; the graph is identical
+     for every band count, which CI checks through
+     [checksum.fig4_graph]. *)
   let n = match ctx.n_override with Some n -> n | None -> 9 in
   let b0 = 2 in
-  let adj =
-    Cluster.collaboration_graph ~jobs:ctx.jobs ~bands:ctx.bands ?overlap:ctx.band_overlap
+  let config =
+    Cluster.stable_config ~jobs:ctx.jobs ~bands:ctx.bands ?overlap:ctx.band_overlap
       ~b:(Normal_b.constant ~n ~b0) ()
   in
-  let analysis = Cluster.analyze adj in
+  let analysis = Cluster.analyze_config config in
   Stratify_obs.Counter.add
     (Stratify_obs.Counter.make "checksum.fig4_graph")
-    (adjacency_checksum adj);
+    (config_checksum config);
   Stratify_obs.Counter.add
     (Stratify_obs.Counter.make "checksum.fig4_clusters")
     analysis.Cluster.count;
-  if n <= 64 then print_components adj
+  if n <= 64 then print_components (Config.to_adjacency config)
   else
     Output.note "n=%d: %d clusters, mean size %.2f, largest %d" n analysis.Cluster.count
       analysis.Cluster.mean_size analysis.Cluster.largest;
   Output.note "matches the predicted block structure: %b"
-    (Cluster.matches_block_structure ~n ~b0 adj)
+    (Cluster.config_matches_block_structure ~b0 config)
 
 let fig5 ctx =
   ignore ctx;
@@ -266,6 +259,7 @@ let table1 ctx =
         "N(b,0.2) MMO (paper)"; "N(b,0.2) MMO (ours)";
       ]
   in
+  let rows_hash = ref fnv_seed in
   for b0 = 2 to 7 do
     let idx = b0 - 2 in
     (* Constant matching: measure on a block-aligned population. *)
@@ -274,12 +268,12 @@ let table1 ctx =
       | None -> 2520
       | Some n -> Int.max (b0 + 1) (n - (n mod (b0 + 1)))
     in
-    let adj =
-      Cluster.collaboration_graph ~jobs:ctx.jobs ~bands:ctx.bands ?overlap:ctx.band_overlap
+    let config =
+      Cluster.stable_config ~jobs:ctx.jobs ~bands:ctx.bands ?overlap:ctx.band_overlap
         ~b:(Normal_b.constant ~n:n_const ~b0) ()
     in
-    let const_analysis = Cluster.analyze adj in
-    let const_mmo = Mmo.of_adjacency adj in
+    let const_analysis = Cluster.analyze_config config in
+    let const_mmo = Mmo.of_config config in
     (* Normal budgets: population must dwarf the expected cluster size.
        Cluster sizes are heavy-tailed (a single giant merge dominates a
        mean), so replicate and report the median. *)
@@ -309,6 +303,10 @@ let table1 ctx =
         mmo = median (fun p -> p.Phase.mmo);
       }
     in
+    let measured =
+      [ const_analysis.Cluster.mean_size; const_mmo; point.Phase.mean_cluster_size; point.Phase.mmo ]
+    in
+    rows_hash := List.fold_left fnv_float !rows_hash measured;
     ignore
       (Table.add_float_row t (string_of_int b0)
          [
@@ -322,6 +320,9 @@ let table1 ctx =
            point.Phase.mmo;
          ])
   done;
+  (* Every measured cell's bits, row by row: CI pins the table itself,
+     not just the builds that produced it. *)
+  Stratify_obs.Counter.add (Stratify_obs.Counter.make "checksum.table1_rows") !rows_hash;
   Output.table t;
   Output.note "normal-law cluster sizes depend on n and seed; the paper reports the";
   Output.note "order of magnitude of a factorial-like growth, which is what to compare.";

@@ -52,11 +52,14 @@ type context = {
     {!Stratify_core.Shard.default_overlap}) route the
     complete-acceptance-graph matchings (fig4, table1, fig6) and
     scaling's reference fixed points through
-    {!Stratify_core.Shard.stable_config}: [bands] overlapping rank bands
-    solved on the [jobs] domain pool, boundaries reconciled by the
-    worklist fixup.  Results are identical for every band count —
-    fig4 pins this with the [checksum.fig4_graph]/[checksum.fig4_clusters]
-    manifest counters.
+    {!Stratify_core.Shard.stable_config} on the [jobs] domain pool.  On
+    those complete graphs the [bands] rank bands snap to cluster cuts and
+    are solved in place, into disjoint rows of one configuration;
+    sparse acceptance graphs solve [bands] overlapping bands instead and
+    reconcile the boundaries with the worklist fixup.  Results are
+    identical for every band count — fig4 pins this with the
+    [checksum.fig4_graph]/[checksum.fig4_clusters] manifest counters,
+    and table1's [checksum.table1_rows] pins its measured cells.
 
     [profile_phases] (default false; requires [manifest_dir]) turns
     {!Stratify_obs.Profile} on for the run: the instrumented kernels

@@ -68,6 +68,43 @@ let rec tree_first (tmax : int array) (p : int) lo hi node nlo size =
     if l >= 0 then l else tree_first tmax p lo hi ((2 * node) + 1) (nlo + half) half
   end
 
+(* [p]'s acceptance threshold as its segment implies it: [max_int]
+   while a slot is free, [-1] when full and unmated (b(p) = 0), else
+   its worst mate's rank. *)
+let[@inline always] thresh_of t p =
+  let d = Array.unsafe_get t.deg p in
+  if d < Array.unsafe_get t.bs p then max_int
+  else if d = 0 then -1
+  else Array.unsafe_get t.data (Array.unsafe_get t.off p + d - 1)
+
+(* [p]'s 63-bit mate filter, rebuilt from its segment. *)
+let[@inline always] mask_of t p =
+  let base = t.off.(p) and d = t.deg.(p) in
+  let m = ref 0 in
+  for i = 0 to d - 1 do
+    m := !m lor (1 lsl (Array.unsafe_get t.data (base + i) mod mask_bits))
+  done;
+  !m
+
+(* Derive every view the segments determine — [thresh], the [tmax]
+   tree, the mate filter and [edges] — in one pass over the rows: what
+   [empty] starts from, and what the ordered row writer ([append])
+   finishes with.  The leaves past [n] keep [min_int]. *)
+let seal t =
+  let n = Array.length t.deg in
+  let total = ref 0 in
+  for p = 0 to n - 1 do
+    total := !total + t.deg.(p);
+    t.mask.(p) <- mask_of t p;
+    let v = thresh_of t p in
+    t.thresh.(p) <- v;
+    t.tmax.(t.tpow + p) <- v
+  done;
+  for i = t.tpow - 1 downto 1 do
+    t.tmax.(i) <- Int.max t.tmax.(2 * i) t.tmax.((2 * i) + 1)
+  done;
+  t.edges <- !total / 2
+
 let empty instance =
   let n = Instance.n instance in
   let off = Array.make (n + 1) 0 in
@@ -84,15 +121,7 @@ let empty instance =
     off.(p + 1) <- off.(p) + cap
   done;
   let bs = Instance.raw_slots instance in
-  let thresh = Array.make (max 1 n) 0 in
-  let bmax = ref 0 in
-  for p = 0 to n - 1 do
-    let b = bs.(p) in
-    if b > !bmax then bmax := b;
-    (* deg = 0: a free slot iff b > 0; full-and-unmated (b = 0) accepts
-       nobody. *)
-    thresh.(p) <- (if b > 0 then max_int else -1)
-  done;
+  let bmax = Array.fold_left Int.max 0 bs in
   let tpow =
     let m = ref 1 in
     while !m < n do
@@ -100,26 +129,23 @@ let empty instance =
     done;
     !m
   in
-  let tmax = Array.make (2 * tpow) min_int in
-  for p = 0 to n - 1 do
-    tmax.(tpow + p) <- thresh.(p)
-  done;
-  for i = tpow - 1 downto 1 do
-    tmax.(i) <- max tmax.(2 * i) tmax.((2 * i) + 1)
-  done;
-  {
-    instance;
-    off;
-    data = Array.make off.(n) (-1);
-    deg = Array.make n 0;
-    bs;
-    thresh;
-    mask = Array.make (max 1 n) 0;
-    tpow;
-    tmax;
-    use_mask = !bmax <= mask_bits;
-    edges = 0;
-  }
+  let t =
+    {
+      instance;
+      off;
+      data = Array.make off.(n) (-1);
+      deg = Array.make n 0;
+      bs;
+      thresh = Array.make (max 1 n) 0;
+      mask = Array.make (max 1 n) 0;
+      tpow;
+      tmax = Array.make (2 * tpow) min_int;
+      use_mask = bmax <= mask_bits;
+      edges = 0;
+    }
+  in
+  seal t;
+  t
 
 let instance t = t.instance
 let degree t p = t.deg.(p)
@@ -148,12 +174,7 @@ let worst_mate t p = let w = worst_rank t p in if w < 0 then None else Some w
    ancestor whose max is unchanged, so most refreshes touch one or two
    nodes.  Called from [insert]/[remove]. *)
 let[@inline always] refresh_thresh t p =
-  let d = Array.unsafe_get t.deg p in
-  let v =
-    if d < Array.unsafe_get t.bs p then max_int
-    else if d = 0 then -1
-    else Array.unsafe_get t.data (Array.unsafe_get t.off p + d - 1)
-  in
+  let v = thresh_of t p in
   if v <> Array.unsafe_get t.thresh p then begin
     Array.unsafe_set t.thresh p v;
     let leaf = t.tpow + p in
@@ -169,13 +190,7 @@ let first_accepting t ~lo ~hi p =
 (* Rebuild [mask.(p)] from the segment — removals can clear a bit only
    if no remaining mate shares the residue, so the O(b) rebuild is the
    simplest sound update. *)
-let[@inline always] refresh_mask t p =
-  let base = t.off.(p) and d = t.deg.(p) in
-  let m = ref 0 in
-  for i = 0 to d - 1 do
-    m := !m lor (1 lsl (Array.unsafe_get t.data (base + i) mod mask_bits))
-  done;
-  t.mask.(p) <- !m
+let[@inline always] refresh_mask t p = t.mask.(p) <- mask_of t p
 
 (* Exact membership: early-exit scan over the short, sorted, flat
    segment; all comparisons are immediate int compares.  The scan is a
@@ -338,35 +353,21 @@ let signature t =
 
 let to_adjacency t = Array.init (Array.length t.deg) (fun p -> Array.sub t.data t.off.(p) t.deg.(p))
 
-(* Bulk adoption of a band-local configuration: local peer [lp] becomes
-   global peer [shift + lp].  The caller (Shard.stable_config) guarantees
-   that [local] is a configuration of the rank window
-   [shift, shift + n_local) of [t]'s instance — same budgets, acceptance
-   restricted to the window — and that [t]'s segments in the window are
-   still empty.  Local segments are sorted and within capacity, and the
-   relabelling is a constant shift, so the copy is a flat O(edges) blit:
-   no per-pair acceptance checks, searches, or shifts, which is what lets
-   the sharded matching stitch 10⁶-peer bands without redoing the
-   greedy's insertion work serially.  The derived thresh/mask entries are
-   rebuilt once per absorbed peer, after its whole segment lands. *)
-let absorb t local ~shift =
-  let ln = Array.length local.deg in
-  if shift < 0 || shift + ln > Array.length t.deg then
-    invalid_arg "Config.absorb: band outside the population";
-  for lp = 0 to ln - 1 do
-    let p = shift + lp in
-    let d = local.deg.(lp) in
-    if t.deg.(p) <> 0 then invalid_arg "Config.absorb: target peer already mated";
-    if d > t.off.(p + 1) - t.off.(p) then invalid_arg "Config.absorb: band mates exceed capacity";
-    let lbase = local.off.(lp) and base = t.off.(p) in
-    for i = 0 to d - 1 do
-      t.data.(base + i) <- shift + local.data.(lbase + i)
-    done;
-    t.deg.(p) <- d;
-    refresh_mask t p;
-    refresh_thresh t p
-  done;
-  t.edges <- t.edges + local.edges
+(* The ordered row writer.  Algorithm 1 produces every segment in
+   ascending order (a peer's mates from earlier scans first, then the
+   ones it claims itself), so a pair lands with one store per side: no
+   search, no shift, no per-pair refresh of [thresh], [tmax] or [mask].
+   [append] touches only [p]'s segment and degree — which is what lets
+   disjoint rank windows fill from different domains — and leaves the
+   derived views stale until the one [seal] pass. *)
+let append t p q =
+  let n = Array.length t.deg in
+  if p < 0 || p >= n || q < 0 || q >= n then invalid_arg "Config.append: peer outside the population";
+  let d = t.deg.(p) and base = t.off.(p) in
+  if base + d >= t.off.(p + 1) then invalid_arg "Config.append: segment full";
+  if d > 0 && t.data.(base + d - 1) >= q then invalid_arg "Config.append: mate not above the last";
+  t.data.(base + d) <- q;
+  t.deg.(p) <- d + 1
 
 let of_pairs instance pairs =
   let t = empty instance in

@@ -105,16 +105,26 @@ val to_adjacency : t -> int array array
 val of_pairs : Instance.t -> (int * int) list -> t
 (** Build from explicit pairs; validates acceptability and budgets. *)
 
-val absorb : t -> t -> shift:int -> unit
-(** [absorb t local ~shift] bulk-copies the band-local configuration
-    [local] into [t], relabelling local peer [lp] to [shift + lp].
-    Contract (enforced only cheaply): [local]'s instance must be the
-    rank window [shift, shift + n) of [t]'s instance and the window's
-    peers must still be unmated in [t].  O(edges of [local]) array
-    blits — no per-pair validation or sorted insertion, which is what
-    makes stitching sharded bands ({!Shard.stable_config}) cheap.
-    Raises [Invalid_argument] when the window overflows [t], a target
-    peer is already mated, or a segment overflows its capacity. *)
+(** {2 Ordered row writer}
+
+    Algorithm 1 ({!Greedy}) produces every mate segment in ascending
+    order, so it fills a configuration without [connect]'s search,
+    shift and per-pair refresh: [append] each side of each pair, then
+    [seal] once.  Until [seal], the segments are the only truth — the
+    derived views ([raw_thresh], {!first_accepting}, the mate filter
+    behind {!mated}, {!edge_count}) are stale, and nothing but [append]
+    may run. *)
+
+val append : t -> int -> int -> unit
+(** [append t p q] writes [q] as [p]'s next mate, after every current
+    one.  O(1).  It writes only [p]'s segment and degree, so disjoint
+    rank windows may be filled from different domains.  Raises
+    [Invalid_argument] when [p] or [q] is outside the population, [p]'s
+    segment is full, or [q] is not above [p]'s last mate. *)
+
+val seal : t -> unit
+(** Derive [raw_thresh], the {!first_accepting} tree, the mate filter
+    and {!edge_count} from the segments, in one O(n + edges) pass. *)
 
 (** {2 Low-level views}
 

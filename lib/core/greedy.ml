@@ -4,117 +4,122 @@
 
 (* Reusable scratch buffers for the greedy scans.  A repeated solver
    (churn repair, sharded band solves, benchmark loops) passes the same
-   arena to every call so the per-build [available]/[next] arrays are
-   allocated once and reused; the arrays grow monotonically and are
-   re-filled from scratch on each use, so a call with an arena is
+   arena to every call so the per-build [avail]/[next] arrays are
+   allocated once and reused; the arrays grow monotonically and every
+   build resets the entries it reads, so a call with an arena is
    bit-identical to one without.  An arena is single-threaded state:
    share one per domain, never across domains. *)
 type arena = { mutable avail : int array; mutable next : int array }
 
 let create_arena () = { avail = [||]; next = [||] }
 
-let scratch_avail a len =
-  if Array.length a.avail < len then a.avail <- Array.make (max len 1) 0;
-  a.avail
-
-let scratch_next a len =
-  if Array.length a.next < len then a.next <- Array.make (max len 1) 0;
-  a.next
-
-(* [available.(i)] = remaining slot budget of peer [i]; fresh per call,
-   arena-backed when one is supplied (entries beyond [n] are ignored). *)
-let fill_avail arena inst n =
+let scratch ?arena n =
   match arena with
-  | None -> Array.init n (Instance.slots inst)
+  | None -> (Array.make n 0, Array.make n 0)
   | Some a ->
-      let v = scratch_avail a n in
-      for i = 0 to n - 1 do
-        v.(i) <- Instance.slots inst i
-      done;
-      v
+      if Array.length a.avail < n then a.avail <- Array.make n 0;
+      if Array.length a.next < n then a.next <- Array.make n 0;
+      (a.avail, a.next)
 
-let fill_next arena n =
-  match arena with
-  | None -> Array.init (n + 1) (fun i -> i)
-  | Some a ->
-      let v = scratch_next a (n + 1) in
-      for i = 0 to n do
-        v.(i) <- i
-      done;
-      v
+(* Smallest j in [i, hi) with a free slot, or [hi]: the union-find
+   style "next pointer" jump, compressing the pointers it walks.  It
+   reads and writes [avail]/[next] only inside [i, hi) — never
+   [next.(hi)], which belongs to the next window — so disjoint windows
+   can run on different domains. *)
+let rec find_next (avail : int array) (next : int array) hi i =
+  if i >= hi then hi
+  else if avail.(i) > 0 then i
+  else begin
+    let r = if i + 1 >= hi then hi else find_next avail next hi next.(i + 1) in
+    next.(i) <- r;
+    r
+  end
+
+(* Complete-backend fast path: every pair is acceptable, so instead of
+   probing each q > i for capacity we jump between peers that still
+   have capacity.  O(w·b̄) over a window of width w instead of O(w²)
+   probes.  Pairs come out in exactly the order the generic scan would
+   make them, so the configuration is identical. *)
+let fill_complete config avail next ~lo ~hi =
+  for i = lo to hi - 1 do
+    if avail.(i) > 0 then begin
+      let q = ref (find_next avail next hi (i + 1)) in
+      while avail.(i) > 0 && !q < hi do
+        Config.append config i !q;
+        Config.append config !q i;
+        avail.(i) <- avail.(i) - 1;
+        avail.(!q) <- avail.(!q) - 1;
+        q := find_next avail next hi (!q + 1)
+      done
+    end
+  done
 
 (* Generic path: works on any backend through the O(1) indexed row
    access.  [first_index_above] skips the row prefix of peers ranked
-   before [i], which the legacy code walked and discarded one by one. *)
-let stable_config_generic ?arena inst =
-  let n = Instance.n inst in
-  let config = Config.empty inst in
-  let available = fill_avail arena inst n in
-  for i = 0 to n - 1 do
-    if available.(i) > 0 then begin
+   before [i]: those were processed earlier and either connected to [i]
+   already (accounted in [avail]) or spent their slots.  Rows are
+   sorted, so the scan stops at the window's end. *)
+let fill_generic inst config avail ~lo ~hi =
+  for i = lo to hi - 1 do
+    if avail.(i) > 0 then begin
       let len = Instance.degree inst i in
-      (* Acceptable peers better than i were processed earlier and either
-         connected to i already (accounted in available) or spent their
-         slots; only peers ranked after i can still be claimed. *)
       let j = ref (Instance.first_index_above inst i ~rank:i) in
-      while available.(i) > 0 && !j < len do
+      while avail.(i) > 0 && !j < len do
         let q = Instance.acceptable_at inst i !j in
-        if available.(q) > 0 then begin
-          Config.connect config i q;
-          available.(i) <- available.(i) - 1;
-          available.(q) <- available.(q) - 1
-        end;
-        incr j
+        if q >= hi then j := len
+        else begin
+          if avail.(q) > 0 then begin
+            Config.append config i q;
+            Config.append config q i;
+            avail.(i) <- avail.(i) - 1;
+            avail.(q) <- avail.(q) - 1
+          end;
+          incr j
+        end
       done
     end
-  done;
-  config
+  done
 
-(* Complete-backend fast path: every pair is acceptable, so instead of
-   probing each q > i for capacity we jump between peers that still have
-   capacity with a lazily-compressed "next pointer" array (union-find
-   style).  O(n·b̄) total instead of O(n²) probes.  Connections are made
-   in exactly the order the generic scan would make them, so the
-   resulting configuration is identical. *)
-let stable_config_complete ?arena inst =
-  let n = Instance.n inst in
-  let config = Config.empty inst in
-  let available = fill_avail arena inst n in
-  let next = fill_next arena n in
-  let rec find_next i =
-    if i > n then n
-    else if i = n || available.(i) > 0 then i
-    else begin
-      let r = find_next next.(i + 1) in
-      next.(i) <- r;
-      r
-    end
-  in
-  for i = 0 to n - 1 do
-    let q = ref (find_next (i + 1)) in
-    while available.(i) > 0 && !q < n do
-      Config.connect config i !q;
-      available.(i) <- available.(i) - 1;
-      available.(!q) <- available.(!q) - 1;
-      q := find_next (!q + 1)
-    done
+(* Algorithm 1 on the rank window [lo, hi) as if it were the whole
+   population: reset the window's scratch ([avail] = slot budgets, and
+   [next] = identity for the jump), then append every pair in scan
+   order.  Each peer's segment comes out ascending — the mates that
+   claimed it (earlier peers, in scan order) before the ones it claims
+   itself. *)
+let fill config ~avail ~next ~lo ~hi =
+  let inst = Config.instance config in
+  for i = lo to hi - 1 do
+    avail.(i) <- Instance.slots inst i
   done;
-  config
+  match Instance.backend_kind inst with
+  | `Complete ->
+      for i = lo to hi - 1 do
+        next.(i) <- i
+      done;
+      fill_complete config avail next ~lo ~hi
+  | `Dense | `Complete_minus | `Dynamic -> fill_generic inst config avail ~lo ~hi
 
 (* "greedy.stable_config" counts full from-scratch builds: churn runs
    use it (together with the "sched.*" counters) to prove they repaired
-   incrementally instead of rebuilding per event. *)
+   incrementally instead of rebuilding per event.  A window solve is a
+   build of its band. *)
 let c_builds = Stratify_obs.Counter.make "greedy.stable_config"
+
+let solve_window config ~avail ~next ~lo ~hi =
+  Stratify_obs.Counter.incr c_builds;
+  let snap = Stratify_obs.Profile.start () in
+  fill config ~avail ~next ~lo ~hi;
+  Stratify_obs.Profile.stop "greedy.build" ~ops:(hi - lo) snap
 
 let stable_config ?arena inst =
   Stratify_obs.Counter.incr c_builds;
   let snap = Stratify_obs.Profile.start () in
-  let config =
-    match Instance.backend_kind inst with
-    | `Complete -> stable_config_complete ?arena inst
-    | `Dense | `Complete_minus | `Dynamic -> stable_config_generic ?arena inst
-  in
-  Stratify_obs.Profile.stop "greedy.build" ~ops:(Instance.n inst) snap;
+  let n = Instance.n inst in
+  let config = Config.empty inst in
+  let avail, next = scratch ?arena n in
+  fill config ~avail ~next ~lo:0 ~hi:n;
+  Config.seal config;
+  Stratify_obs.Profile.stop "greedy.build" ~ops:n snap;
   config
 
 (* Standalone raw-array variant of the complete-graph case, kept as a
@@ -125,17 +130,7 @@ let stable_complete ~b =
   let mates = Array.init n (fun i -> Array.make (min b.(i) (n - 1)) (-1)) in
   let filled = Array.make n 0 in
   let available = Array.copy b in
-  (* next.(i) = first peer >= i that may still have capacity; lazily
-     compressed like a union-find "next pointer" structure. *)
-  let next = Array.init (n + 1) (fun i -> i) in
-  let rec find_next i = if i > n then n
-    else if i = n || available.(i) > 0 then i
-    else begin
-      let r = find_next next.(i + 1) in
-      next.(i) <- r;
-      r
-    end
-  in
+  let next = Array.init n (fun i -> i) in
   let connect i q =
     mates.(i).(filled.(i)) <- q;
     filled.(i) <- filled.(i) + 1;
@@ -145,10 +140,10 @@ let stable_complete ~b =
     available.(q) <- available.(q) - 1
   in
   for i = 0 to n - 1 do
-    let q = ref (find_next (i + 1)) in
+    let q = ref (find_next available next n (i + 1)) in
     while available.(i) > 0 && !q < n do
       connect i !q;
-      q := find_next (!q + 1)
+      q := find_next available next n (!q + 1)
     done
   done;
   Array.init n (fun i ->

@@ -18,19 +18,37 @@ val create_arena : unit -> arena
 (** An empty arena; its buffers grow lazily to the largest instance
     solved through it. *)
 
-val scratch_avail : arena -> int -> int array
-(** [scratch_avail a len] is a scratch array of length >= [len] with
-    unspecified contents, owned by [a] — callers fill what they read.
-    For solvers ({!Shard.cluster_cuts}) that share the arena's buffers
-    with their own fill discipline. *)
+val scratch : ?arena:arena -> int -> int array * int array
+(** [scratch ?arena n] is an [(avail, next)] pair of scratch arrays of
+    length >= [n] with unspecified contents: the arena's buffers when
+    one is given (grown as needed), fresh ones otherwise.  Callers fill
+    what they read — {!solve_window} resets its own window. *)
 
-val scratch_next : arena -> int -> int array
-(** Same contract as {!scratch_avail}, for the next-pointer buffer. *)
+val find_next : int array -> int array -> int -> int -> int
+(** [find_next avail next hi i] is the smallest [j] in [\[i, hi)] with
+    [avail.(j) > 0], or [hi]: the next-pointer jump of the complete fast
+    path, compressing the pointers it walks.  [next.(j)] must be [j] or
+    a value this function wrote, for every [j] in [\[i, hi)]; it reads
+    and writes no entry outside that range. *)
 
 val stable_config : ?arena:arena -> Instance.t -> Config.t
-(** O(Σ degree) over the acceptance lists.  When profiling is on
-    ({!Stratify_obs.Profile}), each build is recorded under the
-    "greedy.build" kernel with [n] ops. *)
+(** O(Σ degree) over the acceptance lists.  The pairs go in through
+    {!Config.append} in scan order and the result is {!Config.seal}ed.
+    When profiling is on ({!Stratify_obs.Profile}), each build is
+    recorded under the "greedy.build" kernel with [n] ops. *)
+
+val solve_window :
+  Config.t -> avail:int array -> next:int array -> lo:int -> hi:int -> unit
+(** [solve_window config ~avail ~next ~lo ~hi] runs Algorithm 1 on the
+    rank window [\[lo, hi)] of [config]'s instance as if the window were
+    the whole population, and appends its pairs to the window's rows,
+    which must be empty.  [avail] and [next] are scratch of length
+    >= [hi]; it resets their window entries itself.  It writes no row
+    and no scratch entry outside [\[lo, hi)], and reads none another
+    window writes, so disjoint windows may be solved from different
+    domains.  Counts one build and records one "greedy.build" row of
+    [hi - lo] ops, like {!stable_config}.  The caller {!Config.seal}s
+    [config] once every window is written. *)
 
 val stable_complete : b:int array -> int array array
 (** Fast path for a complete acceptance graph with identity ranking (§4's

@@ -9,6 +9,11 @@ val of_adjacency : int array array -> float
 (** Empirical MMO of a collaboration graph (vertices = rank labels).
     Unmated peers contribute 0. *)
 
+val of_config : Config.t -> float
+(** The same, read from a configuration's sorted mate segments (first
+    and last mate of each peer):
+    [of_config c = of_adjacency (Config.to_adjacency c)]. *)
+
 val closed_form : int -> float
 (** The constant-[b0] complete-graph value:
     [MMO(b0) = (Σ_{i=1}^{b0+1} max(i−1, b0+1−i)) / (b0+1)] —

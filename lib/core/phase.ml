@@ -15,11 +15,11 @@ let measure ?(jobs = 1) ?(bands = 1) ?overlap rng ~n ~mean_b ~sigma ~replicates 
       if sigma <= 0. then Normal_b.constant ~n ~b0:(int_of_float (Float.round mean_b))
       else Normal_b.rounded_normal rng ~n ~mean:mean_b ~sigma
     in
-    let adj = Cluster.collaboration_graph ~jobs ~bands ?overlap ~b () in
-    let analysis = Cluster.analyze adj in
+    let config = Cluster.stable_config ~jobs ~bands ?overlap ~b () in
+    let analysis = Cluster.analyze_config config in
     size_acc := !size_acc +. analysis.Cluster.mean_size;
     largest_acc := !largest_acc +. float_of_int analysis.Cluster.largest;
-    mmo_acc := !mmo_acc +. Mmo.of_adjacency adj
+    mmo_acc := !mmo_acc +. Mmo.of_config config
   done;
   let r = float_of_int replicates in
   {

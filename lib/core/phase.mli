@@ -23,9 +23,10 @@ val measure :
   replicates:int ->
   point
 (** Average cluster size and MMO over [replicates] independent budget
-    draws on [n] peers.  [bands]/[overlap]/[jobs] are forwarded to
-    {!Cluster.collaboration_graph} (rank-banded sharded matching);
-    results are identical for every combination. *)
+    draws on [n] peers, read from each draw's flat configuration
+    ({!Cluster.analyze_config}, {!Mmo.of_config}).  [bands]/[overlap]/
+    [jobs] are forwarded to {!Cluster.stable_config} (rank-banded
+    sharded matching); results are identical for every combination. *)
 
 val sweep :
   ?jobs:int ->

@@ -39,8 +39,9 @@ let band_ranges ~n ~bands ~overlap =
    only go forward in rank, the availability of [s, n) is then exactly
    virgin when the scan arrives at [s], so Algorithm 1 restarted from
    [s] reproduces the global configuration on [s, n) — a renewal point.
-   O(n·b̄) integer work: roughly an order of magnitude cheaper than the
-   full greedy build it lets the bands parallelize.
+   O(n·b̄) integer work into the caller's [avail]/[next] scratch, and
+   the cuts are collected in an int array, not a cons list: at
+   n = 10⁶, b0 = 2 a list would cons a cell per cut, 333,334 of them.
 
    Meaningful for the complete-family backends, whose acceptance is a
    rank window; on sparse backends cuts this cheap do not exist
@@ -48,67 +49,51 @@ let band_ranges ~n ~bands ~overlap =
    back to nominal boundaries there.  Availability is clamped to the
    acceptance degree so removed ([Complete_minus]) peers are born
    saturated, mirroring the generic greedy's skip of their empty rows. *)
-let cluster_cuts ?arena inst =
+let cuts_with ~avail ~next inst =
   let n = Instance.n inst in
   let prof = Obs.Profile.start () in
-  let avail, next =
-    match arena with
-    | None ->
-        ( Array.init n (fun p -> min (Instance.slots inst p) (Instance.degree inst p)),
-          Array.init (n + 1) (fun i -> i) )
-    | Some a ->
-        let avail = Greedy.scratch_avail a n in
-        for p = 0 to n - 1 do
-          avail.(p) <- min (Instance.slots inst p) (Instance.degree inst p)
-        done;
-        let next = Greedy.scratch_next a (n + 1) in
-        for i = 0 to n do
-          next.(i) <- i
-        done;
-        (avail, next)
-  in
-  let rec find_next i =
-    if i > n then n
-    else if i = n || avail.(i) > 0 then i
-    else begin
-      let r = find_next next.(i + 1) in
-      next.(i) <- r;
-      r
-    end
-  in
-  let cuts = ref [] and ncuts = ref 0 in
-  let maxq = ref (-1) in
+  for p = 0 to n - 1 do
+    avail.(p) <- Int.min (Instance.slots inst p) (Instance.degree inst p);
+    next.(p) <- p
+  done;
+  (* [cuts.(ncuts)] stays [n]: [n] is always a cut *)
+  let cuts = Array.make (n + 1) n in
+  let ncuts = ref 0 and maxq = ref (-1) in
   for i = 0 to n - 1 do
     if !maxq < i then begin
-      cuts := i :: !cuts;
+      cuts.(!ncuts) <- i;
       incr ncuts
     end;
-    let q = ref (find_next (i + 1)) in
-    while avail.(i) > 0 && !q < n do
-      avail.(i) <- avail.(i) - 1;
-      avail.(!q) <- avail.(!q) - 1;
-      if !q > !maxq then maxq := !q;
-      q := find_next (!q + 1)
-    done
+    if avail.(i) > 0 then begin
+      let q = ref (Greedy.find_next avail next n (i + 1)) in
+      while avail.(i) > 0 && !q < n do
+        avail.(i) <- avail.(i) - 1;
+        avail.(!q) <- avail.(!q) - 1;
+        if !q > !maxq then maxq := !q;
+        q := Greedy.find_next avail next n (!q + 1)
+      done
+    end
   done;
-  (* prepended while scanning up → reversed; [n] is always a cut *)
-  let out = Array.make (!ncuts + 1) n in
-  List.iteri (fun i s -> out.(!ncuts - 1 - i) <- s) !cuts;
+  let out = Array.sub cuts 0 (!ncuts + 1) in
   Obs.Profile.stop "shard.cluster_cuts" ~ops:n prof;
   out
 
+let cluster_cuts ?arena inst =
+  let avail, next = Greedy.scratch ?arena (Instance.n inst) in
+  cuts_with ~avail ~next inst
+
 (* Snap each nominal boundary [i·n/bands] to the nearest cluster cut.
    A band that starts at a cut is phase-aligned: its local greedy equals
-   the global configuration restricted to the band, so the stitch is a
-   pure copy and the fixup drains an (almost) empty queue.  Nominal
-   boundaries instead start bands mid-cluster, and the band-local
-   clusters come out shifted — correct only after the fixup re-matches
-   the entire band, which is exactly the serial work sharding exists to
-   avoid.  [nearest] is monotone in its argument, so deduplicating the
-   snapped bounds just drops empty bands: when cuts are sparser than
-   bands (giant fused clusters, Table 1's normal law at high σ), the
-   effective band count degrades gracefully instead of producing
-   misaligned bands. *)
+   the global configuration restricted to the band, so the band can
+   write the global rows in place and the fixup drains an (almost)
+   empty queue.  Nominal boundaries instead start bands mid-cluster,
+   and the band-local clusters come out shifted — correct only after
+   the fixup re-matches the entire band, which is exactly the serial
+   work sharding exists to avoid.  [nearest] is monotone in its
+   argument, so deduplicating the snapped bounds just drops empty
+   bands: when cuts are sparser than bands (giant fused clusters,
+   Table 1's normal law at high σ), the effective band count degrades
+   gracefully instead of producing misaligned bands. *)
 let snap_ranges ~n ~bands cuts =
   let ncuts = Array.length cuts in
   let nearest t =
@@ -144,10 +129,13 @@ let default_overlap inst =
   let bmax = Array.fold_left Int.max 0 (Instance.raw_slots inst) in
   (((3 * bmax) + 3) / 4) + bmax + 1
 
-(* The sub-instance induced by ranks [lo, hi), relabelled to local
-   labels [0, hi-lo) with the identity ranking.  Config-level algorithms
-   operate purely on rank labels, so the original instance's id<->rank
-   translation is irrelevant here: a band is a window on rank space. *)
+(* The sub-instance induced by ranks [lo, hi) of a sparse backend,
+   relabelled to local labels [0, hi-lo) with the identity ranking and
+   only intra-band acceptance edges.  Config-level algorithms operate
+   purely on rank labels, so the original instance's id<->rank
+   translation is irrelevant here: a band is a window on rank space.
+   The complete-family backends never build one — their snapped bands
+   are solved in place ([solve_snapped]). *)
 let band_instance inst ~lo ~hi =
   let len = hi - lo in
   let b = Array.sub (Instance.raw_slots inst) lo len in
@@ -168,25 +156,108 @@ let band_instance inst ~lo ~hi =
     done;
     out
   in
-  match Instance.raw_backend inst with
-  | Instance.Raw_complete -> Instance.complete ~n:len ~b ()
-  | Instance.Raw_complete_minus { pos; _ } ->
-      let removed = ref [] in
-      for r = hi - 1 downto lo do
-        if pos.(r) < 0 then removed := (r - lo) :: !removed
-      done;
-      Instance.complete_minus ~n:len ~b ~removed:!removed ()
-  | Instance.Raw_dense { off; data } ->
-      let adj =
+  let adj =
+    match Instance.raw_backend inst with
+    | Instance.Raw_dense { off; data } ->
         Array.init len (fun i ->
             let p = lo + i in
             let base = off.(p) in
             filtered_row (Array.sub data base (off.(p + 1) - base)) (off.(p + 1) - base))
-      in
-      Instance.of_adjacency ~adj ~b ()
-  | Instance.Raw_dynamic { rows; len = row_len } ->
-      let adj = Array.init len (fun i -> filtered_row rows.(lo + i) row_len.(lo + i)) in
-      Instance.of_adjacency ~adj ~b ()
+    | Instance.Raw_dynamic { rows; len = row_len } ->
+        Array.init len (fun i -> filtered_row rows.(lo + i) row_len.(lo + i))
+    | Instance.Raw_complete | Instance.Raw_complete_minus _ ->
+        invalid_arg "Shard.band_instance: complete-family bands are solved in place"
+  in
+  Instance.of_adjacency ~adj ~b ()
+
+(* Complete-family backends: snap band boundaries to true cluster cuts,
+   so each band's greedy IS the global configuration on its window, and
+   solve every band straight into its own rows of one shared [Config].
+   One scratch pair serves the cut scan and then every band: each band
+   resets and touches only its own window of the scratch and of the
+   configuration's segments, so the fan-out is race-free for any [jobs]
+   and jobs-invariant by construction.  That is also why the caller's
+   arena may be used here: its buffers are taken once, on the
+   coordinator, and no worker touches the arena itself.  The bands
+   write segments only; one [Config.seal] derives the rest. *)
+let solve_snapped ~jobs ~bands ?arena inst =
+  let n = Instance.n inst in
+  let avail, next = Greedy.scratch ?arena n in
+  let ranges = snap_ranges ~n ~bands (cuts_with ~avail ~next inst) in
+  let nbands = Array.length ranges in
+  Obs.Counter.add c_bands nbands;
+  let config = Config.empty inst in
+  (* [Profile] rows are worker-domain safe (mutex-protected): every band
+     records under "greedy.build", and "shard.band_solve" measures the
+     whole fan-out from the coordinator. *)
+  let solve = Obs.Profile.start () in
+  ignore
+    (Exec.map_indexed ~jobs ~count:nbands (fun i ->
+         let { core_lo; core_hi; _ } = ranges.(i) in
+         Greedy.solve_window config ~avail ~next ~lo:core_lo ~hi:core_hi));
+  Obs.Profile.stop "shard.band_solve" ~ops:nbands solve;
+  let stitch = Obs.Profile.start () in
+  Config.seal config;
+  Obs.Profile.stop "shard.stitch" ~ops:nbands stitch;
+  config
+
+(* Sparse backends: nominal boundaries, each band extended by [overlap]
+   on both sides and solved as its own sub-instance, then stitched
+   through a tolerant connect.  Pushes onto [sched] every endpoint the
+   stitch had to skip and the boundary zones. *)
+let solve_extended ~jobs ~bands ~overlap inst sched =
+  let n = Instance.n inst in
+  let ranges = band_ranges ~n ~bands ~overlap in
+  let nbands = Array.length ranges in
+  Obs.Counter.add c_bands nbands;
+  (* Each kernel depends only on its band index, so the fan-out is
+     jobs-invariant by construction; each band builds with fresh
+     scratch. *)
+  let solve = Obs.Profile.start () in
+  let locals =
+    Exec.map_indexed ~jobs ~count:nbands (fun i ->
+        let { ext_lo; ext_hi; _ } = ranges.(i) in
+        Greedy.stable_config (band_instance inst ~lo:ext_lo ~hi:ext_hi))
+  in
+  Obs.Profile.stop "shard.band_solve" ~ops:nbands solve;
+  let config = Config.empty inst in
+  (* Stitch, in band order, each band's pairs in ascending (p, q) order
+     (Config.iter_pairs) — a fixed, deterministic sequence.  Extended
+     bands own the pairs whose best-ranked endpoint falls in their
+     core, so every pair has exactly one owner; the tolerant connect
+     skips anything a previously stitched band made impossible and
+     queues both endpoints for the fixup instead. *)
+  let stitch = Obs.Profile.start () in
+  Array.iteri
+    (fun i local ->
+      let { core_lo; core_hi; ext_lo; _ } = ranges.(i) in
+      Config.iter_pairs
+        (fun lp lq ->
+          let p = lp + ext_lo and q = lq + ext_lo in
+          if p >= core_lo && p < core_hi then begin
+            if
+              Config.mated config p q
+              || Config.free_slots config p <= 0
+              || Config.free_slots config q <= 0
+            then begin
+              Obs.Counter.incr c_conflicts;
+              Scheduler.push sched p;
+              Scheduler.push sched q
+            end
+            else Config.connect config p q
+          end)
+        local)
+    locals;
+  Obs.Profile.stop "shard.stitch" ~ops:nbands stitch;
+  (* The extension zone around each internal boundary: band-local mates
+     may differ between the two bands that both see a peer there. *)
+  for i = 1 to nbands - 1 do
+    let s = ranges.(i).core_lo in
+    for p = max 0 (s - overlap) to min n (s + overlap) - 1 do
+      Scheduler.push sched p
+    done
+  done;
+  config
 
 let stable_config ?(jobs = 1) ?(bands = 1) ?overlap ?arena inst =
   let n = Instance.n inst in
@@ -200,92 +271,27 @@ let stable_config ?(jobs = 1) ?(bands = 1) ?overlap ?arena inst =
   check_bands "Shard.stable_config" ~n ~bands ~overlap;
   if bands = 1 then Greedy.stable_config ?arena inst
   else begin
-    (* The complete-family backends admit the O(n) renewal scan: snap
-       band boundaries to true cluster cuts so each band's local greedy
-       IS the global configuration on its window (overlap becomes
-       irrelevant — the extension is dropped and the stitch is a pure
-       [Config.absorb] blit).  Sparse backends keep the nominal
-       boundaries with extensions; their stitch goes through the
-       tolerant per-pair path below.  Either way the fixup drain is the
-       safety net that certifies stability, so a degraded cut scan
-       could only cost time, never correctness. *)
-    let snapped =
-      match Instance.backend_kind inst with
-      | `Complete | `Complete_minus -> true
-      | `Dense | `Dynamic -> false
-    in
-    let ranges =
-      if snapped then snap_ranges ~n ~bands (cluster_cuts ?arena inst)
-      else band_ranges ~n ~bands ~overlap
-    in
-    let nbands = Array.length ranges in
-    Obs.Counter.add c_bands nbands;
-    (* Solve every (extended) band independently: Algorithm 1 on the
-       band-local sub-instance.  Each kernel depends only on its band
-       index, so the fan-out is jobs-invariant by construction.  The
-       caller's arena is single-threaded and must not cross into the
-       worker domains; each band builds with fresh scratch.  The
-       [Profile] rows ARE worker-domain safe (mutex-protected), and
-       every band solve records under "greedy.build" — the enclosing
-       "shard.band_solve" row measures the whole fan-out from the
-       coordinator. *)
-    let solve = Obs.Profile.start () in
-    let locals =
-      Exec.map_indexed ~jobs ~count:nbands (fun i ->
-          let { ext_lo; ext_hi; _ } = ranges.(i) in
-          Greedy.stable_config (band_instance inst ~lo:ext_lo ~hi:ext_hi))
-    in
-    Obs.Profile.stop "shard.band_solve" ~ops:nbands solve;
-    let config = Config.empty inst in
     let sched = Scheduler.create ~n in
-    (* Stitch, in band order, each band's pairs in ascending (p, q)
-       order (Config.iter_pairs) — a fixed, deterministic sequence.
-       Snapped bands have no extension and disjoint pair sets, so they
-       blit straight in.  Extended bands own the pairs whose best-ranked
-       endpoint falls in their core, so every pair has exactly one
-       owner; the tolerant connect skips anything a previously stitched
-       band made impossible and queues both endpoints for the fixup
-       instead. *)
-    let stitch = Obs.Profile.start () in
-    Array.iteri
-      (fun i local ->
-        let { core_lo; core_hi; ext_lo; _ } = ranges.(i) in
-        if snapped then Config.absorb config local ~shift:ext_lo
-        else
-          Config.iter_pairs
-            (fun lp lq ->
-              let p = lp + ext_lo and q = lq + ext_lo in
-              if p >= core_lo && p < core_hi then begin
-                if
-                  Config.mated config p q
-                  || Config.free_slots config p <= 0
-                  || Config.free_slots config q <= 0
-                then begin
-                  Obs.Counter.incr c_conflicts;
-                  Scheduler.push sched p;
-                  Scheduler.push sched q
-                end
-                else Config.connect config p q
-              end)
-            local)
-      locals;
-    Obs.Profile.stop "shard.stitch" ~ops:nbands stitch;
+    (* The complete-family backends admit the O(n) renewal scan, so
+       their bands snap to cuts and solve in place (overlap is
+       irrelevant there); sparse backends keep nominal boundaries with
+       extensions.  Either way the fixup drain is the safety net that
+       certifies stability, so a degraded cut scan could only cost
+       time, never correctness. *)
+    let config =
+      match Instance.backend_kind inst with
+      | `Complete | `Complete_minus -> solve_snapped ~jobs ~bands ?arena inst
+      | `Dense | `Dynamic -> solve_extended ~jobs ~bands ~overlap inst sched
+    in
     (* Seed the fixup worklist with every possible blocking-pair
-       endpoint (see shard.mli for why this set is sufficient): the
-       extension zone around each internal boundary, plus every peer
-       left with a free slot — which covers, in particular, any interior
-       peer whose band-local pair was dropped by the stitch.  Snapped
-       bands need no boundary zones: their stitched mate lists are
-       band-local, and two full peers with band-local mates can never
-       block across a boundary (each one's worst mate outranks the whole
-       of the other's band), so free-slot seeding alone is exhaustive. *)
-    if not snapped then
-      for i = 1 to nbands - 1 do
-        let s = ranges.(i).core_lo in
-        for p = max 0 (s - overlap) to min n (s + overlap) - 1 do
-          Scheduler.push sched p
-        done
-      done;
+       endpoint (see shard.mli for why this set is sufficient): on top
+       of what the sparse stitch queued, every peer left with a free
+       slot — which covers, in particular, any interior peer whose
+       band-local pair was dropped by the stitch.  Snapped bands need
+       no boundary zones: their mate lists are band-local, and two full
+       peers with band-local mates can never block across a boundary
+       (each one's worst mate outranks the whole of the other's band),
+       so free-slot seeding alone is exhaustive. *)
     for p = 0 to n - 1 do
       if Config.free_slots config p > 0 && Instance.slots inst p > 0 && Instance.degree inst p > 0
       then Scheduler.push sched p

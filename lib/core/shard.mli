@@ -4,13 +4,16 @@
     peer's stable mates live within a few budget-widths of its own rank,
     so the global b-matching decomposes almost perfectly into rank
     bands.  [stable_config] exploits that: it partitions the population
-    into [bands] contiguous rank intervals, extends each by [overlap]
-    ranks on both sides, solves every extended band independently
-    (Algorithm 1 on a band-local sub-instance, fanned out over the
-    {!Stratify_exec.Exec} domain pool), stitches the band solutions into
-    one global {!Config}, and reconciles the boundaries with the
-    rank-ordered {!Scheduler} worklist until no cross-band blocking pair
-    remains.
+    into [bands] contiguous rank intervals, solves every band
+    independently with Algorithm 1, fanned out over the
+    {!Stratify_exec.Exec} domain pool, and reconciles the boundaries
+    with the rank-ordered {!Scheduler} worklist until no cross-band
+    blocking pair remains.  On the complete-family backends the bands
+    snap to cluster cuts and each one is solved in place, straight into
+    its own rows of the one global {!Config} ({!Greedy.solve_window}),
+    which is sealed once.  On sparse backends each band is extended by
+    [overlap] ranks on both sides, solved as a band-local sub-instance,
+    and stitched pair by pair.
 
     {2 Why the result is exact, for any band count and overlap}
 
@@ -54,8 +57,9 @@
     availability evolution with pure counters (no configuration, O(n·b̄)
     integer ops) and returns exactly the ranks no stable pair crosses;
     starting a band at such a cut makes its local solve equal the global
-    solution restricted to the band, the stitch a flat {!Config.absorb}
-    blit, and the fixup an (almost) empty drain.  [stable_config] snaps
+    solution restricted to the band, so it can write its rows in place
+    (the bands' rows are disjoint, so any [jobs] is race-free), and the
+    fixup is an (almost) empty drain.  [stable_config] snaps
     nominal boundaries to the nearest cut on those backends (dropping
     bands that collapse when cuts are sparser than bands — giant fused
     clusters parallelize gracelessly by nature) and ignores [overlap]
@@ -83,7 +87,9 @@ val cluster_cuts : ?arena:Greedy.arena -> Instance.t -> int array
     configuration.  Exact for [`Complete]/[`Complete_minus] (on constant
     budgets [b0 > 0] these are precisely the multiples of [b0+1], §4's
     block structure); on sparse backends the window-claim replay is only
-    an approximation and [stable_config] does not use it. *)
+    an approximation and [stable_config] does not use it.  [arena]
+    supplies the scan's scratch pair; the result is the same without
+    it. *)
 
 val snap_ranges : n:int -> bands:int -> int array -> band array
 (** [snap_ranges ~n ~bands cuts] snaps each nominal boundary
@@ -97,12 +103,6 @@ val default_overlap : Instance.t -> int
     full cluster width, so a remainder cluster at a band edge sits
     wholly inside the extension. *)
 
-val band_instance : Instance.t -> lo:int -> hi:int -> Instance.t
-(** The sub-instance induced by ranks [\[lo, hi)], relabelled to
-    [\[0, hi-lo)] with the identity ranking.  Backend-preserving:
-    [`Complete] and [`Complete_minus] stay implicit (O(hi-lo) memory);
-    [`Dense]/[`Dynamic] keep only intra-band acceptance edges. *)
-
 val stable_config :
   ?jobs:int -> ?bands:int -> ?overlap:int -> ?arena:Greedy.arena -> Instance.t -> Config.t
 (** The unique stable configuration, computed by band decomposition.
@@ -110,19 +110,24 @@ val stable_config :
     to the unsharded path); [overlap] defaults to
     {!default_overlap}; [jobs] (default 1) are the worker domains the
     band solves fan out over — the result is bit-identical for any
-    value.  Peak memory is O(n·b̄): band sub-instances and their local
-    configurations are O(Σ band width · b̄) and no n×n structure ever
-    exists.  Raises [Invalid_argument] (with the offending value named)
-    on [bands < 1], [bands > max 1 n], [overlap < 0] or [jobs < 1].
+    value.  Peak memory is O(n·b̄) and no n×n structure ever exists:
+    snapped bands allocate one configuration and one scratch pair in
+    all; sparse bands add their sub-instances and local configurations,
+    O(Σ band width · b̄).  Raises [Invalid_argument] (with the offending
+    value named) on [bands < 1], [bands > max 1 n], [overlap < 0] or
+    [jobs < 1].
 
-    [arena] (single-threaded; never shared across domains) reuses the
-    scratch buffers of the serial paths — the band-1 greedy build and
-    the cut scan; band solves inside worker domains always use fresh
-    scratch.  The result is bit-identical with or without it.
+    [arena] (single-threaded; never shared across domains) supplies the
+    scratch pair of the band-1 greedy build, and of the snapped path's
+    cut scan and band fills: its buffers are taken once on the calling
+    domain, and each band touches only its own window of them.  Sparse
+    band solves use fresh scratch.  The result is bit-identical with or
+    without it.
 
     Observability (when {!Stratify_obs.Control} is on): "shard.bands",
     "shard.stitch_conflicts", "shard.fixup_seeded", "shard.fixup_active"
     and "shard.fixup_pops" counters.  When {!Stratify_obs.Profile} is
     on, the phases record as "shard.cluster_cuts", "shard.band_solve",
-    "shard.stitch" and "shard.fixup" kernels (band solves also fold into
-    "greedy.build" from their worker domains). *)
+    "shard.stitch" (the snapped path's one {!Config.seal}, or the sparse
+    per-pair stitch) and "shard.fixup" kernels; every band solve also
+    records one "greedy.build" row from its worker domain. *)

@@ -58,7 +58,10 @@ val map_replicas :
 val map_indexed : ?chunk:int -> jobs:int -> count:int -> (int -> 'a) -> 'a array
 (** [map_indexed ~jobs ~count f] is [[| f 0; …; f (count-1) |]] computed
     on up to [jobs] domains — for kernels that derive their own seeds from
-    the index (e.g. one fixed seed per parameter combination). *)
+    the index (e.g. one fixed seed per parameter combination).  Kernels
+    may write disjoint parts of shared arrays, as the sharded matcher's
+    in-place bands do: every worker is joined before [map_indexed]
+    returns, so all their writes are visible to the caller. *)
 
 val map_array : ?chunk:int -> jobs:int -> 'a array -> ('a -> 'b) -> 'b array
 (** [map_array ~jobs xs f] is [Array.map f xs] computed on up to [jobs]

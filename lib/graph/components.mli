@@ -11,8 +11,16 @@ type t = {
 val of_graph : Undirected.t -> t
 (** Components via union-find over the edge set. *)
 
+val of_segments : off:int array -> deg:int array -> data:int array -> t
+(** Components of an undirected graph stored as flat segments: vertex
+    [u]'s neighbours are [data.(off.(u) + i)] for [i < deg.(u)], over
+    [Array.length deg] vertices, every edge listed at both endpoints —
+    a configuration's mate storage, read in place.  Breadth-first, O(n
+    + edges), with the same ids and sizes as {!of_graph}. *)
+
 val of_adjacency : int array array -> t
-(** Same, from frozen adjacency arrays. *)
+(** Same, from frozen adjacency arrays (every edge listed at both
+    endpoints), laid end to end and labelled by {!of_segments}. *)
 
 val largest_size : t -> int
 (** Size of the largest component (0 for the empty graph). *)

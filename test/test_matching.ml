@@ -94,6 +94,33 @@ let test_config_guards () =
   Alcotest.check_raises "not mates" (Invalid_argument "Config.disconnect: not mates") (fun () ->
       Config.disconnect c 2 3)
 
+(* The ordered row writer: each guard is a named error.  The range and
+   order guards also cover what the deleted band blit refused — a band
+   outside the population, and writing over peers already mated. *)
+let test_append_guards () =
+  let inst = Instance.complete ~n:4 ~b:[| 1; 2; 2; 0 |] () in
+  let c = Config.empty inst in
+  let raises what msg f = Alcotest.check_raises what (Invalid_argument msg) f in
+  let outside = "Config.append: peer outside the population" in
+  raises "peer past n" outside (fun () -> Config.append c 4 0);
+  raises "negative peer" outside (fun () -> Config.append c (-1) 0);
+  raises "mate past n" outside (fun () -> Config.append c 0 4);
+  raises "negative mate" outside (fun () -> Config.append c 0 (-1));
+  Config.append c 0 1;
+  raises "segment full" "Config.append: segment full" (fun () -> Config.append c 0 2);
+  raises "zero-budget segment" "Config.append: segment full" (fun () -> Config.append c 3 0);
+  Config.append c 1 2;
+  let order = "Config.append: mate not above the last" in
+  raises "mate below the last" order (fun () -> Config.append c 1 0);
+  raises "repeated mate" order (fun () -> Config.append c 1 2);
+  (* In scan order, peer 1 receives 0 before it claims 2. *)
+  let c = Config.empty inst in
+  List.iter (fun (p, q) -> Config.append c p q) [ (0, 1); (1, 0); (1, 2); (2, 1) ];
+  Config.seal c;
+  Alcotest.(check bool) "sealed = connected" true
+    (Config.equal c (Config.of_pairs inst [ (0, 1); (1, 2) ]));
+  Alcotest.(check int) "edges" 2 (Config.edge_count c)
+
 let test_config_drop_worst_copy_equal () =
   let inst = line_instance 5 2 in
   let c = Config.of_pairs inst [ (1, 2); (2, 3) ] in
@@ -409,6 +436,71 @@ let prop_mask_equiv_sparse =
     Helpers.instance_params (fun (seed, n, p, bmax) ->
       let rng = Rng.create seed in
       mask_paths_agree rng (Helpers.random_instance rng ~n ~p ~bmax) ~ops:60)
+
+(* ------------------------------------------------------------------ *)
+(* Ordered row writer ≡ connect                                         *)
+
+(* [Greedy.stable_config] appends its pairs and seals once; rebuilding
+   the same pairs through [Config.of_pairs] maintains every derived view
+   incrementally.  The two must be indistinguishable through every
+   reader, on all four backends, including zero budgets, n ∈ {0, 1} and
+   budgets above n - 1. *)
+let writer_params =
+  QCheck.make
+    ~print:(fun (seed, n, bmax, backend) ->
+      Printf.sprintf "seed=%d n=%d bmax=%d backend=%d" seed n bmax backend)
+    QCheck.Gen.(
+      let* seed = int_bound 1_000_000 in
+      let* n = frequency [ (1, return 0); (1, return 1); (6, int_range 2 24) ] in
+      let* bmax = frequency [ (3, int_range 0 4); (1, int_range 0 30) ] in
+      let* backend = int_range 0 3 in
+      return (seed, n, bmax, backend))
+
+let prop_writer_matches_connect =
+  Helpers.qtest ~count:200 "appended-and-sealed greedy = of_pairs of its pairs (4 backends)"
+    writer_params (fun (seed, n, bmax, backend) ->
+      let rng = Rng.create seed in
+      let b = Array.init n (fun _ -> Rng.int rng (bmax + 1)) in
+      let p = float_of_int (Rng.int rng 11) /. 10. in
+      let inst =
+        match backend with
+        | 0 -> Instance.create ~graph:(Gen.gnp rng ~n ~p) ~b ()
+        | 1 -> Instance.complete ~n ~b ()
+        | 2 ->
+            let removed = List.filter (fun _ -> Rng.int rng 4 = 0) (List.init n (fun p -> p)) in
+            Instance.complete_minus ~n ~b ~removed ()
+        | _ -> Instance.dynamic ~graph:(Gen.gnp rng ~n ~p) ~b ()
+      in
+      let built = Greedy.stable_config inst in
+      let pairs = ref [] in
+      Config.iter_pairs (fun p q -> pairs := (p, q) :: !pairs) built;
+      let connected = Config.of_pairs inst (List.rev !pairs) in
+      let ok =
+        ref
+          (Config.equal built connected
+          && Config.raw_thresh built = Config.raw_thresh connected
+          && Config.edge_count built = Config.edge_count connected
+          && Config.edge_count built = List.length !pairs
+          && Config.mask_enabled built = Config.mask_enabled connected)
+      in
+      for p = 0 to n - 1 do
+        if Config.worst_rank built p <> Config.worst_rank connected p then ok := false;
+        List.iter
+          (fun use_mask ->
+            Config.set_use_mask built use_mask;
+            Config.set_use_mask connected use_mask;
+            for q = 0 to n - 1 do
+              if Config.mated built p q <> Config.mated connected p q then ok := false
+            done)
+          [ true; false ]
+      done;
+      for _ = 1 to 40 do
+        let lo = Rng.int rng (n + 1) and hi = Rng.int rng (n + 1) in
+        let p = Rng.int rng (n + 2) - 1 in
+        if Config.first_accepting built ~lo ~hi p <> Config.first_accepting connected ~lo ~hi p
+        then ok := false
+      done;
+      !ok)
 
 (* ------------------------------------------------------------------ *)
 (* Blocking                                                            *)
@@ -778,4 +870,6 @@ let suite =
     prop_relabeling_invariance;
     Alcotest.test_case "of_adjacency = sorted relabelled rows" `Quick
       test_of_adjacency_reference;
+    Alcotest.test_case "Config.append guards" `Quick test_append_guards;
+    prop_writer_matches_connect;
   ]

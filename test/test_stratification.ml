@@ -36,6 +36,62 @@ let test_mmo_unmated_contribute_zero () =
   Helpers.check_close "empty graph" 0. (Mmo.of_adjacency [||])
 
 (* ------------------------------------------------------------------ *)
+(* Flat-row readers = adjacency readers                                *)
+
+(* The same isolated and empty cases, read from configurations. *)
+let test_flat_readers_isolated_and_empty () =
+  let isolated = Cluster.stable_config ~b:[| 0; 0; 0 |] () in
+  Helpers.check_close "all isolated" 0. (Mmo.of_config isolated);
+  Alcotest.(check int) "three singleton clusters" 3 (Cluster.analyze_config isolated).Cluster.count;
+  Alcotest.(check bool) "isolated peers are b0 = 0 blocks" true
+    (Cluster.config_matches_block_structure ~b0:0 isolated);
+  let empty = Cluster.stable_config ~b:[||] () in
+  Helpers.check_close "empty graph" 0. (Mmo.of_config empty);
+  Alcotest.(check int) "no clusters" 0 (Cluster.analyze_config empty).Cluster.count;
+  Alcotest.(check bool) "empty graph has no wrong block" true
+    (Cluster.config_matches_block_structure ~b0:2 empty)
+
+let prop_flat_readers_match_adjacency =
+  Helpers.qtest ~count:150 "flat-row clusters, MMO and block check = adjacency forms"
+    QCheck.(
+      make
+        ~print:(fun (seed, n, s, bands) ->
+          Printf.sprintf "seed=%d n=%d sigma_idx=%d bands=%d" seed n s bands)
+        Gen.(
+          let* seed = int_bound 1_000_000 in
+          let* n = int_range 0 80 in
+          let* s = int_range 0 2 in
+          let* bands = int_range 1 4 in
+          return (seed, n, s, bands)))
+    (fun (seed, n, s, bands) ->
+      let rng = Rng.create seed in
+      let sigma = [| 0.; 0.2; 1. |].(s) in
+      let b0 = 1 + Rng.int rng 4 in
+      let b =
+        if sigma = 0. then Normal_b.constant ~n ~b0
+        else Normal_b.rounded_normal rng ~n ~mean:(float_of_int b0) ~sigma
+      in
+      (* Zero budgets in half the draws; the other half keeps σ = 0 on
+         the exact block structure. *)
+      if Rng.int rng 2 = 0 then Array.iteri (fun i _ -> if Rng.int rng 5 = 0 then b.(i) <- 0) b;
+      let config = Cluster.stable_config ~bands:(Int.min bands (Int.max 1 n)) ~b () in
+      let adj = Config.to_adjacency config in
+      (* union-find over the same pairs: the independent oracle for the
+         breadth-first segment kernel both forms share *)
+      let graph = Stratify_graph.Undirected.create n in
+      Config.iter_pairs (fun p q -> ignore (Stratify_graph.Undirected.add_edge graph p q)) config;
+      Stratify_graph.Components.of_graph graph
+      = Stratify_graph.Components.of_segments ~off:(Config.raw_off config)
+          ~deg:(Config.raw_deg config) ~data:(Config.raw_data config)
+      && Cluster.analyze_config config = Cluster.analyze adj
+      && Int64.bits_of_float (Mmo.of_config config) = Int64.bits_of_float (Mmo.of_adjacency adj)
+      && List.for_all
+           (fun b0 ->
+             Cluster.config_matches_block_structure ~b0 config
+             = Cluster.matches_block_structure ~n ~b0 adj)
+           [ 0; b0; b0 + 1 ])
+
+(* ------------------------------------------------------------------ *)
 (* Cluster                                                             *)
 
 let test_cluster_block_structure () =
@@ -212,4 +268,7 @@ let suite =
     Alcotest.test_case "phase validation" `Quick test_phase_invalid;
     Alcotest.test_case "cluster sizes sorted largest first" `Quick test_cluster_sizes_sorted;
     Alcotest.test_case "block check rejects near misses" `Quick test_block_structure_rejects;
+    Alcotest.test_case "flat readers: isolated and empty" `Quick
+      test_flat_readers_isolated_and_empty;
+    prop_flat_readers_match_adjacency;
   ]
