@@ -59,21 +59,13 @@ let scheduler_arg =
 
 let bands_arg =
   let doc =
-    "Rank bands for the complete-acceptance-graph matchings (fig4, table1, fig6, scaling): the \
-     population splits into BANDS overlapping rank intervals solved independently on the --jobs \
-     domain pool, with a deterministic worklist fixup reconciling the boundaries.  The result is \
-     bit-identical for every band count (Theorem 1's uniqueness); more bands means more \
-     parallelism at 10^6-10^7 peers."
+    "Rank bands for the complete-acceptance-graph matchings (fig4, table1, fig6): the \
+     population splits into BANDS rank intervals snapped to cluster cuts, each solved in \
+     place on the --jobs domain pool, with a deterministic worklist fixup certifying the \
+     result.  The result is bit-identical for every band count (Theorem 1's uniqueness); \
+     more bands means more parallelism at 10^6-10^7 peers."
   in
   Arg.(value & opt int 1 & info [ "bands" ] ~docv:"BANDS" ~doc)
-
-let band_overlap_arg =
-  let doc =
-    "Extension width of each rank band, in ranks.  Defaults to the concentration bound of the \
-     paper's Section 4 (~(3/4)*b0 padded by one cluster width).  Any value >= 0 yields the same \
-     matching; smaller overlaps only shift work into the boundary fixup."
-  in
-  Arg.(value & opt (some int) None & info [ "band-overlap" ] ~docv:"RANKS" ~doc)
 
 let manifest_arg =
   let doc =
@@ -94,21 +86,9 @@ let profile_phases_arg =
   in
   Arg.(value & flag & info [ "profile-phases" ] ~doc)
 
-let context seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-    profile_phases =
+let context seed scale csv_dir jobs manifest_dir n_override scheduler bands profile_phases =
   let ctx =
-    {
-      E.seed;
-      scale;
-      csv_dir;
-      jobs;
-      manifest_dir;
-      n_override;
-      scheduler;
-      bands;
-      band_overlap;
-      profile_phases;
-    }
+    { E.seed; scale; csv_dir; jobs; manifest_dir; n_override; scheduler; bands; profile_phases }
   in
   (* Same checks (and messages) as the library entry point. *)
   match E.validate_context ctx with
@@ -116,10 +96,9 @@ let context seed scale csv_dir jobs manifest_dir n_override scheduler bands band
   | exception Invalid_argument msg -> `Error (false, msg)
 
 let run_experiment entry seed scale csv_dir jobs manifest_dir n_override scheduler bands
-    band_overlap profile_phases =
+    profile_phases =
   match
-    context seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-      profile_phases
+    context seed scale csv_dir jobs manifest_dir n_override scheduler bands profile_phases
   with
   | `Error _ as e -> e
   | `Ok ctx ->
@@ -133,15 +112,13 @@ let experiment_cmd ((name, description, _) as entry) =
     Term.(
       ret
         (const (run_experiment entry) $ seed_arg $ scale_arg $ csv_arg $ jobs_arg $ manifest_arg
-       $ n_arg $ scheduler_arg $ bands_arg $ band_overlap_arg $ profile_phases_arg))
+       $ n_arg $ scheduler_arg $ bands_arg $ profile_phases_arg))
 
 let all_cmd =
   let doc = "Run every experiment in sequence." in
-  let run seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-      profile_phases =
+  let run seed scale csv_dir jobs manifest_dir n_override scheduler bands profile_phases =
     match
-      context seed scale csv_dir jobs manifest_dir n_override scheduler bands band_overlap
-        profile_phases
+      context seed scale csv_dir jobs manifest_dir n_override scheduler bands profile_phases
     with
     | `Error _ as e -> e
     | `Ok ctx ->
@@ -152,7 +129,7 @@ let all_cmd =
     Term.(
       ret
         (const run $ seed_arg $ scale_arg $ csv_arg $ jobs_arg $ manifest_arg $ n_arg
-       $ scheduler_arg $ bands_arg $ band_overlap_arg $ profile_phases_arg))
+       $ scheduler_arg $ bands_arg $ profile_phases_arg))
 
 let list_cmd =
   let doc = "List available experiments." in

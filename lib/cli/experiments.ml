@@ -19,7 +19,6 @@ type context = {
   n_override : int option;
   scheduler : Scheduler.policy;
   bands : int;
-  band_overlap : int option;
   profile_phases : bool;
 }
 
@@ -33,7 +32,6 @@ let default_context =
     n_override = None;
     scheduler = Scheduler.Random_poll;
     bands = 1;
-    band_overlap = None;
     profile_phases = false;
   }
 
@@ -51,14 +49,10 @@ let validate_context ctx =
   | _ -> ());
   if ctx.bands < 1 then
     invalid_arg (Printf.sprintf "Experiments: bands must be >= 1 (got %d)" ctx.bands);
-  (match ctx.n_override with
+  match ctx.n_override with
   | Some n when ctx.bands > n ->
       invalid_arg
         (Printf.sprintf "Experiments: %d bands exceed the %d-peer population" ctx.bands n)
-  | _ -> ());
-  match ctx.band_overlap with
-  | Some o when o < 0 ->
-      invalid_arg (Printf.sprintf "Experiments: band-overlap must be >= 0 (got %d)" o)
   | _ -> ()
 
 let scaled ctx full = Int.max 1 (int_of_float (Float.round (float_of_int full *. ctx.scale)))
@@ -217,8 +211,7 @@ let fig4 ctx =
   let n = match ctx.n_override with Some n -> n | None -> 9 in
   let b0 = 2 in
   let config =
-    Cluster.stable_config ~jobs:ctx.jobs ~bands:ctx.bands ?overlap:ctx.band_overlap
-      ~b:(Normal_b.constant ~n ~b0) ()
+    Cluster.stable_config ~jobs:ctx.jobs ~bands:ctx.bands ~b:(Normal_b.constant ~n ~b0) ()
   in
   let analysis = Cluster.analyze_config config in
   Stratify_obs.Counter.add
@@ -269,7 +262,7 @@ let table1 ctx =
       | Some n -> Int.max (b0 + 1) (n - (n mod (b0 + 1)))
     in
     let config =
-      Cluster.stable_config ~jobs:ctx.jobs ~bands:ctx.bands ?overlap:ctx.band_overlap
+      Cluster.stable_config ~jobs:ctx.jobs ~bands:ctx.bands
         ~b:(Normal_b.constant ~n:n_const ~b0) ()
     in
     let const_analysis = Cluster.analyze_config config in
@@ -287,8 +280,8 @@ let table1 ctx =
       Exec.map_replicas ~jobs:ctx.jobs ~rng ~replicas:replicates (fun rng _ ->
           (* Replicas already occupy the worker pool, so band solves
              inside each kernel stay on their worker's domain. *)
-          Phase.measure ~bands:ctx.bands ?overlap:ctx.band_overlap rng ~n:n_normal
-            ~mean_b:(float_of_int b0) ~sigma:0.2 ~replicates:1)
+          Phase.measure ~bands:ctx.bands rng ~n:n_normal ~mean_b:(float_of_int b0) ~sigma:0.2
+            ~replicates:1)
     in
     let median f =
       let values = Array.map f runs in
@@ -344,8 +337,8 @@ let fig6 ctx =
   let grid =
     Exec.map_replicas ~jobs:ctx.jobs ~rng ~replicas:(Array.length sigmas * replicates)
       (fun rng k ->
-        Phase.measure ~bands:ctx.bands ?overlap:ctx.band_overlap rng ~n
-          ~mean_b:6. ~sigma:sigmas.(k / replicates) ~replicates:1)
+        Phase.measure ~bands:ctx.bands rng ~n ~mean_b:6. ~sigma:sigmas.(k / replicates)
+          ~replicates:1)
   in
   let points =
     Array.mapi
@@ -696,12 +689,7 @@ let scaling ctx =
           let rng = Rng.create (ctx.seed + k) in
           let graph = Gen.gnd rng ~n ~d in
           let inst = Instance.create ~graph ~b:(Array.make n 1) () in
-          (* Reference fixed point via the sharded solver (Dense-backend
-             exercise; identical to greedy for every band count).  The
-             grid spans several n, so clamp the band count to each. *)
-          let stable =
-            Shard.stable_config ~bands:(Int.min ctx.bands n) ?overlap:ctx.band_overlap inst
-          in
+          let stable = Greedy.stable_config inst in
           let sim = Sim.create ~scheduler:ctx.scheduler inst rng in
           match Sim.run_until_stable sim ~stable ~max_units:4000 with
           | Some steps -> float_of_int steps /. float_of_int n

@@ -17,7 +17,6 @@ type context = {
   n_override : int option;
   scheduler : Stratify_core.Scheduler.policy;
   bands : int;
-  band_overlap : int option;
   profile_phases : bool;
 }
 (** [jobs] is the worker-domain count handed to {!Stratify_exec.Exec} by
@@ -48,16 +47,11 @@ type context = {
     the same stable configurations — fig1 pins this with the
     [checksum.fig1_final/<i>] manifest counters.
 
-    [bands] (default 1) and [band_overlap] (default: the §4-derived
-    {!Stratify_core.Shard.default_overlap}) route the
-    complete-acceptance-graph matchings (fig4, table1, fig6) and
-    scaling's reference fixed points through
-    {!Stratify_core.Shard.stable_config} on the [jobs] domain pool.  On
-    those complete graphs the [bands] rank bands snap to cluster cuts and
-    are solved in place, into disjoint rows of one configuration;
-    sparse acceptance graphs solve [bands] overlapping bands instead and
-    reconcile the boundaries with the worklist fixup.  Results are
-    identical for every band count — fig4 pins this with the
+    [bands] (default 1) routes the complete-acceptance-graph matchings
+    (fig4, table1, fig6) through {!Stratify_core.Shard.stable_config} on
+    the [jobs] domain pool: the [bands] rank bands snap to cluster cuts
+    and are solved in place, into disjoint rows of one configuration.
+    Results are identical for every band count — fig4 pins this with the
     [checksum.fig4_graph]/[checksum.fig4_clusters] manifest counters,
     and table1's [checksum.table1_rows] pins its measured cells.
 
@@ -75,9 +69,8 @@ val default_context : context
 
 val validate_context : context -> unit
 (** Raise a named [Invalid_argument] on out-of-range fields: scale
-    outside (0, 1], [jobs < 1], [n < 1], [bands < 1], [bands > n] (when
-    [n_override] is set) or a negative [band_overlap].  {!run_named}
-    calls this first. *)
+    outside (0, 1], [jobs < 1], [n < 1], [bands < 1] or [bands > n]
+    (when [n_override] is set).  {!run_named} calls this first. *)
 
 val run_named : context -> string * string * (context -> unit) -> unit
 (** Run one registry entry.  Without [manifest_dir] this just calls the

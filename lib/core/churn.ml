@@ -63,11 +63,9 @@ let make_world ?(scheduler = Scheduler.Random_poll) ?(bands = 1) rng ~n ~d ~b =
     budgets = Array.make n b;
     instance;
     config = Config.empty instance;
-    stable =
-      (* Theorem 1's uniqueness makes the sharded and unsharded solves
-         bit-identical; bands > 1 only changes how the initial
-         from-scratch solve is decomposed (Shard, DESIGN.md §11). *)
-      (if bands > 1 then Shard.stable_config ~bands instance else Greedy.stable_config instance);
+    (* [bands] is validated but decomposes nothing: a sparse instance
+       has no rank cuts, so Shard solves it unsharded (DESIGN.md §11). *)
+    stable = Shard.stable_config ~bands instance;
     state = Initiative.create_state instance;
     policy = scheduler;
     sched;
@@ -76,12 +74,13 @@ let make_world ?(scheduler = Scheduler.Random_poll) ?(bands = 1) rng ~n ~d ~b =
   }
 
 (* Rebuild a world from serialized state (lib/serve snapshots): the
-   acceptance rows, the present mask and the two configurations fully
+   acceptance rows, the present mask and the stable configuration fully
    determine future behaviour — the schedulers are empty between events
    (every event drains [repair] before returning), [state] only feeds
    the decremental strategy (never used by best-mate repair), and
-   [repair_rng] is never drawn from. *)
-let restore_world ~n ~b ~present ~adjacency ~config_pairs ~stable_pairs =
+   [repair_rng] is never drawn from.  The evolving configuration starts
+   empty: a served world never runs an initiative. *)
+let restore_world ~n ~b ~present ~adjacency ~stable_pairs =
   if n < 1 then invalid_arg (Printf.sprintf "Churn.restore_world: n must be >= 1 (got %d)" n);
   if Array.length present <> n then
     invalid_arg
@@ -91,14 +90,38 @@ let restore_world ~n ~b ~present ~adjacency ~config_pairs ~stable_pairs =
     invalid_arg
       (Printf.sprintf "Churn.restore_world: |adjacency| = %d, expected %d"
          (Array.length adjacency) n);
+  Array.iteri
+    (fun p row ->
+      if (not present.(p)) && Array.length row > 0 then
+        invalid_arg
+          (Printf.sprintf "Churn.restore_world: absent peer %d has %d acceptance edges" p
+             (Array.length row)))
+    adjacency;
   let graph = Undirected.of_adjacency_arrays adjacency in
   let instance = Instance.dynamic ~graph ~b:(Array.make n b) () in
+  let stable = Config.of_pairs instance stable_pairs in
+  (* Theorem 1: the stable configuration is a function of the instance,
+     whose rows isolate the absent peers (checked above), so a greedy
+     rebuild must reproduce the stored one exactly. *)
+  let rebuilt = Greedy.stable_config instance in
+  let p = ref 0 in
+  while !p < n && Config.same_mates stable rebuilt !p do
+    incr p
+  done;
+  if !p < n then begin
+    let show c = String.concat ", " (List.map string_of_int (Config.mates c !p)) in
+    invalid_arg
+      (Printf.sprintf
+         "Churn.restore_world: stable configuration is not the instance's (Theorem 1): peer %d \
+          has stored mates [%s], the greedy rebuild [%s]"
+         !p (show stable) (show rebuilt))
+  end;
   {
     present = Array.copy present;
     budgets = Array.make n b;
     instance;
-    config = Config.of_pairs instance config_pairs;
-    stable = Config.of_pairs instance stable_pairs;
+    config = Config.empty instance;
+    stable;
     state = Initiative.create_state instance;
     policy = Scheduler.Random_poll;
     sched = Scheduler.create ~n;

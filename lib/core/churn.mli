@@ -73,26 +73,31 @@ val make_world :
   world
 (** Fresh world over [G(n, d)] with constant budget [b], everyone
     present, the empty configuration and its stable target (the run's
-    single from-scratch solve).  [bands > 1] routes that solve through
-    {!Shard.stable_config} — bit-identical output by Theorem 1's
-    uniqueness, but decomposed for large populations. *)
+    single from-scratch solve, by {!Shard.stable_config}).  [bands]
+    (default 1) is checked there ([1 <= bands <= n], else
+    [Invalid_argument]) but does not decompose the solve: a sparse
+    acceptance graph has no rank cuts, so it is solved unsharded. *)
 
 val restore_world :
   n:int ->
   b:int ->
   present:bool array ->
   adjacency:int array array ->
-  config_pairs:(int * int) list ->
   stable_pairs:(int * int) list ->
   world
 (** Rebuild a world from serialized state (the deterministic service
     snapshots of [stratify.serve]): acceptance rows as sorted adjacency
-    arrays, the present mask, and the evolving/stable configurations as
-    pair lists.  Restored worlds always use [Random_poll]; the repair
-    machinery is reconstructed empty, which is exact because every event
-    drains it before returning.  Raises [Invalid_argument] on
-    mis-sized inputs, or (via {!Config.of_pairs}) on pairs that violate
-    acceptability or budgets. *)
+    arrays (absent peers' rows empty), the present mask, and the stable
+    configuration as a pair list.  The evolving configuration starts
+    empty — a served world never runs an initiative.  Restored worlds
+    always use [Random_poll]; the repair machinery is reconstructed
+    empty, which is exact because every event drains it before
+    returning.  Raises [Invalid_argument] on mis-sized inputs, on an
+    absent peer with acceptance edges, (via {!Config.of_pairs}) on pairs
+    that violate acceptability or budgets, or when the pairs are not the
+    instance's unique stable configuration (Theorem 1) — checked against
+    a {!Greedy.stable_config} rebuild, the message naming the first
+    differing peer and both of its mate lists. *)
 
 val remove_peer : world -> int -> unit
 (** Departure: isolate the peer in the live instance, drop its

@@ -14,13 +14,13 @@ type analysis = {
    complete-graph fast path; [bands > 1] solves snapped rank bands in
    place on the domain pool — same unique result (Theorem 1), which is
    what pushes fig4 to 10⁶–10⁷ peers. *)
-let stable_config ?(jobs = 1) ?(bands = 1) ?overlap ~b () =
+let stable_config ?(jobs = 1) ?(bands = 1) ~b () =
   let n = Array.length b in
   Array.iter (fun k -> if k < 0 then invalid_arg "Cluster.stable_config: negative budget") b;
-  Shard.stable_config ~jobs ~bands ?overlap (Instance.complete ~n ~b ())
+  Shard.stable_config ~jobs ~bands (Instance.complete ~n ~b ())
 
-let collaboration_graph ?jobs ?bands ?overlap ~b () =
-  Config.to_adjacency (stable_config ?jobs ?bands ?overlap ~b ())
+let collaboration_graph ?jobs ?bands ~b () =
+  Config.to_adjacency (stable_config ?jobs ?bands ~b ())
 
 (* Counting sort, largest first: sizes are at most n, and most of them
    are equal (Fig 4's blocks), so one pass over a histogram beats a

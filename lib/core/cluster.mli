@@ -12,19 +12,16 @@ type analysis = {
   count : int;
 }
 
-val stable_config :
-  ?jobs:int -> ?bands:int -> ?overlap:int -> b:int array -> unit -> Config.t
+val stable_config : ?jobs:int -> ?bands:int -> b:int array -> unit -> Config.t
 (** The stable configuration on the complete acceptance graph (identity
     ranking) with budgets [b].  Fast path — O(n · max b), no n×n
-    structure.  [bands]/[overlap]/[jobs] (defaults 1 /
-    {!Shard.default_overlap} / 1) route the matching through
-    {!Shard.stable_config}: snapped rank bands solved in place on the
-    domain pool — the result is identical for every combination
+    structure.  [bands]/[jobs] (defaults 1 / 1) route the matching
+    through {!Shard.stable_config}: snapped rank bands solved in place
+    on the domain pool — the result is identical for every combination
     (Theorem 1's uniqueness).  Raises [Invalid_argument] on a negative
     budget. *)
 
-val collaboration_graph :
-  ?jobs:int -> ?bands:int -> ?overlap:int -> b:int array -> unit -> int array array
+val collaboration_graph : ?jobs:int -> ?bands:int -> b:int array -> unit -> int array array
 (** [Config.to_adjacency (stable_config ~b ())]: the collaboration graph
     as sorted adjacency arrays, one per peer. *)
 

@@ -7,7 +7,7 @@ type point = {
   mmo : float;
 }
 
-let measure ?(jobs = 1) ?(bands = 1) ?overlap rng ~n ~mean_b ~sigma ~replicates =
+let measure ?(jobs = 1) ?(bands = 1) rng ~n ~mean_b ~sigma ~replicates =
   if replicates <= 0 then invalid_arg "Phase.measure: need replicates > 0";
   let size_acc = ref 0. and largest_acc = ref 0. and mmo_acc = ref 0. in
   for _ = 1 to replicates do
@@ -15,7 +15,7 @@ let measure ?(jobs = 1) ?(bands = 1) ?overlap rng ~n ~mean_b ~sigma ~replicates 
       if sigma <= 0. then Normal_b.constant ~n ~b0:(int_of_float (Float.round mean_b))
       else Normal_b.rounded_normal rng ~n ~mean:mean_b ~sigma
     in
-    let config = Cluster.stable_config ~jobs ~bands ?overlap ~b () in
+    let config = Cluster.stable_config ~jobs ~bands ~b () in
     let analysis = Cluster.analyze_config config in
     size_acc := !size_acc +. analysis.Cluster.mean_size;
     largest_acc := !largest_acc +. float_of_int analysis.Cluster.largest;
@@ -29,8 +29,8 @@ let measure ?(jobs = 1) ?(bands = 1) ?overlap rng ~n ~mean_b ~sigma ~replicates 
     mmo = !mmo_acc /. r;
   }
 
-let sweep ?(jobs = 1) ?(bands = 1) ?overlap rng ~n ~mean_b ~sigmas ~replicates =
-  Array.map (fun sigma -> measure ~jobs ~bands ?overlap rng ~n ~mean_b ~sigma ~replicates) sigmas
+let sweep ?(jobs = 1) ?(bands = 1) rng ~n ~mean_b ~sigmas ~replicates =
+  Array.map (fun sigma -> measure ~jobs ~bands rng ~n ~mean_b ~sigma ~replicates) sigmas
 
 let transition_sigma points ~threshold =
   match Array.to_list points with

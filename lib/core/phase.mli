@@ -15,7 +15,6 @@ type point = {
 val measure :
   ?jobs:int ->
   ?bands:int ->
-  ?overlap:int ->
   Stratify_prng.Rng.t ->
   n:int ->
   mean_b:float ->
@@ -24,14 +23,13 @@ val measure :
   point
 (** Average cluster size and MMO over [replicates] independent budget
     draws on [n] peers, read from each draw's flat configuration
-    ({!Cluster.analyze_config}, {!Mmo.of_config}).  [bands]/[overlap]/
-    [jobs] are forwarded to {!Cluster.stable_config} (rank-banded
-    sharded matching); results are identical for every combination. *)
+    ({!Cluster.analyze_config}, {!Mmo.of_config}).  [bands]/[jobs] are
+    forwarded to {!Cluster.stable_config} (rank-banded sharded
+    matching); results are identical for every combination. *)
 
 val sweep :
   ?jobs:int ->
   ?bands:int ->
-  ?overlap:int ->
   Stratify_prng.Rng.t ->
   n:int ->
   mean_b:float ->

@@ -52,7 +52,10 @@ type world_spec = {
   d : float;  (** oracle acceptance degree *)
   b : int;  (** oracle slot budget *)
   churn_rate : float;  (** per-tick probability of one churn event *)
-  bands : int;  (** rank bands for the initial stable solve (§11) *)
+  bands : int;
+      (** rank bands of the initial stable solve: validated ([>= 1],
+          and [<= n] at {!Serve.create}) but the sparse oracle has no
+          rank cuts, so it is solved unsharded (DESIGN.md §11) *)
   swarms : swarm_spec list;
 }
 

@@ -912,9 +912,16 @@ let restore j =
   let snap = Stratify_obs.Codec.decode ~what:"serve snapshot" Snap.codec j in
   let w = snap.script.Request.world in
   let o = snap.oracle in
+  (match o.config with
+  | [] -> ()
+  | (p, q) :: _ ->
+      restore_invalid
+        "Serve.restore: oracle.config must be empty, since a served world never runs an \
+         initiative (it starts with [%d, %d])"
+        p q);
   let oracle =
     Churn.restore_world ~n:w.Request.n ~b:w.Request.b ~present:o.present ~adjacency:o.adjacency
-      ~config_pairs:o.config ~stable_pairs:o.stable
+      ~stable_pairs:o.stable
   in
   if List.length snap.swarms <> List.length w.Request.swarms then
     restore_invalid "Serve.restore: snapshot has %d swarms, script declares %d"

@@ -88,6 +88,11 @@ val restore : Stratify_obs.Jsonx.t -> t
     member outside the population or seated in two slots, and an
     unchoke, optimistic unchoke or link-progress entry that names a slot
     outside the knowledge-graph neighbourhood (the invariant
-    {!Stratify_bittorrent.Swarm.recycle_peer} relies on). *)
+    {!Stratify_bittorrent.Swarm.recycle_peer} relies on).  The oracle
+    must hold an empty evolving configuration (a served world never
+    runs an initiative), no absent peer with acceptance edges, and the
+    instance's unique stable configuration
+    ({!Stratify_core.Churn.restore_world} names the first peer whose
+    mates differ from a greedy rebuild). *)
 
 val restore_string : string -> t

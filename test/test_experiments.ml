@@ -15,7 +15,6 @@ let tiny =
     n_override = None;
     scheduler = Stratify_core.Scheduler.Random_poll;
     bands = 1;
-    band_overlap = None;
     profile_phases = false;
   }
 
@@ -55,9 +54,8 @@ let test_context_validation () =
   expect "jobs = 0" { tiny with E.jobs = 0 } "jobs";
   expect "bands = 0" { tiny with E.bands = 0 } "bands";
   expect "bands > n" { tiny with E.n_override = Some 100; bands = 101 } "101 bands";
-  expect "negative overlap" { tiny with E.band_overlap = Some (-1) } "overlap";
-  (* The boundary cases are accepted. *)
-  E.validate_context { tiny with E.n_override = Some 100; bands = 100; band_overlap = Some 0 }
+  (* The boundary case is accepted. *)
+  E.validate_context { tiny with E.n_override = Some 100; bands = 100 }
 
 let test_csv_export () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "stratify_test_csv" in

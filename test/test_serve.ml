@@ -406,7 +406,7 @@ let rec edit path f j =
 let swarm0 rest = `Field "swarms" :: `Nth 0 :: rest
 let set_to v _ = v
 
-let expect_restore_error what fragments snap =
+let expect_restore_error ?(at = "swarm[s0]") what fragments snap =
   match Serve.restore_string (Jsonx.to_string ~indent:false snap) with
   | _ -> Alcotest.failf "%s: corrupt snapshot restored" what
   | exception (Invalid_argument msg | Jsonx.Parse_error msg) ->
@@ -414,7 +414,7 @@ let expect_restore_error what fragments snap =
         (fun fragment ->
           if not (Helpers.contains msg fragment) then
             Alcotest.failf "%s: error %S lacks %S" what msg fragment)
-        ("swarm[s0]" :: fragments)
+        (at :: fragments)
 
 let test_restore_invariants () =
   let snap = small_world () in
@@ -479,7 +479,31 @@ let test_restore_invariants () =
          | _ -> Alcotest.fail "slot 3 has fewer than two rate windows")
        snap);
   expect_restore_error "missing rate entry" [ "slot 3"; "3 rate windows for 4" ]
-    (edit (rates []) (fun j -> Jsonx.List (List.tl (Jsonx.get_list j))) snap)
+    (edit (rates []) (fun j -> Jsonx.List (List.tl (Jsonx.get_list j))) snap);
+  (* The oracle's stable pairs must be the instance's unique stable
+     configuration (Theorem 1): without its first pair [p, q], a greedy
+     rebuild first differs at peer p. *)
+  let p =
+    match Jsonx.get_list (Jsonx.member "stable" (Jsonx.member "oracle" snap)) with
+    | Jsonx.List [ Jsonx.Int p; Jsonx.Int _ ] :: _ -> p
+    | _ -> Alcotest.fail "the small world has no stable pair"
+  in
+  expect_restore_error ~at:"Churn.restore_world" "dropped stable pair"
+    [ "Theorem 1"; Printf.sprintf "peer %d has" p ]
+    (edit
+       [ `Field "oracle"; `Field "stable" ]
+       (fun j -> Jsonx.List (List.tl (Jsonx.get_list j)))
+       snap);
+  (* An absent peer is isolated: a snapshot that marks peer 0 absent
+     but keeps its edges would resume into a diverging run. *)
+  expect_restore_error ~at:"Churn.restore_world" "absent peer with edges"
+    [ "absent peer 0 has" ]
+    (edit [ `Field "oracle"; `Field "present"; `Nth 0 ] (set_to (Jsonx.Int 0)) snap);
+  (* A served world never runs an initiative, so its evolving
+     configuration is always empty. *)
+  expect_restore_error ~at:"Serve.restore" "nonempty evolving configuration"
+    [ "oracle.config must be empty"; "[0, 3]" ]
+    (edit [ `Field "oracle"; `Field "config" ] (set_to (Jsonx.List [ ints [ 0; 3 ] ])) snap)
 
 (* ---- script JSON ---------------------------------------------------- *)
 

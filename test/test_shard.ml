@@ -1,29 +1,12 @@
-(* Rank-banded sharded matching: band geometry, the cluster-cut renewal
-   scan, and the headline property — the sharded solve is identical to
-   the unsharded greedy for any band count, overlap and backend
-   (Theorem 1's uniqueness makes "blocking-pair-free" mean "equal"). *)
+(* Rank-banded sharded matching: the cluster-cut renewal scan, band
+   snapping, and the headline property — the sharded solve is identical
+   to the unsharded greedy for any band count and backend (Theorem 1's
+   uniqueness makes "blocking-pair-free" mean "equal"); sparse backends
+   get there by not banding at all. *)
 
 module Rng = Stratify_prng.Rng
+module Obs = Stratify_obs
 open Stratify_core
-
-(* ------------------------------------------------------------------ *)
-(* Band geometry                                                       *)
-
-let test_band_ranges () =
-  let ranges = Shard.band_ranges ~n:10 ~bands:3 ~overlap:2 in
-  Alcotest.(check int) "bands" 3 (Array.length ranges);
-  (* Cores partition [0, n). *)
-  Alcotest.(check int) "first core starts at 0" 0 ranges.(0).Shard.core_lo;
-  Alcotest.(check int) "last core ends at n" 10 ranges.(2).Shard.core_hi;
-  Array.iteri
-    (fun i r ->
-      if i > 0 then
-        Alcotest.(check int)
-          (Printf.sprintf "band %d contiguous" i)
-          ranges.(i - 1).Shard.core_hi r.Shard.core_lo;
-      Alcotest.(check int) "ext_lo pads by overlap" (max 0 (r.Shard.core_lo - 2)) r.Shard.ext_lo;
-      Alcotest.(check int) "ext_hi pads by overlap" (min 10 (r.Shard.core_hi + 2)) r.Shard.ext_hi)
-    ranges
 
 let expect_invalid what f =
   match f () with
@@ -35,15 +18,14 @@ let expect_invalid what f =
   | _ -> Alcotest.failf "%s: expected Invalid_argument" what
 
 let test_band_validation () =
-  expect_invalid "bands = 0" (fun () -> Shard.band_ranges ~n:10 ~bands:0 ~overlap:0);
-  expect_invalid "bands > n" (fun () -> Shard.band_ranges ~n:10 ~bands:11 ~overlap:0);
-  expect_invalid "negative overlap" (fun () -> Shard.band_ranges ~n:10 ~bands:2 ~overlap:(-1));
   let inst = Instance.complete ~n:6 ~b:(Array.make 6 1) () in
   expect_invalid "stable_config jobs = 0" (fun () -> Shard.stable_config ~jobs:0 inst);
   expect_invalid "stable_config bands = 0" (fun () -> Shard.stable_config ~bands:0 inst);
   expect_invalid "stable_config bands > n" (fun () -> Shard.stable_config ~bands:7 inst);
-  expect_invalid "stable_config overlap < 0" (fun () ->
-      Shard.stable_config ~bands:2 ~overlap:(-3) inst)
+  (* A sparse backend ignores [bands] but still validates it. *)
+  let sparse = Helpers.random_instance (Rng.create 3) ~n:6 ~p:0.5 ~bmax:2 in
+  expect_invalid "sparse bands = 0" (fun () -> Shard.stable_config ~bands:0 sparse);
+  expect_invalid "sparse bands > n" (fun () -> Shard.stable_config ~bands:7 sparse)
 
 (* ------------------------------------------------------------------ *)
 (* Cluster cuts (renewal points)                                       *)
@@ -93,12 +75,10 @@ let test_snap_ranges_dedup () =
      effective band count drops instead of splitting a cluster. *)
   let ranges = Shard.snap_ranges ~n:12 ~bands:6 [| 0; 6; 12 |] in
   Alcotest.(check int) "two effective bands" 2 (Array.length ranges);
-  Alcotest.(check int) "boundary at the cut" 6 ranges.(1).Shard.core_lo;
-  Array.iter
-    (fun r ->
-      Alcotest.(check int) "no extension" r.Shard.core_lo r.Shard.ext_lo;
-      Alcotest.(check int) "no extension (hi)" r.Shard.core_hi r.Shard.ext_hi)
-    ranges;
+  Alcotest.(check (list (pair int int)))
+    "bands partition [0, n) at the cut"
+    [ (0, 6); (6, 12) ]
+    (Array.to_list (Array.map (fun r -> (r.Shard.lo, r.Shard.hi)) ranges));
   (* One giant cluster: everything collapses to a single band. *)
   Alcotest.(check int) "giant cluster -> one band" 1
     (Array.length (Shard.snap_ranges ~n:12 ~bands:6 [| 0; 12 |]))
@@ -106,59 +86,66 @@ let test_snap_ranges_dedup () =
 (* ------------------------------------------------------------------ *)
 (* Sharded = unsharded (the headline invariance)                       *)
 
-let check_sharded_equal inst ~bands ~overlap =
+let check_sharded_equal inst ~bands =
   let reference = Greedy.stable_config inst in
-  let sharded = Shard.stable_config ~bands ?overlap inst in
+  let sharded = Shard.stable_config ~bands inst in
   Blocking.is_stable sharded
   && Config.signature sharded = Config.signature reference
   && Config.edge_count sharded = Config.edge_count reference
   (* two domains filling disjoint rows of one configuration *)
-  && Config.equal (Shard.stable_config ~jobs:2 ~bands ?overlap inst) sharded
+  && Config.equal (Shard.stable_config ~jobs:2 ~bands inst) sharded
 
 let shard_params =
   QCheck.make
-    ~print:(fun (seed, n, bmax, bands, overlap) ->
-      Printf.sprintf "seed=%d n=%d bmax=%d bands=%d overlap=%d" seed n bmax bands overlap)
+    ~print:(fun (seed, n, bmax, bands) ->
+      Printf.sprintf "seed=%d n=%d bmax=%d bands=%d" seed n bmax bands)
     QCheck.Gen.(
       let* seed = int_bound 1_000_000 in
       let* n = int_range 1 60 in
       let* bands = int_range 1 8 in
       let* bmax = int_range 0 4 in
-      let* overlap = int_range 0 3 in
-      return (seed, n, bmax, min bands (max 1 n), overlap))
+      return (seed, n, bmax, min bands (max 1 n)))
 
 let prop_complete_band_invariance =
-  Helpers.qtest ~count:150 "complete: sharded = greedy for any bands/overlap" shard_params
-    (fun (seed, n, bmax, bands, overlap) ->
+  Helpers.qtest ~count:150 "complete: sharded = greedy for any bands" shard_params
+    (fun (seed, n, bmax, bands) ->
       let rng = Rng.create seed in
       let b = Array.init n (fun _ -> Rng.int rng (bmax + 1)) in
-      check_sharded_equal (Instance.complete ~n ~b ()) ~bands ~overlap:(Some overlap))
+      check_sharded_equal (Instance.complete ~n ~b ()) ~bands)
 
 let prop_complete_minus_band_invariance =
-  Helpers.qtest ~count:150 "complete_minus: sharded = greedy for any bands/overlap" shard_params
-    (fun (seed, n, bmax, bands, overlap) ->
+  Helpers.qtest ~count:150 "complete_minus: sharded = greedy for any bands" shard_params
+    (fun (seed, n, bmax, bands) ->
       let rng = Rng.create seed in
       let b = Array.init n (fun _ -> Rng.int rng (bmax + 1)) in
       let removed = List.init (Rng.int rng (1 + (n / 3))) (fun _ -> Rng.int rng n) in
-      check_sharded_equal (Instance.complete_minus ~n ~b ~removed ()) ~bands ~overlap:(Some overlap))
+      check_sharded_equal (Instance.complete_minus ~n ~b ~removed ()) ~bands)
 
 let prop_dense_band_invariance =
-  Helpers.qtest ~count:150 "dense: sharded = greedy for any bands/overlap (tolerant stitch)"
-    shard_params (fun (seed, n, bmax, bands, overlap) ->
-      let inst = Helpers.random_instance (Rng.create seed) ~n ~p:0.4 ~bmax in
-      (* Tiny explicit overlaps push work into the fixup; the default
-         overlap exercises the concentration bound. *)
-      let overlap = if overlap = 3 then None else Some overlap in
-      check_sharded_equal inst ~bands ~overlap)
+  Helpers.qtest ~count:150 "dense: sharded = greedy for any bands" shard_params
+    (fun (seed, n, bmax, bands) ->
+      check_sharded_equal (Helpers.random_instance (Rng.create seed) ~n ~p:0.4 ~bmax) ~bands)
 
-let test_default_overlap_used () =
-  (* Default overlap path (None) on a constant-budget population. *)
-  let n = 100 and b0 = 3 in
-  let inst = Instance.complete ~n ~b:(Array.make n b0) () in
-  Alcotest.(check bool) "default overlap, 7 bands" true
-    (check_sharded_equal inst ~bands:7 ~overlap:None);
-  Alcotest.(check bool) "overlap 0, 7 bands" true
-    (check_sharded_equal inst ~bands:7 ~overlap:(Some 0))
+let test_sparse_routing () =
+  (* A sparse acceptance graph has no rank cuts: [bands] is validated
+     and then ignored, so a banded call is exactly one greedy build. *)
+  let count name = Obs.Counter.value (Obs.Counter.make name) in
+  let rng = Rng.create 13 in
+  let dense = Helpers.random_instance rng ~n:40 ~p:0.3 ~bmax:3 in
+  let dynamic = Churn.world_instance (Churn.make_world rng ~n:40 ~d:5. ~b:2) in
+  List.iter
+    (fun (what, kind, inst) ->
+      Alcotest.(check bool) (what ^ " backend") true (Instance.backend_kind inst = kind);
+      let reference = Greedy.stable_config inst in
+      let builds = count "greedy.stable_config" and bands = count "shard.bands" in
+      let sharded =
+        Obs.Control.with_enabled true (fun () -> Shard.stable_config ~bands:4 inst)
+      in
+      Alcotest.(check bool) (what ^ ": equals the greedy") true (Config.equal sharded reference);
+      Alcotest.(check int) (what ^ ": one greedy build") 1
+        (count "greedy.stable_config" - builds);
+      Alcotest.(check int) (what ^ ": no bands") 0 (count "shard.bands" - bands))
+    [ ("dense", `Dense, dense); ("dynamic", `Dynamic, dynamic) ]
 
 (* ------------------------------------------------------------------ *)
 (* Churn: sharded solve of a live dynamic world                        *)
@@ -184,7 +171,7 @@ let test_churn_repair_under_sharding () =
       Alcotest.(check string)
         (Printf.sprintf "%d bands match the churn-repaired reference" bands)
         reference
-        (Config.signature (Shard.stable_config ~bands ~overlap:2 inst)))
+        (Config.signature (Shard.stable_config ~bands inst)))
     [ 1; 2; 5 ]
 
 (* ------------------------------------------------------------------ *)
@@ -197,14 +184,14 @@ let prop_arena_reuse_identical =
      signature mismatch against the fresh-allocation path. *)
   let arena = Greedy.create_arena () in
   Helpers.qtest ~count:100 "reused arena = fresh allocation (greedy + sharded)" shard_params
-    (fun (seed, n, bmax, bands, overlap) ->
+    (fun (seed, n, bmax, bands) ->
       let rng = Rng.create seed in
       let b = Array.init n (fun _ -> Rng.int rng (bmax + 1)) in
       let inst = Instance.complete ~n ~b () in
       Config.signature (Greedy.stable_config ~arena inst)
       = Config.signature (Greedy.stable_config inst)
-      && Config.signature (Shard.stable_config ~bands ~overlap ~arena inst)
-         = Config.signature (Shard.stable_config ~bands ~overlap inst)
+      && Config.signature (Shard.stable_config ~bands ~arena inst)
+         = Config.signature (Shard.stable_config ~bands inst)
       && Shard.cluster_cuts ~arena inst = Shard.cluster_cuts inst)
 
 let test_churn_repair_arena_identical () =
@@ -226,14 +213,13 @@ let test_churn_repair_arena_identical () =
       (fun bands ->
         Alcotest.(check string)
           (Printf.sprintf "epoch %d, %d bands: arena solve = fresh solve" epoch bands)
-          (Config.signature (Shard.stable_config ~bands ~overlap:2 inst))
-          (Config.signature (Shard.stable_config ~bands ~overlap:2 ~arena inst)))
+          (Config.signature (Shard.stable_config ~bands inst))
+          (Config.signature (Shard.stable_config ~bands ~arena inst)))
       [ 1; 3; 5 ]
   done
 
 let suite =
   [
-    Alcotest.test_case "band_ranges geometry" `Quick test_band_ranges;
     Alcotest.test_case "named validation errors" `Quick test_band_validation;
     Alcotest.test_case "cuts on constant budgets" `Quick test_cuts_constant_budgets;
     prop_cuts_are_crossing_free;
@@ -241,7 +227,7 @@ let suite =
     prop_complete_band_invariance;
     prop_complete_minus_band_invariance;
     prop_dense_band_invariance;
-    Alcotest.test_case "default overlap" `Quick test_default_overlap_used;
+    Alcotest.test_case "sparse backends solve unsharded" `Quick test_sparse_routing;
     Alcotest.test_case "churn repair under sharding" `Quick test_churn_repair_under_sharding;
     prop_arena_reuse_identical;
     Alcotest.test_case "churn repair with reused arena" `Quick test_churn_repair_arena_identical;
