@@ -54,8 +54,7 @@ let fnv_pairs iter =
 let bench_parallel () =
   let n = 500 and p = 0.02 and replicas = 24 in
   let kernel rng _i =
-    let adj = Gen.gnp_adjacency rng ~n ~p in
-    let inst = Instance.of_adjacency ~adj ~b:(Array.make n 2) () in
+    let inst = Instance.create ~graph:(Gen.gnp rng ~n ~p) ~b:(Array.make n 2) () in
     Config.edge_count (Greedy.stable_config inst)
   in
   let time_once jobs =

@@ -474,8 +474,7 @@ let fig9 ctx =
      are byte-identical for every --jobs value. *)
   let mates_per_run =
     Exec.map_replicas ~jobs:ctx.jobs ~rng ~replicas:runs (fun rng _ ->
-        let adj = Gen.gnp_adjacency rng ~n ~p in
-        let inst = Instance.of_adjacency ~adj ~b:(Array.make n b0) () in
+        let inst = Instance.create ~graph:(Gen.gnp rng ~n ~p) ~b:(Array.make n b0) () in
         let config = Greedy.stable_config inst in
         Config.mates config peer)
   in

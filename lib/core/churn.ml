@@ -95,9 +95,39 @@ let restore_world ~n ~b ~present ~adjacency ~stable_pairs =
       if (not present.(p)) && Array.length row > 0 then
         invalid_arg
           (Printf.sprintf "Churn.restore_world: absent peer %d has %d acceptance edges" p
-             (Array.length row)))
+             (Array.length row));
+      Array.iteri
+        (fun i q ->
+          if q < 0 || q >= n then
+            invalid_arg
+              (Printf.sprintf "Churn.restore_world: peer %d lists %d, outside [0, %d)" p q n);
+          if q = p then invalid_arg (Printf.sprintf "Churn.restore_world: peer %d lists itself" p);
+          if i > 0 && row.(i - 1) >= q then
+            invalid_arg
+              (Printf.sprintf
+                 "Churn.restore_world: peer %d's acceptance row is not strictly increasing (%d \
+                  after %d)"
+                 p q row.(i - 1)))
+        row)
     adjacency;
+  (* The graph is the rows' symmetric closure: a row shorter than its
+     closure misses an edge that the other endpoint lists, and the
+     closure's first entry the row lacks names it. *)
   let graph = Undirected.of_adjacency_arrays adjacency in
+  let off, nbr = Undirected.adjacency_csr graph in
+  Array.iteri
+    (fun p row ->
+      if Array.length row < off.(p + 1) - off.(p) then begin
+        let i = ref 0 in
+        while !i < Array.length row && row.(!i) = nbr.(off.(p) + !i) do
+          incr i
+        done;
+        let q = nbr.(off.(p) + !i) in
+        invalid_arg
+          (Printf.sprintf "Churn.restore_world: peer %d lists %d but peer %d does not list %d" q p
+             p q)
+      end)
+    adjacency;
   let instance = Instance.dynamic ~graph ~b:(Array.make n b) () in
   let stable = Config.of_pairs instance stable_pairs in
   (* Theorem 1: the stable configuration is a function of the instance,
@@ -161,8 +191,8 @@ let remove_peer w v =
 
 let insert_peer rng w v ~p =
   w.present.(v) <- true;
-  (* Same candidate stream as [Gen.attach_fresh_vertex] on a graph, but
-     the edges land directly in the live instance. *)
+  (* The arrival's fresh Erdős–Rényi edges land directly in the live
+     instance. *)
   Gen.iter_fresh_edges rng
     ~n:(Array.length w.present)
     ~v ~p

@@ -93,11 +93,15 @@ val restore_world :
     always use [Random_poll]; the repair machinery is reconstructed
     empty, which is exact because every event drains it before
     returning.  Raises [Invalid_argument] on mis-sized inputs, on an
-    absent peer with acceptance edges, (via {!Config.of_pairs}) on pairs
-    that violate acceptability or budgets, or when the pairs are not the
-    instance's unique stable configuration (Theorem 1) — checked against
-    a {!Greedy.stable_config} rebuild, the message naming the first
-    differing peer and both of its mate lists. *)
+    absent peer with acceptance edges, on a row that is not strictly
+    increasing or lists a peer out of range or the peer itself, on a row
+    listing a peer whose row does not list it back (the message names
+    both: ["peer 19 lists 0 but peer 0 does not list 19"]), (via
+    {!Config.of_pairs}) on pairs that violate acceptability or budgets,
+    or when the pairs are not the instance's unique stable configuration
+    (Theorem 1) — checked against a {!Greedy.stable_config} rebuild, the
+    message naming the first differing peer and both of its mate
+    lists. *)
 
 val remove_peer : world -> int -> unit
 (** Departure: isolate the peer in the live instance, drop its

@@ -70,11 +70,7 @@ let round t =
     order
 
 let acceptance_graph t =
-  let g = Undirected.create (n t) in
-  Array.iteri
-    (fun p view -> Array.iter (fun q -> ignore (Undirected.add_edge g p q)) view)
-    t.views;
-  g
+  Undirected.of_edges (n t) (fun add -> Array.iteri (fun p view -> Array.iter (add p) view) t.views)
 
 let view_coverage t =
   let total = Array.fold_left (fun acc v -> acc + Array.length v) 0 t.views in

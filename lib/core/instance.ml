@@ -1,7 +1,7 @@
 module Undirected = Stratify_graph.Undirected
 
-(* Acceptance-graph storage.  [Dense] is a CSR-flattened explicit graph:
-   the acceptable peers of rank [p] are [data.(off.(p)) .. data.(off.(p+1)-1)],
+(* Acceptance-graph storage.  [Dense] is a graph's CSR rows: the
+   acceptable peers of rank [p] are [data.(off.(p)) .. data.(off.(p+1)-1)],
    increasing (= best-ranked first).  [Complete] stores nothing at all:
    every pair of distinct peers is acceptable, and the i-th best acceptable
    peer of [p] is [i] itself, shifted by one past [p].  [Complete_minus] is
@@ -194,65 +194,28 @@ let finish ~backend ~ranking ~b ~n =
   let b_by_rank = Array.init n (fun r -> b.(Ranking.peer_at ranking r)) in
   { backend; b = b_by_rank; ranking; slot_total = Array.fold_left ( + ) 0 b; n }
 
-let build ~ranking ~raw_adj ~b =
-  let n = Array.length raw_adj in
-  check_b ~n b;
-  if Ranking.size ranking <> n then invalid_arg "Instance: ranking size mismatch";
-  (* Relabel peers by rank: segment r of [data] lists the ranks acceptable
-     to the peer of rank r, in increasing rank order. *)
-  let off = Array.make (n + 1) 0 in
-  for r = 0 to n - 1 do
-    off.(r + 1) <- off.(r) + Array.length raw_adj.(Ranking.peer_at ranking r)
-  done;
-  let data = Array.make off.(n) 0 in
-  let identity = Ranking.is_identity ranking in
-  for r = 0 to n - 1 do
-    let row = raw_adj.(Ranking.peer_at ranking r) in
-    let base = off.(r) in
-    let len = Array.length row in
-    if identity then Array.blit row 0 data base len
-    else
-      for i = 0 to len - 1 do
-        data.(base + i) <- Ranking.rank ranking row.(i)
-      done;
-    (* Generated rows usually arrive sorted: sort only when a scan finds
-       an inversion. *)
-    let sorted = ref true in
-    for i = base + 1 to base + len - 1 do
-      if data.(i - 1) > data.(i) then sorted := false
-    done;
-    if not !sorted then begin
-      let seg = Array.sub data base len in
-      Array.sort Int.compare seg;
-      Array.blit seg 0 data base len
-    end
-  done;
-  finish ~backend:(Dense { off; data }) ~ranking ~b ~n
-
+(* The one [Dense] construction: the graph's rows, rank-labelled.  Under
+   the identity ranking they are the graph's own arrays, uncopied; any
+   other ranking relabels the edges once, through the builder, which
+   sorts the rows the relabelling disorders. *)
 let create ?ranking ~graph ~b () =
   let n = Undirected.vertex_count graph in
   check_b ~n b;
-  match ranking with
-  | Some r -> build ~ranking:r ~raw_adj:(Undirected.adjacency_arrays graph) ~b
-  | None ->
-      (* Identity ranking: the CSR snapshot is already rank-labelled and
-         row-sorted — freeze it directly, no per-row arrays. *)
-      let off, data = Undirected.adjacency_csr graph in
-      finish ~backend:(Dense { off; data }) ~ranking:(Ranking.identity n) ~b ~n
+  let ranking = match ranking with Some r -> r | None -> Ranking.identity n in
+  if Ranking.size ranking <> n then invalid_arg "Instance: ranking size mismatch";
+  let graph =
+    if Ranking.is_identity ranking then graph
+    else
+      Undirected.of_edges n (fun add ->
+          Undirected.iter_edges
+            (fun u v -> add (Ranking.rank ranking u) (Ranking.rank ranking v))
+            graph)
+  in
+  let off, data = Undirected.adjacency_csr graph in
+  finish ~backend:(Dense { off; data }) ~ranking ~b ~n
 
 let of_adjacency ?ranking ~adj ~b () =
-  let n = Array.length adj in
-  let ranking = match ranking with Some r -> r | None -> Ranking.identity n in
-  check_b ~n b;
-  for u = 0 to n - 1 do
-    let row = adj.(u) in
-    for i = 0 to Array.length row - 1 do
-      let v = row.(i) in
-      if v < 0 || v >= n then invalid_arg "Instance.of_adjacency: vertex out of range";
-      if v = u then invalid_arg "Instance.of_adjacency: self-loop"
-    done
-  done;
-  build ~ranking ~raw_adj:adj ~b
+  create ?ranking ~graph:(Undirected.of_adjacency_arrays adj) ~b ()
 
 let complete ?ranking ~n ~b () =
   if n < 0 then invalid_arg "Instance.complete: negative size";
@@ -309,7 +272,7 @@ let dyn_fields t =
   | _ -> invalid_arg "Instance: dynamic backend required"
 
 (* Sorted insert into [p]'s row, growing the buffer by doubling.  No-op
-   when the edge is already present (mirrors [Undirected.add_edge]). *)
+   when the edge is already present. *)
 let row_insert rows len p q =
   let buf = rows.(p) in
   let d = len.(p) in

@@ -8,8 +8,9 @@
 
     The acceptance graph is held by a pluggable {e backend}:
 
-    - [`Dense] — explicit CSR storage (one flat [int array] plus offsets),
-      built from an arbitrary graph; O(Σ degree) memory.
+    - [`Dense] — the acceptance graph's own CSR rows (one flat
+      [int array] plus offsets), shared with the graph, not copied, under
+      the identity ranking; O(Σ degree) memory.
     - [`Complete] — fully implicit: [accepts p q ⇔ p ≠ q].  O(1) memory,
       so the paper's §4 experiments (which all run on complete acceptance
       graphs) scale to 10⁵⁺ peers without an n×n adjacency.
@@ -34,11 +35,15 @@ val create :
 (** Build a [`Dense] instance.  [b.(p)] is peer [p]'s slot budget (must be
     non-negative).  [ranking] defaults to the identity ranking (peer id =
     rank), the convention of all the paper's experiments.  Vertices of
-    [graph] are peer ids. *)
+    [graph] are peer ids.  Under the identity ranking the instance reads
+    the graph's rows in place, at no cost per edge; any other ranking
+    relabels the edges once into a new graph. *)
 
 val of_adjacency : ?ranking:Ranking.t -> adj:int array array -> b:int array -> unit -> t
-(** Same, from frozen adjacency arrays (must be symmetric; not checked
-    beyond bounds). *)
+(** [create] on [Undirected.of_adjacency_arrays adj]: the rows may be
+    unsorted, and the instance accepts their symmetric closure.  A row
+    entry outside [0..n-1] or a peer listing itself raises the builder's
+    [Invalid_argument]. *)
 
 val complete : ?ranking:Ranking.t -> n:int -> b:int array -> unit -> t
 (** The complete acceptance graph on [n] peers, fully implicit: no
@@ -51,7 +56,7 @@ val complete_minus :
     accepts them.  O(n) memory. *)
 
 val dynamic : graph:Stratify_graph.Undirected.t -> b:int array -> unit -> t
-(** A [`Dynamic] instance snapshotting [graph] (identity ranking only:
+(** A [`Dynamic] instance copying [graph]'s rows (identity ranking only:
     peer id = rank, so in-place mutations are unambiguous).  Unlike the
     frozen backends its acceptance rows may change after construction
     through {!dyn_add_edge}/{!dyn_isolate}; budgets stay fixed. *)

@@ -31,10 +31,7 @@ let create rng params =
   let n = Array.length params.uploads in
   if n < 2 then invalid_arg "Queue_sim.create: need at least two peers";
   if params.slots < 1 then invalid_arg "Queue_sim.create: need at least one slot";
-  let graph = Gen.gnd rng ~n ~d:params.d in
-  let neighbors =
-    Array.init n (fun v -> Array.of_list (Undirected.sorted_neighbors graph v))
-  in
+  let neighbors = Undirected.adjacency_arrays (Gen.gnd rng ~n ~d:params.d) in
   let max_degree = Array.fold_left (fun m row -> max m (Array.length row)) 0 neighbors in
   {
     params;

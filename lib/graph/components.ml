@@ -5,35 +5,13 @@ let of_labels component count =
   Array.iter (fun id -> sizes.(id) <- sizes.(id) + 1) component;
   { component; sizes; count }
 
-(* Component ids in first-seen vertex order; roots are vertices, so an
-   [int array] indexed by root maps them. *)
-let of_union_find n uf =
-  let component = Array.make n (-1) in
-  let id_of_root = Array.make n (-1) in
-  let next = ref 0 in
-  for v = 0 to n - 1 do
-    let root = Union_find.find uf v in
-    if id_of_root.(root) < 0 then begin
-      id_of_root.(root) <- !next;
-      incr next
-    end;
-    component.(v) <- id_of_root.(root)
-  done;
-  of_labels component !next
-
-let of_graph g =
-  let n = Undirected.vertex_count g in
-  let uf = Union_find.create n in
-  Undirected.iter_edges (fun u v -> ignore (Union_find.union uf u v)) g;
-  of_union_find n uf
-
 (* Breadth-first labelling over flat segments in which every edge is
    listed at both endpoints: vertices are scanned in increasing order
    and each unlabelled one starts a component, so ids come out in order
-   of each component's smallest vertex — the numbering [of_union_find]
-   gives.  Two n-sized arrays and one visit per listed edge, where
-   union-find allocates five and chases parent pointers: 14–29 against
-   62–110 ms on a 10⁶-peer stable configuration (shared 2-vCPU host). *)
+   of each component's smallest vertex.  Two n-sized arrays and one
+   visit per listed edge, where union-find allocates five and chases
+   parent pointers: 14–29 against 62–110 ms on a 10⁶-peer stable
+   configuration (shared 2-vCPU host). *)
 let of_segments ~off ~deg ~data =
   let n = Array.length deg in
   let component = Array.make n (-1) in
@@ -62,6 +40,10 @@ let of_segments ~off ~deg ~data =
     end
   done;
   of_labels component !count
+
+let of_graph g =
+  let off, nbr = Undirected.adjacency_csr g in
+  of_segments ~off ~deg:(Array.init (Undirected.vertex_count g) (Undirected.degree g)) ~data:nbr
 
 (* The rows laid end to end, then the same kernel.  The copy is a loop:
    [Array.blit] into the old [data] would [caml_modify] every int. *)

@@ -9,14 +9,15 @@ type t = {
 }
 
 val of_graph : Undirected.t -> t
-(** Components via union-find over the edge set. *)
+(** Components of a graph, labelled by {!of_segments} over its rows in
+    place. *)
 
 val of_segments : off:int array -> deg:int array -> data:int array -> t
 (** Components of an undirected graph stored as flat segments: vertex
     [u]'s neighbours are [data.(off.(u) + i)] for [i < deg.(u)], over
     [Array.length deg] vertices, every edge listed at both endpoints —
-    a configuration's mate storage, read in place.  Breadth-first, O(n
-    + edges), with the same ids and sizes as {!of_graph}. *)
+    a configuration's mate storage or a graph's rows, read in place.
+    Breadth-first, O(n + edges). *)
 
 val of_adjacency : int array array -> t
 (** Same, from frozen adjacency arrays (every edge listed at both

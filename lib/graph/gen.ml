@@ -1,38 +1,34 @@
 module Rng = Stratify_prng.Rng
 
-let empty n = Undirected.create n
+let empty n = Undirected.of_edges n ignore
 
 let complete n =
-  let g = Undirected.create n in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      ignore (Undirected.add_edge g u v)
-    done
-  done;
-  g
+  Undirected.of_edges n (fun add ->
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          add u v
+        done
+      done)
 
 let ring n =
   if n < 3 then invalid_arg "Gen.ring: need n >= 3";
-  let g = Undirected.create n in
-  for v = 0 to n - 1 do
-    ignore (Undirected.add_edge g v ((v + 1) mod n))
-  done;
-  g
+  Undirected.of_edges n (fun add ->
+      for v = 0 to n - 1 do
+        add v ((v + 1) mod n)
+      done)
 
 let path n =
-  let g = Undirected.create n in
-  for v = 0 to n - 2 do
-    ignore (Undirected.add_edge g v (v + 1))
-  done;
-  g
+  Undirected.of_edges n (fun add ->
+      for v = 0 to n - 2 do
+        add v (v + 1)
+      done)
 
 let star n =
   if n < 1 then invalid_arg "Gen.star: need n >= 1";
-  let g = Undirected.create n in
-  for v = 1 to n - 1 do
-    ignore (Undirected.add_edge g 0 v)
-  done;
-  g
+  Undirected.of_edges n (fun add ->
+      for v = 1 to n - 1 do
+        add 0 v
+      done)
 
 (* The number of candidates a geometric jump passes over before landing,
    as a float: [floor (log (1 - r) / log (1 - p))].  Callers compare it
@@ -79,54 +75,18 @@ let iter_gnp_edges rng ~n ~p f =
       done
     end
 
-let gnp rng ~n ~p =
-  let g = Undirected.create n in
-  iter_gnp_edges rng ~n ~p (fun u v -> ignore (Undirected.add_edge g u v));
-  g
+(* The walk emits edges in increasing (u, v) order with u < v, so the
+   builder fills every row sorted. *)
+let gnp rng ~n ~p = Undirected.of_edges n (iter_gnp_edges rng ~n ~p)
 
 let gnd rng ~n ~d =
-  if n < 2 then Undirected.create n
+  if n < 2 then empty n
   else
     let p = d /. float_of_int (n - 1) in
     let p = Float.max 0. (Float.min 1. p) in
     gnp rng ~n ~p
 
-let gnp_adjacency rng ~n ~p =
-  (* The walk emits edges in increasing (u, v) lexicographic order, so the
-     stream is kept as its [v] endpoints alone, in a flat array sized for
-     the expected edge count (grown by doubling past it), with [fwd.(u)]
-     edges (u, v > u) and [back.(v)] edges (u < v, v) per vertex.  A
-     second pass fills the rows: [u]'s row gets [v] and [v]'s row gets
-     [u], both in increasing order, so no row needs a sort. *)
-  let expected = p *. float_of_int n *. float_of_int (n - 1) /. 2. in
-  let stream = ref (Array.make (16 + int_of_float (expected +. (4. *. sqrt expected))) 0) in
-  let m = ref 0 in
-  let fwd = Array.make n 0 and back = Array.make n 0 in
-  iter_gnp_edges rng ~n ~p (fun u v ->
-      if !m = Array.length !stream then begin
-        let grown = Array.make (2 * !m) 0 in
-        Array.blit !stream 0 grown 0 !m;
-        stream := grown
-      end;
-      !stream.(!m) <- v;
-      incr m;
-      fwd.(u) <- fwd.(u) + 1;
-      back.(v) <- back.(v) + 1);
-  let stream = !stream in
-  let adj = Array.init n (fun v -> Array.make (back.(v) + fwd.(v)) 0) in
-  let fill = Array.make n 0 in
-  let k = ref 0 in
-  for u = 0 to n - 1 do
-    for _ = 1 to fwd.(u) do
-      let v = stream.(!k) in
-      incr k;
-      adj.(u).(fill.(u)) <- v;
-      fill.(u) <- fill.(u) + 1;
-      adj.(v).(fill.(v)) <- u;
-      fill.(v) <- fill.(v) + 1
-    done
-  done;
-  adj
+let gnp_adjacency rng ~n ~p = Undirected.adjacency_arrays (gnp rng ~n ~p)
 
 (* Geometric skipping over candidate endpoints, same trick as gnp.  The
    RNG consumption depends only on (n, p) and the skip draws — not on
@@ -150,9 +110,3 @@ let iter_fresh_edges rng ~n ~v ~p ~present f =
       end
     done
   end
-
-let attach_fresh_vertex rng g ~v ~p ~present =
-  let added = ref 0 in
-  iter_fresh_edges rng ~n:(Undirected.vertex_count g) ~v ~p ~present (fun w ->
-      if Undirected.add_edge g v w then incr added);
-  !added

@@ -3,7 +3,8 @@
     The paper's simulations use loopless symmetric Erdős–Rényi graphs
     [G(n, d)] where [d] is the {e expected degree} (each edge present
     independently with probability [d/(n-1)]); complete graphs serve as the
-    §4 toy model. *)
+    §4 toy model.  Every generator streams its edges into
+    {!Undirected.of_edges}. *)
 
 val empty : int -> Undirected.t
 (** Graph with [n] isolated vertices. *)
@@ -22,16 +23,16 @@ val star : int -> Undirected.t
 
 val gnp : Stratify_prng.Rng.t -> n:int -> p:float -> Undirected.t
 (** Erdős–Rényi [G(n,p)] sampled in O(n + m) expected time by geometric
-    edge skipping. *)
+    edge skipping.  The walk emits edges in increasing [(u, v)] order, so
+    every row fills sorted and none is re-sorted. *)
 
 val gnd : Stratify_prng.Rng.t -> n:int -> d:float -> Undirected.t
 (** The paper's parameterisation: expected degree [d], i.e.
     [G(n, p = d/(n-1))].  [d] is clamped to the feasible range. *)
 
 val gnp_adjacency : Stratify_prng.Rng.t -> n:int -> p:float -> int array array
-(** Like {!gnp} but returns sorted adjacency arrays directly — the frozen
-    form consumed by matching hot loops (used for Monte-Carlo experiments
-    where graph construction dominates). *)
+(** [Undirected.adjacency_arrays (gnp rng ~n ~p)]: the same graph, from
+    the same draws, as one sorted array per row. *)
 
 val iter_fresh_edges :
   Stratify_prng.Rng.t ->
@@ -45,12 +46,5 @@ val iter_fresh_edges :
     every vertex [w ≠ v] with [present w] kept independently with
     probability [p], in increasing order of [w], O(n·p) expected draws.
     The RNG consumption depends only on [(n, p)] — not on [present] or
-    [f] — so graph-backed and instance-backed consumers stay on
-    identical random trajectories. *)
-
-val attach_fresh_vertex :
-  Stratify_prng.Rng.t -> Undirected.t -> v:int -> p:float -> present:(int -> bool) -> int
-(** Re-wire an (isolated) vertex as a fresh Erdős–Rényi arrival: connect [v]
-    to every vertex [w ≠ v] with [present w] independently with probability
-    [p] (via {!iter_fresh_edges}).  Returns the number of edges created.
-    Used by the churn model. *)
+    [f] — so a churn arrival ([Churn.insert_peer], which adds the edges
+    to its [`Dynamic] instance) draws the same whoever is present. *)

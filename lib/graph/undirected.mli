@@ -1,58 +1,56 @@
-(** Mutable undirected simple graphs over a fixed vertex universe [0..n-1].
+(** Immutable undirected simple graphs over a fixed vertex universe
+    [0..n-1], in compressed-sparse-row form.
 
     This is the acceptance-graph / collaboration-graph representation used
-    throughout the library.  Vertices are peer ranks (0 = best peer); the
-    structure supports edge insertion and deletion plus vertex isolation so
-    that churn (peer departure/arrival, §3 of the paper) can be simulated in
-    place. *)
+    throughout the library.  Vertices are peer ranks (0 = best peer).  A
+    graph is built once, from an edge stream, and never changes: every
+    row is strictly increasing (best peer first under the rank-as-label
+    convention), every edge is listed at both endpoints and no vertex
+    lists itself.  The type is abstract, so consumers read the rows
+    without checking or sorting them.  Churn (peer departure/arrival, §3
+    of the paper) patches the rows of a [`Dynamic] instance built from
+    the graph, not the graph. *)
 
 type t
 
-val create : int -> t
-(** [create n] is the empty graph on vertices [0 .. n-1]. *)
+val of_edges : int -> ((int -> int -> unit) -> unit) -> t
+(** [of_edges n iter] is the graph on [0..n-1] whose edges are the pairs
+    [iter add] passes to [add u v], in any order and either orientation,
+    repeats allowed: their symmetric closure, each edge once.  Rows fill
+    in stream order, and only when a scan finds a row out of order (an
+    inversion or a repeat) does one linear transposition reorder them,
+    so a stream in increasing [(u, v)] order with [u < v] (the G(n,p)
+    walk, {!Gen.complete}) is taken as it fills.  O(n + stream length).
+    Raises [Invalid_argument] naming the size or the edge on a negative
+    [n], a vertex outside [0..n-1] or a self-loop. *)
+
+val of_adjacency_arrays : int array array -> t
+(** {!of_edges} over the rows: row [u] listing [v] gives the edge
+    [{u,v}].  Rows may be unsorted, repeat entries or list an edge at one
+    endpoint only; the result is their symmetric closure. *)
 
 val vertex_count : t -> int
 (** Size of the vertex universe (including isolated vertices). *)
 
 val edge_count : t -> int
-(** Number of edges currently present. *)
-
-val add_edge : t -> int -> int -> bool
-(** [add_edge g u v] inserts the edge [{u,v}]; returns [false] if it was
-    already present.  Self-loops are rejected with [Invalid_argument]. *)
-
-val remove_edge : t -> int -> int -> bool
-(** [remove_edge g u v] deletes the edge; returns [false] if absent. *)
+(** Number of edges. *)
 
 val mem_edge : t -> int -> int -> bool
-(** Edge membership test, O(min degree). *)
+(** Edge membership test, a binary search of the shorter row. *)
 
 val degree : t -> int -> int
 (** Number of neighbours of a vertex. *)
 
-val neighbors : t -> int -> int list
-(** Neighbours in unspecified order. *)
-
-val sorted_neighbors : t -> int -> int list
-(** Neighbours in increasing vertex order (best peer first under the
-    rank-as-label convention). *)
-
 val iter_edges : (int -> int -> unit) -> t -> unit
-(** Iterate each edge exactly once, with [u < v]. *)
-
-val copy : t -> t
-(** Deep copy. *)
-
-val adjacency_arrays : t -> int array array
-(** Snapshot: for each vertex, its neighbours sorted increasingly.  This is
-    the frozen form consumed by the matching algorithms' hot paths. *)
+(** Iterate each edge exactly once, as [f u v] with [u < v], in
+    increasing [(u, v)] order. *)
 
 val adjacency_csr : t -> int array * int array
-(** Compressed-sparse-row snapshot [(off, data)]: the neighbours of [v]
-    are [data.(off.(v)) .. data.(off.(v+1) - 1)], sorted increasingly.
-    One flat allocation instead of [n] row arrays — the form
-    [Instance.create] freezes acceptance graphs into. *)
+(** The rows themselves, [(off, nbr)]: the neighbours of [v] are
+    [nbr.(off.(v)) .. nbr.(off.(v+1) - 1)], strictly increasing.  These
+    are the graph's live arrays, not a copy — the form [Instance.create]
+    and [Swarm] read in place — so callers must never mutate them. *)
 
-val of_adjacency_arrays : int array array -> t
-(** Rebuild a graph from (possibly unsorted) adjacency arrays; symmetry is
-    enforced by insertion. *)
+val adjacency_arrays : t -> int array array
+(** One fresh array per row, each strictly increasing: the per-row form
+    some consumers (eDonkey queues, general utilities, tests) index. *)

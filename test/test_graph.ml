@@ -1,7 +1,6 @@
 module Rng = Stratify_prng.Rng
 module U = Stratify_graph.Undirected
 module Gen = Stratify_graph.Gen
-module Union_find = Stratify_graph.Union_find
 module Components = Stratify_graph.Components
 
 let test_union_find_basic () =
@@ -15,42 +14,95 @@ let test_union_find_basic () =
   Alcotest.(check int) "set size" 4 (Union_find.size uf 3);
   Alcotest.(check int) "remaining sets" 3 (Union_find.count uf)
 
-let test_add_remove_edges () =
-  let g = U.create 5 in
-  Alcotest.(check bool) "add" true (U.add_edge g 0 3);
-  Alcotest.(check bool) "add dup" false (U.add_edge g 3 0);
-  Alcotest.(check bool) "mem" true (U.mem_edge g 3 0);
-  Alcotest.(check int) "edges" 1 (U.edge_count g);
-  Alcotest.(check bool) "remove" true (U.remove_edge g 0 3);
-  Alcotest.(check bool) "remove absent" false (U.remove_edge g 0 3);
-  Alcotest.(check int) "edges after" 0 (U.edge_count g)
+let of_list n edges = U.of_edges n (fun add -> List.iter (fun (u, v) -> add u v) edges)
 
 let test_self_loop_rejected () =
-  let g = U.create 3 in
-  Alcotest.check_raises "self loop" (Invalid_argument "Undirected.add_edge: self-loop")
-    (fun () -> ignore (U.add_edge g 1 1))
+  Alcotest.check_raises "self loop" (Invalid_argument "Undirected.of_edges: self-loop at vertex 1")
+    (fun () -> ignore (of_list 3 [ (0, 2); (1, 1) ]))
+
+let test_out_of_range_rejected () =
+  Alcotest.check_raises "vertex past n"
+    (Invalid_argument "Undirected.of_edges: edge (2, 3) has a vertex outside [0, 3)") (fun () ->
+      ignore (of_list 3 [ (0, 1); (2, 3) ]));
+  Alcotest.check_raises "negative vertex"
+    (Invalid_argument "Undirected.of_edges: edge (-1, 0) has a vertex outside [0, 3)") (fun () ->
+      ignore (of_list 3 [ (-1, 0) ]));
+  Alcotest.check_raises "negative size" (Invalid_argument "Undirected.of_edges: negative size -1")
+    (fun () -> ignore (of_list (-1) []))
 
 let test_builders () =
   Alcotest.(check int) "complete K6 edges" 15 (U.edge_count (Gen.complete 6));
   Alcotest.(check int) "ring edges" 7 (U.edge_count (Gen.ring 7));
   Alcotest.(check int) "path edges" 6 (U.edge_count (Gen.path 7));
+  Alcotest.(check int) "star edges" 6 (U.edge_count (Gen.star 7));
   let ring = Gen.ring 5 in
   for v = 0 to 4 do
     Alcotest.(check int) "ring degree" 2 (U.degree ring v)
-  done
+  done;
+  (* the closing edge (4, 0) arrives last: rows 0 and 4 still come out sorted *)
+  Alcotest.(check (array (array int))) "ring rows"
+    [| [| 1; 4 |]; [| 0; 2 |]; [| 1; 3 |]; [| 2; 4 |]; [| 0; 3 |] |]
+    (U.adjacency_arrays ring)
 
 let test_sorted_neighbors_and_arrays () =
-  let g = U.create 5 in
-  ignore (U.add_edge g 2 4);
-  ignore (U.add_edge g 2 0);
-  ignore (U.add_edge g 2 3);
-  Alcotest.(check (list int)) "sorted" [ 0; 3; 4 ] (U.sorted_neighbors g 2);
+  let g = of_list 5 [ (2, 4); (2, 0); (3, 2) ] in
   let adj = U.adjacency_arrays g in
   Alcotest.(check (array int)) "row 2" [| 0; 3; 4 |] adj.(2);
   Alcotest.(check (array int)) "row 0" [| 2 |] adj.(0);
+  Alcotest.(check (array int)) "row 1" [||] adj.(1);
   let g2 = U.of_adjacency_arrays adj in
   Alcotest.(check int) "round trip edges" (U.edge_count g) (U.edge_count g2);
-  Alcotest.(check bool) "round trip membership" true (U.mem_edge g2 2 4)
+  Alcotest.(check bool) "round trip membership" true (U.mem_edge g2 2 4);
+  Alcotest.(check (array (array int))) "round trip rows" adj (U.adjacency_arrays g2)
+
+(* Random edge streams over n vertices, n = 0 included: repeats, both
+   orientations, any order. *)
+let edge_stream_params =
+  QCheck.make
+    ~print:(fun (n, edges) ->
+      Printf.sprintf "n=%d edges=[%s]" n
+        (String.concat "; " (List.map (fun (u, v) -> Printf.sprintf "%d,%d" u v) edges)))
+    QCheck.Gen.(
+      let* n = int_range 0 12 in
+      if n < 2 then return (n, [])
+      else
+        let edge =
+          let* u = int_bound (n - 1) in
+          let* k = int_range 1 (n - 1) in
+          return (u, (u + k) mod n)
+        in
+        let* edges = list_size (int_bound 40) edge in
+        let* echo = list_size (int_bound 10) (oneofl (if edges = [] then [ (0, 1) ] else edges)) in
+        return (n, edges @ List.map (fun (u, v) -> (v, u)) echo))
+
+let prop_builder_is_symmetric_closure =
+  Helpers.qtest ~count:300 "builder = sorted deduplicated symmetric closure" edge_stream_params
+    (fun (n, edges) ->
+      let g = of_list n edges in
+      let closure =
+        Array.init n (fun u ->
+            List.concat_map
+              (fun (a, b) -> if a = u then [ b ] else if b = u then [ a ] else [])
+              edges
+            |> List.sort_uniq Int.compare |> Array.of_list)
+      in
+      let off, nbr = U.adjacency_csr g in
+      let pairs = Array.fold_left (fun acc row -> acc + Array.length row) 0 closure in
+      (* the same edges once each, in increasing (u, v) order with u < v:
+         the stream that fills every row sorted *)
+      let increasing =
+        List.sort_uniq compare (List.map (fun (a, b) -> (Int.min a b, Int.max a b)) edges)
+      in
+      U.vertex_count g = n
+      && Array.length off = n + 1
+      && off.(n) = Array.length nbr
+      && U.adjacency_arrays g = closure
+      && U.adjacency_arrays (of_list n increasing) = closure
+      && U.edge_count g * 2 = pairs
+      && Array.for_all (fun u -> U.degree g u = Array.length closure.(u)) (Array.init n Fun.id)
+      && List.for_all
+           (fun (u, v) -> U.mem_edge g u v = Array.exists (Int.equal v) closure.(u))
+           (List.concat_map (fun u -> List.init n (fun v -> (u, v))) (List.init n Fun.id)))
 
 let test_gnp_edge_count () =
   let rng = Rng.create 1 in
@@ -75,13 +127,14 @@ let test_gnp_extremes () =
 let test_gnp_symmetry_no_selfloop () =
   let rng = Rng.create 3 in
   let g = Gen.gnp rng ~n:100 ~p:0.1 in
-  for v = 0 to 99 do
-    List.iter
-      (fun w ->
-        Alcotest.(check bool) "no self" true (w <> v);
-        Alcotest.(check bool) "symmetric" true (U.mem_edge g w v))
-      (U.neighbors g v)
-  done
+  Array.iteri
+    (fun v row ->
+      Array.iter
+        (fun w ->
+          Alcotest.(check bool) "no self" true (w <> v);
+          Alcotest.(check bool) "symmetric" true (U.mem_edge g w v))
+        row)
+    (U.adjacency_arrays g)
 
 let test_gnd_mean_degree () =
   let rng = Rng.create 4 in
@@ -111,28 +164,29 @@ let test_gnp_adjacency_agrees () =
   Alcotest.(check bool) "edge count plausible" true
     (Float.abs (float_of_int m -. expected) < 5. *. sqrt expected)
 
-let test_attach_fresh_vertex () =
+(* The fresh neighbours of an arrival, in the order they are drawn. *)
+let fresh_edges rng ~n ~v ~p ~present =
+  let got = ref [] in
+  Gen.iter_fresh_edges rng ~n ~v ~p ~present (fun w -> got := w :: !got);
+  List.rev !got
+
+let test_iter_fresh_edges () =
   let rng = Rng.create 6 in
-  let g = U.create 100 in
   let present = Array.make 100 true in
   present.(7) <- false;
-  let added =
-    Gen.attach_fresh_vertex rng g ~v:0 ~p:0.5 ~present:(fun x -> present.(x))
-  in
-  Alcotest.(check int) "edge count matches" added (U.edge_count g);
-  Alcotest.(check bool) "skips absent" true (not (U.mem_edge g 0 7));
+  let got = fresh_edges rng ~n:100 ~v:0 ~p:0.5 ~present:(fun x -> present.(x)) in
+  Alcotest.(check (list int)) "increasing, distinct" (List.sort_uniq Int.compare got) got;
+  Alcotest.(check bool) "skips itself" false (List.mem 0 got);
+  Alcotest.(check bool) "skips absent" false (List.mem 7 got);
+  let added = List.length got in
   Alcotest.(check bool) "plausible count" true (added > 25 && added < 75);
-  Alcotest.(check int) "p=0 adds none" 0
-    (Gen.attach_fresh_vertex rng (U.create 10) ~v:3 ~p:0. ~present:(fun _ -> true));
-  let g1 = U.create 10 in
-  let all = Gen.attach_fresh_vertex rng g1 ~v:3 ~p:1. ~present:(fun _ -> true) in
-  Alcotest.(check int) "p=1 adds all" 9 all
+  Alcotest.(check (list int)) "p=0 adds none" []
+    (fresh_edges rng ~n:10 ~v:3 ~p:0. ~present:(fun _ -> true));
+  Alcotest.(check (list int)) "p=1 adds all" [ 0; 1; 2; 4; 5; 6; 7; 8; 9 ]
+    (fresh_edges rng ~n:10 ~v:3 ~p:1. ~present:(fun _ -> true))
 
 let test_components () =
-  let g = U.create 7 in
-  ignore (U.add_edge g 0 1);
-  ignore (U.add_edge g 1 2);
-  ignore (U.add_edge g 3 4);
+  let g = of_list 7 [ (0, 1); (1, 2); (3, 4) ] in
   let c = Components.of_graph g in
   Alcotest.(check int) "count" 4 c.Components.count;
   Alcotest.(check int) "largest" 3 (Components.largest_size c);
@@ -144,7 +198,7 @@ let test_components () =
 let test_components_connected () =
   let c = Components.of_graph (Gen.ring 10) in
   Alcotest.(check bool) "ring connected" true (Components.is_connected c);
-  let c2 = Components.of_graph (U.create 3) in
+  let c2 = Components.of_graph (Gen.empty 3) in
   Alcotest.(check bool) "empty not connected" false (Components.is_connected c2)
 
 let prop_gnp_rows_symmetric =
@@ -154,8 +208,9 @@ let prop_gnp_rows_symmetric =
       let g = Gen.gnp rng ~n ~p in
       let c1 = Components.of_graph g in
       let c2 = Components.of_adjacency (U.adjacency_arrays g) in
-      (* union-find and the breadth-first kernel: same ids, same sizes *)
-      c1 = c2 && Components.largest_size c1 = Components.largest_size c2)
+      (* the graph's rows, the same rows laid end to end, and union-find:
+         same ids, same sizes *)
+      c1 = c2 && c1 = Union_find.components g)
 
 let prop_csr_matches_adjacency_arrays =
   Helpers.qtest ~count:100 "CSR snapshot = per-row adjacency arrays"
@@ -178,17 +233,18 @@ let prop_csr_matches_adjacency_arrays =
 let suite =
   [
     Alcotest.test_case "union-find basics" `Quick test_union_find_basic;
-    Alcotest.test_case "add/remove edges" `Quick test_add_remove_edges;
     Alcotest.test_case "self-loop rejected" `Quick test_self_loop_rejected;
+    Alcotest.test_case "out-of-range vertex rejected" `Quick test_out_of_range_rejected;
     Alcotest.test_case "builders" `Quick test_builders;
     Alcotest.test_case "sorted neighbours / adjacency arrays" `Quick test_sorted_neighbors_and_arrays;
+    prop_builder_is_symmetric_closure;
     prop_csr_matches_adjacency_arrays;
     Alcotest.test_case "G(n,p) edge-count concentration" `Slow test_gnp_edge_count;
     Alcotest.test_case "G(n,p) extremes" `Quick test_gnp_extremes;
     Alcotest.test_case "G(n,p) symmetry, no self-loops" `Quick test_gnp_symmetry_no_selfloop;
     Alcotest.test_case "G(n,d) mean degree" `Slow test_gnd_mean_degree;
     Alcotest.test_case "gnp_adjacency invariants" `Quick test_gnp_adjacency_agrees;
-    Alcotest.test_case "attach_fresh_vertex" `Quick test_attach_fresh_vertex;
+    Alcotest.test_case "iter_fresh_edges" `Quick test_iter_fresh_edges;
     Alcotest.test_case "connected components" `Quick test_components;
     Alcotest.test_case "is_connected" `Quick test_components_connected;
     prop_gnp_rows_symmetric;
@@ -260,8 +316,8 @@ let test_gnp_tiny_p () =
   Alcotest.(check int) "gnp_adjacency: no edges" 0
     (Array.fold_left (fun acc row -> acc + Array.length row) 0 adj);
   Alcotest.(check int) "gnp: no edges" 0 (U.edge_count (Gen.gnp rng ~n:200 ~p:1e-30));
-  Alcotest.(check int) "fresh arrival: no edges" 0
-    (Gen.attach_fresh_vertex rng (U.create 200) ~v:3 ~p:1e-30 ~present:(fun _ -> true))
+  Alcotest.(check (list int)) "fresh arrival: no edges" []
+    (fresh_edges rng ~n:200 ~v:3 ~p:1e-30 ~present:(fun _ -> true))
 
 (* Ids are handed out in order of each component's smallest vertex. *)
 let test_components_first_seen () =
@@ -273,16 +329,17 @@ let test_components_first_seen () =
   for _ = 1 to 50 do
     let n = 1 + Rng.int rng 60 in
     let g = Gen.gnp rng ~n ~p:(1.5 /. float_of_int n) in
+    let rows = U.adjacency_arrays g in
     let c = Components.of_graph g in
     let next = ref 0 in
     Array.iteri
       (fun v id ->
         if id = !next then incr next
         else Alcotest.(check bool) "id already seen" true (id < !next);
-        List.iter
+        Array.iter
           (fun w ->
             Alcotest.(check int) "neighbours share an id" id c.Components.component.(w))
-          (U.neighbors g v))
+          rows.(v))
       c.Components.component;
     Alcotest.(check int) "count" !next c.Components.count;
     Array.iteri

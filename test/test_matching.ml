@@ -36,9 +36,7 @@ let test_ranking_identity () =
 
 let test_instance_relabeling () =
   (* Peers 0,1,2 with scores making 2 the best; edge set {0-2, 1-2}. *)
-  let g = U.create 3 in
-  ignore (U.add_edge g 0 2);
-  ignore (U.add_edge g 1 2);
+  let g = U.of_edges 3 (fun add -> add 0 2; add 1 2) in
   let ranking = Ranking.of_scores [| 5.; 1.; 9. |] in
   (* ranks: peer2 -> 0, peer0 -> 1, peer1 -> 2 *)
   let inst = Instance.create ~ranking ~graph:g ~b:[| 1; 2; 3 |] () in
@@ -53,8 +51,19 @@ let test_instance_relabeling () =
   Alcotest.(check int) "rank->id" 2 (Instance.rank_to_id inst 0);
   Alcotest.(check int) "id->rank" 0 (Instance.id_to_rank inst 2)
 
+(* Under the identity ranking the Dense backend is the graph's own CSR,
+   not a copy of it. *)
+let test_instance_shares_graph_rows () =
+  let graph = Gen.gnp (Rng.create 3) ~n:30 ~p:0.2 in
+  let off, nbr = U.adjacency_csr graph in
+  match Instance.raw_backend (Instance.create ~graph ~b:(Array.make 30 1) ()) with
+  | Instance.Raw_dense { off = o; data } ->
+      Alcotest.(check bool) "same offsets" true (o == off);
+      Alcotest.(check bool) "same rows" true (data == nbr)
+  | _ -> Alcotest.fail "create built a non-dense backend"
+
 let test_instance_validation () =
-  let g = U.create 2 in
+  let g = Gen.empty 2 in
   Alcotest.check_raises "negative budget" (Invalid_argument "Instance: negative slot budget")
     (fun () -> ignore (Instance.create ~graph:g ~b:[| 1; -1 |] ()));
   Alcotest.check_raises "bad size" (Invalid_argument "Instance: |b| must equal the number of peers")
@@ -743,13 +752,8 @@ let brute_roommates sys =
 
 let random_tan rng n p =
   (* Random symmetric acceptance with random strict preferences. *)
-  let g = Gen.gnp rng ~n ~p in
-  let prefs =
-    Array.init n (fun v ->
-        let row = Array.of_list (U.neighbors g v) in
-        Dist.shuffle rng row;
-        row)
-  in
+  let prefs = U.adjacency_arrays (Gen.gnp rng ~n ~p) in
+  Array.iter (Dist.shuffle rng) prefs;
   Tan.of_lists prefs
 
 let prop_roommates_matches_brute_force =
@@ -792,12 +796,10 @@ let prop_relabeling_invariance =
           let inst = Instance.create ~ranking ~graph ~b () in
           let stable = Greedy.stable_config inst in
           (* Identity-ranked twin: relabel vertices by rank. *)
-          let twin_graph = U.create n in
-          U.iter_edges
-            (fun u v ->
-              ignore
-                (U.add_edge twin_graph (Ranking.rank ranking u) (Ranking.rank ranking v)))
-            graph;
+          let twin_graph =
+            U.of_edges n (fun add ->
+                U.iter_edges (fun u v -> add (Ranking.rank ranking u) (Ranking.rank ranking v)) graph)
+          in
           let twin_b = Array.init n (fun r -> b.(Ranking.peer_at ranking r)) in
           let twin = Instance.create ~graph:twin_graph ~b:twin_b () in
           Config.equal (Greedy.stable_config twin) stable
@@ -872,4 +874,6 @@ let suite =
       test_of_adjacency_reference;
     Alcotest.test_case "Config.append guards" `Quick test_append_guards;
     prop_writer_matches_connect;
+    Alcotest.test_case "identity instance reads the graph's rows" `Quick
+      test_instance_shares_graph_rows;
   ]

@@ -499,6 +499,35 @@ let test_restore_invariants () =
   expect_restore_error ~at:"Churn.restore_world" "absent peer with edges"
     [ "absent peer 0 has" ]
     (edit [ `Field "oracle"; `Field "present"; `Nth 0 ] (set_to (Jsonx.Int 0)) snap);
+  (* Acceptance rows are strictly increasing, in range, loop-free and
+     symmetric: peer [p]'s row starts [a; b], and [a] lists [p] back. *)
+  let p, a, b, rest =
+    let rec first p = function
+      | row :: rows -> (
+          let int = function Jsonx.Int i -> i | _ -> Alcotest.fail "a row entry is not an int" in
+          match List.map int (Jsonx.get_list row) with
+          | a :: b :: rest -> (p, a, b, rest)
+          | _ -> first (p + 1) rows)
+      | [] -> Alcotest.fail "the small world has no peer with two neighbours"
+    in
+    first 0 (Jsonx.get_list (Jsonx.member "adjacency" (Jsonx.member "oracle" snap)))
+  in
+  let with_row row = edit [ `Field "oracle"; `Field "adjacency"; `Nth p ] (set_to (ints row)) snap in
+  expect_restore_error ~at:"Churn.restore_world" "asymmetric row"
+    [ Printf.sprintf "peer %d lists %d but peer %d does not list %d" a p p a ]
+    (with_row (b :: rest));
+  expect_restore_error ~at:"Churn.restore_world" "repeated entry"
+    [ Printf.sprintf "peer %d's acceptance row is not strictly increasing (%d after %d)" p a a ]
+    (with_row (a :: a :: b :: rest));
+  expect_restore_error ~at:"Churn.restore_world" "unsorted row"
+    [ Printf.sprintf "peer %d's acceptance row is not strictly increasing (%d after %d)" p a b ]
+    (with_row (b :: a :: rest));
+  expect_restore_error ~at:"Churn.restore_world" "peer out of range"
+    [ Printf.sprintf "peer %d lists 20, outside [0, 20)" p ]
+    (with_row (a :: b :: rest @ [ 20 ]));
+  expect_restore_error ~at:"Churn.restore_world" "peer lists itself"
+    [ Printf.sprintf "peer %d lists itself" p ]
+    (with_row (List.sort Int.compare (p :: a :: b :: rest)));
   (* A served world never runs an initiative, so its evolving
      configuration is always empty. *)
   expect_restore_error ~at:"Serve.restore" "nonempty evolving configuration"

@@ -78,9 +78,8 @@ let prop_flat_readers_match_adjacency =
       let adj = Config.to_adjacency config in
       (* union-find over the same pairs: the independent oracle for the
          breadth-first segment kernel both forms share *)
-      let graph = Stratify_graph.Undirected.create n in
-      Config.iter_pairs (fun p q -> ignore (Stratify_graph.Undirected.add_edge graph p q)) config;
-      Stratify_graph.Components.of_graph graph
+      let graph = Stratify_graph.Undirected.of_edges n (fun add -> Config.iter_pairs add config) in
+      Union_find.components graph
       = Stratify_graph.Components.of_segments ~off:(Config.raw_off config)
           ~deg:(Config.raw_deg config) ~data:(Config.raw_data config)
       && Cluster.analyze_config config = Cluster.analyze adj

@@ -37,3 +37,22 @@ let union t a b =
 let same t a b = find t a = find t b
 let size t x = t.set_size.(find t x)
 let count t = t.sets
+
+let components g =
+  let module U = Stratify_graph.Undirected in
+  let n = U.vertex_count g in
+  let uf = create n in
+  U.iter_edges (fun u v -> ignore (union uf u v)) g;
+  let id_of_root = Array.make n (-1) and next = ref 0 in
+  let component =
+    Array.init n (fun v ->
+        let root = find uf v in
+        if id_of_root.(root) < 0 then begin
+          id_of_root.(root) <- !next;
+          incr next
+        end;
+        id_of_root.(root))
+  in
+  let sizes = Array.make !next 0 in
+  Array.iter (fun id -> sizes.(id) <- sizes.(id) + 1) component;
+  { Stratify_graph.Components.component; sizes; count = !next }

@@ -1,7 +1,7 @@
 (** Disjoint-set forest with union by rank and path compression.
 
-    Used to extract connected components of collaboration graphs (cluster
-    analysis of §4 of the paper) in near-linear time. *)
+    The test oracle for [Components]: its sets, merged over a graph's
+    edges, must be the components the breadth-first kernel labels. *)
 
 type t
 
@@ -23,3 +23,8 @@ val size : t -> int -> int
 
 val count : t -> int
 (** Number of distinct sets. *)
+
+val components : Stratify_graph.Undirected.t -> Stratify_graph.Components.t
+(** A graph's components: sets merged over its edges, ids handed out in
+    order of each component's smallest vertex, as [Components] numbers
+    them. *)
