@@ -469,14 +469,16 @@ let fig9 ctx =
   let runs = Int.max 50 (scaled ctx 400) in
   let rng = Rng.create ctx.seed in
   (* The paper's "several weeks" of realizations: one replica = one
-     G(n,p) stable 2-matching.  Each replica runs on its own substream
-     (indexed by replica id, not worker), so the counts — and the CSV —
-     are byte-identical for every --jobs value. *)
+     G(n,p) stable 2-matching, run as Algorithm 1 on the walk itself,
+     which stops after row [peer] (DESIGN.md §8).  Each replica runs on
+     its own substream (indexed by replica id, not worker), split before
+     any replica runs, so stopping one walk early moves no other
+     replica's draws, and the counts — and the CSV — are byte-identical
+     for every --jobs value. *)
+  let b = Array.make n b0 in
   let mates_per_run =
     Exec.map_replicas ~jobs:ctx.jobs ~rng ~replicas:runs (fun rng _ ->
-        let inst = Instance.create ~graph:(Gen.gnp rng ~n ~p) ~b:(Array.make n b0) () in
-        let config = Greedy.stable_config inst in
-        Config.mates config peer)
+        Greedy.mates_of_stream ~b ~peer (Gen.iter_gnp_edges rng ~n ~p))
   in
   let counts = Array.init b0 (fun _ -> Array.make n 0) in
   Array.iter
@@ -527,10 +529,11 @@ let fig9 ctx =
     for b = 0 to bins - 1 do
       tv := !tv +. Float.abs (sim_binned.(b) -. est_binned.(b))
     done;
+    (* an empty row's mean is 0, as [Discrete.mean] gives the estimate *)
     let sim_mean =
       let acc = ref 0. in
       Array.iteri (fun j k -> acc := !acc +. (float_of_int (j * k) /. float_of_int runs)) counts.(c);
-      !acc /. sim_mass
+      if sim_mass > 0. then !acc /. sim_mass else 0.
     in
     Output.note "choice %d: mass sim %.4f / est %.4f; mean rank sim %.0f / est %.0f; binned TV %.4f"
       (c + 1) sim_mass est_mass sim_mean (Discrete.mean estimated.(c)) (0.5 *. !tv)

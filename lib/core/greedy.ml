@@ -122,6 +122,53 @@ let stable_config ?arena inst =
   Stratify_obs.Profile.stop "greedy.build" ~ops:n snap;
   config
 
+(* Algorithm 1 read off the edge stream itself.  Under the identity
+   ranking the generic scan visits the pairs (i, q), q > i, of every row
+   in increasing order, which is the stream's order, and connects a pair
+   exactly when both ends still have a free slot.  [peer]'s mates are
+   the pairs (u, peer) then (peer, v) that connect, best first; after
+   row [peer] no edge names [peer], and once [peer] is full no later
+   edge can connect to it, so either point ends the walk. *)
+let mates_of_stream ~b ~peer iter =
+  let n = Array.length b in
+  if peer < 0 || peer >= n then
+    invalid_arg (Printf.sprintf "Greedy.mates_of_stream: peer %d outside [0, %d)" peer n);
+  Array.iteri
+    (fun p k ->
+      if k < 0 then
+        invalid_arg (Printf.sprintf "Greedy.mates_of_stream: negative budget %d at peer %d" k p))
+    b;
+  Stratify_obs.Counter.incr c_builds;
+  let snap = Stratify_obs.Profile.start () in
+  let avail = Array.copy b in
+  let mates = ref [] in
+  let last_u = ref (-1) and last_v = ref (-1) in
+  let exception Stop in
+  (if avail.(peer) > 0 then
+     try
+       iter (fun u v ->
+           if u < 0 || v <= u || v >= n then
+             invalid_arg
+               (Printf.sprintf "Greedy.mates_of_stream: edge (%d, %d) is not 0 <= u < v < %d" u v n);
+           if u < !last_u || (u = !last_u && v <= !last_v) then
+             invalid_arg
+               (Printf.sprintf "Greedy.mates_of_stream: edge (%d, %d) does not follow (%d, %d)" u v
+                  !last_u !last_v);
+           if u > peer then raise_notrace Stop;
+           last_u := u;
+           last_v := v;
+           if avail.(u) > 0 && avail.(v) > 0 then begin
+             avail.(u) <- avail.(u) - 1;
+             avail.(v) <- avail.(v) - 1;
+             if u = peer || v = peer then begin
+               mates := (if u = peer then v else u) :: !mates;
+               if avail.(peer) = 0 then raise_notrace Stop
+             end
+           end)
+     with Stop -> ());
+  Stratify_obs.Profile.stop "greedy.build" ~ops:n snap;
+  List.rev !mates
+
 (* Standalone raw-array variant of the complete-graph case, kept as a
    reference implementation for tests and benchmarks. *)
 let stable_complete ~b =

@@ -50,6 +50,24 @@ val solve_window :
     [hi - lo] ops, like {!stable_config}.  The caller {!Config.seal}s
     [config] once every window is written. *)
 
+val mates_of_stream : b:int array -> peer:int -> ((int -> int -> unit) -> unit) -> int list
+(** [mates_of_stream ~b ~peer iter] is [peer]'s mates, best first, in the
+    stable configuration of the instance whose acceptance graph is the
+    edges [iter add] passes to [add u v], under the identity ranking,
+    with slot budgets [b] (so [n = Array.length b]): the
+    {!Config.mates} of {!stable_config}, computed as one pass over the
+    stream with only a copy of [b] as free-slot counts.  The stream must
+    give each edge once, as [u < v], in increasing [(u, v)] order — the
+    order of the G(n,p) walk.  The pass stops the stream (with an
+    exception of its own) at the first edge past row [peer], once that
+    edge is checked, or as soon as [peer] has no free slot, since no
+    later edge changes [peer]'s mates; the stream gives no edge after
+    that point, and a [b.(peer)] of 0 reads none.  Counts one
+    build and records one "greedy.build" row of [n] ops, like
+    {!stable_config}.  Raises [Invalid_argument] naming the value on a
+    [peer] outside [\[0, n)], a negative budget, an edge that is not
+    [0 <= u < v < n], or an edge that does not follow the previous one. *)
+
 val stable_complete : b:int array -> int array array
 (** Fast path for a complete acceptance graph with identity ranking (§4's
     toy model): returns the stable collaboration graph as adjacency arrays

@@ -3,7 +3,7 @@ module Rng = Stratify_prng.Rng
 let empty n = Undirected.of_edges n ignore
 
 let complete n =
-  Undirected.of_edges n (fun add ->
+  Undirected.of_edges ~capacity:(Int.max 0 (n * (n - 1) / 2)) n (fun add ->
       for u = 0 to n - 1 do
         for v = u + 1 to n - 1 do
           add u v
@@ -12,20 +12,20 @@ let complete n =
 
 let ring n =
   if n < 3 then invalid_arg "Gen.ring: need n >= 3";
-  Undirected.of_edges n (fun add ->
+  Undirected.of_edges ~capacity:n n (fun add ->
       for v = 0 to n - 1 do
         add v ((v + 1) mod n)
       done)
 
 let path n =
-  Undirected.of_edges n (fun add ->
+  Undirected.of_edges ~capacity:(Int.max 0 (n - 1)) n (fun add ->
       for v = 0 to n - 2 do
         add v (v + 1)
       done)
 
 let star n =
   if n < 1 then invalid_arg "Gen.star: need n >= 1";
-  Undirected.of_edges n (fun add ->
+  Undirected.of_edges ~capacity:(n - 1) n (fun add ->
       for v = 1 to n - 1 do
         add 0 v
       done)
@@ -76,8 +76,18 @@ let iter_gnp_edges rng ~n ~p f =
     end
 
 (* The walk emits edges in increasing (u, v) order with u < v, so the
-   builder fills every row sorted. *)
-let gnp rng ~n ~p = Undirected.of_edges n (iter_gnp_edges rng ~n ~p)
+   builder fills every row sorted.  Its stream starts with room for the
+   expected edge count plus four standard deviations, at most every
+   pair, so it rarely has to grow. *)
+let gnp rng ~n ~p =
+  let capacity =
+    if p > 0. && p <= 1. then
+      let pairs = float_of_int n *. float_of_int (n - 1) /. 2. in
+      let mean = p *. pairs in
+      int_of_float (Float.min pairs (Float.ceil (mean +. (4. *. sqrt (mean *. (1. -. p))))))
+    else 0
+  in
+  Undirected.of_edges ~capacity n (iter_gnp_edges rng ~n ~p)
 
 let gnd rng ~n ~d =
   if n < 2 then empty n

@@ -21,10 +21,20 @@ val path : int -> Undirected.t
 val star : int -> Undirected.t
 (** Star with centre [0]. *)
 
+val iter_gnp_edges :
+  Stratify_prng.Rng.t -> n:int -> p:float -> (int -> int -> unit) -> unit
+(** [iter_gnp_edges rng ~n ~p f] walks the edges of Erdős–Rényi [G(n,p)]
+    by geometric skipping over the [n(n-1)/2] pairs (Batagelj & Brandes,
+    2005), calling [f u v] for each, with [u < v], in increasing
+    [(u, v)] order; O(n + m) expected draws.  It is {!gnp}'s stream: the
+    same [rng] state gives the same edges from the same draws.  An
+    exception raised by [f] ends the walk, with no further draw.  Raises
+    [Invalid_argument] when [p] is outside [\[0, 1\]]. *)
+
 val gnp : Stratify_prng.Rng.t -> n:int -> p:float -> Undirected.t
-(** Erdős–Rényi [G(n,p)] sampled in O(n + m) expected time by geometric
-    edge skipping.  The walk emits edges in increasing [(u, v)] order, so
-    every row fills sorted and none is re-sorted. *)
+(** Erdős–Rényi [G(n,p)]: the graph of {!iter_gnp_edges}'s walk.  The
+    walk emits edges in increasing [(u, v)] order, so every row fills
+    sorted and none is re-sorted. *)
 
 val gnd : Stratify_prng.Rng.t -> n:int -> d:float -> Undirected.t
 (** The paper's parameterisation: expected degree [d], i.e.

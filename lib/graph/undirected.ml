@@ -3,12 +3,15 @@
    edge is listed at both endpoints and no vertex lists itself. *)
 type t = { off : int array; nbr : int array }
 
-let of_edges n iter =
+let of_edges ?(capacity = 0) n iter =
   if n < 0 then invalid_arg (Printf.sprintf "Undirected.of_edges: negative size %d" n);
-  (* The stream as (u, v) pairs in a flat array grown by doubling, and
+  if capacity < 0 then
+    invalid_arg (Printf.sprintf "Undirected.of_edges: negative capacity %d" capacity);
+  (* The stream as (u, v) pairs in a flat array sized for [capacity]
+     pairs and grown by doubling past it (from 64 ints when empty), and
      the degree of [v] counted at [off.(v + 1)].  The copies are loops:
      [Array.blit] into an old array would [caml_modify] every int. *)
-  let stream = ref (Array.make 64 0) and len = ref 0 in
+  let stream = ref (Array.make (2 * capacity) 0) and len = ref 0 in
   let off = Array.make (n + 1) 0 in
   iter (fun u v ->
       if u < 0 || u >= n || v < 0 || v >= n then
@@ -16,7 +19,7 @@ let of_edges n iter =
           (Printf.sprintf "Undirected.of_edges: edge (%d, %d) has a vertex outside [0, %d)" u v n);
       if u = v then invalid_arg (Printf.sprintf "Undirected.of_edges: self-loop at vertex %d" u);
       if !len = Array.length !stream then begin
-        let grown = Array.make (2 * !len) 0 in
+        let grown = Array.make (Int.max 64 (2 * !len)) 0 in
         for i = 0 to !len - 1 do
           grown.(i) <- !stream.(i)
         done;
@@ -88,7 +91,9 @@ let of_edges n iter =
   end
 
 let of_adjacency_arrays rows =
-  of_edges (Array.length rows) (fun add -> Array.iteri (fun u row -> Array.iter (add u) row) rows)
+  let capacity = Array.fold_left (fun acc row -> acc + Array.length row) 0 rows in
+  of_edges ~capacity (Array.length rows) (fun add ->
+      Array.iteri (fun u row -> Array.iter (add u) row) rows)
 
 let vertex_count t = Array.length t.off - 1
 let edge_count t = Array.length t.nbr / 2

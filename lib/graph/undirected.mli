@@ -13,7 +13,7 @@
 
 type t
 
-val of_edges : int -> ((int -> int -> unit) -> unit) -> t
+val of_edges : ?capacity:int -> int -> ((int -> int -> unit) -> unit) -> t
 (** [of_edges n iter] is the graph on [0..n-1] whose edges are the pairs
     [iter add] passes to [add u v], in any order and either orientation,
     repeats allowed: their symmetric closure, each edge once.  Rows fill
@@ -21,8 +21,11 @@ val of_edges : int -> ((int -> int -> unit) -> unit) -> t
     inversion or a repeat) does one linear transposition reorder them,
     so a stream in increasing [(u, v)] order with [u < v] (the G(n,p)
     walk, {!Gen.complete}) is taken as it fills.  O(n + stream length).
-    Raises [Invalid_argument] naming the size or the edge on a negative
-    [n], a vertex outside [0..n-1] or a self-loop. *)
+    The stream is buffered in room for [capacity] pairs (default 0),
+    which doubles whenever the stream outgrows it: a caller that knows
+    its stream length saves the copies, and any capacity gives the same
+    graph.  Raises [Invalid_argument] naming the value on a negative
+    [n] or [capacity], a vertex outside [0..n-1] or a self-loop. *)
 
 val of_adjacency_arrays : int array array -> t
 (** {!of_edges} over the rows: row [u] listing [v] gives the edge

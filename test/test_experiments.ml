@@ -122,8 +122,22 @@ let digest_cases =
           Alcotest.(check string) (name ^ " report + csv digest") expected (output_digest name)))
     pinned_digests
 
+(* At scale 0.0002 fig9 has one peer, who never finds a mate: a choice
+   that no replica fills reports a simulated mean rank of 0, as the
+   estimate does, not NaN. *)
+let test_fig9_unfilled_choice () =
+  let out = Filename.concat (Filename.get_temp_dir_name ()) "stratify_fig9_unfilled.out" in
+  (match E.find "fig9" with
+  | Some run -> with_stdout_to out (fun () -> run { tiny with E.scale = 0.0002; jobs = 1 })
+  | None -> Alcotest.fail "fig9 missing");
+  let report = read_file out in
+  Sys.remove out;
+  Alcotest.(check bool) "no nan" false (Helpers.contains report "nan");
+  Alcotest.(check bool) "mean rank 0" true (Helpers.contains report "mean rank sim 0 / est 0")
+
 let suite =
   Alcotest.test_case "registry lookup" `Quick test_registry_lookup
   :: Alcotest.test_case "context validation" `Quick test_context_validation
   :: Alcotest.test_case "csv export" `Quick test_csv_export
-  :: (experiment_cases @ digest_cases)
+  :: (experiment_cases @ digest_cases
+     @ [ Alcotest.test_case "fig9 unfilled choice prints no nan" `Quick test_fig9_unfilled_choice ])

@@ -28,7 +28,10 @@ let test_out_of_range_rejected () =
     (Invalid_argument "Undirected.of_edges: edge (-1, 0) has a vertex outside [0, 3)") (fun () ->
       ignore (of_list 3 [ (-1, 0) ]));
   Alcotest.check_raises "negative size" (Invalid_argument "Undirected.of_edges: negative size -1")
-    (fun () -> ignore (of_list (-1) []))
+    (fun () -> ignore (of_list (-1) []));
+  Alcotest.check_raises "negative capacity"
+    (Invalid_argument "Undirected.of_edges: negative capacity -1") (fun () ->
+      ignore (U.of_edges ~capacity:(-1) 3 ignore))
 
 let test_builders () =
   Alcotest.(check int) "complete K6 edges" 15 (U.edge_count (Gen.complete 6));
@@ -56,28 +59,38 @@ let test_sorted_neighbors_and_arrays () =
   Alcotest.(check (array (array int))) "round trip rows" adj (U.adjacency_arrays g2)
 
 (* Random edge streams over n vertices, n = 0 included: repeats, both
-   orientations, any order. *)
+   orientations, any order; and a starting capacity for the builder's
+   stream that is 0, too small, exact or larger. *)
 let edge_stream_params =
   QCheck.make
-    ~print:(fun (n, edges) ->
-      Printf.sprintf "n=%d edges=[%s]" n
+    ~print:(fun (n, edges, capacity) ->
+      Printf.sprintf "n=%d capacity=%d edges=[%s]" n capacity
         (String.concat "; " (List.map (fun (u, v) -> Printf.sprintf "%d,%d" u v) edges)))
     QCheck.Gen.(
       let* n = int_range 0 12 in
-      if n < 2 then return (n, [])
-      else
-        let edge =
-          let* u = int_bound (n - 1) in
-          let* k = int_range 1 (n - 1) in
-          return (u, (u + k) mod n)
-        in
-        let* edges = list_size (int_bound 40) edge in
-        let* echo = list_size (int_bound 10) (oneofl (if edges = [] then [ (0, 1) ] else edges)) in
-        return (n, edges @ List.map (fun (u, v) -> (v, u)) echo))
+      let* edges =
+        if n < 2 then return []
+        else
+          let edge =
+            let* u = int_bound (n - 1) in
+            let* k = int_range 1 (n - 1) in
+            return (u, (u + k) mod n)
+          in
+          let* edges = list_size (int_bound 40) edge in
+          let* echo =
+            list_size (int_bound 10) (oneofl (if edges = [] then [ (0, 1) ] else edges))
+          in
+          return (edges @ List.map (fun (u, v) -> (v, u)) echo)
+      in
+      let len = List.length edges in
+      let* capacity =
+        oneof [ return 0; int_bound (Int.max 0 (len - 1)); return len; int_range len (len + 40) ]
+      in
+      return (n, edges, capacity))
 
 let prop_builder_is_symmetric_closure =
   Helpers.qtest ~count:300 "builder = sorted deduplicated symmetric closure" edge_stream_params
-    (fun (n, edges) ->
+    (fun (n, edges, capacity) ->
       let g = of_list n edges in
       let closure =
         Array.init n (fun u ->
@@ -94,6 +107,8 @@ let prop_builder_is_symmetric_closure =
         List.sort_uniq compare (List.map (fun (a, b) -> (Int.min a b, Int.max a b)) edges)
       in
       U.vertex_count g = n
+      && U.adjacency_csr (U.of_edges ~capacity n (fun add -> List.iter (fun (u, v) -> add u v) edges))
+         = (off, nbr)
       && Array.length off = n + 1
       && off.(n) = Array.length nbr
       && U.adjacency_arrays g = closure
@@ -296,15 +311,24 @@ let reference_gnp_edges rng ~n ~p =
 let test_gnp_draws_unchanged () =
   List.iter
     (fun (seed, n, p) ->
-      let a = Rng.create seed and b = Rng.create seed in
+      let a = Rng.create seed and b = Rng.create seed and c = Rng.create seed in
       let expected = reference_gnp_edges a ~n ~p in
+      let after_reference = Rng.copy a in
       let got = ref [] in
       let g = Gen.gnp b ~n ~p in
       U.iter_edges (fun u v -> got := (Int.min u v, Int.max u v) :: !got) g;
       Alcotest.(check (list (pair int int)))
         (Printf.sprintf "edges n=%d p=%g" n p)
         (List.sort compare expected) (List.sort compare !got);
-      Alcotest.(check int) "same number of draws" (Rng.bits30 a) (Rng.bits30 b))
+      Alcotest.(check int) "same number of draws" (Rng.bits30 a) (Rng.bits30 b);
+      (* the walk itself: the same edges in the reference's order *)
+      let walked = ref [] in
+      Gen.iter_gnp_edges c ~n ~p (fun u v -> walked := (u, v) :: !walked);
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "walk n=%d p=%g" n p)
+        expected (List.rev !walked);
+      Alcotest.(check int) "walk: same number of draws" (Rng.bits30 after_reference)
+        (Rng.bits30 c))
     [ (1, 0, 0.3); (2, 1, 0.3); (3, 2, 0.5); (4, 50, 0.05); (5, 200, 0.01); (6, 300, 1e-6);
       (7, 40, 0.97) ]
 

@@ -607,6 +607,81 @@ let prop_greedy_unique_stable =
           QCheck.Test.fail_reportf "expected exactly one stable config, got %d"
             (List.length others))
 
+(* Algorithm 1 on the G(n,p) walk itself: for every peer, the streamed
+   kernel reads the mates that the graph, the instance and the sealed
+   configuration give, and leaves the budgets it was handed alone. *)
+let stream_params =
+  QCheck.make
+    ~print:(fun (seed, n, p, b) ->
+      Printf.sprintf "seed=%d n=%d p=%g b=[%s]" seed n p
+        (String.concat "; " (Array.to_list (Array.map string_of_int b))))
+    QCheck.Gen.(
+      let* seed = int_bound 1_000_000 in
+      let* n = int_range 1 40 in
+      let* p = oneof [ return 0.; return 1.; float_bound_inclusive 1. ] in
+      let* b = array_repeat n (int_bound 3) in
+      return (seed, n, p, b))
+
+let prop_stream_mates_match_graph =
+  Helpers.qtest ~count:200 "streamed Algorithm 1 = graph path, every peer" stream_params
+    (fun (seed, n, p, b) ->
+      let rng = Rng.create seed in
+      let budgets = Array.copy b in
+      let config =
+        Greedy.stable_config (Instance.create ~graph:(Gen.gnp (Rng.copy rng) ~n ~p) ~b ())
+      in
+      List.for_all
+        (fun peer ->
+          Greedy.mates_of_stream ~b:budgets ~peer (Gen.iter_gnp_edges (Rng.copy rng) ~n ~p)
+          = Config.mates config peer)
+        (List.init n Fun.id)
+      && budgets = b)
+
+let test_stream_errors () =
+  let run ~b ~peer edges =
+    ignore (Greedy.mates_of_stream ~b ~peer (fun add -> List.iter (fun (u, v) -> add u v) edges))
+  in
+  let raises what msg f =
+    Alcotest.check_raises what (Invalid_argument ("Greedy.mates_of_stream: " ^ msg)) f
+  in
+  raises "peer past n" "peer 3 outside [0, 3)" (fun () -> run ~b:[| 1; 1; 1 |] ~peer:3 []);
+  raises "negative peer" "peer -1 outside [0, 3)" (fun () -> run ~b:[| 1; 1; 1 |] ~peer:(-1) []);
+  raises "negative budget" "negative budget -1 at peer 1" (fun () ->
+      run ~b:[| 1; -1; 1 |] ~peer:0 []);
+  raises "vertex past n" "edge (1, 3) is not 0 <= u < v < 3" (fun () ->
+      run ~b:[| 2; 2; 2 |] ~peer:2 [ (0, 1); (1, 3) ]);
+  raises "reversed edge" "edge (2, 1) is not 0 <= u < v < 3" (fun () ->
+      run ~b:[| 2; 2; 2 |] ~peer:2 [ (2, 1) ]);
+  raises "self-loop" "edge (1, 1) is not 0 <= u < v < 3" (fun () ->
+      run ~b:[| 2; 2; 2 |] ~peer:2 [ (1, 1) ]);
+  raises "out of order" "edge (0, 1) does not follow (0, 2)" (fun () ->
+      run ~b:[| 2; 2; 2 |] ~peer:2 [ (0, 2); (0, 1) ]);
+  raises "repeated edge" "edge (0, 2) does not follow (0, 2)" (fun () ->
+      run ~b:[| 2; 2; 2 |] ~peer:2 [ (0, 2); (0, 2) ])
+
+(* The walk ends at the first edge past row [peer] or when [peer] is
+   full, and the stream gives nothing after it. *)
+let test_stream_stops () =
+  let read = ref 0 in
+  let k4 add =
+    List.iter
+      (fun (u, v) ->
+        incr read;
+        add u v)
+      [ (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3) ]
+  in
+  let mates ~b ~peer =
+    read := 0;
+    let m = Greedy.mates_of_stream ~b ~peer k4 in
+    (m, !read)
+  in
+  Alcotest.(check (pair (list int) int)) "row 1 ends at (2, 3)" ([ 0; 2; 3 ], 6)
+    (mates ~b:[| 3; 4; 3; 3 |] ~peer:1);
+  Alcotest.(check (pair (list int) int)) "full peer 0 ends at (0, 1)" ([ 1 ], 1)
+    (mates ~b:[| 1; 3; 3; 3 |] ~peer:0);
+  Alcotest.(check (pair (list int) int)) "no slot reads nothing" ([], 0)
+    (mates ~b:[| 3; 0; 3; 3 |] ~peer:1)
+
 (* ------------------------------------------------------------------ *)
 (* Brute                                                               *)
 
@@ -876,4 +951,7 @@ let suite =
     prop_writer_matches_connect;
     Alcotest.test_case "identity instance reads the graph's rows" `Quick
       test_instance_shares_graph_rows;
+    prop_stream_mates_match_graph;
+    Alcotest.test_case "streamed Algorithm 1 errors are named" `Quick test_stream_errors;
+    Alcotest.test_case "streamed Algorithm 1 stops after row peer" `Quick test_stream_stops;
   ]
