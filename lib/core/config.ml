@@ -89,7 +89,9 @@ let[@inline always] mask_of t p =
 (* Derive every view the segments determine — [thresh], the [tmax]
    tree, the mate filter and [edges] — in one pass over the rows: what
    [empty] starts from, and what the ordered row writer ([append])
-   finishes with.  The leaves past [n] keep [min_int]. *)
+   finishes with.  It overwrites every view entry it will read, so of
+   [unsealed]'s placeholder contents only the [min_int] leaves past [n]
+   matter. *)
 let seal t =
   let n = Array.length t.deg in
   let total = ref 0 in
@@ -105,7 +107,10 @@ let seal t =
   done;
   t.edges <- !total / 2
 
-let empty instance =
+(* The allocation alone: empty segments, and views that [seal] has not
+   derived yet.  Algorithm 1 fills the segments through [append] and
+   then seals, so a build derives its views exactly once. *)
+let unsealed instance =
   let n = Instance.n instance in
   let off = Array.make (n + 1) 0 in
   (* [`Dynamic] degrees change after construction, so capacity must be
@@ -115,7 +120,7 @@ let empty instance =
   in
   for p = 0 to n - 1 do
     let cap =
-      if clamp_degree then min (Instance.slots instance p) (Instance.degree instance p)
+      if clamp_degree then Int.min (Instance.slots instance p) (Instance.degree instance p)
       else Instance.slots instance p
     in
     off.(p + 1) <- off.(p) + cap
@@ -129,21 +134,22 @@ let empty instance =
     done;
     !m
   in
-  let t =
-    {
-      instance;
-      off;
-      data = Array.make off.(n) (-1);
-      deg = Array.make n 0;
-      bs;
-      thresh = Array.make (max 1 n) 0;
-      mask = Array.make (max 1 n) 0;
-      tpow;
-      tmax = Array.make (2 * tpow) min_int;
-      use_mask = bmax <= mask_bits;
-      edges = 0;
-    }
-  in
+  {
+    instance;
+    off;
+    data = Array.make off.(n) (-1);
+    deg = Array.make n 0;
+    bs;
+    thresh = Array.make (max 1 n) 0;
+    mask = Array.make (max 1 n) 0;
+    tpow;
+    tmax = Array.make (2 * tpow) min_int;
+    use_mask = bmax <= mask_bits;
+    edges = 0;
+  }
+
+let empty instance =
+  let t = unsealed instance in
   seal t;
   t
 

@@ -56,7 +56,7 @@ val mated_linear : t -> int -> int -> bool
 
 val mask_enabled : t -> bool
 (** Whether {!mated} consults the 63-bit mate filter first.  Chosen at
-    {!empty} time ([max b ≤ 63], where the filter is selective); the
+    construction ([max b ≤ 63], where the filter is selective); the
     filter itself is always maintained. *)
 
 val set_use_mask : t -> bool -> unit
@@ -109,11 +109,18 @@ val of_pairs : Instance.t -> (int * int) list -> t
 
     Algorithm 1 ({!Greedy}) produces every mate segment in ascending
     order, so it fills a configuration without [connect]'s search,
-    shift and per-pair refresh: [append] each side of each pair, then
-    [seal] once.  Until [seal], the segments are the only truth — the
-    derived views ([raw_thresh], {!first_accepting}, the mate filter
-    behind {!mated}, {!edge_count}) are stale, and nothing but [append]
-    may run. *)
+    shift and per-pair refresh: start from {!unsealed}, [append] each
+    side of each pair, then [seal] once.  Until [seal], the segments
+    are the only truth — the derived views ([raw_thresh],
+    {!first_accepting}, the mate filter behind {!mated}, {!edge_count})
+    are stale, and nothing but [append] may run. *)
+
+val unsealed : Instance.t -> t
+(** The empty configuration's storage, with no derived view computed:
+    {!empty} is [unsealed] then {!seal}.  Only the ordered writer may
+    use it — {!append} its rows, then {!seal} before any other
+    operation reads it.  A build that seals once derives its views
+    once, where [empty] would derive them a second time. *)
 
 val append : t -> int -> int -> unit
 (** [append t p q] writes [q] as [p]'s next mate, after every current
@@ -130,7 +137,7 @@ val seal : t -> unit
 
     Read-only views of the flat mate storage for fused hot-loop kernels
     ([Blocking.best_blocking_mate]).  [raw_off] is immutable after
-    {!empty}; [raw_data]/[raw_deg] are the live arrays — callers must
+    construction; [raw_data]/[raw_deg] are the live arrays — callers must
     never mutate them, and must re-read after any [connect]/[disconnect]. *)
 
 val raw_off : t -> int array

@@ -115,7 +115,7 @@ let stable_config ?arena inst =
   Stratify_obs.Counter.incr c_builds;
   let snap = Stratify_obs.Profile.start () in
   let n = Instance.n inst in
-  let config = Config.empty inst in
+  let config = Config.unsealed inst in
   let avail, next = scratch ?arena n in
   fill config ~avail ~next ~lo:0 ~hi:n;
   Config.seal config;

@@ -33,7 +33,8 @@ val find_next : int array -> int array -> int -> int -> int
 
 val stable_config : ?arena:arena -> Instance.t -> Config.t
 (** O(Σ degree) over the acceptance lists.  The pairs go in through
-    {!Config.append} in scan order and the result is {!Config.seal}ed.
+    {!Config.append} in scan order, into a {!Config.unsealed}
+    configuration, and the result is {!Config.seal}ed once.
     When profiling is on ({!Stratify_obs.Profile}), each build is
     recorded under the "greedy.build" kernel with [n] ops. *)
 
@@ -47,8 +48,9 @@ val solve_window :
     and no scratch entry outside [\[lo, hi)], and reads none another
     window writes, so disjoint windows may be solved from different
     domains.  Counts one build and records one "greedy.build" row of
-    [hi - lo] ops, like {!stable_config}.  The caller {!Config.seal}s
-    [config] once every window is written. *)
+    [hi - lo] ops, like {!stable_config}.  [config] may be
+    {!Config.unsealed}; the caller {!Config.seal}s it once every window
+    is written. *)
 
 val mates_of_stream : b:int array -> peer:int -> ((int -> int -> unit) -> unit) -> int list
 (** [mates_of_stream ~b ~peer iter] is [peer]'s mates, best first, in the

@@ -191,7 +191,10 @@ let check_b ~n b =
 
 let finish ~backend ~ranking ~b ~n =
   if Ranking.size ranking <> n then invalid_arg "Instance: ranking size mismatch";
-  let b_by_rank = Array.init n (fun r -> b.(Ranking.peer_at ranking r)) in
+  let b_by_rank =
+    if Ranking.is_identity ranking then Array.copy b
+    else Array.init n (fun r -> b.(Ranking.peer_at ranking r))
+  in
   { backend; b = b_by_rank; ranking; slot_total = Array.fold_left ( + ) 0 b; n }
 
 (* The one [Dense] construction: the graph's rows, rank-labelled.  Under

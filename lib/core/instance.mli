@@ -11,7 +11,8 @@
     - [`Dense] — the acceptance graph's own CSR rows (one flat
       [int array] plus offsets), shared with the graph, not copied, under
       the identity ranking; O(Σ degree) memory.
-    - [`Complete] — fully implicit: [accepts p q ⇔ p ≠ q].  O(1) memory,
+    - [`Complete] — fully implicit: [accepts p q ⇔ p ≠ q].  O(1) memory
+      for the acceptance graph (the budgets are one n-array),
       so the paper's §4 experiments (which all run on complete acceptance
       graphs) scale to 10⁵⁺ peers without an n×n adjacency.
     - [`Complete_minus] — complete minus a removal set, for
@@ -47,7 +48,9 @@ val of_adjacency : ?ranking:Ranking.t -> adj:int array array -> b:int array -> u
 
 val complete : ?ranking:Ranking.t -> n:int -> b:int array -> unit -> t
 (** The complete acceptance graph on [n] peers, fully implicit: no
-    adjacency is materialized, ever.  [accepts p q ⇔ p ≠ q]. *)
+    adjacency is materialized, ever.  [accepts p q ⇔ p ≠ q].  Under the
+    default identity ranking the instance holds one array, a copy of
+    [b] (the budgets by rank); a scored ranking adds its own three. *)
 
 val complete_minus :
   ?ranking:Ranking.t -> n:int -> b:int array -> removed:int list -> unit -> t

@@ -13,11 +13,17 @@ exception Ties of int * int
 
 val of_scores : float array -> t
 (** [of_scores s] ranks peer ids [0 .. n-1] by decreasing score.
-    @raise Ties if two scores are equal. *)
+    @raise Ties if two scores are equal (two equal infinities included).
+    @raise Invalid_argument naming the peer if a score is NaN: a NaN
+    equals nothing, so it could not tie, yet it is no mark either. *)
 
 val identity : int -> t
 (** The label ranking used throughout the paper's simulations: peer id [i]
-    has rank [i] (id 0 is the best peer). *)
+    has rank [i] (id 0 is the best peer).  It stores no array: O(1)
+    memory whatever [n].  Every accessor answers as {!of_scores} of the
+    scores [-i] would, and raises [Invalid_argument] on an index outside
+    [\[0, n)], as the scored form's array reads do.
+    @raise Invalid_argument naming the size if [n < 0]. *)
 
 val size : t -> int
 

@@ -108,15 +108,15 @@ let snap_ranges ~n ~bands cuts =
    and jobs-invariant by construction.  That is also why the caller's
    arena may be used here: its buffers are taken once, on the
    coordinator, and no worker touches the arena itself.  The bands
-   write segments only; one [Config.seal] derives the rest, and the
-   fixup certifies the result. *)
+   write the segments of an unsealed configuration, the one
+   [Config.seal] derives the rest, and the fixup certifies the result. *)
 let solve_snapped ~jobs ~bands ?arena inst =
   let n = Instance.n inst in
   let avail, next = Greedy.scratch ?arena n in
   let ranges = snap_ranges ~n ~bands (cuts_with ~avail ~next inst) in
   let nbands = Array.length ranges in
   Obs.Counter.add c_bands nbands;
-  let config = Config.empty inst in
+  let config = Config.unsealed inst in
   (* [Profile] rows are worker-domain safe (mutex-protected): every band
      records under "greedy.build", and "shard.band_solve" measures the
      whole fan-out from the coordinator. *)

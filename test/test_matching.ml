@@ -29,7 +29,63 @@ let test_ranking_identity () =
     Alcotest.(check int) "rank = id" i (Ranking.rank r i)
   done;
   Alcotest.(check int) "compare" (-1)
-    (compare (Ranking.compare_peers r 0 3) 0)
+    (compare (Ranking.compare_peers r 0 3) 0);
+  (* The array-free identity answers every accessor as the scored
+     ranking of the same order does, and both refuse an index past the
+     population. *)
+  List.iter
+    (fun n ->
+      let id = Ranking.identity n in
+      let scored = Ranking.of_scores (Array.init n (fun i -> -.float i)) in
+      let what s = Printf.sprintf "n=%d: %s" n s in
+      Alcotest.(check int) (what "size") (Ranking.size scored) (Ranking.size id);
+      Alcotest.(check bool) (what "is_identity") (Ranking.is_identity scored) (Ranking.is_identity id);
+      for p = 0 to n - 1 do
+        Alcotest.(check int) (what "rank") (Ranking.rank scored p) (Ranking.rank id p);
+        Alcotest.(check int) (what "peer_at") (Ranking.peer_at scored p) (Ranking.peer_at id p);
+        Alcotest.(check bool) (what "score") true (Ranking.score scored p = Ranking.score id p);
+        for q = 0 to n - 1 do
+          Alcotest.(check bool) (what "prefers") (Ranking.prefers scored p q)
+            (Ranking.prefers id p q);
+          Alcotest.(check int) (what "compare_peers") (Ranking.compare_peers scored p q)
+            (Ranking.compare_peers id p q)
+        done
+      done;
+      List.iter
+        (fun (form, r) ->
+          List.iter
+            (fun (acc, f) ->
+              List.iter
+                (fun i ->
+                  match f r i with
+                  | exception Invalid_argument _ -> ()
+                  | _ -> Alcotest.failf "%s: %s %s %d did not raise" (what "range") form acc i)
+                [ -1; n ])
+            [
+              ("rank", Ranking.rank);
+              ("peer_at", Ranking.peer_at);
+              ("score", fun r i -> int_of_float (Ranking.score r i));
+              ("prefers", fun r i -> Bool.to_int (Ranking.prefers r i i));
+              ("compare_peers", fun r i -> Ranking.compare_peers r i i);
+            ])
+        [ ("identity", id); ("scored", scored) ])
+    [ 0; 1; 5; 64 ];
+  Alcotest.check_raises "negative size" (Invalid_argument "Ranking.identity: negative size -1")
+    (fun () -> ignore (Ranking.identity (-1)))
+
+(* A NaN equals nothing, so no tie check can see it: it must be refused
+   by name, before it lands at an arbitrary rank.  Equal infinities
+   still tie. *)
+let test_ranking_rejects_nan () =
+  Alcotest.check_raises "NaN score" (Invalid_argument "Ranking.of_scores: peer 0 has a NaN score")
+    (fun () -> ignore (Ranking.of_scores [| nan; 1.; nan |]));
+  Alcotest.check_raises "NaN after valid scores"
+    (Invalid_argument "Ranking.of_scores: peer 2 has a NaN score") (fun () ->
+      ignore (Ranking.of_scores [| 3.; 1.; Float.nan |]));
+  match Ranking.of_scores [| infinity; 0.; infinity |] with
+  | exception Ranking.Ties (a, b) ->
+      Alcotest.(check (pair int int)) "equal infinities tie" (0, 2) (Int.min a b, Int.max a b)
+  | _ -> Alcotest.fail "expected Ties"
 
 (* ------------------------------------------------------------------ *)
 (* Instance                                                            *)
@@ -954,4 +1010,5 @@ let suite =
     prop_stream_mates_match_graph;
     Alcotest.test_case "streamed Algorithm 1 errors are named" `Quick test_stream_errors;
     Alcotest.test_case "streamed Algorithm 1 stops after row peer" `Quick test_stream_stops;
+    Alcotest.test_case "ranking rejects NaN scores" `Quick test_ranking_rejects_nan;
   ]

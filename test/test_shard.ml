@@ -92,6 +92,7 @@ let check_sharded_equal inst ~bands =
   Blocking.is_stable sharded
   && Config.signature sharded = Config.signature reference
   && Config.edge_count sharded = Config.edge_count reference
+  && Config.raw_thresh sharded = Config.raw_thresh reference
   (* two domains filling disjoint rows of one configuration *)
   && Config.equal (Shard.stable_config ~jobs:2 ~bands inst) sharded
 
